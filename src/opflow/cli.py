@@ -565,7 +565,7 @@ def build_parser() -> _Parser:
     p.add_argument("--store", help="store directory to prune in place")
     p.add_argument("--traces", help="trace log file")
     p.add_argument("--prune-k", type=int, dest="prune_k")
-    p.add_argument("--budget", type=int, help="max residual bytes to keep")
+    p.add_argument("--budget", type=int, help="max residual pairs to keep (hottest first)")
     p.set_defaults(handler=cmd_kv_prune)
 
     p = kv_sub.add_parser("footprint", help="store memory accounting CSV")

@@ -173,6 +173,28 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (B*N, K) view of a (B, N, K) stack, so a weight product is one 2-D
+    GEMM rather than B small ones."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for a (B, N, K) stack and a (K, M) weight, via ``_rows``."""
+    return (_rows(a) @ w).reshape(a.shape[:-1] + (w.shape[1],))
+
+
+def _incidence(nodes: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(V, E) one-hot matrix with a 1 at (nodes[e], e).
+
+    ``inc @ g`` adds each edge row of ``g`` onto its node; the rows of edges
+    that share a node add up.
+    """
+    inc = np.zeros((n_nodes, len(nodes)))
+    inc[nodes, np.arange(len(nodes))] = 1.0
+    return inc
+
+
 @dataclass
 class ForwardCache:
     params: ModelParams
@@ -227,10 +249,10 @@ def forward_loss(
 
     s = normalized_adjacency(a)
     m1 = s @ x
-    z1 = m1 @ params.gcn_w1
+    z1 = _times(m1, params.gcn_w1)
     h1 = np.maximum(z1, 0.0)
     m2 = s @ h1
-    z2 = m2 @ params.gcn_w2
+    z2 = _times(m2, params.gcn_w2)
     h2 = np.maximum(z2, 0.0)
 
     src, dst = edge_index[:, 0], edge_index[:, 1]
@@ -239,11 +261,11 @@ def forward_loss(
         [h2[:, src, :], h2[:, dst, :], np.broadcast_to(task[:, None, :], h2[:, src, :].shape)],
         axis=-1,
     )
-    p1 = zc @ params.mlp_w1 + params.mlp_b1
+    p1 = _times(zc, params.mlp_w1) + params.mlp_b1
     a1 = np.maximum(p1, 0.0)
-    p2 = a1 @ params.mlp_w2 + params.mlp_b2
+    p2 = _times(a1, params.mlp_w2) + params.mlp_b2
     a2 = np.maximum(p2, 0.0)
-    omega = (a2 @ params.mlp_w3 + params.mlp_b3)[..., 0]
+    omega = (_times(a2, params.mlp_w3) + params.mlp_b3)[..., 0]
 
     scores = gumbel_sigmoid(omega, tau, noise)
     loss = bce_loss(scores, labels)
@@ -288,31 +310,31 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     d_omega = d_u / cache.tau  # (B, E)
 
     grads: dict[str, np.ndarray] = {}
-    grads["mlp_w3"] = np.einsum("bem,be->m", cache.a2, d_omega)[:, None]
+    grads["mlp_w3"] = _rows(cache.a2).T @ d_omega.reshape(-1, 1)
     grads["mlp_b3"] = np.array([d_omega.sum()])
     d_a2 = d_omega[..., None] * p.mlp_w3[:, 0]
     d_p2 = d_a2 * (cache.p2 > 0)
-    grads["mlp_w2"] = np.einsum("bem,ben->mn", cache.a1, d_p2)
+    grads["mlp_w2"] = _rows(cache.a1).T @ _rows(d_p2)
     grads["mlp_b2"] = d_p2.sum(axis=(0, 1))
-    d_a1 = d_p2 @ p.mlp_w2.T
+    d_a1 = _times(d_p2, p.mlp_w2.T)
     d_p1 = d_a1 * (cache.p1 > 0)
-    grads["mlp_w1"] = np.einsum("bek,bem->km", cache.zc, d_p1)
+    grads["mlp_w1"] = _rows(cache.zc).T @ _rows(d_p1)
     grads["mlp_b1"] = d_p1.sum(axis=(0, 1))
-    d_zc = d_p1 @ p.mlp_w1.T  # (B, E, 3H)
+    d_zc = _times(d_p1, p.mlp_w1.T)  # (B, E, 3H)
 
-    src = cache.edge_index[:, 0]
-    dst = cache.edge_index[:, 1]
-    d_h2 = np.zeros_like(cache.h2)  # (B, V, H)
-    np.add.at(d_h2, (slice(None), src), d_zc[:, :, :h])
-    np.add.at(d_h2, (slice(None), dst), d_zc[:, :, h : 2 * h])
+    n_nodes = cache.h2.shape[1]
+    d_h2 = (  # (B, V, H)
+        _incidence(cache.edge_index[:, 0], n_nodes) @ d_zc[:, :, :h]
+        + _incidence(cache.edge_index[:, 1], n_nodes) @ d_zc[:, :, h : 2 * h]
+    )
     d_h2[:, cache.task_index, :] += d_zc[:, :, 2 * h :].sum(axis=1)
 
     d_z2 = d_h2 * (cache.z2 > 0)
-    grads["gcn_w2"] = np.einsum("bvh,bvk->hk", cache.m2, d_z2)
-    d_m2 = d_z2 @ p.gcn_w2.T
+    grads["gcn_w2"] = _rows(cache.m2).T @ _rows(d_z2)
+    d_m2 = _times(d_z2, p.gcn_w2.T)
     d_h1 = cache.s.T @ d_m2
     d_z1 = d_h1 * (cache.z1 > 0)
-    grads["gcn_w1"] = np.einsum("bvd,bvh->dh", cache.m1, d_z1)
+    grads["gcn_w1"] = _rows(cache.m1).T @ _rows(d_z1)
     return grads
 
 

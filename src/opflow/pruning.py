@@ -68,11 +68,6 @@ class TransitionStats:
         )
 
 
-def record_execution(stats: TransitionStats, workflow_trace: Sequence[str]) -> None:
-    """Fold one executed op sequence into the stats.  Empty traces are no-ops."""
-    stats.record(workflow_trace)
-
-
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def planted_default():
 @pytest.fixture(scope="session")
 def default_training(planted_default):
     """One training run at the default configuration, shared by every test
-    that needs it (the run itself takes ~25 s).  Returns (result, seconds)."""
+    that needs it.  Returns (result, seconds)."""
     import time
 
     from opflow.construct import TrainConfig, train
@@ -67,15 +67,21 @@ def default_training(planted_default):
 
 
 @pytest.fixture(scope="session")
-def control_params(planted_default):
-    """Parameters trained at a raised learning rate (1e-2 instead of the
-    default 1e-4) so the model actually fits the planted corpus within the
-    small step budget; serving tests need non-trivial generated workflows."""
+def control_training(planted_default):
+    """One training run at a raised learning rate (1e-2 instead of the
+    default 1e-4), so the model actually fits the planted corpus within the
+    small step budget.  Returns the ``TrainResult``."""
     from opflow.construct import TrainConfig, train
 
     corpus = planted_default
-    config = TrainConfig(learning_rate=1e-2)
-    return train(corpus.graph, list(corpus.samples[:500]), config).params
+    return train(corpus.graph, list(corpus.samples[:500]), TrainConfig(learning_rate=1e-2))
+
+
+@pytest.fixture(scope="session")
+def control_params(control_training):
+    """The control run's parameters; serving tests need non-trivial
+    generated workflows."""
+    return control_training.params
 
 
 def doc_json(doc: dict) -> str:

@@ -31,12 +31,10 @@ import pytest
 
 from opflow.construct import (
     DecodeConfig,
-    TrainConfig,
     edge_f1,
     generate,
     generate_synthetic_corpus,
     save_samples,
-    train,
 )
 from opflow.graph import (
     condition_on_task,
@@ -334,7 +332,7 @@ def test_07_gradient_fidelity(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_08_learning_on_planted_corpus(planted_default, default_training, capsys):
+def test_08_learning_on_planted_corpus(planted_default, default_training, control_training, capsys):
     corpus = planted_default
     result, elapsed = default_training
     initial, final = result.epoch_losses[0], result.epoch_losses[-1]
@@ -348,13 +346,10 @@ def test_08_learning_on_planted_corpus(planted_default, default_training, capsys
 
     # Control at learning rate 1e-2, identical pipeline otherwise: shows the
     # implementation can learn this corpus when the step budget allows.
-    control = train(
-        corpus.graph, list(corpus.samples[:500]), TrainConfig(learning_rate=1e-2)
-    )
-    control_ratio = control.epoch_losses[-1] / control.epoch_losses[0]
+    control_ratio = control_training.epoch_losses[-1] / control_training.epoch_losses[0]
     control_f1 = float(
         np.mean([
-            edge_f1(generate(corpus.graph, control.params, s.task_text).edges, s.workflow.edges)
+            edge_f1(generate(corpus.graph, control_training.params, s.task_text).edges, s.workflow.edges)
             for s in held_out
         ])
     )

@@ -344,6 +344,33 @@ class TestKvStoreCommands:
         total = int(capsys.readouterr().out.splitlines()[1].split(",")[-1])
         assert total == after
 
+    def test_prune_budget_counts_pairs(self, cli_project, tmp_path, capsys):
+        # --budget caps the number of residual pairs, not bytes: a budget of
+        # 1 keeps exactly one residual, whatever its size.
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert self.materialize(root, store) == 0
+        capsys.readouterr()
+        assert main([
+            "kv", "prune",
+            "--graph", str(root / "graph.json"),
+            "--store", str(store),
+            "--traces", str(root / "traces.log"),
+            "--prune-k", "1", "--budget", "1", "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        summary = (tmp_path / "prune_summary.csv").read_text().splitlines()
+        inserted, kept, dropped = (int(v) for v in summary[1].split(",")[4:])
+        assert (inserted, kept) == (0, 1) and dropped > 0
+        assert len((tmp_path / "prune_report.csv").read_text().splitlines()) == 2
+        assert main([
+            "kv", "footprint",
+            "--graph", str(root / "graph.json"),
+            "--store", str(store), "--out", str(tmp_path / "fp"),
+        ]) == 0
+        n_residuals = int(capsys.readouterr().out.splitlines()[1].split(",")[5])
+        assert n_residuals == 1
+
     def test_stateful_materialize_stores_fulls(self, cli_project, tmp_path, capsys):
         root, _ = cli_project
         store = tmp_path / "store"

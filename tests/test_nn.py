@@ -9,6 +9,7 @@ import pytest
 
 from opflow.errors import DataError
 from opflow.nn import (
+    SCORE_CLAMP,
     ModelParams,
     adamw_init,
     adamw_step,
@@ -243,6 +244,38 @@ def random_instance(seed: int, batch: int = 1):
     return p, x, a, edge_index, v - 1, labels, noise
 
 
+def einsum_reference_backward(cache) -> dict[str, np.ndarray]:
+    """The backward pass written with ``np.einsum`` contractions and
+    ``np.add.at`` scatters: slow, but each line is the textbook formula."""
+    p = cache.params
+    b, n_edges = cache.omega.shape
+    h = p.dim_hidden
+    sc = np.clip(cache.scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    d_omega = (sc - cache.labels) / (n_edges * b) / cache.tau
+
+    grads = {}
+    grads["mlp_w3"] = np.einsum("bem,be->m", cache.a2, d_omega)[:, None]
+    grads["mlp_b3"] = np.array([d_omega.sum()])
+    d_p2 = d_omega[..., None] * p.mlp_w3[:, 0] * (cache.p2 > 0)
+    grads["mlp_w2"] = np.einsum("bem,ben->mn", cache.a1, d_p2)
+    grads["mlp_b2"] = d_p2.sum(axis=(0, 1))
+    d_p1 = (d_p2 @ p.mlp_w2.T) * (cache.p1 > 0)
+    grads["mlp_w1"] = np.einsum("bek,bem->km", cache.zc, d_p1)
+    grads["mlp_b1"] = d_p1.sum(axis=(0, 1))
+    d_zc = d_p1 @ p.mlp_w1.T
+
+    d_h2 = np.zeros_like(cache.h2)
+    np.add.at(d_h2, (slice(None), cache.edge_index[:, 0]), d_zc[:, :, :h])
+    np.add.at(d_h2, (slice(None), cache.edge_index[:, 1]), d_zc[:, :, h : 2 * h])
+    d_h2[:, cache.task_index, :] += d_zc[:, :, 2 * h :].sum(axis=1)
+
+    d_z2 = d_h2 * (cache.z2 > 0)
+    grads["gcn_w2"] = np.einsum("bvh,bvk->hk", cache.m2, d_z2)
+    d_z1 = (cache.s.T @ (d_z2 @ p.gcn_w2.T)) * (cache.z1 > 0)
+    grads["gcn_w1"] = np.einsum("bvd,bvh->dh", cache.m1, d_z1)
+    return grads
+
+
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_finite_differences(self, seed):
@@ -278,6 +311,31 @@ class TestBackward:
         g2 = backward(cache2)
         for name in g1:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-14)
+
+    def test_matches_einsum_scatter_reference(self):
+        # Batched, with candidate edges sharing sources (0, 2) and
+        # destinations (3, 1): a scatter that drops or double-counts a
+        # duplicate index moves a gradient far beyond float rounding, which
+        # the finite-difference tolerance above could miss.
+        rng = np.random.default_rng(101)
+        b, v = 4, 7
+        p = init_params(dim_in=5, dim_hidden=6, mlp_hidden=4, seed=13)
+        for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+            arr = getattr(p, name)
+            arr += rng.normal(scale=0.05, size=arr.shape)
+        x = rng.normal(size=(b, v, 5))
+        a = (rng.random((v, v)) < 0.4).astype(float)
+        np.fill_diagonal(a, 0.0)
+        edges = np.array([[0, 1], [0, 3], [0, 4], [2, 3], [5, 3], [2, 1], [4, 5]])
+        labels = rng.integers(0, 2, size=(b, len(edges))).astype(float)
+        noise = rng.gumbel(size=(b, len(edges)))
+        _, cache = forward_loss(p, x, a, edges, 6, labels, tau=0.8, noise=noise)
+        got = backward(cache)
+        want = einsum_reference_backward(cache)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0, err_msg=name)
 
     def test_saturated_scores_give_clamp_scale_gradients(self):
         # Drive omega hugely positive on a label-1 edge: the clamp leaves only

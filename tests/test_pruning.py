@@ -15,7 +15,6 @@ from opflow.pruning import (
     apply_plan,
     plan_materialization,
     read_trace_log,
-    record_execution,
     write_trace_log,
 )
 
@@ -64,7 +63,7 @@ class TestTransitionStats:
         stats = TransitionStats(graph)
         expected = Counter()
         for trace in traces:
-            record_execution(stats, trace)
+            stats.record(trace)
             expected.update(zip(trace, trace[1:]))
         assert stats.edge_counts == dict(expected)
         assert stats.total_observations == 40
@@ -322,6 +321,6 @@ class TestTraceLog:
         write_trace_log(file, [("T1", ALPHA), ("T2", ALPHA), ("T3", BETA)])
         stats = TransitionStats(graph)
         for _, ops in read_trace_log(file):
-            record_execution(stats, ops)
+            stats.record(ops)
         assert stats.total_observations == 3
         assert stats.edge_counts[("OP_E", "OP_A1")] == 2
