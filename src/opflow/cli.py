@@ -395,10 +395,9 @@ def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
 
 
 def cmd_bench(cfg: SimpleNamespace) -> int:
-    from .construct import generate, generate_synthetic_corpus
-    from .harness import SweepResult, SweepRow, Workload, make_workload, run_serving_sim
+    from .construct import generate_synthetic_corpus
+    from .harness import make_workload, sweep_batch_sizes
     from .nn import init_params, load_checkpoint
-    from .oracle import KVOracle, OracleConfig
 
     batch_sizes = _parse_batch_sizes(cfg.batch_sizes)
     corpus = generate_synthetic_corpus(vocab_size=cfg.vocab_size, n_tasks=1, seed=cfg.seed)
@@ -414,86 +413,27 @@ def cmd_bench(cfg: SimpleNamespace) -> int:
         distribution=cfg.distribution,
         batch_sizes=batch_sizes,
     )
-    oracle = KVOracle(OracleConfig(lam=cfg.lam, seed=cfg.seed))
-    cache = {text: generate(corpus.graph, params, text) for text in dict.fromkeys(workload.requests)}
-
-    mode_order = ("stateless", "differential", "stateful")
-    sweep_rows: list[SweepRow] = []
-    cost_lines = ["batch_size,mode,total_cost,mean_cost,p90_cost,hits,fallbacks"]
-    final_reports = {}
-    for batch in batch_sizes:
-        sub = Workload(
-            requests=workload.requests[:batch],
-            targets=workload.targets[:batch],
-            batch_sizes=(batch,),
-            seed=workload.seed,
-            overlap=workload.overlap,
-        )
-        for mode in mode_order:
-            report = run_serving_sim(
-                corpus.graph,
-                params,
-                sub,
-                mode,
-                oracle=oracle,
-                energy_target=cfg.energy_target,
-                workflow_cache=cache,
-            )
-            m = report.memory
-            sweep_rows.append(
-                SweepRow(batch, mode, m.bases_bytes, m.residuals_bytes, m.fulls_bytes, m.total_bytes)
-            )
-            cost_lines.append(
-                f"{batch},{mode},{report.total_cost!r},{report.mean_cost!r},"
-                f"{report.p90_cost!r},{report.hits},{report.fallbacks}"
-            )
-            final_reports[mode] = report
-    sweep = SweepResult(rows=sweep_rows)
-
-    tradeoff_lines = ["mode,total_bytes,total_cost,mean_cost,p90_cost,task_score"]
-    for mode in mode_order:
-        report = final_reports[mode]
-        tradeoff_lines.append(
-            f"{mode},{report.memory.total_bytes},{report.total_cost!r},"
-            f"{report.mean_cost!r},{report.p90_cost!r},{report.task_score!r}"
-        )
+    sweep = sweep_batch_sizes(
+        corpus.graph, params, workload, oracle=_oracle(cfg), energy_target=cfg.energy_target
+    )
 
     out = _out_dir(cfg)
     written = {
-        out / "bench_tradeoff.csv": "\n".join(tradeoff_lines) + "\n",
+        out / "bench_tradeoff.csv": sweep.tradeoff_csv(),
         out / "bench_memory_sweep.csv": sweep.to_csv(),
-        out / "bench_cost_sweep.csv": "\n".join(cost_lines) + "\n",
+        out / "bench_cost_sweep.csv": sweep.cost_csv(),
     }
     for path, text in written.items():
         path.write_text(text)
         print(path)
     if cfg.plot:
-        from .harness import plot_sweep
+        from .harness import plot_cost_sweep, plot_sweep
 
-        plot_sweep(sweep, str(out / "bench_memory_sweep.png"))
-        _plot_cost_sweep(final_reports, batch_sizes, cost_lines, out / "bench_cost_sweep.png")
-        print(out / "bench_memory_sweep.png")
-        print(out / "bench_cost_sweep.png")
+        charts = {"bench_memory_sweep.png": plot_sweep, "bench_cost_sweep.png": plot_cost_sweep}
+        for name, plot in charts.items():
+            plot(sweep, str(out / name))
+            print(out / name)
     return 0
-
-
-def _plot_cost_sweep(final_reports, batch_sizes, cost_lines, path: Path) -> None:
-    from .harness import _load_pyplot
-
-    plt = _load_pyplot()
-    series: dict[str, list[tuple[int, float]]] = {}
-    for line in cost_lines[1:]:
-        batch, mode, _, _, p90, _, _ = line.split(",")
-        series.setdefault(mode, []).append((int(batch), float(p90)))
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for mode, points in series.items():
-        ax.plot([p[0] for p in points], [p[1] for p in points], marker="o", label=mode)
-    ax.set_xlabel("concurrent requests")
-    ax.set_ylabel("p90 request cost")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(str(path), metadata={"Software": None})
-    plt.close(fig)
 
 
 # ---------------------------------------------------------------------------

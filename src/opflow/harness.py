@@ -12,12 +12,15 @@ account and sequential execution for the cost account: stateful mode gives
 every request its own store, while stateless and differential requests share
 one store, which is exactly where the differential layout's cross-request
 deduplication shows up in the sweep curves.
+
+The batch-size sweep serves each mode once: requests run in order against
+stores that only grow, so batch size B is read off the first B per-request
+records (cost, score, entries applied, footprint after) of that one run.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +41,7 @@ from .pruning import (
 )
 
 DEFAULT_BATCH_SIZES = (10, 20, 30, 40, 50)
+SWEEP_MODES = ("stateless", "differential", "stateful")
 
 
 @dataclass(frozen=True)
@@ -174,14 +178,35 @@ def maximal_traces(workflow: Workflow) -> list[list[str]]:
 
 @dataclass
 class RunReport:
+    """Per-request records of one serving run, in order; ``request_memory[i]`` is
+    the footprint right after request ``i`` (stateful: summed over its stores)."""
+
     mode: str
     request_costs: tuple[float, ...]
     request_hits: tuple[int, ...]
     request_fallbacks: tuple[int, ...]
-    memory: MemoryReport
-    task_score: float
-    entries_applied: int
+    request_scores: tuple[float, ...]
+    request_entries: tuple[int, ...]
+    request_memory: tuple[MemoryReport, ...]
     verified: bool | None = None  # None when oracle verification was off
+
+    def head(self, n: int) -> RunReport:
+        """What a run over only the first ``n`` requests reports (``verified``
+        still covers the whole run)."""
+        per_request = [f.name for f in fields(self) if f.name.startswith("request_")]
+        return replace(self, **{name: getattr(self, name)[:n] for name in per_request})
+
+    @property
+    def memory(self) -> MemoryReport:
+        return self.request_memory[-1]
+
+    @property
+    def task_score(self) -> float:
+        return float(np.mean(self.request_scores))
+
+    @property
+    def entries_applied(self) -> int:
+        return sum(self.request_entries)
 
     @property
     def total_cost(self) -> float:
@@ -227,6 +252,14 @@ def combine_memory(mode: str, reports: Sequence[MemoryReport]) -> MemoryReport:
     )
 
 
+def _distance(a, b) -> float:
+    """Key/value Euclidean distance, summed in float64: float32 sums round
+    by more than the energy bound's 1e-6 slack once deltas are large."""
+    keys = a.keys.astype(np.float64) - b.keys
+    values = a.values.astype(np.float64) - b.values
+    return float(np.sqrt(np.sum(keys**2) + np.sum(values**2)))
+
+
 def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag: str) -> bool:
     """Check one fetch output against the oracle per the mode contract."""
     oracle = store.oracle
@@ -238,14 +271,8 @@ def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag
     full = oracle.stateful_segment(prefix, op_tokens)
     if store.mode == "differential" and flag == "hit" and path:
         base = oracle.base_segment(op_tokens, len(prefix))
-        delta_norm = float(
-            np.sqrt(
-                np.sum((full.keys - base.keys) ** 2) + np.sum((full.values - base.values) ** 2)
-            )
-        )
-        err = float(
-            np.sqrt(np.sum((kv.keys - full.keys) ** 2) + np.sum((kv.values - full.values) ** 2))
-        )
+        delta_norm = _distance(full, base)
+        err = _distance(kv, full)
         bound = np.sqrt(max(0.0, 1.0 - store.energy_target)) * delta_norm + 1e-6
         return err <= bound
     return np.array_equal(kv.keys, full.keys) and np.array_equal(kv.values, full.values)
@@ -280,7 +307,6 @@ def run_serving_sim(
     cost_model = cost_model or CostModel()
     oracle = oracle or KVOracle(OracleConfig())
 
-    per_request_stores: list[CacheStore] = []
     if store is None:
         if mode != "stateful":
             store = CacheStore(graph, mode, oracle=oracle, energy_target=energy_target)
@@ -291,7 +317,8 @@ def run_serving_sim(
     hits: list[int] = []
     fallbacks: list[int] = []
     scores: list[float] = []
-    entries_total = 0
+    entries: list[int] = []
+    memory: list[MemoryReport] = []
     all_verified = True
 
     for req_index, task_text in enumerate(workload.requests):
@@ -303,7 +330,6 @@ def run_serving_sim(
 
         if mode == "stateful" and store is None:
             req_store = CacheStore(graph, "stateful", oracle=oracle, energy_target=energy_target)
-            per_request_stores.append(req_store)
         else:
             req_store = store
 
@@ -311,13 +337,14 @@ def run_serving_sim(
         cost = 0.0
         n_hit = 0
         n_fall = 0
+        n_entries = 0
         for node in topological_order(wf.nodes, wf.edges):
             path = chains[node][:-1]
             kv, result = req_store.fetch(path, node)
             cost += cost_model.fetch_cost(
                 result.flag, result.entries_applied, result.prefix_tokens, result.op_tokens
             )
-            entries_total += result.entries_applied
+            n_entries += result.entries_applied
             if result.flag == "hit":
                 n_hit += 1
             else:
@@ -329,6 +356,11 @@ def run_serving_sim(
         costs.append(cost)
         hits.append(n_hit)
         fallbacks.append(n_fall)
+        entries.append(n_entries)
+        if req_store is store:
+            memory.append(store.memory_footprint())
+        else:  # per-request stateful stores: a running sum
+            memory.append(combine_memory("stateful", memory[-1:] + [req_store.memory_footprint()]))
 
         for trace in maximal_traces(wf):
             if stats is not None:
@@ -336,18 +368,14 @@ def run_serving_sim(
             if trace_log is not None:
                 trace_log.append((f"REQ_{req_index:03d}", trace))
 
-    if mode == "stateful" and per_request_stores:
-        memory = combine_memory("stateful", [s.memory_footprint() for s in per_request_stores])
-    else:
-        memory = store.memory_footprint()
     return RunReport(
         mode=mode,
         request_costs=tuple(costs),
         request_hits=tuple(hits),
         request_fallbacks=tuple(fallbacks),
-        memory=memory,
-        task_score=float(np.mean(scores)),
-        entries_applied=entries_total,
+        request_scores=tuple(scores),
+        request_entries=tuple(entries),
+        request_memory=tuple(memory),
         verified=all_verified if verify_fetches else None,
     )
 
@@ -359,12 +387,20 @@ def run_serving_sim(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One mode at one batch size: the run over the first ``batch_size`` requests."""
+
     batch_size: int
     mode: str
     bases_bytes: int
     residuals_bytes: int
     fulls_bytes: int
     total_bytes: int
+    total_cost: float
+    mean_cost: float
+    p90_cost: float
+    hits: int
+    fallbacks: int
+    task_score: float
 
 
 @dataclass
@@ -384,14 +420,31 @@ class SweepResult:
         return float(np.polyfit(x, y, 1)[0])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("batch_size,mode,bases_bytes,residuals_bytes,fulls_bytes,total_bytes\n")
-        for r in self.rows:
-            out.write(
-                f"{r.batch_size},{r.mode},{r.bases_bytes},{r.residuals_bytes},"
-                f"{r.fulls_bytes},{r.total_bytes}\n"
-            )
-        return out.getvalue()
+        """Store bytes per batch size and mode."""
+        return _csv(_MEMORY_COLUMNS, self.rows)
+
+    def cost_csv(self) -> str:
+        """Simulated request costs per batch size and mode."""
+        return _csv(_COST_COLUMNS, self.rows)
+
+    def tradeoff_csv(self) -> str:
+        """Memory against cost and task score per mode, at the largest batch."""
+        largest = max(r.batch_size for r in self.rows)
+        return _csv(_TRADEOFF_COLUMNS, [r for r in self.rows if r.batch_size == largest])
+
+
+_MEMORY_COLUMNS = (
+    "batch_size", "mode", "bases_bytes", "residuals_bytes", "fulls_bytes", "total_bytes"
+)
+_COST_COLUMNS = ("batch_size", "mode", "total_cost", "mean_cost", "p90_cost", "hits", "fallbacks")
+_TRADEOFF_COLUMNS = ("mode", "total_bytes", "total_cost", "mean_cost", "p90_cost", "task_score")
+
+
+def _csv(columns: Sequence[str], rows: Sequence[object]) -> str:
+    """A header, then the named attributes of each row as ``str`` values
+    (for a Python float, its shortest round-tripping repr)."""
+    lines = [",".join(columns)] + [",".join(str(getattr(r, c)) for c in columns) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sweep_batch_sizes(
@@ -403,50 +456,41 @@ def sweep_batch_sizes(
     oracle: KVOracle | None = None,
     energy_target: float = 0.95,
 ) -> SweepResult:
-    """Memory totals per mode as the number of in-flight requests grows.
+    """Memory and cost per mode as the number of in-flight requests grows.
 
     Batch size B is modeled as the first B workload requests being live at
     once: their stores exist simultaneously (one per request in stateful
     mode, one shared otherwise) and the recorded figure is total store bytes.
+    Each mode is served once over the first ``max(batch_sizes)`` requests,
+    and batch size B reads the first B requests of that run.
     """
-    if max(workload.batch_sizes) > len(workload.requests):
+    largest = max(workload.batch_sizes)
+    if largest > len(workload.requests):
         raise DataError(
             f"workload has {len(workload.requests)} requests but the sweep "
-            f"needs {max(workload.batch_sizes)}"
+            f"needs {largest}"
         )
     oracle = oracle or KVOracle(OracleConfig())
-    cache = {text: generate(graph, params, text) for text in dict.fromkeys(workload.requests)}
+    served = replace(
+        workload, requests=workload.requests[:largest], targets=workload.targets[:largest]
+    )
+    cache = {text: generate(graph, params, text) for text in dict.fromkeys(served.requests)}
+    runs = {
+        mode: run_serving_sim(
+            graph, params, served, mode, cost_model,
+            oracle=oracle, energy_target=energy_target, workflow_cache=cache,
+        )
+        for mode in SWEEP_MODES
+    }
     rows: list[SweepRow] = []
     for batch in workload.batch_sizes:
-        sub = Workload(
-            requests=workload.requests[:batch],
-            targets=workload.targets[:batch],
-            batch_sizes=(batch,),
-            seed=workload.seed,
-            overlap=workload.overlap,
-        )
-        for mode in ("stateless", "differential", "stateful"):
-            report = run_serving_sim(
-                graph,
-                params,
-                sub,
-                mode,
-                cost_model,
-                oracle=oracle,
-                energy_target=energy_target,
-                workflow_cache=cache,
-            )
-            m = report.memory
-            rows.append(
-                SweepRow(
-                    batch_size=batch,
-                    mode=mode,
-                    bases_bytes=m.bases_bytes,
-                    residuals_bytes=m.residuals_bytes,
-                    fulls_bytes=m.fulls_bytes,
-                    total_bytes=m.total_bytes,
-                )
-            )
+        for mode in SWEEP_MODES:
+            r = runs[mode].head(batch)
+            m = r.memory
+            rows.append(SweepRow(
+                batch, mode, m.bases_bytes, m.residuals_bytes, m.fulls_bytes, m.total_bytes,
+                r.total_cost, r.mean_cost, r.p90_cost, r.hits, r.fallbacks, r.task_score,
+            ))
     return SweepResult(rows=rows)
 
 
@@ -571,35 +615,16 @@ class SparsityReport:
     heatmap: list[tuple[int, int, float, float]]  # layer, head, mean |delta|, mean frac below
 
     def pairs_csv(self) -> str:
-        out = io.StringIO()
-        out.write(_REFERENCE_NOTE + "\n")
-        out.write(f"# threshold: entries with |delta| < {self.threshold!r} * max|delta|\n")
-        out.write(
-            "pair_index,prefix_tokens,op_tokens,frobenius_delta,frobenius_full,"
-            "frac_below_threshold,frac_exact_zero\n"
-        )
-        for p in self.pairs:
-            out.write(
-                f"{p.pair_index},{p.prefix_tokens},{p.op_tokens},{p.frobenius_delta!r},"
-                f"{p.frobenius_full!r},{p.frac_below_threshold!r},{p.frac_exact_zero!r}\n"
-            )
-        return out.getvalue()
+        note = f"# threshold: entries with |delta| < {self.threshold!r} * max|delta|\n"
+        columns = [f.name for f in fields(SparsityPair)]
+        return _REFERENCE_NOTE + "\n" + note + _csv(columns, self.pairs)
 
     def layers_csv(self) -> str:
-        out = io.StringIO()
-        out.write("pair_index,layer,frobenius_delta,frac_below_threshold\n")
-        for r in self.layers:
-            out.write(
-                f"{r.pair_index},{r.layer},{r.frobenius_delta!r},{r.frac_below_threshold!r}\n"
-            )
-        return out.getvalue()
+        return _csv([f.name for f in fields(SparsityLayerRow)], self.layers)
 
     def heatmap_csv(self) -> str:
-        out = io.StringIO()
-        out.write("layer,head,mean_abs_delta,mean_frac_below_threshold\n")
-        for layer, head, mean_abs, frac in self.heatmap:
-            out.write(f"{layer},{head},{mean_abs!r},{frac!r}\n")
-        return out.getvalue()
+        header = "layer,head,mean_abs_delta,mean_frac_below_threshold\n"
+        return header + "".join(",".join(map(str, row)) + "\n" for row in self.heatmap)
 
 
 def sparsity_report(
@@ -679,13 +704,23 @@ def sparsity_report(
 
 def plot_sweep(result: SweepResult, path: str) -> None:
     """Line chart of the memory sweep; requires the ``plot`` extra."""
+    _plot_sweep_field(result, "total_bytes", "store bytes", path)
+
+
+def plot_cost_sweep(result: SweepResult, path: str) -> None:
+    """Line chart of p90 request cost over the sweep; requires the ``plot`` extra."""
+    _plot_sweep_field(result, "p90_cost", "p90 request cost", path)
+
+
+def _plot_sweep_field(result: SweepResult, name: str, label: str, path: str) -> None:
     plt = _load_pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
-    for mode in ("stateless", "differential", "stateful"):
-        pts = result.totals(mode)
-        ax.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=mode)
+    for mode in SWEEP_MODES:
+        rows = [r for r in result.rows if r.mode == mode]
+        x, y = [r.batch_size for r in rows], [getattr(r, name) for r in rows]
+        ax.plot(x, y, marker="o", label=mode)
     ax.set_xlabel("concurrent requests")
-    ax.set_ylabel("store bytes")
+    ax.set_ylabel(label)
     ax.legend()
     fig.tight_layout()
     fig.savefig(path, metadata={"Software": None})

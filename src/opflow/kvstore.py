@@ -33,9 +33,9 @@ import json
 import re
 import shutil
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -322,13 +322,7 @@ class MemoryReport:
 
 
 class CacheStore:
-    """KV cache for one operation graph, in one of the three serving modes.
-
-    An optional ``stats`` sink (anything with a ``record(trace)`` method)
-    receives the executed path whenever a differential fetch falls back to
-    on-the-fly computation; that feed is what materialization planning runs
-    on.
-    """
+    """KV cache for one operation graph, in one of the three serving modes."""
 
     def __init__(
         self,
@@ -336,7 +330,6 @@ class CacheStore:
         mode: str = "differential",
         oracle: KVOracle | None = None,
         energy_target: float = 0.95,
-        stats=None,
     ):
         if mode not in MODES:
             raise DataError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -346,7 +339,6 @@ class CacheStore:
         self.mode = mode
         self.oracle = oracle or KVOracle()
         self.energy_target = energy_target
-        self.stats = stats
         self.bases: dict[tuple[str, int], KVTensor] = {}
         self.residuals: dict[tuple[PathKey, str], SparseDelta] = {}
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
@@ -426,8 +418,6 @@ class CacheStore:
             kv = reconstruct(self.base(op_id, n_prefix), delta)
             return kv, FetchResult("hit", delta.entries, n_prefix, n_op)
         kv = self._stateful(path, op_id)
-        if self.stats is not None:
-            self.stats.record(list(path) + [op_id])
         return kv, FetchResult("fallback", 0, n_prefix, n_op)
 
     def insert_residual(self, path: Iterable[str], op_id: str) -> SparseDelta:
@@ -476,15 +466,34 @@ def _check_component(name: str, kind: str) -> str:
 def save_store(store: CacheStore, directory: str | Path) -> None:
     """Persist a store: meta.json, bases/, residuals/, fulls/, paths.tsv.
 
-    Saving writes a clean snapshot: any entry directories left over from an
-    earlier save (e.g. residuals since dropped by a pruning plan) are removed
-    so that a reload always reproduces exactly this store.
+    The snapshot is written to a sibling directory and swapped in, so a
+    reload gives exactly this store and a failed save leaves the earlier one
+    as it was (a crash between the swap's two renames leaves it in the
+    ``.<name>.old`` sibling).  A non-empty directory with no store, or one
+    holding the working directory, is refused.
     """
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for stale in ("bases", "residuals", "fulls"):
-        if (root / stale).is_dir():
-            shutil.rmtree(root / stale)
+    root = Path(directory).resolve()
+    if root.is_dir() and any(root.iterdir()) and not (root / "meta.json").is_file():
+        raise DataError(f"{root}: not a cache store, refusing to replace it")
+    if Path.cwd().is_relative_to(root):
+        raise DataError(f"{root}: holds the working directory, refusing to replace it")
+    staging = root.with_name(f".{root.name}.tmp")
+    retired = root.with_name(f".{root.name}.old")
+    shutil.rmtree(staging, ignore_errors=True)  # left behind by a crashed save
+    staging.mkdir(parents=True)
+    try:
+        _write_snapshot(store, staging)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    shutil.rmtree(retired, ignore_errors=True)
+    if root.exists():
+        root.rename(retired)
+    staging.rename(root)
+    shutil.rmtree(retired, ignore_errors=True)
+
+
+def _write_snapshot(store: CacheStore, root: Path) -> None:
     cfg = store.oracle.config
     meta = {
         "energy_target": store.energy_target,
@@ -500,7 +509,7 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     bases_dir = root / "bases"
-    bases_dir.mkdir(exist_ok=True)
+    bases_dir.mkdir()
     for (op_id, offset), kv in sorted(store.bases.items()):
         _check_component(op_id, "operation id")
         write_kv(bases_dir / f"{op_id}@{offset}.kv", kv)
@@ -518,13 +527,13 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
         return sub
 
     residuals_dir = root / "residuals"
-    residuals_dir.mkdir(exist_ok=True)
+    residuals_dir.mkdir()
     for (path, op_id), delta in sorted(store.residuals.items()):
         _check_component(op_id, "operation id")
         write_delta(keyed_dir(residuals_dir, path) / f"{op_id}.delta", delta)
 
     fulls_dir = root / "fulls"
-    fulls_dir.mkdir(exist_ok=True)
+    fulls_dir.mkdir()
     for (path, op_id), kv in sorted(store.fulls.items()):
         _check_component(op_id, "operation id")
         write_kv(keyed_dir(fulls_dir, path) / f"{op_id}.kv", kv)
@@ -533,7 +542,9 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     (root / "paths.tsv").write_text("".join(lines))
 
 
-def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> CacheStore:
+def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
+    """Read a store saved by ``save_store``, rejecting entries off ``graph``'s
+    edges or of another shape than the stored oracle config gives them."""
     root = Path(directory)
     meta_path = root / "meta.json"
     if not meta_path.is_file():
@@ -556,7 +567,6 @@ def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> Cach
             mode=meta["mode"],
             oracle=KVOracle(config),
             energy_target=meta["energy_target"],
-            stats=stats,
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"{meta_path}: malformed store metadata ({exc})") from exc
@@ -582,6 +592,19 @@ def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> Cach
             raise DataError(f"{where}: path digest {digest} missing from paths.tsv")
         return path
 
+    def checked(path: PathKey, op_id: str, entry, where: Path):
+        try:
+            store.validate_path(path, op_id)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        is_delta = isinstance(entry, SparseDelta)
+        shape = entry.dense_shape if is_delta else entry.shape
+        width = config.head_dim * (2 if is_delta else 1)
+        expected = (config.layers, config.heads, len(store.op_tokens(op_id)), width)
+        if shape != expected:
+            raise DataError(f"{where}: shape {shape} does not match the oracle config {expected}")
+        return entry
+
     bases_dir = root / "bases"
     if bases_dir.is_dir():
         for file in sorted(bases_dir.glob("*.kv")):
@@ -589,7 +612,7 @@ def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> Cach
             op_id, sep, offset_text = stem.rpartition("@")
             if not sep or not offset_text.isdigit():
                 raise DataError(f"{file}: base filename must look like <op>@<offset>.kv")
-            store.bases[(op_id, int(offset_text))] = read_kv(file)
+            store.bases[(op_id, int(offset_text))] = checked((), op_id, read_kv(file), file)
 
     residuals_dir = root / "residuals"
     if residuals_dir.is_dir():
@@ -597,7 +620,7 @@ def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> Cach
             path = resolve(sub.name, sub)
             for file in sorted(sub.glob("*.delta")):
                 op_id = file.name[: -len(".delta")]
-                store.residuals[(path, op_id)] = read_delta(file)
+                store.residuals[(path, op_id)] = checked(path, op_id, read_delta(file), file)
 
     fulls_dir = root / "fulls"
     if fulls_dir.is_dir():
@@ -605,6 +628,6 @@ def load_store(directory: str | Path, graph: OperationGraph, stats=None) -> Cach
             path = resolve(sub.name, sub)
             for file in sorted(sub.glob("*.kv")):
                 op_id = file.name[: -len(".kv")]
-                store.fulls[(path, op_id)] = read_kv(file)
+                store.fulls[(path, op_id)] = checked(path, op_id, read_kv(file), file)
 
     return store

@@ -411,6 +411,12 @@ class TestBench:
         for name in ("bench_tradeoff.csv", "bench_memory_sweep.csv", "bench_cost_sweep.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_batch_size_above_request_count_is_data_error(self, tmp_path, capsys):
+        args = ["bench", "--vocab-size", "8", "--n-requests", "6", "--batch-sizes", "3,10"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "needs 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_changes_outputs(self, cli_project, tmp_path):
         root, _ = cli_project
         plain, trained = tmp_path / "plain", tmp_path / "trained"

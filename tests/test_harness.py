@@ -13,7 +13,7 @@ import pytest
 
 from opflow.construct import edge_f1, generate
 from opflow.errors import DataError
-from opflow.graph import Workflow
+from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.harness import (
     CostModel,
     SweepResult,
@@ -37,6 +37,11 @@ from opflow.pruning import PlanPolicy
 
 def small_workload(corpus, n=12, seed=3, batches=(4, 8, 12)):
     return make_workload(corpus, n_requests=n, seed=seed, overlap=0.5, batch_sizes=batches)
+
+
+def memory_row(batch, mode, fulls_bytes):
+    """A sweep row that carries only store bytes."""
+    return SweepRow(batch, mode, 0, 0, fulls_bytes, fulls_bytes, 0.0, 0.0, 0.0, 0, 0, 0.0)
 
 
 def wf(nodes, edges, wf_id="WF_T"):
@@ -284,6 +289,32 @@ class TestRunServingSim:
             )
             assert report.verified is True
 
+    def test_differential_bound_holds_on_large_deltas(self):
+        # The last op of this chain has a delta norm near 240; summing the
+        # squared reconstruction error in float32 overshot the bound's 1e-6
+        # absolute slack by 2.6e-6 on it.
+        chain = [(0, 4), (1, 4), (2, 0), (3, 1), (4, 2), (5, 2), (6, 2), (7, 4)]
+        ops = {
+            f"OP_L{l:02d}_V{v}": Operation(
+                id=f"OP_L{l:02d}_V{v}",
+                instruction=f"Stage {l + 1} variant {v} apply transform {v} of level {l + 1} "
+                "to the running record set and log the outcome",
+            )
+            for l, v in chain
+        }
+        nodes = tuple(ops)
+        doc = Workflow(
+            id="WF_CHAIN", name="chain", description="", patterns_must=(), patterns_should=(),
+            nodes=nodes, edges=tuple(zip(nodes, nodes[1:])), operations=ops,
+        )
+        workload = Workload(requests=("chain",) * 2, targets=(doc.edges,) * 2, batch_sizes=(1,))
+        report = run_serving_sim(
+            merge_workflows([doc]), init_params(seed=0), workload, "differential",
+            workflow_cache={"chain": doc}, verify_fetches=True,
+        )
+        assert report.request_hits == (1, 8)  # cold, then every residual served
+        assert report.verified is True
+
     def test_verification_off_reports_none(self, planted_default):
         corpus = planted_default
         workload = small_workload(corpus, n=3, batches=(3,))
@@ -417,19 +448,66 @@ class TestSweep:
         ]
 
     def test_rows_match_individual_runs(self, planted_default, control_params):
+        # The reference is one fresh run per (batch, mode) cell over the
+        # first B requests; the sweep reads every cell off one run per mode.
         corpus = planted_default
         workload = small_workload(corpus)
         sweep = sweep_batch_sizes(corpus.graph, control_params, workload)
-        sub = Workload(
-            requests=workload.requests[:8],
-            targets=workload.targets[:8],
-            batch_sizes=(8,),
-            seed=workload.seed,
-            overlap=workload.overlap,
-        )
-        report = run_serving_sim(corpus.graph, control_params, sub, "stateful")
-        row = next(r for r in sweep.rows if r.batch_size == 8 and r.mode == "stateful")
-        assert row.total_bytes == report.memory.total_bytes
+        expected = []
+        for batch in workload.batch_sizes:
+            sub = Workload(
+                requests=workload.requests[:batch],
+                targets=workload.targets[:batch],
+                batch_sizes=(batch,),
+                seed=workload.seed,
+                overlap=workload.overlap,
+            )
+            for mode in ("stateless", "differential", "stateful"):
+                report = run_serving_sim(corpus.graph, control_params, sub, mode)
+                m = report.memory
+                expected.append(
+                    SweepRow(
+                        batch, mode, m.bases_bytes, m.residuals_bytes, m.fulls_bytes,
+                        m.total_bytes, report.total_cost, report.mean_cost, report.p90_cost,
+                        report.hits, report.fallbacks, report.task_score,
+                    )
+                )
+        assert sweep.rows == expected
+        assert any(r.residuals_bytes and r.fallbacks for r in sweep.rows)
+
+    def test_serves_each_mode_once(self, planted_default, monkeypatch):
+        from opflow import harness
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2].requests))
+            return run_serving_sim(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_serving_sim", counting)
+        workload = small_workload(planted_default, n=14)
+        sweep_batch_sizes(planted_default.graph, init_params(seed=0), workload)
+        assert calls == [12, 12, 12]
+
+    def test_cost_and_tradeoff_csvs(self):
+        rows = [
+            SweepRow(b, m, 1, 2, 3, 6, 10.0 * b, 10.0, 12.5, b, 0, 0.5)
+            for b in (1, 2)
+            for m in ("stateless", "stateful")
+        ]
+        result = SweepResult(rows=rows)
+        assert result.cost_csv().splitlines() == [
+            "batch_size,mode,total_cost,mean_cost,p90_cost,hits,fallbacks",
+            "1,stateless,10.0,10.0,12.5,1,0",
+            "1,stateful,10.0,10.0,12.5,1,0",
+            "2,stateless,20.0,10.0,12.5,2,0",
+            "2,stateful,20.0,10.0,12.5,2,0",
+        ]
+        assert result.tradeoff_csv().splitlines() == [
+            "mode,total_bytes,total_cost,mean_cost,p90_cost,task_score",
+            "stateless,6,20.0,10.0,12.5,0.5",
+            "stateful,6,20.0,10.0,12.5,0.5",
+        ]
 
     def test_stateful_grows_linearly_shared_modes_flatten(self, planted_default, control_params):
         # Needs the full-size sweep: route coverage in the first few requests
@@ -444,13 +522,11 @@ class TestSweep:
         assert abs(sweep.slope("stateless")) < 0.01 * stateful
 
     def test_slope_exact_on_synthetic_rows(self):
-        rows = [
-            SweepRow(b, "stateful", 0, 0, 7 * b + 3, 7 * b + 3) for b in (10, 20, 30)
-        ]
+        rows = [memory_row(b, "stateful", 7 * b + 3) for b in (10, 20, 30)]
         assert SweepResult(rows=rows).slope("stateful") == pytest.approx(7.0, abs=1e-9)
 
     def test_slope_needs_two_points(self):
-        rows = [SweepRow(10, "stateful", 0, 0, 5, 5)]
+        rows = [memory_row(10, "stateful", 5)]
         with pytest.raises(DataError):
             SweepResult(rows=rows).slope("stateful")
 
@@ -618,7 +694,7 @@ class TestPlots:
         from opflow.harness import plot_sweep
 
         rows = [
-            SweepRow(b, m, 10, 20, 30, 60 + 5 * b * (m == "stateful"))
+            memory_row(b, m, 60 + 5 * b * (m == "stateful"))
             for b in (10, 20)
             for m in ("stateless", "differential", "stateful")
         ]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from opflow import kvstore
 from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import (
@@ -375,22 +376,6 @@ class TestCacheStoreModes:
         delta_norm = np.linalg.norm(true_delta(full, base))
         assert err <= np.sqrt(0.05) * delta_norm + 1e-6
 
-    def test_fallback_feeds_stats(self):
-        class Recorder:
-            def __init__(self):
-                self.traces = []
-
-            def record(self, trace):
-                self.traces.append(list(trace))
-
-        graph = small_graph()
-        rec = Recorder()
-        store = CacheStore(graph, mode="differential", stats=rec)
-        store.fetch((), "OP_A")  # base hit: not recorded
-        store.fetch(("OP_A",), "OP_B")  # fallback: recorded
-        store.fetch(("OP_A", "OP_B"), "OP_C")  # fallback: recorded
-        assert rec.traces == [["OP_A", "OP_B"], ["OP_A", "OP_B", "OP_C"]]
-
     def test_path_validation(self):
         graph = small_graph()
         store = CacheStore(graph)
@@ -539,6 +524,104 @@ class TestStoreRoundTrip:
         tampered = [f"{first_digest}\tOP_B" if l.startswith(first_digest) else l for l in lines]
         manifest.write_text("\n".join(tampered) + "\n")
         with pytest.raises(DataError):
+            load_store(where, graph)
+
+    def test_failed_save_leaves_earlier_store(self, tmp_path, monkeypatch):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        before = {p: p.read_bytes() for p in where.rglob("*") if p.is_file()}
+        saved = set(store.residuals)
+        store.drop_residual(("OP_A", "OP_B"), "OP_C")
+        written = []
+
+        def failing_write_delta(path, delta):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            write_delta(path, delta)
+
+        monkeypatch.setattr(kvstore, "write_delta", failing_write_delta)
+        with pytest.raises(OSError):
+            save_store(store, where)
+        assert written
+        assert {p: p.read_bytes() for p in where.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        back = load_store(where, graph)
+        assert set(back.residuals) == saved
+
+    def test_save_replaces_earlier_snapshot(self, tmp_path):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        store.drop_residual(("OP_A", "OP_B"), "OP_C")
+        save_store(store, where)
+        assert set(load_store(where, graph).residuals) == set(store.residuals)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+    def test_save_refuses_to_replace_a_foreign_directory(self, tmp_path, monkeypatch):
+        graph, store = self.populate()
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(DataError):
+            save_store(store, tmp_path)
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(DataError):
+            save_store(store, ".")  # the swap would move the working directory away
+        assert work.is_dir() and not any(work.iterdir())
+
+    def test_load_rejects_operation_missing_from_graph(self, tmp_path):
+        graph, store = self.populate()
+        save_store(store, tmp_path / "store")
+        ops = {k: v for k, v in graph.operations.items() if k != "OP_D"}
+        smaller = merge_workflows([
+            Workflow(
+                id="WF_ABC", name="abc", description="", patterns_must=(), patterns_should=(),
+                nodes=tuple(ops), edges=(("OP_A", "OP_B"), ("OP_B", "OP_C")), operations=ops,
+            )
+        ])
+        with pytest.raises(DataError, match="OP_D"):
+            load_store(tmp_path / "store", smaller)
+
+    @staticmethod
+    def narrower(kv):
+        return KVTensor(kv.keys[..., :-1].copy(), kv.values[..., :-1].copy(), kv.position_offset)
+
+    def test_load_rejects_base_shape_mismatch(self, tmp_path):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        file = where / "bases" / "OP_A@0.kv"
+        write_kv(file, self.narrower(read_kv(file)))
+        with pytest.raises(DataError, match="shape"):
+            load_store(where, graph)
+
+    def test_load_rejects_full_shape_mismatch(self, tmp_path):
+        graph = small_graph()
+        store = CacheStore(graph, mode="stateful")
+        store.fetch(("OP_A",), "OP_B")
+        where = tmp_path / "store"
+        save_store(store, where)
+        (file,) = (where / "fulls").rglob("*.kv")
+        write_kv(file, self.narrower(read_kv(file)))
+        with pytest.raises(DataError, match="shape"):
+            load_store(where, graph)
+
+    def test_load_rejects_delta_shape_mismatch(self, tmp_path):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        file = where / "residuals" / path_digest(("OP_A",)) / "OP_B.delta"
+        delta = read_delta(file)
+        layers, heads, tokens, width = delta.dense_shape
+        wrong = SparseDelta(
+            (layers, heads, tokens, width + 2), delta.position_offset,
+            delta.kept_energy_fraction, delta.coords, delta.values,
+        )
+        write_delta(file, wrong)
+        with pytest.raises(DataError, match="shape"):
             load_store(where, graph)
 
     def test_load_rejects_missing_meta(self, tmp_path):
