@@ -8,10 +8,12 @@ operation) pair: the residual keeps only the largest-magnitude entries
 covering 95% of the prefix-influence energy, and the reconstruction error is
 bounded by sqrt(1 - 0.95) of that influence.
 
-A residual is NOT individually smaller than a dense copy on short
-instructions — the win is structural: bases and residuals are shared across
-every request that walks the same chain, while stateful state duplicates per
-request.  Part two serves the same trace twenty times to show exactly that.
+A residual stores one bit per coordinate plus a float32 value per kept
+entry.  At this target it keeps about half of the entries, so part one prints
+each residual at about half the bytes of a dense copy.  The larger win is
+structural: bases and residuals are shared across every request that walks
+the same chain, while stateful state duplicates per request.  Part two serves
+the same trace twenty times to show exactly that.
 """
 
 import json
@@ -19,6 +21,7 @@ import json
 import numpy as np
 
 from opflow import CacheStore, KVOracle, OracleConfig, merge_workflows, parse_workflow
+from opflow.kvstore import kv_file_nbytes
 
 
 def build_chain_graph():
@@ -73,9 +76,10 @@ def main() -> None:
         err = frobenius(kv, full)
         influence = frobenius(full, base)
         bound = np.sqrt(1.0 - 0.95) * influence
+        delta = store.residuals.get((path, op))
         kept = "base only (empty prefix -> residual is identically zero)" if not path else (
-            f"residual keeps {store.residuals[(path, op)].entries}"
-            f"/{full.keys.size + full.values.size} entries"
+            f"residual keeps {delta.entries}/{full.keys.size + full.values.size} entries "
+            f"in {delta.nbytes()} B (dense copy {kv_file_nbytes(full)} B)"
         )
         print(
             f"  {op}: prefix {len(path)} ops -> {result.flag}; {kept}; "

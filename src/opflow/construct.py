@@ -45,7 +45,6 @@ from .nn import (
     gumbel_noise,
     gumbel_sigmoid,
     init_params,
-    normalized_adjacency,
     score_edges,
 )
 
@@ -123,26 +122,19 @@ class _ModelInputs:
         if not graph.edge_list:
             raise DataError("operation graph has no candidate edges to score")
         self.graph = graph
-        self.embedder = embedder
         task_graph = condition_on_task(graph, "")
-        base_x, adjacency = assemble_features(task_graph, embedder)
-        self.base_x = base_x  # task row is all zeros (empty text)
-        self.support = normalized_adjacency(adjacency)
+        # raw adjacency: gcn_forward and forward_loss normalize it themselves
+        self.base_x, self.adjacency = assemble_features(task_graph, embedder)
         index = {node: i for i, node in enumerate(task_graph.node_ids)}
         self.edge_index = np.asarray(
             [(index[a], index[b]) for a, b in graph.edge_list], dtype=np.int64
         )
         self.task_index = index[task_graph.task_node_id]
 
-    def features_for(self, task_text: str) -> np.ndarray:
-        x = self.base_x.copy()
-        x[self.task_index] = self.embedder.embed_text(task_text)
-        return x
-
-    def batch_features(self, task_texts: Sequence[str]) -> np.ndarray:
-        x = np.broadcast_to(self.base_x, (len(task_texts),) + self.base_x.shape).copy()
-        for i, text in enumerate(task_texts):
-            x[i, self.task_index] = self.embedder.embed_text(text)
+    def features(self, task_rows: np.ndarray) -> np.ndarray:
+        """(B, V, D) node features: ``base_x`` with row b's task embedding."""
+        x = np.broadcast_to(self.base_x, (len(task_rows),) + self.base_x.shape).copy()
+        x[:, self.task_index] = task_rows
         return x
 
 
@@ -190,15 +182,11 @@ def train(
         running = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            x = np.broadcast_to(
-                inputs.base_x, (len(batch),) + inputs.base_x.shape
-            ).copy()
-            x[:, inputs.task_index] = task_rows[batch]
             noise = gumbel_noise(rng, (len(batch), n_edges))
             loss, cache = forward_loss(
                 params,
-                x,
-                inputs.support,
+                inputs.features(task_rows[batch]),
+                inputs.adjacency,
                 inputs.edge_index,
                 inputs.task_index,
                 labels[batch],
@@ -232,9 +220,9 @@ def evaluate_loss(
         raise DataError("cannot evaluate on an empty sample list")
     inputs = _ModelInputs(graph, embedder)
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
-    x = inputs.batch_features([s.task_text for s in samples])
+    x = inputs.features(np.stack([embedder.embed_text(s.task_text) for s in samples]))
     loss, _ = forward_loss(
-        params, x, inputs.support, inputs.edge_index, inputs.task_index, labels
+        params, x, inputs.adjacency, inputs.edge_index, inputs.task_index, labels
     )
     return float(loss)
 
@@ -253,8 +241,8 @@ def score_candidate_edges(
     """Noise-free admission probabilities aligned with ``graph.edge_list``."""
     embedder = embedder or HashingEmbedder()
     inputs = _ModelInputs(graph, embedder)
-    x = inputs.features_for(task_text)
-    h = gcn_forward(params, x, inputs.support)
+    x = inputs.features(embedder.embed_text(task_text)[None])[0]
+    h = gcn_forward(params, x, inputs.adjacency)
     omega = score_edges(params, h, inputs.edge_index, inputs.task_index)
     return gumbel_sigmoid(omega)
 

@@ -19,11 +19,10 @@ Three serving modes share one interface:
 
 Residual coordinates live in a combined space of shape
 (layers, heads, tokens, 2 * head_dim): the last axis indexes key dims first,
-value dims second.  Residual values are stored in float64: the difference of
-two float32 numbers is exactly representable in float64 (unless their
-exponents are absurdly far apart), so float32(base + value) reproduces the
-full tensor bit-for-bit on every kept coordinate, and at an energy target of
-1.0 the whole reconstruction is bitwise exact.
+value dims second.  A residual holds the full tensor's own float32 value at
+each kept coordinate, a replacement rather than an addend, so reconstruction
+reproduces the full tensor bit-for-bit on every kept coordinate, and at an
+energy target of 1.0 the whole reconstruction is bitwise exact.
 """
 
 from __future__ import annotations
@@ -34,12 +33,13 @@ import re
 import shutil
 import struct
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError
 from .graph import OperationGraph
 from .oracle import KVOracle, KVTensor, OracleConfig, tokenize
 
@@ -48,8 +48,6 @@ DELTA_MAGIC = b"OFDL"
 KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
 DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, energy, count
 DTYPE_FLOAT32 = 1
-BYTES_PER_DELTA_ENTRY = 24  # 4 int32 coordinates + 1 float64 value
-_ENTRY_DTYPE = np.dtype([("l", "<i4"), ("h", "<i4"), ("t", "<i4"), ("c", "<i4"), ("v", "<f8")])
 _SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 
 MODES = ("stateful", "differential", "stateless")
@@ -67,9 +65,9 @@ class SparseDelta:
     """Sparse difference between an in-context tensor and its base.
 
     ``dense_shape`` is the combined-coordinate shape
-    (layers, heads, tokens, 2 * head_dim); ``coords`` is (n, 4) int32 and
-    ``values`` (n,) float64, ordered by descending delta magnitude (ties in
-    coordinate order).
+    (layers, heads, tokens, 2 * head_dim); ``coords`` is (n, 4) int32 in
+    row-major order and ``values`` (n,) float32, the full tensor's value at
+    each kept coordinate.
     """
 
     dense_shape: tuple[int, int, int, int]
@@ -83,14 +81,19 @@ class SparseDelta:
             raise DataError(f"bad combined shape {self.dense_shape}")
         if self.coords.shape != (len(self.values), 4):
             raise DataError("coordinate/value count mismatch")
+        if ((self.coords < 0) | (self.coords >= np.asarray(self.dense_shape))).any():
+            raise DataError("delta contains out-of-bounds coordinates")
+        flat = np.ravel_multi_index(tuple(self.coords.T), self.dense_shape)
+        if (np.diff(flat) <= 0).any():
+            raise DataError("delta coordinates must be distinct and in row-major order")
 
     @property
     def entries(self) -> int:
         return len(self.values)
 
     def nbytes(self) -> int:
-        """Exact serialized size, header included."""
-        return DELTA_HEADER.size + self.entries * BYTES_PER_DELTA_ENTRY
+        """Exact serialized size: header, one bit per coordinate, the values."""
+        return DELTA_HEADER.size + (prod(self.dense_shape) + 7) // 8 + 4 * self.entries
 
 
 def _combined(kv: KVTensor) -> np.ndarray:
@@ -106,33 +109,15 @@ def _split(combined: np.ndarray, offset: int) -> KVTensor:
     )
 
 
-def _exact_addends(base64: np.ndarray, target32: np.ndarray) -> np.ndarray:
-    """Float64 addends v such that float32(base64 + v) == target32 exactly.
-
-    Both inputs hold float32 values, so their difference fits a float64
-    mantissa outside of pathological exponent spreads; the plain subtraction
-    is already exact.  A short ulp walk covers any remaining stragglers, and
-    an impossible coordinate (which no finite addend can fix) is reported
-    rather than papered over.
-    """
-    vals = target32.astype(np.float64) - base64
-    for _ in range(8):
-        rec = (base64 + vals).astype(np.float32)
-        bad = rec != target32
-        if not bad.any():
-            return vals
-        toward = np.where(rec[bad] < target32[bad], np.inf, -np.inf)
-        vals[bad] = np.nextafter(vals[bad], toward)
-    raise NumericError("residual addend cannot reproduce the full tensor exactly")
-
-
 def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> SparseDelta:
     """Keep the smallest set of largest-magnitude delta entries whose squared
     mass reaches ``energy_target`` of the total.
 
     Ties in magnitude are resolved in coordinate order (row-major), so the
     result is independent of anything but the two tensors.  With
-    ``energy_target >= 1.0`` every nonzero entry is kept.
+    ``energy_target >= 1.0`` every nonzero entry is kept.  The residual lists
+    the kept coordinates in row-major order with ``full``'s value at each,
+    which replaces the base value on reconstruction.
     """
     if full.shape != base.shape:
         raise DataError(f"shape mismatch: full {full.shape} vs base {base.shape}")
@@ -142,49 +127,36 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
         raise DataError(f"energy target must be positive, got {energy_target}")
 
     full_c = _combined(full)
-    base64 = _combined(base).astype(np.float64)
-    if not (np.isfinite(full_c).all() and np.isfinite(base64).all()):
+    base_c = _combined(base)
+    if not (np.isfinite(full_c).all() and np.isfinite(base_c).all()):
         raise DataError("KV tensors must be finite")
-    diff = full_c.astype(np.float64) - base64
-    shape = diff.shape
+    flat = (full_c.astype(np.float64) - base_c).ravel()
 
-    flat = diff.ravel()
     nonzero = int(np.count_nonzero(flat))
-    if nonzero == 0:
-        return SparseDelta(
-            dense_shape=shape,
-            position_offset=full.position_offset,
-            kept_energy_fraction=1.0,
-            coords=np.zeros((0, 4), dtype=np.int32),
-            values=np.zeros(0, dtype=np.float64),
-        )
-
-    order = np.argsort(-np.abs(flat), kind="stable")
-    energies = flat[order] ** 2
-    cumulative = np.cumsum(energies)
-    total = cumulative[-1]
-    if energy_target >= 1.0:
+    kept_idx = np.zeros(0, dtype=np.intp)
+    kept_fraction = 1.0
+    if nonzero:
+        order = np.argsort(-np.abs(flat), kind="stable")
+        cumulative = np.cumsum(flat[order] ** 2)
+        total = cumulative[-1]
         keep = nonzero
-    else:
-        idx = int(np.searchsorted(cumulative, energy_target * total, side="left"))
-        keep = min(idx + 1, nonzero)
-    kept_idx = order[:keep]  # magnitude-descending, ties in coordinate order
-    kept_fraction = float(cumulative[keep - 1] / total)
+        if energy_target < 1.0:
+            idx = int(np.searchsorted(cumulative, energy_target * total, side="left"))
+            keep = min(idx + 1, nonzero)
+        kept_idx = np.sort(order[:keep])
+        kept_fraction = float(cumulative[keep - 1] / total)
 
-    coords = np.stack(np.unravel_index(kept_idx, shape), axis=1).astype(np.int32)
-    sel = tuple(coords.T)
-    values = _exact_addends(base64[sel], full_c[sel])
     return SparseDelta(
-        dense_shape=shape,
+        dense_shape=full_c.shape,
         position_offset=full.position_offset,
         kept_energy_fraction=kept_fraction,
-        coords=coords,
-        values=values,
+        coords=np.stack(np.unravel_index(kept_idx, full_c.shape), axis=1).astype(np.int32),
+        values=full_c.ravel()[kept_idx],
     )
 
 
 def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
-    """Apply a sparse residual to a base tensor.  The base is not modified."""
+    """Write a residual's values over a base tensor.  The base is not modified."""
     combined = _combined(base)
     if combined.shape != delta.dense_shape:
         raise DataError(
@@ -192,14 +164,8 @@ def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
         )
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    out = combined.copy()
-    if delta.entries:
-        bounds = np.asarray(delta.dense_shape, dtype=np.int64)
-        if (delta.coords < 0).any() or (delta.coords >= bounds).any():
-            raise DataError("delta contains out-of-bounds coordinates")
-        sel = tuple(delta.coords.T.astype(np.intp))
-        out[sel] = (out[sel].astype(np.float64) + delta.values).astype(np.float32)
-    return _split(out, base.position_offset)
+    combined[tuple(delta.coords.T)] = delta.values
+    return _split(combined, base.position_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -245,43 +211,54 @@ def read_kv(path: str | Path) -> KVTensor:
 
 
 def write_delta(path: str | Path, delta: SparseDelta) -> None:
+    """Version 2: header, a row-major bitmap of the kept coordinates over
+    ``dense_shape`` (zero-padded to whole bytes), then their float32 values."""
     header = DELTA_HEADER.pack(
         DELTA_MAGIC,
-        1,
+        2,
         *delta.dense_shape,
         delta.position_offset,
         delta.kept_energy_fraction,
         delta.entries,
     )
-    records = np.zeros(delta.entries, dtype=_ENTRY_DTYPE)
-    if delta.entries:
-        records["l"], records["h"], records["t"], records["c"] = delta.coords.T
-        records["v"] = delta.values
+    kept = np.zeros(delta.dense_shape, dtype=bool)
+    kept[tuple(delta.coords.T)] = True
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        fh.write(np.packbits(kept).tobytes())
+        fh.write(np.asarray(delta.values, dtype="<f4").tobytes())
 
 
 def read_delta(path: str | Path) -> SparseDelta:
     raw = Path(path).read_bytes()
     if len(raw) < DELTA_HEADER.size:
         raise DataError(f"{path}: truncated delta file")
-    magic, version, s0, s1, s2, s3, offset, energy, count = DELTA_HEADER.unpack_from(raw)
+    magic, version, *shape, offset, energy, count = DELTA_HEADER.unpack_from(raw)
     if magic != DELTA_MAGIC:
         raise DataError(f"{path}: not a residual delta file")
-    if version != 1:
-        raise DataError(f"{path}: unsupported delta file version {version}")
-    expected = DELTA_HEADER.size + count * BYTES_PER_DELTA_ENTRY
+    if version != 2:
+        raise DataError(
+            f"{path}: unsupported delta file version {version}; "
+            "rebuild the store with `opflow kv materialize`"
+        )
+    shape = tuple(shape)
+    size = prod(shape)
+    values_at = DELTA_HEADER.size + (size + 7) // 8
+    expected = values_at + 4 * count
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    records = np.frombuffer(raw, dtype=_ENTRY_DTYPE, offset=DELTA_HEADER.size)
-    coords = np.stack([records["l"], records["h"], records["t"], records["c"]], axis=1)
+    bits = np.unpackbits(np.frombuffer(raw[DELTA_HEADER.size : values_at], dtype=np.uint8))
+    if bits[size:].any():
+        raise DataError(f"{path}: nonzero padding bits after the coordinate bitmap")
+    flat = np.flatnonzero(bits)
+    if len(flat) != count:
+        raise DataError(f"{path}: bitmap marks {len(flat)} coordinates, header says {count}")
     return SparseDelta(
-        dense_shape=(s0, s1, s2, s3),
+        dense_shape=shape,
         position_offset=offset,
         kept_energy_fraction=energy,
-        coords=coords.astype(np.int32),
-        values=records["v"].copy(),
+        coords=np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int32),
+        values=np.frombuffer(raw, dtype="<f4", count=count, offset=values_at).astype(np.float32),
     )
 
 

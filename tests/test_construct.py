@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import opflow.nn
 from opflow.construct import (
     DecodeConfig,
     TrainConfig,
@@ -313,6 +314,19 @@ class TestScoringAndGenerate:
         one = generate(DIAMOND, params, "handle the request")
         two = generate(DIAMOND, params, "handle the request")
         assert one == two
+
+    def test_generate_normalizes_the_adjacency_once(self, monkeypatch):
+        calls = []
+        original = opflow.nn.normalized_adjacency
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(opflow.nn, "normalized_adjacency", counting)
+        generate(DIAMOND, init_params(seed=1), "handle the request")
+        assert len(calls) == 1
+        assert set(np.unique(calls[0])) <= {0.0, 1.0}  # the raw adjacency
 
     def test_generated_id_format(self):
         wf_id = generated_workflow_id("handle the request")

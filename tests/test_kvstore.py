@@ -1,6 +1,7 @@
 """Tests for sparse residuals, cache modes, and the on-disk store layout."""
 
 import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from opflow import kvstore
 from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import (
-    BYTES_PER_DELTA_ENTRY,
     DELTA_HEADER,
+    DELTA_MAGIC,
     KV_HEADER,
     CacheStore,
     FetchResult,
@@ -218,6 +219,62 @@ class TestReconstruct:
             reconstruct(other, delta)
 
 
+class TestMatchesFloat64AddendReference:
+    """The version-1 encoding kept as the reference: coordinates in magnitude
+    order with float64 addends, walked an ulp at a time until
+    float32(base + addend) equals the full tensor, then added onto the base."""
+
+    @staticmethod
+    def v1_reconstruct(full, base, energy_target):
+        full_c = np.concatenate([full.keys, full.values], axis=3)
+        base_c = np.concatenate([base.keys, base.values], axis=3)
+        base64 = base_c.astype(np.float64)
+        flat = (full_c.astype(np.float64) - base64).ravel()
+        nonzero = int(np.count_nonzero(flat))
+        if nonzero == 0:
+            return base_c, np.zeros(0, dtype=np.intp), 1.0
+        order = np.argsort(-np.abs(flat), kind="stable")
+        cumulative = np.cumsum(flat[order] ** 2)
+        keep = nonzero
+        if energy_target < 1.0:
+            idx = int(np.searchsorted(cumulative, energy_target * cumulative[-1], side="left"))
+            keep = min(idx + 1, nonzero)
+        sel = np.unravel_index(order[:keep], base_c.shape)
+        target = full_c[sel]
+        addends = target.astype(np.float64) - base64[sel]
+        for _ in range(8):
+            rec = (base64[sel] + addends).astype(np.float32)
+            bad = rec != target
+            if not bad.any():
+                break
+            toward = np.where(rec[bad] < target[bad], np.inf, -np.inf)
+            addends[bad] = np.nextafter(addends[bad], toward)
+        else:
+            raise AssertionError("no exact float64 addend")
+        out = base_c.copy()
+        out[sel] = (out[sel].astype(np.float64) + addends).astype(np.float32)
+        return out, order[:keep], float(cumulative[keep - 1] / cumulative[-1])
+
+    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95, 1.0])
+    def test_bitwise_equal_to_v1(self, target, tmp_path):
+        oracle = KVOracle()
+        rng = np.random.default_rng(int(target * 1000))
+        file = tmp_path / "pair.delta"
+        for _ in range(25):
+            full, base = random_pair(oracle, rng)
+            expected, kept, fraction = self.v1_reconstruct(full, base, target)
+            delta = sparsify(full, base, target)
+            assert delta.entries == len(kept)
+            assert delta.kept_energy_fraction == fraction
+            flat = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
+            assert np.array_equal(flat, np.sort(kept))
+            write_delta(file, delta)
+            for applied in (delta, read_delta(file)):
+                rec = reconstruct(base, applied)
+                got = np.concatenate([rec.keys, rec.values], axis=3)
+                assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -246,7 +303,8 @@ class TestFileFormats:
         file = tmp_path / "seg.delta"
         write_delta(file, delta)
         assert file.stat().st_size == delta.nbytes()
-        assert delta.nbytes() == DELTA_HEADER.size + delta.entries * BYTES_PER_DELTA_ENTRY
+        bitmap = -(-prod(delta.dense_shape) // 8)
+        assert delta.nbytes() == DELTA_HEADER.size + bitmap + 4 * delta.entries
         back = read_delta(file)
         assert back.dense_shape == delta.dense_shape
         assert back.position_offset == delta.position_offset
@@ -296,12 +354,62 @@ class TestFileFormats:
         with pytest.raises(DataError):
             read_delta(short)
 
+    def test_delta_rejects_unordered_coordinates(self):
+        coords = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int32)
+        with pytest.raises(DataError, match="row-major"):
+            SparseDelta((1, 1, 2, 2), 0, 1.0, coords, np.ones(2, dtype=np.float32))
+
     def test_path_digest_stable_and_distinct(self):
         a = path_digest(("OP_A", "OP_B"))
         assert a == path_digest(("OP_A", "OP_B"))
         assert len(a) == 16
         assert a != path_digest(("OP_B", "OP_A"))
         assert path_digest(()) != path_digest(("OP_A",))
+
+
+class TestDeltaFileRejections:
+    """Each malformed version-2 file is refused with a DataError naming it."""
+
+    def written(self, tmp_path, delta):
+        file = tmp_path / "pair.delta"
+        write_delta(file, delta)
+        return file, bytearray(file.read_bytes())
+
+    def rejects(self, file, raw, match):
+        file.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"{file.name}.*{match}"):
+            read_delta(file)
+
+    def test_version_one_file(self, tmp_path):
+        file = tmp_path / "old.delta"
+        header = DELTA_HEADER.pack(DELTA_MAGIC, 1, 1, 1, 2, 2, 0, 1.0, 1)
+        self.rejects(file, header + bytes(24), "version 1.*kv materialize")
+
+    def test_bitmap_popcount_differs_from_count(self, tmp_path):
+        full, base = random_pair(KVOracle(), np.random.default_rng(5))
+        delta = sparsify(full, base, 0.5)
+        file, raw = self.written(tmp_path, delta)
+        partial = next(
+            i for i in range(DELTA_HEADER.size, len(raw) - 4 * delta.entries) if raw[i] != 0xFF
+        )
+        raw[partial] = 0xFF
+        self.rejects(file, raw, "bitmap marks")
+
+    def test_nonzero_padding_bits(self, tmp_path):
+        # 6 coordinates: one bitmap byte whose last two bits are padding
+        coords = np.array([[0, 0, 0, 1], [0, 0, 2, 0]], dtype=np.int32)
+        delta = SparseDelta((1, 1, 3, 2), 0, 1.0, coords, np.ones(2, dtype=np.float32))
+        file, raw = self.written(tmp_path, delta)
+        assert len(raw) == DELTA_HEADER.size + 1 + 4 * 2
+        assert np.array_equal(read_delta(file).coords, coords)
+        raw[DELTA_HEADER.size] |= 0x01
+        self.rejects(file, raw, "padding")
+
+    def test_wrong_length(self, tmp_path):
+        full, base = random_pair(KVOracle(), np.random.default_rng(9))
+        file, raw = self.written(tmp_path, sparsify(full, base, 0.9))
+        self.rejects(file, raw + b"\x00" * 4, "expected")
+        self.rejects(file, raw[:-1], "expected")
 
 
 # ---------------------------------------------------------------------------
