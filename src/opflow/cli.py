@@ -31,71 +31,42 @@ from .errors import DataError, NumericError
 
 log = logging.getLogger("opflow")
 
-_DEFAULTS: dict[str, object] = {
-    # paths (None = must be supplied by flag or config file where required)
-    "workflows": None,
-    "graph": None,
-    "samples": None,
-    "checkpoint": None,
-    "store": None,
-    "traces": None,
-    "out": ".",
+# Every config key: how a config-file value is read, and its built-in default
+# (None = must be supplied by flag or config file where required).
+_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
+    # paths
+    "workflows": (str, None),
+    "graph": (str, None),
+    "samples": (str, None),
+    "checkpoint": (str, None),
+    "store": (str, None),
+    "traces": (str, None),
+    "out": (str, "."),
     # global knobs
-    "seed": 42,
-    "mode": "differential",
-    "energy_target": 0.95,
-    "lam": 0.8,
-    "prune_k": 2,
-    "budget": None,
+    "seed": (int, 42),
+    "mode": (str, "differential"),
+    "energy_target": (float, 0.95),
+    "lam": (float, 0.8),
+    "prune_k": (int, 2),
+    "budget": (int, None),
     # decoding
-    "theta_min": 0.5,
-    "max_nodes": None,
+    "theta_min": (float, 0.5),
+    "max_nodes": (int, None),
     # training
-    "epochs": 20,
-    "batch_size": 64,
-    "learning_rate": 1e-4,
-    "weight_decay": 1e-2,
-    "tau": 1.0,
-    "hidden_dim": 256,
-    "mlp_hidden": 128,
+    "epochs": (int, 20),
+    "batch_size": (int, 64),
+    "learning_rate": (float, 1e-4),
+    "weight_decay": (float, 1e-2),
+    "tau": (float, 1.0),
+    "hidden_dim": (int, 256),
+    "mlp_hidden": (int, 128),
     # analysis / benchmark
-    "pair_limit": 64,
-    "vocab_size": 20,
-    "n_requests": 50,
-    "overlap": 0.5,
-    "distribution": "uniform",
-    "batch_sizes": "10,20,30,40,50",
-}
-
-_COERCERS: dict[str, Callable[[str], object]] = {
-    "workflows": str,
-    "graph": str,
-    "samples": str,
-    "checkpoint": str,
-    "store": str,
-    "traces": str,
-    "out": str,
-    "seed": int,
-    "mode": str,
-    "energy_target": float,
-    "lam": float,
-    "prune_k": int,
-    "budget": int,
-    "theta_min": float,
-    "max_nodes": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "weight_decay": float,
-    "tau": float,
-    "hidden_dim": int,
-    "mlp_hidden": int,
-    "pair_limit": int,
-    "vocab_size": int,
-    "n_requests": int,
-    "overlap": float,
-    "distribution": str,
-    "batch_sizes": str,
+    "pair_limit": (int, 64),
+    "vocab_size": (int, 20),
+    "n_requests": (int, 50),
+    "overlap": (float, 0.5),
+    "distribution": (str, "uniform"),
+    "batch_sizes": (str, "10,20,30,40,50"),
 }
 
 
@@ -132,7 +103,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key == "lambda":
             key = "lam"
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -141,18 +112,17 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 def resolve_config(args: argparse.Namespace, file_values: Mapping[str, str]) -> SimpleNamespace:
     """Merge flags > config file > defaults into one namespace."""
     resolved: dict[str, object] = {}
-    for key, default in _DEFAULTS.items():
+    for key, (coerce, default) in _KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in file_values:
             try:
-                resolved[key] = _COERCERS[key](file_values[key])
+                resolved[key] = coerce(file_values[key])
             except ValueError as exc:
                 raise UsageError(f"config key {key}: {exc}") from exc
         else:
             resolved[key] = default
-    resolved["plot"] = bool(getattr(args, "plot", False))
     resolved["task"] = getattr(args, "task", None)
     return SimpleNamespace(**resolved)
 
@@ -371,14 +341,14 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
 
 
 def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
-    from .kvstore import load_store
+    from .kvstore import load_store, store_root
 
     store_dir = _require(cfg, "store")
     header = (
         "mode,bases_bytes,residuals_bytes,fulls_bytes,"
         "n_bases,n_residuals,n_fulls,total_bytes"
     )
-    if not (Path(store_dir) / "meta.json").is_file():
+    if store_root(store_dir) is None:
         # An empty (or not yet created) store has an all-zero footprint.
         row = f"{cfg.mode},0,0,0,0,0,0,0"
     else:
@@ -426,13 +396,6 @@ def cmd_bench(cfg: SimpleNamespace) -> int:
     for path, text in written.items():
         path.write_text(text)
         print(path)
-    if cfg.plot:
-        from .harness import plot_cost_sweep, plot_sweep
-
-        charts = {"bench_memory_sweep.png": plot_sweep, "bench_cost_sweep.png": plot_cost_sweep}
-        for name, plot in charts.items():
-            plot(sweep, str(out / name))
-            print(out / name)
     return 0
 
 
@@ -525,7 +488,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-sizes", dest="batch_sizes", help="comma-separated, e.g. 10,20,30")
     p.add_argument("--energy-target", type=float, dest="energy_target")
     p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--plot", action="store_true", help="also write PNG charts")
     p.set_defaults(handler=cmd_bench)
 
     return parser

@@ -18,24 +18,23 @@ exact reference for edge-level precision/recall.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import DEFAULT_DIM, Embedder, HashingEmbedder, assemble_features
+from .features import HashingEmbedder, assemble_features
 from .graph import (
+    TASK_NODE_ID,
     Operation,
     OperationGraph,
-    TaskGraph,
     Workflow,
     condition_on_task,
     merge_workflows,
 )
 from .nn import (
-    AdamWState,
     ModelParams,
     adamw_init,
     adamw_step,
@@ -47,6 +46,8 @@ from .nn import (
     init_params,
     score_edges,
 )
+
+_EMBEDDER = HashingEmbedder()
 
 
 @dataclass(frozen=True)
@@ -118,18 +119,27 @@ def build_labels(graph: OperationGraph, workflow: Workflow) -> np.ndarray:
 class _ModelInputs:
     """Cached per-graph tensors; only the task row varies between samples."""
 
-    def __init__(self, graph: OperationGraph, embedder: Embedder):
+    def __init__(self, graph: OperationGraph):
         if not graph.edge_list:
             raise DataError("operation graph has no candidate edges to score")
         self.graph = graph
         task_graph = condition_on_task(graph, "")
         # raw adjacency: gcn_forward and forward_loss normalize it themselves
-        self.base_x, self.adjacency = assemble_features(task_graph, embedder)
+        self.base_x, self.adjacency = assemble_features(task_graph, _EMBEDDER)
         index = {node: i for i, node in enumerate(task_graph.node_ids)}
         self.edge_index = np.asarray(
             [(index[a], index[b]) for a, b in graph.edge_list], dtype=np.int64
         )
-        self.task_index = index[task_graph.task_node_id]
+        self.task_index = index[TASK_NODE_ID]
+
+    def check_width(self, params: ModelParams) -> None:
+        """Reject parameters fitted to features of another width."""
+        width = self.base_x.shape[1]
+        if params.dim_in != width:
+            raise DataError(
+                f"model parameters take {params.dim_in}-dim features, "
+                f"the embedder gives {width}"
+            )
 
     def features(self, task_rows: np.ndarray) -> np.ndarray:
         """(B, V, D) node features: ``base_x`` with row b's task embedding."""
@@ -147,7 +157,6 @@ def train(
     graph: OperationGraph,
     samples: Sequence[TrainSample],
     config: TrainConfig | None = None,
-    embedder: Embedder | None = None,
 ) -> TrainResult:
     """Fit the edge scorer on (task, target workflow) pairs.
 
@@ -157,17 +166,16 @@ def train(
     the epoch's samples.
     """
     config = config or TrainConfig()
-    embedder = embedder or HashingEmbedder()
     if not samples:
         raise DataError("cannot train on an empty sample list")
-    inputs = _ModelInputs(graph, embedder)
+    inputs = _ModelInputs(graph)
 
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
-    task_rows = np.stack([embedder.embed_text(s.task_text) for s in samples])
+    task_rows = np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples])
 
     rng = np.random.default_rng(config.seed)
     params = init_params(
-        dim_in=embedder.dim,
+        dim_in=_EMBEDDER.dim,
         dim_hidden=config.hidden_dim,
         mlp_hidden=config.mlp_hidden,
         seed=config.seed,
@@ -212,15 +220,14 @@ def evaluate_loss(
     graph: OperationGraph,
     samples: Sequence[TrainSample],
     params: ModelParams,
-    embedder: Embedder | None = None,
 ) -> float:
     """Noise-free mean BCE of the scorer over a sample set."""
-    embedder = embedder or HashingEmbedder()
     if not samples:
         raise DataError("cannot evaluate on an empty sample list")
-    inputs = _ModelInputs(graph, embedder)
+    inputs = _ModelInputs(graph)
+    inputs.check_width(params)
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
-    x = inputs.features(np.stack([embedder.embed_text(s.task_text) for s in samples]))
+    x = inputs.features(np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples]))
     loss, _ = forward_loss(
         params, x, inputs.adjacency, inputs.edge_index, inputs.task_index, labels
     )
@@ -236,12 +243,11 @@ def score_candidate_edges(
     graph: OperationGraph,
     params: ModelParams,
     task_text: str,
-    embedder: Embedder | None = None,
 ) -> np.ndarray:
     """Noise-free admission probabilities aligned with ``graph.edge_list``."""
-    embedder = embedder or HashingEmbedder()
-    inputs = _ModelInputs(graph, embedder)
-    x = inputs.features(embedder.embed_text(task_text)[None])[0]
+    inputs = _ModelInputs(graph)
+    inputs.check_width(params)
+    x = inputs.features(_EMBEDDER.embed_text(task_text)[None])[0]
     h = gcn_forward(params, x, inputs.adjacency)
     omega = score_edges(params, h, inputs.edge_index, inputs.task_index)
     return gumbel_sigmoid(omega)
@@ -330,10 +336,9 @@ def generate(
     params: ModelParams,
     task_text: str,
     config: DecodeConfig | None = None,
-    embedder: Embedder | None = None,
 ) -> Workflow:
     """Score candidate edges for the task, then greedily decode a workflow."""
-    scores = score_candidate_edges(graph, params, task_text, embedder)
+    scores = score_candidate_edges(graph, params, task_text)
     return instantiate_workflow(
         graph,
         scores,
@@ -363,12 +368,11 @@ def mean_edge_f1(
     params: ModelParams,
     samples: Sequence[TrainSample],
     config: DecodeConfig | None = None,
-    embedder: Embedder | None = None,
 ) -> float:
     if not samples:
         raise DataError("cannot score an empty sample list")
     scores = [
-        edge_f1(generate(graph, params, s.task_text, config, embedder).edges, s.workflow.edges)
+        edge_f1(generate(graph, params, s.task_text, config).edges, s.workflow.edges)
         for s in samples
     ]
     return float(np.mean(scores))
@@ -391,6 +395,7 @@ _CLOSERS = (
     "for the audit trail",
 )
 _ENTRY_INSTRUCTION = "Review the incoming request and outline the required work items"
+_PAIR_PROBABILITY = 0.35  # share of sampled tasks that mention two routes
 
 
 @dataclass
@@ -461,10 +466,8 @@ class PlantedCorpus:
         listed = " ".join(keywords[:-1]) + f" and {keywords[-1]}"
         return f"{opener} the {listed} {unit}s {closer}"
 
-    def sample_task(
-        self, rng: np.random.Generator, pair_probability: float = 0.35
-    ) -> TrainSample:
-        if rng.random() < pair_probability and self.n_routes >= 2:
+    def sample_task(self, rng: np.random.Generator) -> TrainSample:
+        if rng.random() < _PAIR_PROBABILITY and self.n_routes >= 2:
             routes = tuple(
                 int(r) for r in rng.choice(self.n_routes, size=2, replace=False)
             )

@@ -1,35 +1,22 @@
 """Deterministic text features for operations and tasks.
 
-The default embedder maps text to a fixed-width vector by signed feature
+The embedder maps text to a fixed-width vector by signed feature
 hashing of lowercase word tokens and 3-word shingles — no learned weights, no
-external downloads, bitwise reproducible everywhere.  Real sentence embeddings
-can be dropped in via :class:`TableEmbedder`, which reads an id -> vector
-sidecar file.
+external downloads, bitwise reproducible everywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Protocol
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .graph import Operation, TaskGraph
 
 DEFAULT_DIM = 384
 
 _HASH_PERSON = b"opflow-feat"
-
-
-class Embedder(Protocol):
-    dim: int
-
-    def embed_text(self, text: str) -> np.ndarray: ...
-
-    def embed_operation(self, op: Operation) -> np.ndarray: ...
 
 
 def compose_operation_text(op: Operation) -> str:
@@ -78,69 +65,8 @@ class HashingEmbedder:
         return self.embed_text(compose_operation_text(op))
 
 
-@dataclass
-class TableEmbedder:
-    """Lookup embedder backed by a precomputed id -> vector table.
-
-    Operations are looked up by id; task text is looked up verbatim.  Vectors
-    are L2-normalized at load time (zero rows stay zero).
-    """
-
-    dim: int
-    table: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def embed_text(self, text: str) -> np.ndarray:
-        try:
-            return self.table[text].copy()
-        except KeyError:
-            raise DataError(f"vector table has no entry for text key {text!r}") from None
-
-    def embed_operation(self, op: Operation) -> np.ndarray:
-        try:
-            return self.table[op.id].copy()
-        except KeyError:
-            raise DataError(f"vector table has no entry for operation {op.id!r}") from None
-
-
-def load_vector_table(path: str | Path, *, dim: int | None = None) -> TableEmbedder:
-    """Read a sidecar vector file: one line per record, id then floats, tab-separated."""
-    table: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        key, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-        if len(values) != dim:
-            raise DataError(
-                f"{path}:{lineno}: expected {dim} components, found {len(values)}"
-            )
-        try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        norm = np.linalg.norm(vec)
-        if norm > 0.0:
-            vec /= norm
-        if key in table:
-            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-        table[key] = vec
-    if dim is None:
-        raise DataError(f"{path}: empty vector table")
-    return TableEmbedder(dim=dim, table=table)
-
-
-def save_vector_table(path: str | Path, table: dict[str, np.ndarray]) -> None:
-    lines = []
-    for key in table:
-        vec = np.asarray(table[key], dtype=np.float64)
-        lines.append(key + "\t" + "\t".join(repr(float(v)) for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def assemble_features(
-    task_graph: TaskGraph, embedder: Embedder
+    task_graph: TaskGraph, embedder: HashingEmbedder
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the node feature matrix X and binary adjacency A.
 

@@ -101,17 +101,16 @@ class TaskGraph:
 
     graph: OperationGraph
     task_text: str
-    task_node_id: str = TASK_NODE_ID
 
     @property
     def node_ids(self) -> list[str]:
         """Operations in canonical order, task node last."""
-        return self.graph.node_ids + [self.task_node_id]
+        return self.graph.node_ids + [TASK_NODE_ID]
 
     @property
     def edge_list(self) -> list[tuple[str, str]]:
         ops = self.graph.node_ids
-        t = self.task_node_id
+        t = TASK_NODE_ID
         extra = [(t, v) for v in ops] + [(v, t) for v in ops]
         return self.graph.edge_list + extra
 
@@ -465,13 +464,11 @@ def merge_workflows(
     )
 
 
-def condition_on_task(
-    graph: OperationGraph, task_text: str, *, task_node_id: str = TASK_NODE_ID
-) -> TaskGraph:
+def condition_on_task(graph: OperationGraph, task_text: str) -> TaskGraph:
     """Attach a virtual task node, bidirectionally linked to every operation."""
-    if task_node_id in graph.operations:
-        raise DataError(f"task node id {task_node_id!r} collides with an operation id")
-    return TaskGraph(graph=graph, task_text=task_text, task_node_id=task_node_id)
+    if TASK_NODE_ID in graph.operations:
+        raise DataError(f"task node id {TASK_NODE_ID!r} collides with an operation id")
+    return TaskGraph(graph=graph, task_text=task_text)
 
 
 # ---------------------------------------------------------------------------

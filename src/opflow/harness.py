@@ -3,9 +3,9 @@ the KV cache in each serving mode, with deterministic cost accounting.
 
 Costs are simulated units, not wall-clock: a cache hit pays a fixed lookup
 cost plus a per-entry residual-apply cost, while a fallback pays a per-token
-"prefill" cost for the whole prefix-plus-operation span.  The defaults
-(prefill 1.0/token, apply 0.01/entry, hit 5.0 fixed) are arbitrary but
-documented; what matters is that identical seeds give identical reports.
+"prefill" cost for the whole prefix-plus-operation span.  The units
+(``PREFILL_PER_TOKEN``, ``APPLY_PER_ENTRY``, ``HIT_FIXED``) are arbitrary but
+fixed; what matters is that identical seeds give identical reports.
 
 Batch concurrency is modeled as simultaneous live stores for the memory
 account and sequential execution for the cost account: stateful mode gives
@@ -43,23 +43,17 @@ from .pruning import (
 DEFAULT_BATCH_SIZES = (10, 20, 30, 40, 50)
 SWEEP_MODES = ("stateless", "differential", "stateful")
 
+# Simulated cost units (arbitrary but fixed; see module docstring).
+PREFILL_PER_TOKEN = 1.0
+APPLY_PER_ENTRY = 0.01
+HIT_FIXED = 5.0
 
-@dataclass(frozen=True)
-class CostModel:
-    """Simulated cost units (arbitrary but fixed; see module docstring)."""
 
-    prefill_per_token: float = 1.0
-    apply_per_entry: float = 0.01
-    hit_fixed: float = 5.0
-
-    def __post_init__(self):
-        if min(self.prefill_per_token, self.apply_per_entry, self.hit_fixed) < 0:
-            raise DataError("cost units must be non-negative")
-
-    def fetch_cost(self, flag: str, entries_applied: int, prefix_tokens: int, op_tokens: int) -> float:
-        if flag == "hit":
-            return self.hit_fixed + self.apply_per_entry * entries_applied
-        return self.prefill_per_token * (prefix_tokens + op_tokens)
+def fetch_cost(flag: str, entries_applied: int, prefix_tokens: int, op_tokens: int) -> float:
+    """Simulated cost of one fetch, in the units above."""
+    if flag == "hit":
+        return HIT_FIXED + APPLY_PER_ENTRY * entries_applied
+    return PREFILL_PER_TOKEN * (prefix_tokens + op_tokens)
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,15 @@ class Workload:
             raise DataError(f"batch sizes must be positive and ascending, got {sizes}")
 
 
+_ZIPF_EXPONENT = 1.6
+
+
 def make_workload(
     corpus: PlantedCorpus,
     n_requests: int = 50,
     seed: int = 0,
     overlap: float = 0.5,
     distribution: str = "uniform",
-    zipf_exponent: float = 1.6,
     ensure_coverage: bool = True,
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
 ) -> Workload:
@@ -110,7 +106,7 @@ def make_workload(
     n_routes = corpus.n_routes
     per_task = max(1, min(n_routes, round(overlap * n_routes)))
     if distribution == "zipf":
-        weights = 1.0 / np.arange(1, n_routes + 1) ** zipf_exponent
+        weights = 1.0 / np.arange(1, n_routes + 1) ** _ZIPF_EXPONENT
         weights /= weights.sum()
     else:
         weights = np.full(n_routes, 1.0 / n_routes)
@@ -283,13 +279,11 @@ def run_serving_sim(
     params: ModelParams,
     workload: Workload,
     mode: str,
-    cost_model: CostModel | None = None,
     *,
     oracle: KVOracle | None = None,
     energy_target: float = 0.95,
     store: CacheStore | None = None,
     stats: TransitionStats | None = None,
-    trace_log: list[tuple[str, list[str]]] | None = None,
     workflow_cache: Mapping[str, Workflow] | None = None,
     warm_differential: bool = True,
     verify_fetches: bool = False,
@@ -299,12 +293,11 @@ def run_serving_sim(
     Each operation fetches its KV segment under the chain prefix given by
     ``execution_chains``; fallbacks in differential mode materialize the
     missing residual (unless ``warm_differential`` is off, as when measuring
-    a pruned store).  ``stats``/``trace_log`` collect the executed maximal
-    traces for materialization planning.
+    a pruned store).  ``stats`` collects the executed maximal traces for
+    materialization planning.
     """
     if mode not in MODES:
         raise DataError(f"unknown serving mode {mode!r}")
-    cost_model = cost_model or CostModel()
     oracle = oracle or KVOracle(OracleConfig())
 
     if store is None:
@@ -341,7 +334,7 @@ def run_serving_sim(
         for node in topological_order(wf.nodes, wf.edges):
             path = chains[node][:-1]
             kv, result = req_store.fetch(path, node)
-            cost += cost_model.fetch_cost(
+            cost += fetch_cost(
                 result.flag, result.entries_applied, result.prefix_tokens, result.op_tokens
             )
             n_entries += result.entries_applied
@@ -362,11 +355,9 @@ def run_serving_sim(
         else:  # per-request stateful stores: a running sum
             memory.append(combine_memory("stateful", memory[-1:] + [req_store.memory_footprint()]))
 
-        for trace in maximal_traces(wf):
-            if stats is not None:
+        if stats is not None:
+            for trace in maximal_traces(wf):
                 stats.record(trace)
-            if trace_log is not None:
-                trace_log.append((f"REQ_{req_index:03d}", trace))
 
     return RunReport(
         mode=mode,
@@ -451,7 +442,6 @@ def sweep_batch_sizes(
     graph: OperationGraph,
     params: ModelParams,
     workload: Workload,
-    cost_model: CostModel | None = None,
     *,
     oracle: KVOracle | None = None,
     energy_target: float = 0.95,
@@ -477,7 +467,7 @@ def sweep_batch_sizes(
     cache = {text: generate(graph, params, text) for text in dict.fromkeys(served.requests)}
     runs = {
         mode: run_serving_sim(
-            graph, params, served, mode, cost_model,
+            graph, params, served, mode,
             oracle=oracle, energy_target=energy_target, workflow_cache=cache,
         )
         for mode in SWEEP_MODES
@@ -515,7 +505,6 @@ def ablate_pruning(
     params: ModelParams,
     workload: Workload,
     policy: PlanPolicy | None = None,
-    cost_model: CostModel | None = None,
     *,
     oracle: KVOracle | None = None,
     energy_target: float = 0.95,
@@ -539,7 +528,6 @@ def ablate_pruning(
         params,
         workload,
         "differential",
-        cost_model,
         oracle=oracle,
         energy_target=energy_target,
         store=store,
@@ -558,7 +546,6 @@ def ablate_pruning(
         params,
         workload,
         "differential",
-        cost_model,
         oracle=oracle,
         energy_target=energy_target,
         store=store,
@@ -586,6 +573,7 @@ _REFERENCE_NOTE = (
     "over 75% of key entries and around 70% of value entries falling below "
     "the 10%-of-max threshold; the toy oracle is not gated on those figures."
 )
+_SPARSITY_THRESHOLD = 0.1  # a small entry is below this fraction of max |delta|
 
 
 @dataclass(frozen=True)
@@ -609,13 +597,12 @@ class SparsityLayerRow:
 
 @dataclass
 class SparsityReport:
-    threshold: float
     pairs: list[SparsityPair]
     layers: list[SparsityLayerRow]
     heatmap: list[tuple[int, int, float, float]]  # layer, head, mean |delta|, mean frac below
 
     def pairs_csv(self) -> str:
-        note = f"# threshold: entries with |delta| < {self.threshold!r} * max|delta|\n"
+        note = f"# threshold: entries with |delta| < {_SPARSITY_THRESHOLD!r} * max|delta|\n"
         columns = [f.name for f in fields(SparsityPair)]
         return _REFERENCE_NOTE + "\n" + note + _csv(columns, self.pairs)
 
@@ -630,19 +617,16 @@ class SparsityReport:
 def sparsity_report(
     config: OracleConfig,
     pairs: Sequence[tuple[str, str]],
-    threshold: float = 0.1,
 ) -> SparsityReport:
     """Per-(prefix, op) statistics of the prefix-induced KV difference.
 
     For every text pair the oracle computes the op's KV segment with and
     without the prefix; the report covers the element-wise difference over
     the combined key/value space, overall and per layer, plus a layer-by-head
-    grid for heatmap plotting.
+    grid.
     """
     if not pairs:
         raise DataError("sparsity report needs at least one (prefix, op) pair")
-    if not (0.0 < threshold < 1.0):
-        raise DataError(f"threshold must lie in (0, 1), got {threshold}")
     oracle = KVOracle(config)
     pair_rows: list[SparsityPair] = []
     layer_rows: list[SparsityLayerRow] = []
@@ -656,7 +640,7 @@ def sparsity_report(
         delta = np.concatenate([full.keys - base.keys, full.values - base.values], axis=3)
         magnitude = np.abs(delta)
         peak = float(magnitude.max())
-        cut = threshold * peak
+        cut = _SPARSITY_THRESHOLD * peak
         below = float(np.mean(magnitude < cut)) if peak > 0.0 else 1.0
         pair_rows.append(
             SparsityPair(
@@ -692,67 +676,4 @@ def sparsity_report(
         for layer in range(config.layers)
         for head in range(config.heads)
     ]
-    return SparsityReport(
-        threshold=threshold, pairs=pair_rows, layers=layer_rows, heatmap=heatmap
-    )
-
-
-# ---------------------------------------------------------------------------
-# Optional plotting (matplotlib is an extra)
-# ---------------------------------------------------------------------------
-
-
-def plot_sweep(result: SweepResult, path: str) -> None:
-    """Line chart of the memory sweep; requires the ``plot`` extra."""
-    _plot_sweep_field(result, "total_bytes", "store bytes", path)
-
-
-def plot_cost_sweep(result: SweepResult, path: str) -> None:
-    """Line chart of p90 request cost over the sweep; requires the ``plot`` extra."""
-    _plot_sweep_field(result, "p90_cost", "p90 request cost", path)
-
-
-def _plot_sweep_field(result: SweepResult, name: str, label: str, path: str) -> None:
-    plt = _load_pyplot()
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for mode in SWEEP_MODES:
-        rows = [r for r in result.rows if r.mode == mode]
-        x, y = [r.batch_size for r in rows], [getattr(r, name) for r in rows]
-        ax.plot(x, y, marker="o", label=mode)
-    ax.set_xlabel("concurrent requests")
-    ax.set_ylabel(label)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Software": None})
-    plt.close(fig)
-
-
-def plot_sparsity_heatmap(report: SparsityReport, path: str) -> None:
-    """Layer-by-head heatmap of mean |delta|; requires the ``plot`` extra."""
-    plt = _load_pyplot()
-    layers = 1 + max(r[0] for r in report.heatmap)
-    heads = 1 + max(r[1] for r in report.heatmap)
-    grid = np.zeros((layers, heads))
-    for layer, head, mean_abs, _ in report.heatmap:
-        grid[layer, head] = mean_abs
-    fig, ax = plt.subplots(figsize=(5, 4))
-    image = ax.imshow(grid, aspect="auto")
-    ax.set_xlabel("head")
-    ax.set_ylabel("layer")
-    fig.colorbar(image, ax=ax, label="mean |delta|")
-    fig.tight_layout()
-    fig.savefig(path, metadata={"Software": None})
-    plt.close(fig)
-
-
-def _load_pyplot():
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover - depends on extras
-        raise DataError(
-            "plotting requires matplotlib (pip install 'opflow[plot]')"
-        ) from exc
-    return plt
+    return SparsityReport(pairs=pair_rows, layers=layer_rows, heatmap=heatmap)

@@ -446,16 +446,17 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     The snapshot is written to a sibling directory and swapped in, so a
     reload gives exactly this store and a failed save leaves the earlier one
     as it was (a crash between the swap's two renames leaves it in the
-    ``.<name>.old`` sibling).  A non-empty directory with no store, or one
-    holding the working directory, is refused.
+    ``.<name>.old`` sibling, where ``load_store`` finds it).  A non-empty
+    directory with no store, or one holding the working directory, is
+    refused.
     """
     root = Path(directory).resolve()
     if root.is_dir() and any(root.iterdir()) and not (root / "meta.json").is_file():
         raise DataError(f"{root}: not a cache store, refusing to replace it")
     if Path.cwd().is_relative_to(root):
         raise DataError(f"{root}: holds the working directory, refusing to replace it")
-    staging = root.with_name(f".{root.name}.tmp")
-    retired = root.with_name(f".{root.name}.old")
+    staging = _sibling(root, "tmp")
+    retired = _sibling(root, "old")
     shutil.rmtree(staging, ignore_errors=True)  # left behind by a crashed save
     staging.mkdir(parents=True)
     try:
@@ -463,11 +464,27 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    shutil.rmtree(retired, ignore_errors=True)
-    if root.exists():
+    if (root / "meta.json").is_file():
+        shutil.rmtree(retired, ignore_errors=True)  # stale: root holds a whole store
         root.rename(retired)
-    staging.rename(root)
+    staging.rename(root)  # replaces an empty directory
     shutil.rmtree(retired, ignore_errors=True)
+
+
+def _sibling(root: Path, tag: str) -> Path:
+    root = root.resolve()
+    return root.with_name(f".{root.name}.{tag}")
+
+
+def store_root(directory: str | Path) -> Path | None:
+    """The directory holding the store saved to ``directory``: itself, or its
+    ``.<name>.old`` sibling after a crash between ``save_store``'s two
+    renames; None when neither holds one."""
+    root = Path(directory)
+    for candidate in (root, _sibling(root, "old")):
+        if (candidate / "meta.json").is_file():
+            return candidate
+    return None
 
 
 def _write_snapshot(store: CacheStore, root: Path) -> None:
@@ -520,12 +537,13 @@ def _write_snapshot(store: CacheStore, root: Path) -> None:
 
 
 def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
-    """Read a store saved by ``save_store``, rejecting entries off ``graph``'s
-    edges or of another shape than the stored oracle config gives them."""
-    root = Path(directory)
+    """Read a store saved by ``save_store`` (from where ``store_root`` finds
+    it), rejecting entries off ``graph``'s edges or of another shape than the
+    stored oracle config gives them."""
+    root = store_root(directory)
+    if root is None:
+        raise DataError(f"{directory}: not a cache store (missing meta.json)")
     meta_path = root / "meta.json"
-    if not meta_path.is_file():
-        raise DataError(f"{root}: not a cache store (missing meta.json)")
     try:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:

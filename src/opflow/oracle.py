@@ -16,7 +16,7 @@ whole computation is bitwise reproducible for a given config.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

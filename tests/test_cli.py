@@ -19,8 +19,10 @@ from opflow.cli import main
 from opflow.construct import generate_synthetic_corpus, save_samples
 from opflow.errors import DataError, NumericError
 from opflow.graph import parse_graph, parse_workflow, serialize_workflow
-from opflow.nn import init_params, load_checkpoint
+from opflow.nn import init_params, load_checkpoint, save_checkpoint
 from opflow.pruning import write_trace_log
+
+from conftest import crash_after_rename
 
 
 @pytest.fixture(scope="session")
@@ -218,6 +220,19 @@ class TestGenerate:
         assert captured.out == ""
         assert "error" in captured.err
 
+    def test_checkpoint_of_another_width_is_data_error(self, cli_project, tmp_path, capsys):
+        root, _ = cli_project
+        checkpoint = tmp_path / "narrow.bin"
+        save_checkpoint(checkpoint, init_params(dim_in=64), 0)
+        for args in (
+            ["generate", "--graph", str(root / "graph.json"), "--task", "x"],
+            TestBench.ARGS + ["--out", str(tmp_path)],
+        ):
+            capsys.readouterr()
+            assert main(args + ["--checkpoint", str(checkpoint)]) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "64" in err and "384" in err
+
     def test_missing_task_is_usage_error(self, cli_project):
         root, _ = cli_project
         assert main([
@@ -293,6 +308,31 @@ class TestKvStoreCommands:
         assert row[0] == "differential"
         assert int(row[4]) > 0 and int(row[5]) > 0
         assert (tmp_path / "footprint.csv").read_text() == csv_text
+
+    def test_footprint_reads_store_left_by_crashed_save(
+        self, cli_project, tmp_path, capsys, monkeypatch
+    ):
+        from opflow.kvstore import load_store, save_store
+
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert self.materialize(root, store) == 0
+        footprint = [
+            "kv", "footprint", "--graph", str(root / "graph.json"),
+            "--store", str(store), "--out", str(tmp_path),
+        ]
+        capsys.readouterr()
+        assert main(footprint) == 0
+        before = capsys.readouterr().out
+        loaded = load_store(store, parse_graph((root / "graph.json").read_text()))
+        loaded.drop_residual(*next(iter(loaded.residuals)))
+        crash_after_rename(monkeypatch, 1)
+        with pytest.raises(OSError):
+            save_store(loaded, store)
+        monkeypatch.undo()
+        assert main(footprint) == 0
+        assert capsys.readouterr().out == before
+        assert int(before.splitlines()[1].split(",")[-1]) > 0
 
     def test_footprint_on_empty_store_is_zero_row(self, tmp_path, capsys):
         assert main([

@@ -1,4 +1,4 @@
-"""Hashed text features, sidecar vector tables, and feature assembly."""
+"""Hashed text features and feature assembly."""
 
 from __future__ import annotations
 
@@ -7,17 +7,8 @@ import json
 import random
 
 import numpy as np
-import pytest
 
-from opflow.errors import DataError
-from opflow.features import (
-    HashingEmbedder,
-    TableEmbedder,
-    assemble_features,
-    compose_operation_text,
-    load_vector_table,
-    save_vector_table,
-)
+from opflow.features import HashingEmbedder, assemble_features, compose_operation_text
 from opflow.graph import Operation, condition_on_task, merge_workflows, parse_workflow
 
 from conftest import make_workflow_doc
@@ -98,49 +89,6 @@ class TestHashingEmbedder:
             id="A", instruction="solve the system", patterns_must=("unknown", "assign")
         )
         assert not np.array_equal(emb.embed_operation(plain), emb.embed_operation(rich))
-
-
-class TestVectorTable:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        table = {
-            "OP_01": rng.normal(size=8),
-            "OP_02": rng.normal(size=8),
-            "what is the total": rng.normal(size=8),
-        }
-        path = tmp_path / "vectors.tsv"
-        save_vector_table(path, table)
-        emb = load_vector_table(path)
-        assert emb.dim == 8
-        for key, vec in table.items():
-            expect = vec / np.linalg.norm(vec)
-            got = emb.table[key]
-            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
-            assert abs(np.linalg.norm(got) - 1.0) < 1e-12
-
-    def test_lookup_by_operation_id_and_text(self, tmp_path):
-        path = tmp_path / "v.tsv"
-        path.write_text("OP_01\t1.0\t0.0\nhello there\t0.0\t1.0\n")
-        emb = load_vector_table(path)
-        op = Operation(id="OP_01", instruction="whatever")
-        np.testing.assert_array_equal(emb.embed_operation(op), [1.0, 0.0])
-        np.testing.assert_array_equal(emb.embed_text("hello there"), [0.0, 1.0])
-        with pytest.raises(DataError):
-            emb.embed_text("unknown key")
-        with pytest.raises(DataError):
-            emb.embed_operation(Operation(id="OP_99", instruction="x"))
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "v.tsv"
-        path.write_text("A\t1.0\t2.0\nB\t1.0\n")
-        with pytest.raises(DataError):
-            load_vector_table(path)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "v.tsv"
-        path.write_text("A\t1.0\nA\t2.0\n")
-        with pytest.raises(DataError):
-            load_vector_table(path)
 
 
 class TestAssembleFeatures:

@@ -11,6 +11,7 @@ import pytest
 
 from opflow.errors import CycleError, DataError, DocumentError, MergeError
 from opflow.graph import (
+    TASK_NODE_ID,
     condition_on_task,
     merge_workflows,
     normalize_instruction,
@@ -310,9 +311,9 @@ class TestConditionOnTask:
     def test_task_node_is_last_and_linked_both_ways(self, wf_math_001):
         g = merge_workflows([wf_math_001])
         tg = condition_on_task(g, "solve a system of equations")
-        assert tg.node_ids[-1] == tg.task_node_id
-        assert (tg.task_node_id, "OP_03") in tg.edge_list
-        assert ("OP_03", tg.task_node_id) in tg.edge_list
+        assert tg.node_ids[-1] == TASK_NODE_ID
+        assert (TASK_NODE_ID, "OP_03") in tg.edge_list
+        assert ("OP_03", TASK_NODE_ID) in tg.edge_list
 
     def test_task_id_collision(self):
         g = merge_workflows([wf("WF_A", {"__task__": "sneaky"}, [])])

@@ -1,7 +1,9 @@
 """Tests for sparse residuals, cache modes, and the on-disk store layout."""
 
 import json
+import shutil
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from opflow.kvstore import (
     write_kv,
 )
 from opflow.oracle import KVOracle, KVTensor, OracleConfig, tokenize
+
+from conftest import crash_after_rename
 
 
 def small_graph():
@@ -568,6 +572,16 @@ class TestFootprint:
 # ---------------------------------------------------------------------------
 
 
+def assert_same_entries(got, expected):
+    for name in ("bases", "residuals", "fulls"):
+        mine, theirs = getattr(got, name), getattr(expected, name)
+        assert set(mine) == set(theirs), name
+        for key, entry in theirs.items():
+            for field in ("keys", "values", "coords"):
+                if hasattr(entry, field):
+                    assert np.array_equal(getattr(mine[key], field), getattr(entry, field))
+
+
 class TestStoreRoundTrip:
     def populate(self):
         graph = small_graph()
@@ -657,6 +671,34 @@ class TestStoreRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
         back = load_store(where, graph)
         assert set(back.residuals) == saved
+
+    def test_crash_between_renames_leaves_earlier_store_loadable(self, tmp_path, monkeypatch):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        store.drop_residual(("OP_A", "OP_B"), "OP_C")
+        crash_after_rename(monkeypatch, 1)
+        with pytest.raises(OSError):
+            save_store(store, where)
+        monkeypatch.undo()
+        assert not where.exists()
+        _, earlier = self.populate()
+        assert_same_entries(load_store(where, graph), earlier)
+
+        # the next save drops the earlier copy only once its own is in place
+        kept = []
+        real_rmtree = shutil.rmtree
+
+        def watching_rmtree(path, *args, **kwargs):
+            if Path(path).name == ".store.old":
+                kept.append((where / "meta.json").is_file())
+            return real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(kvstore.shutil, "rmtree", watching_rmtree)
+        save_store(store, where)
+        assert kept and all(kept)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert_same_entries(load_store(where, graph), store)
 
     def test_save_replaces_earlier_snapshot(self, tmp_path):
         graph, store = self.populate()
