@@ -18,6 +18,7 @@ exact reference for edge-level precision/recall.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -117,20 +118,27 @@ def build_labels(graph: OperationGraph, workflow: Workflow) -> np.ndarray:
 
 
 class _ModelInputs:
-    """Cached per-graph tensors; only the task row varies between samples."""
+    """Per-graph model tensors, built once per graph by ``_model_inputs``.
+
+    ``base_x`` holds the operation embeddings with a zero task row,
+    ``adjacency`` the raw task-graph adjacency (the model normalizes it),
+    ``edge_index`` the candidate edges as node-index pairs and ``task_index``
+    the task row.  The arrays are read-only because every request on the
+    graph shares them; only the task row varies between samples.
+    """
 
     def __init__(self, graph: OperationGraph):
         if not graph.edge_list:
             raise DataError("operation graph has no candidate edges to score")
-        self.graph = graph
         task_graph = condition_on_task(graph, "")
-        # raw adjacency: gcn_forward and forward_loss normalize it themselves
         self.base_x, self.adjacency = assemble_features(task_graph, _EMBEDDER)
         index = {node: i for i, node in enumerate(task_graph.node_ids)}
         self.edge_index = np.asarray(
             [(index[a], index[b]) for a, b in graph.edge_list], dtype=np.int64
         )
         self.task_index = index[TASK_NODE_ID]
+        for array in (self.base_x, self.adjacency, self.edge_index):
+            array.setflags(write=False)
 
     def check_width(self, params: ModelParams) -> None:
         """Reject parameters fitted to features of another width."""
@@ -146,6 +154,17 @@ class _ModelInputs:
         x = np.broadcast_to(self.base_x, (len(task_rows),) + self.base_x.shape).copy()
         x[:, self.task_index] = task_rows
         return x
+
+
+# Keyed by graph identity; an entry lives as long as its (immutable) graph.
+_INPUTS: weakref.WeakKeyDictionary[OperationGraph, _ModelInputs] = weakref.WeakKeyDictionary()
+
+
+def _model_inputs(graph: OperationGraph) -> _ModelInputs:
+    inputs = _INPUTS.get(graph)
+    if inputs is None:
+        inputs = _INPUTS[graph] = _ModelInputs(graph)
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +187,7 @@ def train(
     config = config or TrainConfig()
     if not samples:
         raise DataError("cannot train on an empty sample list")
-    inputs = _ModelInputs(graph)
+    inputs = _model_inputs(graph)
 
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
     task_rows = np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples])
@@ -224,7 +243,7 @@ def evaluate_loss(
     """Noise-free mean BCE of the scorer over a sample set."""
     if not samples:
         raise DataError("cannot evaluate on an empty sample list")
-    inputs = _ModelInputs(graph)
+    inputs = _model_inputs(graph)
     inputs.check_width(params)
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
     x = inputs.features(np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples]))
@@ -245,7 +264,7 @@ def score_candidate_edges(
     task_text: str,
 ) -> np.ndarray:
     """Noise-free admission probabilities aligned with ``graph.edge_list``."""
-    inputs = _ModelInputs(graph)
+    inputs = _model_inputs(graph)
     inputs.check_width(params)
     x = inputs.features(_EMBEDDER.embed_text(task_text)[None])[0]
     h = gcn_forward(params, x, inputs.adjacency)

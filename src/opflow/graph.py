@@ -53,13 +53,16 @@ class Workflow:
     operations: dict[str, Operation]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OperationGraph:
     """The merged, deduplicated DAG of operations from many workflows.
 
     ``node_sources`` / ``edge_sources`` record which workflow ids contributed
     each element; ``merged_from`` maps every canonical operation id to the
     ``(workflow_id, original_op_id)`` pairs folded into it.
+
+    A graph is immutable once built and hashes by identity, because the
+    model inputs derived from it are cached per graph object (``construct``).
     """
 
     operations: dict[str, Operation]

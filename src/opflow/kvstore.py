@@ -65,27 +65,34 @@ class SparseDelta:
     """Sparse difference between an in-context tensor and its base.
 
     ``dense_shape`` is the combined-coordinate shape
-    (layers, heads, tokens, 2 * head_dim); ``coords`` is (n, 4) int32 in
-    row-major order and ``values`` (n,) float32, the full tensor's value at
-    each kept coordinate.
+    (layers, heads, tokens, 2 * head_dim); ``index`` is (n,) int32, each kept
+    coordinate's flat row-major position in that shape, strictly increasing,
+    and ``values`` (n,) float32, the full tensor's value at each.
     """
 
     dense_shape: tuple[int, int, int, int]
     position_offset: int
     kept_energy_fraction: float
-    coords: np.ndarray
+    index: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         if len(self.dense_shape) != 4 or self.dense_shape[3] % 2 != 0:
             raise DataError(f"bad combined shape {self.dense_shape}")
-        if self.coords.shape != (len(self.values), 4):
+        size = prod(self.dense_shape)
+        if size >= 2**31:
+            raise DataError(f"combined shape {self.dense_shape} overflows an int32 index")
+        if self.index.shape != (len(self.values),):
             raise DataError("coordinate/value count mismatch")
-        if ((self.coords < 0) | (self.coords >= np.asarray(self.dense_shape))).any():
-            raise DataError("delta contains out-of-bounds coordinates")
-        flat = np.ravel_multi_index(tuple(self.coords.T), self.dense_shape)
-        if (np.diff(flat) <= 0).any():
+        if (np.diff(self.index) <= 0).any():
             raise DataError("delta coordinates must be distinct and in row-major order")
+        if len(self.index) and (self.index[0] < 0 or self.index[-1] >= size):
+            raise DataError("delta contains out-of-bounds coordinates")
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(n, 4) int32 coordinates of the kept entries, in row-major order."""
+        return np.stack(np.unravel_index(self.index, self.dense_shape), axis=1).astype(np.int32)
 
     @property
     def entries(self) -> int:
@@ -150,7 +157,7 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
         dense_shape=full_c.shape,
         position_offset=full.position_offset,
         kept_energy_fraction=kept_fraction,
-        coords=np.stack(np.unravel_index(kept_idx, full_c.shape), axis=1).astype(np.int32),
+        index=kept_idx.astype(np.int32),
         values=full_c.ravel()[kept_idx],
     )
 
@@ -164,7 +171,7 @@ def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
         )
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    combined[tuple(delta.coords.T)] = delta.values
+    combined.reshape(-1)[delta.index] = delta.values
     return _split(combined, base.position_offset)
 
 
@@ -221,8 +228,8 @@ def write_delta(path: str | Path, delta: SparseDelta) -> None:
         delta.kept_energy_fraction,
         delta.entries,
     )
-    kept = np.zeros(delta.dense_shape, dtype=bool)
-    kept[tuple(delta.coords.T)] = True
+    kept = np.zeros(prod(delta.dense_shape), dtype=bool)
+    kept[delta.index] = True
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.packbits(kept).tobytes())
@@ -257,7 +264,7 @@ def read_delta(path: str | Path) -> SparseDelta:
         dense_shape=shape,
         position_offset=offset,
         kept_energy_fraction=energy,
-        coords=np.stack(np.unravel_index(flat, shape), axis=1).astype(np.int32),
+        index=flat.astype(np.int32),
         values=np.frombuffer(raw, dtype="<f4", count=count, offset=values_at).astype(np.float32),
     )
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import DataError
 
@@ -151,6 +150,12 @@ def score_edges(
 
 def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.gumbel(0.0, 1.0, size=shape)
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; saturates to exactly 0 for large negative ``x``."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def gumbel_sigmoid(omega: np.ndarray, tau: float = 1.0, noise: np.ndarray | None = None) -> np.ndarray:

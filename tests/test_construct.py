@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import opflow.nn
+from opflow import construct
 from opflow.construct import (
     DecodeConfig,
     TrainConfig,
@@ -27,6 +31,7 @@ from opflow.construct import (
     train,
 )
 from opflow.errors import DataError
+from opflow.features import HashingEmbedder
 from opflow.graph import Operation, Workflow, merge_workflows, parse_workflow
 from opflow.nn import init_params
 
@@ -336,6 +341,79 @@ class TestScoringAndGenerate:
         wf = generate(DIAMOND, zero_params(), "handle the request")
         assert wf.id == wf_id
         assert wf.description == "handle the request"
+
+
+class TestModelInputsCache:
+    """Model inputs are built once per graph and shared by every request."""
+
+    def test_cached_inputs_give_bitwise_equal_results(self, monkeypatch):
+        corpus = generate_synthetic_corpus(vocab_size=10, n_tasks=40, seed=3)
+        graph, samples = corpus.graph, corpus.samples
+        config = TrainConfig(
+            epochs=1, batch_size=16, learning_rate=1e-2, hidden_dim=32, mlp_hidden=16, seed=2
+        )
+
+        def run():
+            result = train(graph, samples, config)
+            loss = evaluate_loss(graph, samples, result.params)
+            scores = [score_candidate_edges(graph, result.params, s.task_text) for s in samples[:8]]
+            return result, loss, scores
+
+        cached = run()
+        assert graph in construct._INPUTS
+        monkeypatch.setattr(construct, "_model_inputs", construct._ModelInputs)
+        fresh = run()
+        for name, array in cached[0].params.arrays().items():
+            assert np.array_equal(array, fresh[0].params.arrays()[name]), name
+        assert cached[0].epoch_losses == fresh[0].epoch_losses
+        assert cached[1] == fresh[1]
+        for a, b in zip(cached[2], fresh[2]):
+            assert np.array_equal(a, b)
+
+    def test_second_generate_embeds_only_the_task(self, monkeypatch):
+        graph = graph_of([("A", "B"), ("B", "C")])
+        params = init_params(seed=4)
+        generate(graph, params, "first task")
+        ops, texts = [], []
+        embed_operation = HashingEmbedder.embed_operation
+        embed_text = HashingEmbedder.embed_text
+        monkeypatch.setattr(
+            HashingEmbedder, "embed_operation",
+            lambda self, op: ops.append(op) or embed_operation(self, op),
+        )
+        monkeypatch.setattr(
+            HashingEmbedder, "embed_text",
+            lambda self, text: texts.append(text) or embed_text(self, text),
+        )
+        generate(graph, params, "second task")
+        assert ops == []
+        assert texts == ["second task"]
+
+    def test_entry_lives_as_long_as_the_graph(self):
+        graph = graph_of([("A", "B"), ("B", "C")])
+        generate(graph, init_params(seed=4), "a task")
+        assert graph in construct._INPUTS
+        alive = weakref.ref(graph)
+        gc.collect()
+        before = len(construct._INPUTS)
+        del graph
+        gc.collect()
+        assert alive() is None
+        assert len(construct._INPUTS) == before - 1
+
+    def test_cached_arrays_are_read_only(self):
+        inputs = construct._model_inputs(DIAMOND)
+        assert construct._model_inputs(DIAMOND) is inputs
+        for array in (inputs.base_x, inputs.adjacency, inputs.edge_index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        x = inputs.features(np.ones((2, inputs.base_x.shape[1])))
+        assert x.flags.writeable
+        assert not np.shares_memory(x, inputs.base_x)
+
+    def test_graph_fields_cannot_be_reassigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DIAMOND.edges = ()
 
 
 # ---------------------------------------------------------------------------

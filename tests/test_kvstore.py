@@ -214,6 +214,22 @@ class TestReconstruct:
         reconstruct(base, delta)
         assert np.array_equal(base.keys, keys_before)
 
+    def test_flat_index_put_matches_coordinate_assignment(self):
+        oracle = KVOracle()
+        rng = np.random.default_rng(23)
+        for target in (0.5, 0.95, 1.0):
+            for _ in range(10):
+                full, base = random_pair(oracle, rng)
+                delta = sparsify(full, base, target)
+                expected = np.concatenate([base.keys, base.values], axis=3)
+                expected[tuple(delta.coords.T)] = delta.values
+                rec = reconstruct(base, delta)
+                got = np.concatenate([rec.keys, rec.values], axis=3)
+                assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+                assert delta.index.dtype == np.int32
+                back = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
+                assert np.array_equal(back, delta.index)
+
     def test_rejects_mismatched_delta(self):
         oracle = KVOracle()
         full, base = random_pair(oracle, np.random.default_rng(1))
@@ -359,9 +375,23 @@ class TestFileFormats:
             read_delta(short)
 
     def test_delta_rejects_unordered_coordinates(self):
-        coords = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int32)
-        with pytest.raises(DataError, match="row-major"):
-            SparseDelta((1, 1, 2, 2), 0, 1.0, coords, np.ones(2, dtype=np.float32))
+        for index in ([2, 1], [1, 1]):
+            with pytest.raises(DataError, match="row-major"):
+                SparseDelta(
+                    (1, 1, 2, 2), 0, 1.0, np.array(index, dtype=np.int32),
+                    np.ones(2, dtype=np.float32),
+                )
+
+    @pytest.mark.parametrize("index", [[-1, 0], [2, 4]])
+    def test_delta_rejects_out_of_bounds_index(self, index):
+        index = np.array(index, dtype=np.int32)
+        with pytest.raises(DataError, match="out-of-bounds"):
+            SparseDelta((1, 1, 2, 2), 0, 1.0, index, np.ones(2, dtype=np.float32))
+
+    def test_delta_rejects_shape_beyond_int32_index(self):
+        empty = np.zeros(0, dtype=np.int32)
+        with pytest.raises(DataError, match="int32"):
+            SparseDelta((1 << 10, 1 << 10, 1 << 10, 2), 0, 1.0, empty, empty.astype(np.float32))
 
     def test_path_digest_stable_and_distinct(self):
         a = path_digest(("OP_A", "OP_B"))
@@ -401,11 +431,13 @@ class TestDeltaFileRejections:
 
     def test_nonzero_padding_bits(self, tmp_path):
         # 6 coordinates: one bitmap byte whose last two bits are padding
-        coords = np.array([[0, 0, 0, 1], [0, 0, 2, 0]], dtype=np.int32)
-        delta = SparseDelta((1, 1, 3, 2), 0, 1.0, coords, np.ones(2, dtype=np.float32))
+        index = np.array([1, 4], dtype=np.int32)
+        delta = SparseDelta((1, 1, 3, 2), 0, 1.0, index, np.ones(2, dtype=np.float32))
         file, raw = self.written(tmp_path, delta)
         assert len(raw) == DELTA_HEADER.size + 1 + 4 * 2
-        assert np.array_equal(read_delta(file).coords, coords)
+        assert raw[DELTA_HEADER.size] == 0b01001000
+        assert np.array_equal(read_delta(file).index, index)
+        assert read_delta(file).coords.tolist() == [[0, 0, 0, 1], [0, 0, 2, 0]]
         raw[DELTA_HEADER.size] |= 0x01
         self.rejects(file, raw, "padding")
 
@@ -766,9 +798,10 @@ class TestStoreRoundTrip:
         file = where / "residuals" / path_digest(("OP_A",)) / "OP_B.delta"
         delta = read_delta(file)
         layers, heads, tokens, width = delta.dense_shape
+        wider = (layers, heads, tokens, width + 2)
         wrong = SparseDelta(
-            (layers, heads, tokens, width + 2), delta.position_offset,
-            delta.kept_energy_fraction, delta.coords, delta.values,
+            wider, delta.position_offset, delta.kept_energy_fraction,
+            np.ravel_multi_index(tuple(delta.coords.T), wider).astype(np.int32), delta.values,
         )
         write_delta(file, wrong)
         with pytest.raises(DataError, match="shape"):

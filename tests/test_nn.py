@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +198,29 @@ class TestGumbelSigmoid:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DataError):
             gumbel_sigmoid(np.array([0.0]), tau=0.0)
+
+
+class TestSigmoid:
+    def test_matches_scipy_expit_within_four_eps(self):
+        expit = pytest.importorskip("scipy.special").expit
+        x = np.concatenate([
+            np.linspace(-709.0, 709.0, 200_001),
+            np.random.default_rng(0).normal(scale=4.0, size=200_000),
+        ])
+        np.testing.assert_allclose(sigmoid(x), expit(x), rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+    def test_importing_opflow_loads_no_scipy(self):
+        code = "import sys, opflow; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestBCELoss:
