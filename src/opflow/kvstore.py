@@ -17,6 +17,12 @@ Three serving modes share one interface:
                     on-the-fly computation when no residual is materialized.
 * ``stateless``   — bases only; position-correct but context-free.
 
+An in-context computation (a stateful fill or a differential fallback)
+resumes the oracle from the carry the store kept after the op's prefix, so
+it costs the op's own tokens.  Carries are derived state: 2 KiB per prefix
+path at the default oracle config, neither saved nor counted in
+``memory_footprint``.
+
 Residual coordinates live in a combined space of shape
 (layers, heads, tokens, 2 * head_dim): the last axis indexes key dims first,
 value dims second.  A residual holds the full tensor's own float32 value at
@@ -143,14 +149,20 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
     kept_idx = np.zeros(0, dtype=np.intp)
     kept_fraction = 1.0
     if nonzero:
-        order = np.argsort(-np.abs(flat), kind="stable")
-        cumulative = np.cumsum(flat[order] ** 2)
+        magnitude = np.abs(flat)
+        ranked = np.sort(magnitude)[::-1]
+        cumulative = np.cumsum(ranked**2)
         total = cumulative[-1]
         keep = nonzero
         if energy_target < 1.0:
             idx = int(np.searchsorted(cumulative, energy_target * total, side="left"))
             keep = min(idx + 1, nonzero)
-        kept_idx = np.sort(order[:keep])
+        # Every magnitude above the cut-off, then the first entries equal to
+        # it in row-major order: the top ``keep`` of a stable ranking.
+        cutoff = ranked[keep - 1]
+        kept = magnitude > cutoff
+        kept[np.flatnonzero(magnitude == cutoff)[: keep - int(np.count_nonzero(kept))]] = True
+        kept_idx = np.flatnonzero(kept)
         kept_fraction = float(cumulative[keep - 1] / total)
 
     return SparseDelta(
@@ -306,7 +318,21 @@ class MemoryReport:
 
 
 class CacheStore:
-    """KV cache for one operation graph, in one of the three serving modes."""
+    """KV cache for one operation graph, in one of the three serving modes.
+
+    ``bases``, ``residuals`` and ``fulls`` are the stored tensors; callers
+    read them and write only through the store's methods, which keep the
+    running byte totals ``memory_footprint`` reports.  Fetched tensors are
+    shared with the store and must not be modified.
+
+    Besides the stored tensors the store keeps derived state that is neither
+    saved nor counted in ``memory_footprint``: each validated prefix path's
+    token count, and the oracle carry after each prefix path it has computed
+    in context (a (layers, d_model) float64 array, 2 KiB per path at the
+    default config), so an in-context computation costs only the op's own
+    tokens.  A carry that is missing, as on a store ``load_store`` returned,
+    is rebuilt from the longest prefix of the path that has one.
+    """
 
     def __init__(
         self,
@@ -326,8 +352,12 @@ class CacheStore:
         self.bases: dict[tuple[str, int], KVTensor] = {}
         self.residuals: dict[tuple[PathKey, str], SparseDelta] = {}
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
+        self._bytes = {"bases": 0, "residuals": 0, "fulls": 0}
         self._edges = set(graph.edge_list)
         self._op_tokens: dict[str, list[int]] = {}
+        self._prefix_len: dict[PathKey, int] = {}
+        self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
+        self._last_fallback: tuple[tuple[PathKey, str], KVTensor] | None = None
 
     # -- token plumbing ------------------------------------------------------
 
@@ -349,35 +379,73 @@ class CacheStore:
             tokens.extend(self.op_tokens(op_id))
         return tokens
 
-    def validate_path(self, path: PathKey, op_id: str) -> None:
-        """Path ops must chain along graph edges and end on an edge into op."""
-        for node in path:
-            if node not in self.graph.operations:
-                raise DataError(f"unknown operation {node!r} in prefix path")
+    def validate_path(self, path: PathKey, op_id: str) -> int:
+        """Path ops must chain along graph edges and end on an edge into op.
+
+        Returns the path's token count.  A path is walked once; later calls
+        with it check only ``op_id`` and the edge into it.
+        """
+        n_prefix = self._prefix_len.get(path)
+        if n_prefix is None:
+            for node in path:
+                if node not in self.graph.operations:
+                    raise DataError(f"unknown operation {node!r} in prefix path")
         if op_id not in self.graph.operations:
             raise DataError(f"unknown operation {op_id!r}")
-        full_chain = list(path) + [op_id]
-        for a, b in zip(full_chain, full_chain[1:]):
+        chain = (path if n_prefix is None else path[-1:]) + (op_id,)
+        for a, b in zip(chain, chain[1:]):
             if (a, b) not in self._edges:
                 raise DataError(f"prefix step {a!r} -> {b!r} is not a graph edge")
+        if n_prefix is None:
+            n_prefix = len(self.prefix_tokens(path))
+            self._prefix_len[path] = n_prefix
+        return n_prefix
 
     # -- tensor production ----------------------------------------------------
+
+    def _put(self, table: str, key, entry: KVTensor | SparseDelta) -> None:
+        """Store an entry in ``bases``, ``residuals`` or ``fulls``, keeping
+        that table's byte total."""
+        entries = getattr(self, table)
+        old = entries.get(key)
+        if old is not None:
+            self._bytes[table] -= _nbytes(old)
+        entries[key] = entry
+        self._bytes[table] += _nbytes(entry)
 
     def base(self, op_id: str, position_offset: int) -> KVTensor:
         key = (op_id, position_offset)
         kv = self.bases.get(key)
         if kv is None:
             kv = self.oracle.base_segment(self.op_tokens(op_id), position_offset)
-            self.bases[key] = kv
+            self._put("bases", key, kv)
         return kv
 
-    def _stateful(self, path: PathKey, op_id: str) -> KVTensor:
-        return self.oracle.stateful_segment(self.prefix_tokens(path), self.op_tokens(op_id))
+    def _carry(self, path: PathKey, n_prefix: int) -> np.ndarray:
+        """The oracle carry after ``path`` (``n_prefix`` tokens), computing
+        any missing ones from the longest prefix of it that has a carry (a
+        loop: paths may be longer than the recursion limit)."""
+        depth = len(path)
+        while path[:depth] not in self._carries:
+            depth -= 1
+        carry = self._carries[path[:depth]]
+        offset = n_prefix - sum(len(self.op_tokens(op)) for op in path[depth:])
+        for i in range(depth, len(path)):
+            tokens = self.op_tokens(path[i])
+            _, carry = self.oracle.resume(carry, tokens, offset)
+            offset += len(tokens)
+            self._carries[path[: i + 1]] = carry
+        return carry
+
+    def _stateful(self, path: PathKey, op_id: str, n_prefix: int) -> KVTensor:
+        """The op's in-context KV, resumed from the carry after ``path``."""
+        kv, carry = self.oracle.resume(self._carry(path, n_prefix), self.op_tokens(op_id), n_prefix)
+        self._carries[path + (op_id,)] = carry
+        return kv
 
     def fetch(self, path: Iterable[str], op_id: str) -> tuple[KVTensor, FetchResult]:
         path = tuple(path)
-        self.validate_path(path, op_id)
-        n_prefix = len(self.prefix_tokens(path))
+        n_prefix = self.validate_path(path, op_id)
         n_op = len(self.op_tokens(op_id))
 
         if self.mode == "stateless":
@@ -389,8 +457,8 @@ class CacheStore:
             kv = self.fulls.get(key)
             if kv is not None:
                 return kv, FetchResult("hit", 0, n_prefix, n_op)
-            kv = self._stateful(path, op_id)
-            self.fulls[key] = kv
+            kv = self._stateful(path, op_id, n_prefix)
+            self._put("fulls", key, kv)
             return kv, FetchResult("fallback", 0, n_prefix, n_op)
 
         # differential
@@ -401,25 +469,35 @@ class CacheStore:
         if delta is not None:
             kv = reconstruct(self.base(op_id, n_prefix), delta)
             return kv, FetchResult("hit", delta.entries, n_prefix, n_op)
-        kv = self._stateful(path, op_id)
+        kv = self._stateful(path, op_id, n_prefix)
+        self._last_fallback = ((path, op_id), kv)
         return kv, FetchResult("fallback", 0, n_prefix, n_op)
 
     def insert_residual(self, path: Iterable[str], op_id: str) -> SparseDelta:
-        """Materialize the residual for a (path, op) pair (differential only)."""
+        """Materialize the residual for a (path, op) pair (differential only).
+
+        Right after a fallback fetch of the same pair, the fetched in-context
+        tensor is reused rather than computed again.
+        """
         if self.mode != "differential":
             raise DataError("residuals only exist in differential mode")
         path = tuple(path)
-        self.validate_path(path, op_id)
+        n_prefix = self.validate_path(path, op_id)
         if not path:
             raise DataError("empty prefixes are served by base tensors, not residuals")
-        full = self._stateful(path, op_id)
-        base = self.base(op_id, len(self.prefix_tokens(path)))
-        delta = sparsify(full, base, self.energy_target)
-        self.residuals[(path, op_id)] = delta
+        key = (path, op_id)
+        last = self._last_fallback
+        full = last[1] if last is not None and last[0] == key else self._stateful(path, op_id, n_prefix)
+        delta = sparsify(full, self.base(op_id, n_prefix), self.energy_target)
+        self._put("residuals", key, delta)
         return delta
 
     def drop_residual(self, path: Iterable[str], op_id: str) -> bool:
-        return self.residuals.pop((tuple(path), op_id), None) is not None
+        delta = self.residuals.pop((tuple(path), op_id), None)
+        if delta is None:
+            return False
+        self._bytes["residuals"] -= delta.nbytes()
+        return True
 
     # -- accounting -----------------------------------------------------------
 
@@ -427,13 +505,17 @@ class CacheStore:
         """Byte totals matching the on-disk sizes of every stored tensor."""
         return MemoryReport(
             mode=self.mode,
-            bases_bytes=sum(kv_file_nbytes(kv) for kv in self.bases.values()),
-            residuals_bytes=sum(d.nbytes() for d in self.residuals.values()),
-            fulls_bytes=sum(kv_file_nbytes(kv) for kv in self.fulls.values()),
+            bases_bytes=self._bytes["bases"],
+            residuals_bytes=self._bytes["residuals"],
+            fulls_bytes=self._bytes["fulls"],
             n_bases=len(self.bases),
             n_residuals=len(self.residuals),
             n_fulls=len(self.fulls),
         )
+
+
+def _nbytes(entry: KVTensor | SparseDelta) -> int:
+    return entry.nbytes() if isinstance(entry, SparseDelta) else kv_file_nbytes(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +696,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             op_id, sep, offset_text = stem.rpartition("@")
             if not sep or not offset_text.isdigit():
                 raise DataError(f"{file}: base filename must look like <op>@<offset>.kv")
-            store.bases[(op_id, int(offset_text))] = checked((), op_id, read_kv(file), file)
+            store._put("bases", (op_id, int(offset_text)), checked((), op_id, read_kv(file), file))
 
     residuals_dir = root / "residuals"
     if residuals_dir.is_dir():
@@ -622,7 +704,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             path = resolve(sub.name, sub)
             for file in sorted(sub.glob("*.delta")):
                 op_id = file.name[: -len(".delta")]
-                store.residuals[(path, op_id)] = checked(path, op_id, read_delta(file), file)
+                store._put("residuals", (path, op_id), checked(path, op_id, read_delta(file), file))
 
     fulls_dir = root / "fulls"
     if fulls_dir.is_dir():
@@ -630,6 +712,6 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             path = resolve(sub.name, sub)
             for file in sorted(sub.glob("*.kv")):
                 op_id = file.name[: -len(".kv")]
-                store.fulls[(path, op_id)] = checked(path, op_id, read_kv(file), file)
+                store._put("fulls", (path, op_id), checked(path, op_id, read_kv(file), file))
 
     return store

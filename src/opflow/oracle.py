@@ -11,6 +11,18 @@ Construction per layer: hidden states are causally mixed
 (``m_t = x_t + lam * m_{t-1}``), projected to per-head K and V, and passed
 through a tanh projection to the next layer.  All weights are seeded; the
 whole computation is bitwise reproducible for a given config.
+
+Everything a prefix contributes to later tokens passes through the causal
+mix, so one (layers, d_model) float64 array, each layer's ``m_t`` at the
+prefix's last token, sums up the whole prefix.  ``KVOracle.resume`` takes
+that *carry*, computes a segment after it and returns the segment's states
+with the carry at its end; ``kv_states`` is ``resume`` from the zero carry.
+A cache that keeps one carry per prefix therefore computes an op in context
+at the cost of the op's own tokens.  ``stateful_segment`` stays the
+one-pass reference (prefix ++ op from token 0, sliced to the op) that
+resumed results are checked against; resuming is bitwise equal to it as
+long as the matrix products give each row the same bits whatever the number
+of rows, which the tests pin.
 """
 
 from __future__ import annotations
@@ -112,8 +124,19 @@ class KVOracle:
 
     # -- core computation ---------------------------------------------------
 
+    def empty_carry(self) -> np.ndarray:
+        """The carry of an empty prefix: zeros of shape (layers, d_model)."""
+        return np.zeros((self.config.layers, self.config.d_model), dtype=np.float64)
+
     def kv_states(self, tokens: list[int], position_offset: int = 0) -> KVTensor:
         """KV states for a token sequence starting at an absolute position."""
+        return self.resume(self.empty_carry(), tokens, position_offset)[0]
+
+    def resume(
+        self, carry: np.ndarray, tokens: list[int], position_offset: int
+    ) -> tuple[KVTensor, np.ndarray]:
+        """KV states for ``tokens`` placed after a prefix of ``position_offset``
+        tokens whose carry is ``carry``, and the carry at their last token."""
         cfg = self.config
         if len(tokens) == 0:
             raise DataError("cannot compute KV states for an empty token sequence")
@@ -121,6 +144,8 @@ class KVOracle:
             raise DataError("position_offset must be non-negative")
         if position_offset + len(tokens) > _MAX_POSITION:
             raise DataError("position_offset overflows the position space")
+        if carry.shape != (cfg.layers, cfg.d_model):
+            raise DataError(f"carry shape {carry.shape} does not match the oracle config")
         token_arr = np.asarray(tokens, dtype=np.int64)
         if token_arr.min() < 0 or token_arr.max() >= TOKEN_SPACE:
             raise DataError(f"token ids must lie in [0, {TOKEN_SPACE})")
@@ -129,32 +154,32 @@ class KVOracle:
         positions = position_offset + np.arange(t, dtype=np.int64)
         x = self._embeddings[token_arr] + _positional_encoding(positions, cfg.d_model)
 
+        lam = cfg.lam
         keys = np.empty((cfg.layers, cfg.heads, t, cfg.head_dim), dtype=np.float32)
         values = np.empty_like(keys)
+        carry_out = np.empty((cfg.layers, cfg.d_model), dtype=np.float64)
         for layer in range(cfg.layers):
-            mixed = self._causal_mix(x)
+            if lam == 0.0:
+                mixed = x.copy()
+            else:
+                mixed = np.empty_like(x)
+                m = carry[layer]
+                for i in range(t):
+                    m = x[i] + lam * m
+                    mixed[i] = m
+            carry_out[layer] = mixed[-1]
             k = mixed @ self._w_key[layer]
             v = mixed @ self._w_value[layer]
             keys[layer] = k.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
             values[layer] = v.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
             x = np.tanh(mixed @ self._w_hidden[layer])
-        return KVTensor(keys=keys, values=values, position_offset=position_offset)
-
-    def _causal_mix(self, x: np.ndarray) -> np.ndarray:
-        lam = self.config.lam
-        if lam == 0.0:
-            return x.copy()
-        mixed = np.empty_like(x)
-        carry = np.zeros(x.shape[1], dtype=np.float64)
-        for t in range(x.shape[0]):
-            carry = x[t] + lam * carry
-            mixed[t] = carry
-        return mixed
+        return KVTensor(keys=keys, values=values, position_offset=position_offset), carry_out
 
     # -- segment views ------------------------------------------------------
 
     def stateful_segment(self, prefix_tokens: list[int], op_tokens: list[int]) -> KVTensor:
-        """The op's KV computed *in context*: prefix ++ op, sliced to the op."""
+        """The op's KV computed *in context* in one pass: prefix ++ op from
+        token 0, sliced to the op.  The reference for resumed computations."""
         if len(op_tokens) == 0:
             raise DataError("operation segment must contain at least one token")
         if len(prefix_tokens) == 0:

@@ -15,8 +15,10 @@ from opflow.kvstore import (
     DELTA_HEADER,
     DELTA_MAGIC,
     KV_HEADER,
+    MODES,
     CacheStore,
     FetchResult,
+    MemoryReport,
     SparseDelta,
     kv_file_nbytes,
     load_store,
@@ -30,6 +32,7 @@ from opflow.kvstore import (
     write_kv,
 )
 from opflow.oracle import KVOracle, KVTensor, OracleConfig, tokenize
+from opflow.pruning import PlanPolicy, TransitionStats, apply_plan, plan_materialization
 
 from conftest import crash_after_rename
 
@@ -293,6 +296,67 @@ class TestMatchesFloat64AddendReference:
                 rec = reconstruct(base, applied)
                 got = np.concatenate([rec.keys, rec.values], axis=3)
                 assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+class TestMatchesArgsortSelection:
+    """``sparsify`` against the selection it replaced: a stable argsort of
+    descending magnitudes, cut where the cumulative energy reaches the target."""
+
+    @staticmethod
+    def argsort_selection(full, base, energy_target):
+        full_c = np.concatenate([full.keys, full.values], axis=3)
+        base_c = np.concatenate([base.keys, base.values], axis=3)
+        flat = (full_c.astype(np.float64) - base_c).ravel()
+        nonzero = int(np.count_nonzero(flat))
+        if nonzero == 0:
+            return np.zeros(0, dtype=np.intp), 1.0
+        order = np.argsort(-np.abs(flat), kind="stable")
+        cumulative = np.cumsum(flat[order] ** 2)
+        keep = nonzero
+        if energy_target < 1.0:
+            idx = int(np.searchsorted(cumulative, energy_target * cumulative[-1], side="left"))
+            keep = min(idx + 1, nonzero)
+        return np.sort(order[:keep]), float(cumulative[keep - 1] / cumulative[-1])
+
+    def check(self, full, base, target):
+        index, fraction = self.argsort_selection(full, base, target)
+        delta = sparsify(full, base, target)
+        assert np.array_equal(delta.index, index)
+        full_c = np.concatenate([full.keys, full.values], axis=3).ravel()
+        assert np.array_equal(delta.values.view(np.uint32), full_c[index].view(np.uint32))
+        assert delta.kept_energy_fraction == fraction
+
+    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95, 0.99, 1.0])
+    def test_random_pairs(self, target):
+        oracle = KVOracle()
+        rng = np.random.default_rng(int(target * 100) + 5)
+        for _ in range(20):
+            self.check(*random_pair(oracle, rng), target)
+
+    @pytest.mark.parametrize("target", [0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_exact_tie_magnitudes(self, target):
+        # Quarter-step bases plus deltas of a few magnitudes of both signs,
+        # all exact in float32, so the cut-off falls inside a run of equal
+        # magnitudes scattered over the tensor.
+        rng = np.random.default_rng(int(target * 100))
+        shape = (2, 2, 5, 4)
+        steps = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
+
+        def pair_of(base):
+            return base, (base + rng.choice(steps, size=shape)).astype(np.float32)
+
+        split_ties = 0
+        for _ in range(20):
+            base_k, full_k = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
+            base_v, full_v = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
+            base = KVTensor(keys=base_k, values=base_v, position_offset=3)
+            full = KVTensor(keys=full_k, values=full_v, position_offset=3)
+            self.check(full, base, target)
+            delta = sparsify(full, base, target)
+            magnitude = np.abs(true_delta(full, base)).ravel()
+            cutoff = np.sort(magnitude)[::-1][delta.entries - 1]
+            split_ties += np.count_nonzero(magnitude[delta.index] == cutoff) < np.count_nonzero(magnitude == cutoff)
+        assert split_ties > 10  # the cut-off mostly keeps some of a tie, not all
 
 
 # ---------------------------------------------------------------------------
@@ -818,3 +882,244 @@ class TestStoreRoundTrip:
         assert meta["mode"] == "differential"
         assert meta["energy_target"] == 0.97
         assert meta["oracle"]["lam"] == 0.8
+
+
+# ---------------------------------------------------------------------------
+# In-context computation from carried prefix state
+# ---------------------------------------------------------------------------
+
+
+def layered_graph(levels=6, width=3):
+    """Every op of one level feeds every op of the next; instructions differ
+    in length so prefixes of equal depth differ in token count."""
+    ops = {
+        f"OP_{level}_{w}": f"level {level} variant {w} " + " ".join(f"w{level}x{w}x{k}" for k in range(2 + w))
+        for level in range(levels)
+        for w in range(width)
+    }
+    edges = tuple(
+        (f"OP_{level}_{a}", f"OP_{level + 1}_{b}")
+        for level in range(levels - 1)
+        for a in range(width)
+        for b in range(width)
+    )
+    wf = Workflow(
+        id="WF_LAYERED", name="layered", description="", patterns_must=(), patterns_should=(),
+        nodes=tuple(ops), edges=edges,
+        operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+    )
+    return merge_workflows([wf])
+
+
+def random_chain(rng, levels=6, width=3):
+    return [f"OP_{level}_{int(rng.integers(width))}" for level in range(levels)]
+
+
+def one_pass(store, path, op_id):
+    return store.oracle.stateful_segment(store.prefix_tokens(path), store.op_tokens(op_id))
+
+
+def assert_bitwise(got, expected):
+    assert got.position_offset == expected.position_offset
+    assert np.array_equal(got.keys.view(np.uint32), expected.keys.view(np.uint32))
+    assert np.array_equal(got.values.view(np.uint32), expected.values.view(np.uint32))
+
+
+def spy_oracle(monkeypatch, oracle):
+    """Token counts of every ``resume`` call (bases included), and every
+    one-pass call."""
+    resumed, one_pass_calls = [], []
+    real_resume, real_one_pass = oracle.resume, oracle.stateful_segment
+
+    def resume(carry, tokens, position_offset):
+        resumed.append(len(tokens))
+        return real_resume(carry, tokens, position_offset)
+
+    def stateful_segment(prefix_tokens, op_tokens):
+        one_pass_calls.append(len(prefix_tokens) + len(op_tokens))
+        return real_one_pass(prefix_tokens, op_tokens)
+
+    monkeypatch.setattr(oracle, "resume", resume)
+    monkeypatch.setattr(oracle, "stateful_segment", stateful_segment)
+    return resumed, one_pass_calls
+
+
+class TestCarriedState:
+    @pytest.mark.parametrize("mode", ["stateful", "differential"])
+    def test_fetches_match_one_pass_reference(self, mode):
+        graph = layered_graph()
+        store = CacheStore(graph, mode=mode, energy_target=1.0)
+        rng = np.random.default_rng(12)
+        for _ in range(15):
+            chain = random_chain(rng)
+            for depth in range(1, len(chain)):
+                path, op_id = tuple(chain[:depth]), chain[depth]
+                kv, info = store.fetch(path, op_id)
+                assert_bitwise(kv, one_pass(store, path, op_id))
+                if mode == "differential" and info.flag == "fallback" and rng.random() < 0.5:
+                    store.insert_residual(path, op_id)
+
+    def test_loaded_store_serves_fallbacks_like_a_fresh_store(self, tmp_path):
+        graph = layered_graph()
+        warm = CacheStore(graph, mode="differential")
+        rng = np.random.default_rng(5)
+        chains = [random_chain(rng) for _ in range(12)]
+        for chain in chains[:6]:
+            for depth in range(1, len(chain)):
+                warm.fetch(chain[:depth], chain[depth])
+                warm.insert_residual(chain[:depth], chain[depth])
+        save_store(warm, tmp_path / "store")
+        loaded = load_store(tmp_path / "store", graph)
+        fresh = CacheStore(graph, mode="differential")
+        fallbacks = 0
+        for chain in chains[6:]:
+            for depth in range(len(chain) - 1, 0, -1):  # deepest first: no ancestor carries yet
+                path, op_id = tuple(chain[:depth]), chain[depth]
+                if (path, op_id) in loaded.residuals:
+                    continue
+                got, info = loaded.fetch(path, op_id)
+                expected, _ = fresh.fetch(path, op_id)
+                assert info.flag == "fallback"
+                assert_bitwise(got, expected)
+                assert_bitwise(got, one_pass(fresh, path, op_id))
+                fallbacks += 1
+        assert fallbacks > 10
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        n = 1105
+        ops = {f"OP_{i:04d}": f"step {i} of a long chain" for i in range(n)}
+        nodes = tuple(ops)
+        wf = Workflow(
+            id="WF_LONG", name="long", description="", patterns_must=(), patterns_should=(),
+            nodes=nodes, edges=tuple(zip(nodes, nodes[1:])),
+            operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+        )
+        graph = merge_workflows([wf])
+        for mode in ("stateful", "differential"):
+            store = CacheStore(graph, mode=mode)
+            path, op_id = nodes[:-1], nodes[-1]
+            kv, info = store.fetch(path, op_id)
+            assert info.flag == "fallback"
+            assert_bitwise(kv, one_pass(store, path, op_id))
+
+    def test_fallback_then_insert_computes_the_pair_once(self, monkeypatch):
+        store = CacheStore(layered_graph(), mode="differential")
+        path, op_id = ("OP_0_0", "OP_1_2", "OP_2_1"), "OP_3_0"
+        store.fetch(path[:-1], path[-1])  # leaves the carry after ``path``
+        store.base(op_id, len(store.prefix_tokens(path)))  # bases resume from zeros too
+        resumed, one_pass_calls = spy_oracle(monkeypatch, store.oracle)
+        _, info = store.fetch(path, op_id)
+        delta = store.insert_residual(path, op_id)
+        assert info.flag == "fallback"
+        assert resumed == [len(store.op_tokens(op_id))]
+        assert one_pass_calls == []
+        _, hit = store.fetch(path, op_id)
+        assert hit.flag == "hit" and hit.entries_applied == delta.entries
+
+    def test_insert_after_another_fallback_computes_again(self, monkeypatch):
+        store = CacheStore(layered_graph(), mode="differential", energy_target=1.0)
+        store.fetch(("OP_0_0",), "OP_1_0")
+        store.fetch(("OP_0_0",), "OP_1_1")  # the memo now holds this pair
+        store.base("OP_1_0", len(store.op_tokens("OP_0_0")))
+        expected = one_pass(store, ("OP_0_0",), "OP_1_0")
+        resumed, one_pass_calls = spy_oracle(monkeypatch, store.oracle)
+        store.insert_residual(("OP_0_0",), "OP_1_0")
+        assert resumed == [len(store.op_tokens("OP_1_0"))]
+        assert one_pass_calls == []
+        kv, info = store.fetch(("OP_0_0",), "OP_1_0")
+        assert info.flag == "hit"
+        assert_bitwise(kv, expected)
+
+    def test_stateful_fetch_feeds_the_oracle_only_the_op(self, monkeypatch):
+        store = CacheStore(layered_graph(levels=8), mode="stateful")
+        chain = random_chain(np.random.default_rng(3), levels=8)
+        store.fetch((), chain[0])
+        resumed, one_pass_calls = spy_oracle(monkeypatch, store.oracle)
+        for depth in range(1, len(chain)):
+            before = len(resumed)
+            store.fetch(chain[:depth], chain[depth])
+            assert resumed[before:] == [len(store.op_tokens(chain[depth]))]
+        assert one_pass_calls == []
+
+
+# ---------------------------------------------------------------------------
+# Running byte totals and per-path validation
+# ---------------------------------------------------------------------------
+
+
+def footprint_from_scratch(store):
+    return MemoryReport(
+        mode=store.mode,
+        bases_bytes=sum(kv_file_nbytes(kv) for kv in store.bases.values()),
+        residuals_bytes=sum(d.nbytes() for d in store.residuals.values()),
+        fulls_bytes=sum(kv_file_nbytes(kv) for kv in store.fulls.values()),
+        n_bases=len(store.bases),
+        n_residuals=len(store.residuals),
+        n_fulls=len(store.fulls),
+    )
+
+
+class TestRunningTotals:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_totals_equal_a_from_scratch_sum(self, mode, tmp_path):
+        graph = layered_graph(levels=5)
+        store = CacheStore(graph, mode=mode)
+        stats = TransitionStats(graph)
+        rng = np.random.default_rng(MODES.index(mode))
+        actions = ["fetch"] * 4 + ["save_load"]
+        if mode == "differential":
+            actions += ["insert", "insert", "drop", "plan"]
+        for step in range(80):
+            chain = random_chain(rng, levels=5)
+            depth = int(rng.integers(0, len(chain)))
+            path, op_id = tuple(chain[:depth]), chain[depth]
+            action = actions[int(rng.integers(len(actions)))]
+            if action == "fetch":
+                store.fetch(path, op_id)
+                stats.record(chain[: depth + 1])
+            elif action == "insert" and path:
+                # over an existing residual as often as not
+                if store.residuals and rng.random() < 0.5:
+                    path, op_id = list(store.residuals)[int(rng.integers(len(store.residuals)))]
+                store.insert_residual(path, op_id)
+            elif action == "drop" and store.residuals:
+                store.drop_residual(*list(store.residuals)[int(rng.integers(len(store.residuals)))])
+            elif action == "plan":
+                apply_plan(store, plan_materialization(graph, stats, PlanPolicy(k=int(rng.integers(1, 3)))))
+            elif action == "save_load":
+                save_store(store, tmp_path / "store")
+                store = load_store(tmp_path / "store", graph)
+            assert store.memory_footprint() == footprint_from_scratch(store), (step, action)
+        assert store.memory_footprint().total_bytes > 0
+
+    def test_replacing_a_residual_at_another_target_keeps_one_count(self):
+        store = CacheStore(small_graph(), mode="differential", energy_target=1.0)
+        store.insert_residual(("OP_A",), "OP_B")
+        store.energy_target = 0.5
+        store.insert_residual(("OP_A",), "OP_B")
+        assert store.memory_footprint() == footprint_from_scratch(store)
+        assert store.memory_footprint().n_residuals == 1
+
+
+class TestPathValidationOnce:
+    def test_errors_match_on_a_known_path(self):
+        fresh = CacheStore(small_graph())
+        known = CacheStore(small_graph())
+        known.fetch(("OP_A",), "OP_B")
+        for path, op_id in [(("OP_A",), "OP_C"), (("OP_A",), "OP_X"), (("OP_A", "OP_B"), "OP_A")]:
+            with pytest.raises(DataError) as first:
+                fresh.fetch(path, op_id)
+            with pytest.raises(DataError) as again:
+                known.fetch(path, op_id)
+            assert str(first.value) == str(again.value)
+
+    def test_path_is_walked_once(self, monkeypatch):
+        store = CacheStore(small_graph(), mode="stateless")
+        walks = []
+        real = store.prefix_tokens
+        monkeypatch.setattr(store, "prefix_tokens", lambda path: walks.append(path) or real(path))
+        for _ in range(3):
+            for op_id in ("OP_C", "OP_D"):
+                _, info = store.fetch(("OP_A", "OP_B"), op_id)
+                assert info.prefix_tokens == len(real(("OP_A", "OP_B")))
+        assert walks == [("OP_A", "OP_B")]

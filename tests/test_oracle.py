@@ -261,3 +261,52 @@ class TestPrefixInfluence:
         seg = oracle.stateful_segment(prefix, op)
         assert np.array_equal(joint.keys[:, :, 4:, :], seg.keys)
         assert np.array_equal(joint.values[:, :, 4:, :], seg.values)
+
+
+# ---------------------------------------------------------------------------
+# Resuming from a prefix's carry
+# ---------------------------------------------------------------------------
+
+
+class TestResume:
+    """``resume`` from the carry a chain of segments leaves behind must give
+    each segment bitwise the one-pass ``stateful_segment`` result.  This also
+    pins that the matrix products give a row the same bits whatever the
+    number of rows around it."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OracleConfig(),
+            OracleConfig(lam=0.0),
+            OracleConfig(layers=3, heads=2, head_dim=24, lam=0.6, seed=7),
+        ],
+        ids=["default", "lam0", "3x2x24"],
+    )
+    def test_chain_matches_one_pass(self, config):
+        oracle = KVOracle(config)
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            carry, prefix = oracle.empty_carry(), []
+            for _ in range(int(rng.integers(1, 14))):
+                segment = list(rng.integers(0, TOKEN_SPACE, size=int(rng.integers(1, 25))))
+                got, carry = oracle.resume(carry, segment, len(prefix))
+                expected = oracle.stateful_segment(prefix, segment)
+                assert got.position_offset == expected.position_offset
+                assert np.array_equal(got.keys.view(np.uint32), expected.keys.view(np.uint32))
+                assert np.array_equal(got.values.view(np.uint32), expected.values.view(np.uint32))
+                prefix += segment
+
+    def test_empty_carry_gives_kv_states(self):
+        oracle = KVOracle()
+        tokens = tokenize("resume from nothing at all")
+        got, carry = oracle.resume(oracle.empty_carry(), tokens, 9)
+        expected = oracle.kv_states(tokens, 9)
+        assert np.array_equal(got.keys, expected.keys)
+        assert np.array_equal(got.values, expected.values)
+        assert carry.shape == (4, 64) and carry.dtype == np.float64
+
+    def test_rejects_carry_of_another_shape(self):
+        oracle = KVOracle()
+        with pytest.raises(DataError, match="carry"):
+            oracle.resume(np.zeros((3, 64)), [1, 2], 0)
