@@ -45,10 +45,7 @@ def build_chain_graph():
 
 
 def frobenius(a, b) -> float:
-    return float(np.sqrt(
-        np.sum((a.keys.astype(np.float64) - b.keys) ** 2)
-        + np.sum((a.values.astype(np.float64) - b.values) ** 2)
-    ))
+    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
 
 
 def serve_once(store: CacheStore, chain: list[str]) -> None:
@@ -78,7 +75,7 @@ def main() -> None:
         bound = np.sqrt(1.0 - 0.95) * influence
         delta = store.residuals.get((path, op))
         kept = "base only (empty prefix -> residual is identically zero)" if not path else (
-            f"residual keeps {delta.entries}/{full.keys.size + full.values.size} entries "
+            f"residual keeps {delta.entries}/{full.states.size} entries "
             f"in {delta.nbytes()} B (dense copy {kv_file_nbytes(full)} B)"
         )
         print(

@@ -251,9 +251,7 @@ def combine_memory(mode: str, reports: Sequence[MemoryReport]) -> MemoryReport:
 def _distance(a, b) -> float:
     """Key/value Euclidean distance, summed in float64: float32 sums round
     by more than the energy bound's 1e-6 slack once deltas are large."""
-    keys = a.keys.astype(np.float64) - b.keys
-    values = a.values.astype(np.float64) - b.values
-    return float(np.sqrt(np.sum(keys**2) + np.sum(values**2)))
+    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
 
 
 def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag: str) -> bool:
@@ -263,7 +261,7 @@ def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag
     op_tokens = store.op_tokens(op_id)
     if store.mode == "stateless":
         expect = oracle.base_segment(op_tokens, len(prefix))
-        return np.array_equal(kv.keys, expect.keys) and np.array_equal(kv.values, expect.values)
+        return np.array_equal(kv.states, expect.states)
     full = oracle.stateful_segment(prefix, op_tokens)
     if store.mode == "differential" and flag == "hit" and path:
         base = oracle.base_segment(op_tokens, len(prefix))
@@ -271,7 +269,7 @@ def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag
         err = _distance(kv, full)
         bound = np.sqrt(max(0.0, 1.0 - store.energy_target)) * delta_norm + 1e-6
         return err <= bound
-    return np.array_equal(kv.keys, full.keys) and np.array_equal(kv.values, full.values)
+    return np.array_equal(kv.states, full.states)
 
 
 def run_serving_sim(
@@ -637,7 +635,7 @@ def sparsity_report(
         op_tokens = tokenize(op_text)
         full = oracle.stateful_segment(prefix, op_tokens)
         base = oracle.base_segment(op_tokens, len(prefix))
-        delta = np.concatenate([full.keys - base.keys, full.values - base.values], axis=3)
+        delta = full.states - base.states
         magnitude = np.abs(delta)
         peak = float(magnitude.max())
         cut = _SPARSITY_THRESHOLD * peak

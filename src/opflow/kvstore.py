@@ -23,10 +23,11 @@ it costs the op's own tokens.  Carries are derived state: 2 KiB per prefix
 path at the default oracle config, neither saved nor counted in
 ``memory_footprint``.
 
-Residual coordinates live in a combined space of shape
-(layers, heads, tokens, 2 * head_dim): the last axis indexes key dims first,
+Residual coordinates index the combined space ``KVTensor.states``, of shape
+(layers, heads, tokens, 2 * head_dim): the last axis holds key dims first,
 value dims second.  A residual holds the full tensor's own float32 value at
-each kept coordinate, a replacement rather than an addend, so reconstruction
+each kept coordinate, a replacement rather than an addend: reconstruction
+copies the base's states and puts those values at their flat indices, so it
 reproduces the full tensor bit-for-bit on every kept coordinate, and at an
 energy target of 1.0 the whole reconstruction is bitwise exact.
 """
@@ -70,7 +71,7 @@ PathKey = tuple[str, ...]
 class SparseDelta:
     """Sparse difference between an in-context tensor and its base.
 
-    ``dense_shape`` is the combined-coordinate shape
+    ``dense_shape`` is the shape of ``KVTensor.states``,
     (layers, heads, tokens, 2 * head_dim); ``index`` is (n,) int32, each kept
     coordinate's flat row-major position in that shape, strictly increasing,
     and ``values`` (n,) float32, the full tensor's value at each.
@@ -109,19 +110,6 @@ class SparseDelta:
         return DELTA_HEADER.size + (prod(self.dense_shape) + 7) // 8 + 4 * self.entries
 
 
-def _combined(kv: KVTensor) -> np.ndarray:
-    return np.concatenate([kv.keys, kv.values], axis=3)
-
-
-def _split(combined: np.ndarray, offset: int) -> KVTensor:
-    d = combined.shape[3] // 2
-    return KVTensor(
-        keys=np.ascontiguousarray(combined[:, :, :, :d]),
-        values=np.ascontiguousarray(combined[:, :, :, d:]),
-        position_offset=offset,
-    )
-
-
 def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> SparseDelta:
     """Keep the smallest set of largest-magnitude delta entries whose squared
     mass reaches ``energy_target`` of the total.
@@ -139,11 +127,9 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
     if not (0.0 < energy_target):
         raise DataError(f"energy target must be positive, got {energy_target}")
 
-    full_c = _combined(full)
-    base_c = _combined(base)
-    if not (np.isfinite(full_c).all() and np.isfinite(base_c).all()):
+    if not (np.isfinite(full.states).all() and np.isfinite(base.states).all()):
         raise DataError("KV tensors must be finite")
-    flat = (full_c.astype(np.float64) - base_c).ravel()
+    flat = (full.states.astype(np.float64) - base.states).ravel()
 
     nonzero = int(np.count_nonzero(flat))
     kept_idx = np.zeros(0, dtype=np.intp)
@@ -166,25 +152,25 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
         kept_fraction = float(cumulative[keep - 1] / total)
 
     return SparseDelta(
-        dense_shape=full_c.shape,
+        dense_shape=full.states.shape,
         position_offset=full.position_offset,
         kept_energy_fraction=kept_fraction,
         index=kept_idx.astype(np.int32),
-        values=full_c.ravel()[kept_idx],
+        values=full.states.ravel()[kept_idx],
     )
 
 
 def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
     """Write a residual's values over a base tensor.  The base is not modified."""
-    combined = _combined(base)
-    if combined.shape != delta.dense_shape:
+    if base.states.shape != delta.dense_shape:
         raise DataError(
-            f"delta shape {delta.dense_shape} does not match base {combined.shape}"
+            f"delta shape {delta.dense_shape} does not match base {base.states.shape}"
         )
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    combined.reshape(-1)[delta.index] = delta.values
-    return _split(combined, base.position_offset)
+    states = base.states.copy()
+    states.reshape(-1)[delta.index] = delta.values
+    return KVTensor(states, base.position_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +180,20 @@ def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
 
 def kv_file_nbytes(kv: KVTensor) -> int:
     """Exact serialized size of a dense KV tensor, header included."""
-    return KV_HEADER.size + kv.keys.nbytes + kv.values.nbytes
+    return KV_HEADER.size + kv.states.nbytes
 
 
 def write_kv(path: str | Path, kv: KVTensor) -> None:
+    """Version 1: header, then every key, then every value, each half
+    row-major over (layers, heads, tokens, head_dim)."""
     layers, heads, t, d = kv.shape
     header = KV_HEADER.pack(
         KV_MAGIC, 1, layers, heads, t, d, kv.position_offset, DTYPE_FLOAT32
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(kv.keys, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(kv.values, dtype="<f4").tobytes())
+        fh.write(kv.keys.astype("<f4", copy=False).tobytes())
+        fh.write(kv.values.astype("<f4", copy=False).tobytes())
 
 
 def read_kv(path: str | Path) -> KVTensor:
@@ -223,10 +211,8 @@ def read_kv(path: str | Path) -> KVTensor:
     expected = KV_HEADER.size + 2 * count * 4
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    body = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size)
-    keys = body[:count].reshape(layers, heads, t, d).copy()
-    values = body[count:].reshape(layers, heads, t, d).copy()
-    return KVTensor(keys=keys, values=values, position_offset=offset)
+    halves = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size).reshape(2, layers, heads, t, d)
+    return KVTensor(np.concatenate(halves, axis=3), offset)
 
 
 def write_delta(path: str | Path, delta: SparseDelta) -> None:
@@ -627,8 +613,10 @@ def _write_snapshot(store: CacheStore, root: Path) -> None:
 
 def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     """Read a store saved by ``save_store`` (from where ``store_root`` finds
-    it), rejecting entries off ``graph``'s edges or of another shape than the
-    stored oracle config gives them."""
+    it), rejecting entries off ``graph``'s edges, of another shape than the
+    stored oracle config gives them, or at another position offset than
+    their key names: a base's filename offset, or the prefix path's token
+    count."""
     root = store_root(directory)
     if root is None:
         raise DataError(f"{directory}: not a cache store (missing meta.json)")
@@ -676,17 +664,18 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             raise DataError(f"{where}: path digest {digest} missing from paths.tsv")
         return path
 
-    def checked(path: PathKey, op_id: str, entry, where: Path):
+    def checked(path: PathKey, op_id: str, entry, where: Path, offset: int | None = None):
         try:
-            store.validate_path(path, op_id)
+            n_prefix = store.validate_path(path, op_id)
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        is_delta = isinstance(entry, SparseDelta)
-        shape = entry.dense_shape if is_delta else entry.shape
-        width = config.head_dim * (2 if is_delta else 1)
-        expected = (config.layers, config.heads, len(store.op_tokens(op_id)), width)
+        shape = entry.dense_shape if isinstance(entry, SparseDelta) else entry.states.shape
+        expected = (config.layers, config.heads, len(store.op_tokens(op_id)), 2 * config.head_dim)
         if shape != expected:
             raise DataError(f"{where}: shape {shape} does not match the oracle config {expected}")
+        offset = n_prefix if offset is None else offset
+        if entry.position_offset != offset:
+            raise DataError(f"{where}: position offset {entry.position_offset}, expected {offset}")
         return entry
 
     bases_dir = root / "bases"
@@ -696,7 +685,8 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             op_id, sep, offset_text = stem.rpartition("@")
             if not sep or not offset_text.isdigit():
                 raise DataError(f"{file}: base filename must look like <op>@<offset>.kv")
-            store._put("bases", (op_id, int(offset_text)), checked((), op_id, read_kv(file), file))
+            offset = int(offset_text)
+            store._put("bases", (op_id, offset), checked((), op_id, read_kv(file), file, offset))
 
     residuals_dir = root / "residuals"
     if residuals_dir.is_dir():

@@ -9,8 +9,10 @@ standalone computation bitwise — the exactness anchor used by the tests.
 
 Construction per layer: hidden states are causally mixed
 (``m_t = x_t + lam * m_{t-1}``), projected to per-head K and V, and passed
-through a tanh projection to the next layer.  All weights are seeded; the
-whole computation is bitwise reproducible for a given config.
+through a tanh projection to the next layer.  K and V come from one product
+per layer, laid out as ``KVTensor.states``, the one KV layout the cache
+layer reads and writes.  All weights are seeded; the whole computation is
+bitwise reproducible for a given config.
 
 Everything a prefix contributes to later tokens passes through the causal
 mix, so one (layers, d_model) float64 array, each layer's ``m_t`` at the
@@ -61,24 +63,33 @@ class OracleConfig:
 class KVTensor:
     """Per-layer, per-head key/value states for one token segment.
 
-    ``keys`` and ``values`` are float32 arrays of shape
-    (layers, heads, tokens, head_dim); ``position_offset`` is the absolute
+    ``states`` is one float32 array of shape (layers, heads, tokens,
+    2 * head_dim): in the last axis the key dims come first, the value dims
+    second.  ``keys`` and ``values`` are views of the two halves, and
+    ``shape`` is the shape of either.  ``position_offset`` is the absolute
     position of the segment's first token.
     """
 
-    keys: np.ndarray
-    values: np.ndarray
+    states: np.ndarray
     position_offset: int
 
     def __post_init__(self):
-        if self.keys.shape != self.values.shape:
+        if self.states.ndim != 4 or self.states.shape[3] % 2:
             raise DataError(
-                f"key/value shape mismatch: {self.keys.shape} vs {self.values.shape}"
+                f"KV states must be (layers, heads, tokens, 2 * head_dim), got {self.states.shape}"
             )
-        if self.keys.dtype != np.float32 or self.values.dtype != np.float32:
+        if self.states.dtype != np.float32:
             raise DataError("KV tensors must be float32")
         if self.position_offset < 0:
             raise DataError("position_offset must be non-negative")
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.states[..., : self.states.shape[3] // 2]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.states[..., self.states.shape[3] // 2 :]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -86,7 +97,7 @@ class KVTensor:
 
     @property
     def tokens(self) -> int:
-        return self.keys.shape[2]
+        return self.states.shape[2]
 
 
 def tokenize(text: str) -> list[int]:
@@ -118,8 +129,14 @@ class KVOracle:
         dm = cfg.d_model
         scale = 1.0 / np.sqrt(dm)
         self._embeddings = rng.standard_normal((TOKEN_SPACE, dm))
-        self._w_key = rng.standard_normal((cfg.layers, dm, dm)) * scale
-        self._w_value = rng.standard_normal((cfg.layers, dm, dm)) * scale
+        w_key = rng.standard_normal((cfg.layers, dm, dm)) * scale
+        w_value = rng.standard_normal((cfg.layers, dm, dm)) * scale
+        # One projection per layer into the states layout: each head's key
+        # columns, then its value columns.
+        per_head = (cfg.layers, dm, cfg.heads, cfg.head_dim)
+        self._w_kv = np.concatenate(
+            [w_key.reshape(per_head), w_value.reshape(per_head)], axis=3
+        ).reshape(cfg.layers, dm, 2 * dm)
         self._w_hidden = rng.standard_normal((cfg.layers, dm, dm)) * scale
 
     # -- core computation ---------------------------------------------------
@@ -155,8 +172,7 @@ class KVOracle:
         x = self._embeddings[token_arr] + _positional_encoding(positions, cfg.d_model)
 
         lam = cfg.lam
-        keys = np.empty((cfg.layers, cfg.heads, t, cfg.head_dim), dtype=np.float32)
-        values = np.empty_like(keys)
+        states = np.empty((cfg.layers, cfg.heads, t, 2 * cfg.head_dim), dtype=np.float32)
         carry_out = np.empty((cfg.layers, cfg.d_model), dtype=np.float64)
         for layer in range(cfg.layers):
             if lam == 0.0:
@@ -168,12 +184,10 @@ class KVOracle:
                     m = x[i] + lam * m
                     mixed[i] = m
             carry_out[layer] = mixed[-1]
-            k = mixed @ self._w_key[layer]
-            v = mixed @ self._w_value[layer]
-            keys[layer] = k.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
-            values[layer] = v.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
+            kv = mixed @ self._w_kv[layer]
+            states[layer] = kv.reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)
             x = np.tanh(mixed @ self._w_hidden[layer])
-        return KVTensor(keys=keys, values=values, position_offset=position_offset), carry_out
+        return KVTensor(states, position_offset), carry_out
 
     # -- segment views ------------------------------------------------------
 
@@ -182,15 +196,9 @@ class KVOracle:
         token 0, sliced to the op.  The reference for resumed computations."""
         if len(op_tokens) == 0:
             raise DataError("operation segment must contain at least one token")
-        if len(prefix_tokens) == 0:
-            return self.kv_states(op_tokens, 0)
         full = self.kv_states(list(prefix_tokens) + list(op_tokens), 0)
         start = len(prefix_tokens)
-        return KVTensor(
-            keys=np.ascontiguousarray(full.keys[:, :, start:, :]),
-            values=np.ascontiguousarray(full.values[:, :, start:, :]),
-            position_offset=start,
-        )
+        return KVTensor(np.ascontiguousarray(full.states[:, :, start:]), start)
 
     def base_segment(self, op_tokens: list[int], position_offset: int) -> KVTensor:
         """The op's KV computed standalone at the same absolute positions."""

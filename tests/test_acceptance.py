@@ -447,8 +447,13 @@ def test_10_format_fidelity(wf_math_001_text, tmp_path, capsys):
     rng = np.random.default_rng(0)
     cfg = OracleConfig()
     kv = KVTensor(
-        keys=rng.normal(size=(cfg.layers, cfg.heads, 5, cfg.head_dim)).astype(np.float32),
-        values=rng.normal(size=(cfg.layers, cfg.heads, 5, cfg.head_dim)).astype(np.float32),
+        np.concatenate(
+            [
+                rng.normal(size=(cfg.layers, cfg.heads, 5, cfg.head_dim)).astype(np.float32),
+                rng.normal(size=(cfg.layers, cfg.heads, 5, cfg.head_dim)).astype(np.float32),
+            ],
+            axis=3,
+        ),
         position_offset=7,
     )
     kv_a, kv_b = tmp_path / "a.kv", tmp_path / "b.kv"
@@ -457,8 +462,13 @@ def test_10_format_fidelity(wf_math_001_text, tmp_path, capsys):
     kv_ok = kv_a.read_bytes() == kv_b.read_bytes()
 
     base = KVTensor(
-        keys=(kv.keys + rng.normal(size=kv.keys.shape).astype(np.float32)),
-        values=(kv.values + rng.normal(size=kv.values.shape).astype(np.float32)),
+        np.concatenate(
+            [
+                kv.keys + rng.normal(size=kv.keys.shape).astype(np.float32),
+                kv.values + rng.normal(size=kv.values.shape).astype(np.float32),
+            ],
+            axis=3,
+        ),
         position_offset=7,
     )
     delta = sparsify(kv, base, 0.95)

@@ -131,13 +131,11 @@ class TestSparsify:
     def test_ties_break_in_coordinate_order(self):
         shape = (1, 1, 2, 2)
         base = KVTensor(
-            keys=np.zeros(shape, dtype=np.float32),
-            values=np.zeros(shape, dtype=np.float32),
+            np.concatenate([np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.float32)], axis=3),
             position_offset=0,
         )
         full = KVTensor(
-            keys=np.ones(shape, dtype=np.float32),
-            values=np.ones(shape, dtype=np.float32),
+            np.concatenate([np.ones(shape, dtype=np.float32), np.ones(shape, dtype=np.float32)], axis=3),
             position_offset=0,
         )
         delta = sparsify(full, base, 0.5)  # 8 equal entries -> keep first 4
@@ -152,7 +150,7 @@ class TestSparsify:
         with pytest.raises(DataError):
             sparsify(full, base, 0.0)
         shifted = KVTensor(
-            keys=base.keys, values=base.values, position_offset=base.position_offset + 1
+            np.concatenate([base.keys, base.values], axis=3), position_offset=base.position_offset + 1
         )
         with pytest.raises(DataError):
             sparsify(full, shifted)
@@ -232,6 +230,13 @@ class TestReconstruct:
                 assert delta.index.dtype == np.int32
                 back = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
                 assert np.array_equal(back, delta.index)
+
+    def test_result_is_one_contiguous_array_apart_from_the_base(self):
+        oracle = KVOracle()
+        full, base = random_pair(oracle, np.random.default_rng(29))
+        rec = reconstruct(base, sparsify(full, base, 0.95))
+        assert rec.states.flags.c_contiguous
+        assert not np.shares_memory(rec.states, base.states)
 
     def test_rejects_mismatched_delta(self):
         oracle = KVOracle()
@@ -349,8 +354,8 @@ class TestMatchesArgsortSelection:
         for _ in range(20):
             base_k, full_k = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
             base_v, full_v = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
-            base = KVTensor(keys=base_k, values=base_v, position_offset=3)
-            full = KVTensor(keys=full_k, values=full_v, position_offset=3)
+            base = KVTensor(np.concatenate([base_k, base_v], axis=3), position_offset=3)
+            full = KVTensor(np.concatenate([full_k, full_v], axis=3), position_offset=3)
             self.check(full, base, target)
             delta = sparsify(full, base, target)
             magnitude = np.abs(true_delta(full, base)).ravel()
@@ -379,6 +384,15 @@ class TestFileFormats:
         again = tmp_path / "seg2.kv"
         write_kv(again, back)
         assert again.read_bytes() == file.read_bytes()
+
+    def test_kv_file_is_header_then_keys_then_values(self, tmp_path):
+        rng = np.random.default_rng(37)
+        keys = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+        values = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+        file = tmp_path / "seg.kv"
+        write_kv(file, KVTensor(np.concatenate([keys, values], axis=3), 11))
+        header = KV_HEADER.pack(kvstore.KV_MAGIC, 1, 2, 3, 5, 4, 11, kvstore.DTYPE_FLOAT32)
+        assert file.read_bytes() == header + keys.tobytes() + values.tobytes()
 
     def test_delta_round_trip_bitwise(self, tmp_path):
         oracle = KVOracle()
@@ -833,7 +847,7 @@ class TestStoreRoundTrip:
 
     @staticmethod
     def narrower(kv):
-        return KVTensor(kv.keys[..., :-1].copy(), kv.values[..., :-1].copy(), kv.position_offset)
+        return KVTensor(np.concatenate([kv.keys[..., :-1], kv.values[..., :-1]], axis=3), kv.position_offset)
 
     def test_load_rejects_base_shape_mismatch(self, tmp_path):
         graph, store = self.populate()
@@ -869,6 +883,44 @@ class TestStoreRoundTrip:
         )
         write_delta(file, wrong)
         with pytest.raises(DataError, match="shape"):
+            load_store(where, graph)
+
+    @staticmethod
+    def shifted(kv, by=3):
+        return KVTensor(kv.states, kv.position_offset + by)
+
+    def test_load_rejects_base_offset_other_than_its_filename(self, tmp_path):
+        graph = small_graph()
+        store = CacheStore(graph, mode="stateless")
+        store.fetch(("OP_A",), "OP_B")
+        where = tmp_path / "store"
+        save_store(store, where)
+        n_prefix = len(store.prefix_tokens(("OP_A",)))
+        file = where / "bases" / f"OP_B@{n_prefix}.kv"
+        write_kv(file, self.shifted(read_kv(file)))
+        with pytest.raises(DataError, match="offset"):
+            load_store(where, graph)
+
+    def test_load_rejects_full_offset_other_than_its_prefix(self, tmp_path):
+        graph = small_graph()
+        store = CacheStore(graph, mode="stateful")
+        store.fetch(("OP_A",), "OP_B")
+        where = tmp_path / "store"
+        save_store(store, where)
+        (file,) = (where / "fulls").rglob("*.kv")
+        write_kv(file, self.shifted(read_kv(file)))
+        with pytest.raises(DataError, match="offset"):
+            load_store(where, graph)
+
+    def test_load_rejects_delta_offset_other_than_its_prefix(self, tmp_path):
+        graph, store = self.populate()
+        where = tmp_path / "store"
+        save_store(store, where)
+        file = where / "residuals" / path_digest(("OP_A",)) / "OP_B.delta"
+        delta = read_delta(file)
+        delta.position_offset += 3
+        write_delta(file, delta)
+        with pytest.raises(DataError, match="offset"):
             load_store(where, graph)
 
     def test_load_rejects_missing_meta(self, tmp_path):

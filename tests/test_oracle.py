@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opflow.errors import DataError
-from opflow.oracle import TOKEN_SPACE, KVOracle, KVTensor, OracleConfig, tokenize
+from opflow.oracle import TOKEN_SPACE, KVOracle, KVTensor, OracleConfig, _positional_encoding, tokenize
 
 
 def random_words(rng, n):
@@ -157,11 +157,11 @@ class TestKVStates:
     def test_kvtensor_validation(self):
         k = np.zeros((1, 1, 2, 3), dtype=np.float32)
         with pytest.raises(DataError):
-            KVTensor(keys=k, values=np.zeros((1, 1, 2, 4), dtype=np.float32), position_offset=0)
+            KVTensor(np.concatenate([k, np.zeros((1, 1, 2, 4), dtype=np.float32)], axis=3), position_offset=0)
         with pytest.raises(DataError):
-            KVTensor(keys=k.astype(np.float64), values=k.astype(np.float64), position_offset=0)
+            KVTensor(np.concatenate([k.astype(np.float64), k.astype(np.float64)], axis=3), position_offset=0)
         with pytest.raises(DataError):
-            KVTensor(keys=k, values=k, position_offset=-2)
+            KVTensor(np.concatenate([k, k], axis=3), position_offset=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +310,69 @@ class TestResume:
         oracle = KVOracle()
         with pytest.raises(DataError, match="carry"):
             oracle.resume(np.zeros((3, 64)), [1, 2], 0)
+
+
+class TwoProductOracle:
+    """The oracle's weight draws in their order, projected as two products
+    per layer, ``mixed @ W_key`` and ``mixed @ W_value``, each reshaped to
+    (heads, tokens, head_dim): the reference for the one fused product."""
+
+    def __init__(self, config):
+        self.config = config
+        dm = config.d_model
+        scale = 1.0 / np.sqrt(dm)
+        rng = np.random.default_rng(config.seed)
+        self.embeddings = rng.standard_normal((TOKEN_SPACE, dm))
+        self.w_key = rng.standard_normal((config.layers, dm, dm)) * scale
+        self.w_value = rng.standard_normal((config.layers, dm, dm)) * scale
+        self.w_hidden = rng.standard_normal((config.layers, dm, dm)) * scale
+
+    def resume(self, carry, tokens, offset):
+        cfg = self.config
+        t = len(tokens)
+        x = self.embeddings[np.asarray(tokens)] + _positional_encoding(offset + np.arange(t), cfg.d_model)
+        keys = np.empty((cfg.layers, cfg.heads, t, cfg.head_dim), dtype=np.float32)
+        values = np.empty_like(keys)
+        carry_out = np.empty_like(carry)
+        for layer in range(cfg.layers):
+            if cfg.lam == 0.0:
+                mixed = x.copy()
+            else:
+                mixed = np.empty_like(x)
+                m = carry[layer]
+                for i in range(t):
+                    m = x[i] + cfg.lam * m
+                    mixed[i] = m
+            carry_out[layer] = mixed[-1]
+            k = mixed @ self.w_key[layer]
+            v = mixed @ self.w_value[layer]
+            keys[layer] = k.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
+            values[layer] = v.reshape(t, cfg.heads, cfg.head_dim).transpose(1, 0, 2).astype(np.float32)
+            x = np.tanh(mixed @ self.w_hidden[layer])
+        return keys, values, carry_out
+
+
+class TestFusedProjection:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OracleConfig(),
+            OracleConfig(lam=0.0),
+            OracleConfig(layers=3, heads=2, head_dim=24, lam=0.6, seed=7),
+        ],
+        ids=["default", "lam0", "3x2x24"],
+    )
+    def test_states_equal_two_products_bitwise(self, config):
+        oracle, reference = KVOracle(config), TwoProductOracle(config)
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            carry = ref_carry = oracle.empty_carry()
+            offset = 0
+            for _ in range(int(rng.integers(1, 14))):
+                segment = list(rng.integers(0, TOKEN_SPACE, size=int(rng.integers(1, 25))))
+                got, carry = oracle.resume(carry, segment, offset)
+                keys, values, ref_carry = reference.resume(ref_carry, segment, offset)
+                expected = np.concatenate([keys, values], axis=3)
+                assert np.array_equal(got.states.view(np.uint32), expected.view(np.uint32))
+                assert np.array_equal(carry, ref_carry)
+                offset += len(segment)
