@@ -12,7 +12,8 @@ Conventions, uniform across subcommands:
 * configuration precedence: command-line flags > ``--config`` file (flat
   ``key=value`` lines, ``#`` comments) > built-in defaults;
 * standard output carries the command's artifact (summary line, document, or
-  CSV); logging goes to standard error only;
+  CSV); logging goes to standard error only, warnings by default and
+  progress lines too with ``-v``;
 * every command is deterministic for fixed seed and inputs, and no command
   mutates its inputs — all writes land in the ``--out`` or ``--store``
   directories.
@@ -408,6 +409,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--seed", type=int, help="global random seed (default 42)")
     parser.add_argument("--out", help="output directory (default '.')")
+    parser.add_argument("-v", dest="verbose", action="store_true", help="log progress to stderr")
 
 
 def build_parser() -> _Parser:
@@ -499,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(args, file_values)

@@ -149,12 +149,6 @@ class _ModelInputs:
                 f"the embedder gives {width}"
             )
 
-    def features(self, task_rows: np.ndarray) -> np.ndarray:
-        """(B, V, D) node features: ``base_x`` with row b's task embedding."""
-        x = np.broadcast_to(self.base_x, (len(task_rows),) + self.base_x.shape).copy()
-        x[:, self.task_index] = task_rows
-        return x
-
 
 # Keyed by graph identity; an entry lives as long as its (immutable) graph.
 _INPUTS: weakref.WeakKeyDictionary[OperationGraph, _ModelInputs] = weakref.WeakKeyDictionary()
@@ -212,11 +206,12 @@ def train(
             noise = gumbel_noise(rng, (len(batch), n_edges))
             loss, cache = forward_loss(
                 params,
-                inputs.features(task_rows[batch]),
+                inputs.base_x,
                 inputs.adjacency,
                 inputs.edge_index,
                 inputs.task_index,
                 labels[batch],
+                task_rows=task_rows[batch],
                 tau=config.tau,
                 noise=noise,
             )
@@ -246,9 +241,15 @@ def evaluate_loss(
     inputs = _model_inputs(graph)
     inputs.check_width(params)
     labels = np.stack([build_labels(graph, s.workflow) for s in samples])
-    x = inputs.features(np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples]))
+    task_rows = np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples])
     loss, _ = forward_loss(
-        params, x, inputs.adjacency, inputs.edge_index, inputs.task_index, labels
+        params,
+        inputs.base_x,
+        inputs.adjacency,
+        inputs.edge_index,
+        inputs.task_index,
+        labels,
+        task_rows=task_rows,
     )
     return float(loss)
 
@@ -266,7 +267,8 @@ def score_candidate_edges(
     """Noise-free admission probabilities aligned with ``graph.edge_list``."""
     inputs = _model_inputs(graph)
     inputs.check_width(params)
-    x = inputs.features(_EMBEDDER.embed_text(task_text)[None])[0]
+    x = inputs.base_x.copy()
+    x[inputs.task_index] = _EMBEDDER.embed_text(task_text)
     h = gcn_forward(params, x, inputs.adjacency)
     omega = score_edges(params, h, inputs.edge_index, inputs.task_index)
     return gumbel_sigmoid(omega)

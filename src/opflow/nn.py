@@ -204,16 +204,14 @@ def _incidence(nodes: np.ndarray, n_nodes: int) -> np.ndarray:
 class ForwardCache:
     params: ModelParams
     s: np.ndarray
-    x: np.ndarray
+    x0: np.ndarray
+    task_rows: np.ndarray
     z1: np.ndarray
-    m1: np.ndarray
-    h1: np.ndarray
     z2: np.ndarray
     m2: np.ndarray
     h2: np.ndarray
     edge_index: np.ndarray
     task_index: int
-    zc: np.ndarray
     p1: np.ndarray
     a1: np.ndarray
     p2: np.ndarray
@@ -222,8 +220,6 @@ class ForwardCache:
     scores: np.ndarray
     labels: np.ndarray
     tau: float
-    loss: float
-    batched: bool
 
 
 def forward_loss(
@@ -234,39 +230,47 @@ def forward_loss(
     task_index: int,
     labels: np.ndarray,
     *,
+    task_rows: np.ndarray | None = None,
     tau: float = 1.0,
     noise: np.ndarray | None = None,
 ) -> tuple[float, ForwardCache]:
     """Full training loss with everything the backward pass needs.
 
-    ``noise`` (same shape as the per-edge logits) enables the Gumbel
-    relaxation; it is treated as a constant by the backward pass.  ``x`` and
-    ``labels`` may carry a leading batch axis; the loss is the batch mean of
-    per-sample edge means.
+    ``x`` is the (V, D) feature matrix.  With ``task_rows`` (B, D), sample b
+    is ``x`` with row ``task_index`` replaced by ``task_rows[b]``, and
+    ``labels`` (and ``noise``) are (B, E); without it there is one sample,
+    ``x`` itself, with (E,) labels.  ``noise`` enables the Gumbel
+    relaxation; it is treated as a constant by the backward pass.  The loss
+    is the batch mean of per-sample edge means.
+
+    Each term is computed where it varies.  Samples differ only in the task
+    row, so GCN layer 1 is the shared ``S (X0 W1)`` (``X0`` is ``x`` with a
+    zero task row) plus the rank-1 ``S[:, t] (r_b W1)``; the edge MLP's first
+    layer runs once per node on ``[h_src, h_dst]`` weights and once per
+    sample on the task weights, and is summed per edge.
     """
-    batched = x.ndim == 3
-    if not batched:
-        x = x[None]
+    if task_rows is None:
+        task_rows = x[task_index][None]
         labels = np.asarray(labels, dtype=np.float64)[None]
         if noise is not None:
             noise = np.asarray(noise)[None]
     labels = np.asarray(labels, dtype=np.float64)
+    x0 = x.copy()
+    x0[task_index] = 0.0
 
     s = normalized_adjacency(a)
-    m1 = s @ x
-    z1 = _times(m1, params.gcn_w1)
+    shared = s @ (x0 @ params.gcn_w1)  # (V, H), once per step
+    z1 = shared + s[:, task_index, None] * (task_rows @ params.gcn_w1)[:, None]  # (B, V, H)
     h1 = np.maximum(z1, 0.0)
     m2 = s @ h1
     z2 = _times(m2, params.gcn_w2)
     h2 = np.maximum(z2, 0.0)
 
+    h, m = params.dim_hidden, params.mlp_hidden
     src, dst = edge_index[:, 0], edge_index[:, 1]
-    task = h2[:, task_index, :]
-    zc = np.concatenate(
-        [h2[:, src, :], h2[:, dst, :], np.broadcast_to(task[:, None, :], h2[:, src, :].shape)],
-        axis=-1,
-    )
-    p1 = _times(zc, params.mlp_w1) + params.mlp_b1
+    u = _times(h2, _pair_weights(params))  # (B, V, 2M): h2 Wa | h2 Wb per node
+    c = h2[:, task_index] @ params.mlp_w1[2 * h :] + params.mlp_b1  # (B, M)
+    p1 = u[:, src, :m] + u[:, dst, m:] + c[:, None]
     a1 = np.maximum(p1, 0.0)
     p2 = _times(a1, params.mlp_w2) + params.mlp_b2
     a2 = np.maximum(p2, 0.0)
@@ -277,16 +281,14 @@ def forward_loss(
     return loss, ForwardCache(
         params=params,
         s=s,
-        x=x,
+        x0=x0,
+        task_rows=task_rows,
         z1=z1,
-        m1=m1,
-        h1=h1,
         z2=z2,
         m2=m2,
         h2=h2,
         edge_index=edge_index,
         task_index=task_index,
-        zc=zc,
         p1=p1,
         a1=a1,
         p2=p2,
@@ -295,9 +297,14 @@ def forward_loss(
         scores=scores,
         labels=labels,
         tau=tau,
-        loss=loss,
-        batched=batched,
     )
+
+
+def _pair_weights(params: ModelParams) -> np.ndarray:
+    """(H, 2M) ``[Wa | Wb]``: the source and destination row blocks of
+    ``mlp_w1`` side by side."""
+    h = params.dim_hidden
+    return np.hstack([params.mlp_w1[:h], params.mlp_w1[h : 2 * h]])
 
 
 def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
@@ -308,7 +315,7 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     """
     p = cache.params
     b, n_edges = cache.omega.shape
-    h = p.dim_hidden
+    h, m = p.dim_hidden, p.mlp_hidden
     sc = np.clip(cache.scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
 
     d_u = (sc - cache.labels) / (n_edges * b)
@@ -322,24 +329,37 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     grads["mlp_w2"] = _rows(cache.a1).T @ _rows(d_p2)
     grads["mlp_b2"] = d_p2.sum(axis=(0, 1))
     d_a1 = _times(d_p2, p.mlp_w2.T)
-    d_p1 = d_a1 * (cache.p1 > 0)
-    grads["mlp_w1"] = _rows(cache.zc).T @ _rows(d_p1)
-    grads["mlp_b1"] = d_p1.sum(axis=(0, 1))
-    d_zc = _times(d_p1, p.mlp_w1.T)  # (B, E, 3H)
+    d_p1 = d_a1 * (cache.p1 > 0)  # (B, E, M)
 
+    # Each edge's d_p1 row, added onto its source (first M columns) and its
+    # destination (last M): the gradient of the per-node product U.
     n_nodes = cache.h2.shape[1]
-    d_h2 = (  # (B, V, H)
-        _incidence(cache.edge_index[:, 0], n_nodes) @ d_zc[:, :, :h]
-        + _incidence(cache.edge_index[:, 1], n_nodes) @ d_zc[:, :, h : 2 * h]
+    d_pair = np.concatenate(  # (B, V, 2M)
+        [
+            _incidence(cache.edge_index[:, 0], n_nodes) @ d_p1,
+            _incidence(cache.edge_index[:, 1], n_nodes) @ d_p1,
+        ],
+        axis=-1,
     )
-    d_h2[:, cache.task_index, :] += d_zc[:, :, 2 * h :].sum(axis=1)
+    d_c = d_p1.sum(axis=1)  # (B, M)
+    g_pair = _rows(cache.h2).T @ _rows(d_pair)  # (H, 2M)
+    grads["mlp_w1"] = np.vstack(
+        [g_pair[:, :m], g_pair[:, m:], cache.h2[:, cache.task_index].T @ d_c]
+    )
+    grads["mlp_b1"] = d_c.sum(axis=0)
+
+    d_h2 = _times(d_pair, _pair_weights(p).T)  # (B, V, H)
+    d_h2[:, cache.task_index] += d_c @ p.mlp_w1[2 * h :].T
 
     d_z2 = d_h2 * (cache.z2 > 0)
     grads["gcn_w2"] = _rows(cache.m2).T @ _rows(d_z2)
     d_m2 = _times(d_z2, p.gcn_w2.T)
     d_h1 = cache.s.T @ d_m2
     d_z1 = d_h1 * (cache.z1 > 0)
-    grads["gcn_w1"] = _rows(cache.m1).T @ _rows(d_z1)
+    grads["gcn_w1"] = (
+        cache.x0.T @ (cache.s.T @ d_z1.sum(axis=0))
+        + cache.task_rows.T @ (cache.s[:, cache.task_index] @ d_z1)
+    )
     return grads
 
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -100,3 +102,45 @@ def control_params(control_training):
 
 def doc_json(doc: dict) -> str:
     return json.dumps(doc)
+
+
+def dense_features(x, task_index, task_rows=None) -> np.ndarray:
+    """(B, V, D) per-sample features: ``x`` with each sample's task row."""
+    if task_rows is None:
+        return x[None].copy()
+    xb = np.broadcast_to(x, (len(task_rows),) + x.shape).copy()
+    xb[:, task_index] = task_rows
+    return xb
+
+
+def dense_forward(params, xb, a, edge_index, task_index, labels, *, tau=1.0, noise=None):
+    """The forward pass on a (B, V, D) feature stack, written the direct way:
+    ``S X_b W1`` per sample and the edge MLP on ``concat[h_src, h_dst,
+    h_task]``.  Returns the loss and every intermediate."""
+    from opflow import nn
+
+    labels = np.asarray(labels, dtype=np.float64).reshape(len(xb), -1)
+    if noise is not None:
+        noise = np.asarray(noise).reshape(labels.shape)
+    s = nn.normalized_adjacency(a)
+    m1 = s @ xb
+    z1 = m1 @ params.gcn_w1
+    h1 = np.maximum(z1, 0.0)
+    m2 = s @ h1
+    z2 = m2 @ params.gcn_w2
+    h2 = np.maximum(z2, 0.0)
+    src, dst = edge_index[:, 0], edge_index[:, 1]
+    task = np.broadcast_to(h2[:, task_index, None], h2[:, src].shape)
+    zc = np.concatenate([h2[:, src], h2[:, dst], task], axis=-1)
+    p1 = zc @ params.mlp_w1 + params.mlp_b1
+    a1 = np.maximum(p1, 0.0)
+    p2 = a1 @ params.mlp_w2 + params.mlp_b2
+    a2 = np.maximum(p2, 0.0)
+    omega = (a2 @ params.mlp_w3 + params.mlp_b3)[..., 0]
+    scores = nn.gumbel_sigmoid(omega, tau, noise)
+    loss = nn.bce_loss(scores, labels)
+    return loss, SimpleNamespace(
+        params=params, s=s, m1=m1, z1=z1, m2=m2, z2=z2, h2=h2, edge_index=edge_index,
+        task_index=task_index, zc=zc, p1=p1, a1=a1, p2=p2, a2=a2, omega=omega,
+        scores=scores, labels=labels, tau=tau,
+    )

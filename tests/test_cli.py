@@ -577,3 +577,45 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stdout.endswith(" merged\n")
         assert (tmp_path / "graph.json").is_file()
+
+
+class TestVerbose:
+    def test_v_logs_progress_to_stderr_and_leaves_stdout(self, cli_project, tmp_path):
+        root, _ = cli_project
+        runs = {}
+        for flags in ((), ("-v",)):
+            out = tmp_path / ("verbose" if flags else "quiet")
+            runs[flags] = subprocess.run(
+                [sys.executable, "-m", "opflow.cli", "build-graph", *flags,
+                 "--workflows", str(root / "workflows"), "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert runs[flags].returncode == 0
+        quiet, verbose = runs[()], runs[("-v",)]
+        assert quiet.stderr == ""
+        written = tmp_path / "verbose" / "graph.json"
+        assert verbose.stderr == f"INFO opflow: graph written to {written}\n"
+        assert verbose.stdout == quiet.stdout
+        assert (tmp_path / "verbose" / "graph.json").read_bytes() == (
+            tmp_path / "quiet" / "graph.json"
+        ).read_bytes()
+
+    def test_train_logs_where_it_wrote_only_with_v(self, cli_project, tmp_path, capsys, caplog):
+        root, _ = cli_project
+        capsys.readouterr()
+        outputs = []
+        for flags in ((), ("-v",)):
+            caplog.clear()
+            assert main([
+                "train", *flags,
+                "--graph", str(root / "graph.json"),
+                "--workflows", str(root / "workflows"),
+                "--samples", str(root / "samples.tsv"),
+                "--epochs", "1", "--batch-size", "8",
+                "--out", str(tmp_path),
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+            messages = [record.getMessage() for record in caplog.records]
+            written = [m for m in messages if m.startswith("checkpoint and loss curve written to")]
+            assert len(written) == (1 if flags else 0)
+        assert outputs[0] == outputs[1]

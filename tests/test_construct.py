@@ -35,7 +35,7 @@ from opflow.features import HashingEmbedder
 from opflow.graph import Operation, Workflow, merge_workflows, parse_workflow
 from opflow.nn import init_params
 
-from conftest import doc_json, make_workflow_doc
+from conftest import dense_forward, doc_json, make_workflow_doc
 
 
 def graph_of(edges, extra_nodes=()):
@@ -407,9 +407,8 @@ class TestModelInputsCache:
         for array in (inputs.base_x, inputs.adjacency, inputs.edge_index):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        x = inputs.features(np.ones((2, inputs.base_x.shape[1])))
-        assert x.flags.writeable
-        assert not np.shares_memory(x, inputs.base_x)
+        score_candidate_edges(DIAMOND, init_params(seed=4), "a task")
+        assert not inputs.base_x[inputs.task_index].any()
 
     def test_graph_fields_cannot_be_reassigned(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -572,6 +571,27 @@ class TestTraining:
         assert exact == pytest.approx(math.log(2.0), abs=1e-12)
         glorot = evaluate_loss(corpus.graph, samples, init_params(seed=0))
         assert abs(glorot - math.log(2.0)) < 0.05
+
+    def test_evaluate_loss_matches_per_sample_dense_reference(self):
+        corpus = generate_synthetic_corpus(vocab_size=10, n_tasks=12, seed=4)
+        samples = list(corpus.samples)
+        params = init_params(dim_hidden=8, mlp_hidden=6, seed=5)
+        rng = np.random.default_rng(6)
+        for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+            getattr(params, name)[...] += rng.normal(scale=0.05, size=getattr(params, name).shape)
+        inputs = construct._model_inputs(corpus.graph)
+        embedder = HashingEmbedder()
+        losses = []
+        for sample in samples:
+            x = inputs.base_x.copy()
+            x[inputs.task_index] = embedder.embed_text(sample.task_text)
+            loss, _ = dense_forward(
+                params, x[None], inputs.adjacency, inputs.edge_index, inputs.task_index,
+                build_labels(corpus.graph, sample.workflow),
+            )
+            losses.append(loss)
+        got = evaluate_loss(corpus.graph, samples, params)
+        assert got == pytest.approx(np.mean(losses), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from opflow import nn
 from opflow.errors import DataError
 from opflow.nn import (
     SCORE_CLAMP,
@@ -31,6 +32,8 @@ from opflow.nn import (
     score_edges,
     sigmoid,
 )
+
+from conftest import dense_features, dense_forward
 
 
 def tiny_params(d=2, h=2, m=3, seed=0) -> ModelParams:
@@ -258,7 +261,8 @@ def random_instance(seed: int, batch: int = 1):
     for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
         arr = getattr(p, name)
         arr += rng.normal(scale=0.05, size=arr.shape)
-    x = rng.normal(size=(batch, v, d)) if batch > 1 else rng.normal(size=(v, d))
+    x = rng.normal(size=(v, d))
+    task_rows = rng.normal(size=(batch, d)) if batch > 1 else None
     a = (rng.random((v, v)) < 0.4).astype(float)
     np.fill_diagonal(a, 0.0)
     pairs = [(i, j) for i in range(v - 1) for j in range(v - 1) if i != j]
@@ -267,12 +271,13 @@ def random_instance(seed: int, batch: int = 1):
     e = len(edge_index)
     labels = rng.integers(0, 2, size=(batch, e) if batch > 1 else e).astype(float)
     noise = rng.gumbel(size=(batch, e) if batch > 1 else e)
-    return p, x, a, edge_index, v - 1, labels, noise
+    return p, x, a, edge_index, v - 1, labels, noise, task_rows
 
 
 def einsum_reference_backward(cache) -> dict[str, np.ndarray]:
-    """The backward pass written with ``np.einsum`` contractions and
-    ``np.add.at`` scatters: slow, but each line is the textbook formula."""
+    """The backward pass of ``dense_forward`` written with ``np.einsum``
+    contractions and ``np.add.at`` scatters: slow, but each line is the
+    textbook formula."""
     p = cache.params
     b, n_edges = cache.omega.shape
     h = p.dim_hidden
@@ -305,7 +310,7 @@ def einsum_reference_backward(cache) -> dict[str, np.ndarray]:
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_finite_differences(self, seed):
-        p, x, a, edges, task, labels, noise = random_instance(seed)
+        p, x, a, edges, task, labels, noise, _ = random_instance(seed)
         _, cache = forward_loss(p, x, a, edges, task, labels, tau=1.0, noise=noise)
         analytic = backward(cache)
 
@@ -316,24 +321,25 @@ class TestBackward:
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
 
     def test_matches_fd_with_temperature_and_batch(self):
-        p, x, a, edges, task, labels, noise = random_instance(17, batch=3)
-        _, cache = forward_loss(p, x, a, edges, task, labels, tau=0.7, noise=noise)
+        p, x, a, edges, task, labels, noise, rows = random_instance(17, batch=3)
+        args = (x, a, edges, task, labels)
+        _, cache = forward_loss(p, *args, task_rows=rows, tau=0.7, noise=noise)
         analytic = backward(cache)
 
         def loss_fn(q):
-            return forward_loss(q, x, a, edges, task, labels, tau=0.7, noise=noise)[0]
+            return forward_loss(q, *args, task_rows=rows, tau=0.7, noise=noise)[0]
 
         numeric = finite_difference_grads(loss_fn, p, step=1e-4)
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
 
     def test_duplicated_sample_leaves_mean_gradient_unchanged(self):
-        p, x, a, edges, task, labels, noise = random_instance(23)
+        p, x, a, edges, task, labels, noise, _ = random_instance(23)
         _, cache1 = forward_loss(p, x, a, edges, task, labels, noise=noise)
         g1 = backward(cache1)
-        x2 = np.stack([x, x])
+        rows2 = np.stack([x[task], x[task]])
         labels2 = np.stack([labels, labels])
         noise2 = np.stack([noise, noise])
-        _, cache2 = forward_loss(p, x2, a, edges, task, labels2, noise=noise2)
+        _, cache2 = forward_loss(p, x, a, edges, task, labels2, task_rows=rows2, noise=noise2)
         g2 = backward(cache2)
         for name in g1:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-14)
@@ -349,15 +355,19 @@ class TestBackward:
         for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
             arr = getattr(p, name)
             arr += rng.normal(scale=0.05, size=arr.shape)
-        x = rng.normal(size=(b, v, 5))
+        x = rng.normal(size=(v, 5))
+        rows = rng.normal(size=(b, 5))
         a = (rng.random((v, v)) < 0.4).astype(float)
         np.fill_diagonal(a, 0.0)
         edges = np.array([[0, 1], [0, 3], [0, 4], [2, 3], [5, 3], [2, 1], [4, 5]])
         labels = rng.integers(0, 2, size=(b, len(edges))).astype(float)
         noise = rng.gumbel(size=(b, len(edges)))
-        _, cache = forward_loss(p, x, a, edges, 6, labels, tau=0.8, noise=noise)
+        _, cache = forward_loss(p, x, a, edges, 6, labels, task_rows=rows, tau=0.8, noise=noise)
         got = backward(cache)
-        want = einsum_reference_backward(cache)
+        _, dense = dense_forward(
+            p, dense_features(x, 6, rows), a, edges, 6, labels, tau=0.8, noise=noise
+        )
+        want = einsum_reference_backward(dense)
         assert got.keys() == want.keys()
         for name in want:
             assert got[name].shape == want[name].shape
@@ -366,13 +376,79 @@ class TestBackward:
     def test_saturated_scores_give_clamp_scale_gradients(self):
         # Drive omega hugely positive on a label-1 edge: the clamp leaves only
         # a ~1e-7-scale residual gradient signal.
-        p, x, a, edges, task, labels, _ = random_instance(31)
+        p, x, a, edges, task, labels, _, _ = random_instance(31)
         p.mlp_b3 = np.array([60.0])
         labels = np.ones_like(labels)
         _, cache = forward_loss(p, x, a, edges, task, labels)
         grads = backward(cache)
         worst = max(np.max(np.abs(g)) for g in grads.values())
         assert worst <= 1e-6
+
+
+def row_normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """Mean aggregation ``D^-1 (A + I)``: a propagation matrix that is not
+    symmetric, so a row taken for a column cannot cancel out."""
+    u = ((a + a.T) > 0).astype(np.float64)
+    np.fill_diagonal(u, 1.0)
+    return u / u.sum(axis=1, keepdims=True)
+
+
+# The fold and the split change the summation order, so the loss and the
+# gradients match the dense code to rounding, not bitwise: each array within
+# FOLD_RTOL of its largest entry.
+FOLD_RTOL = 1e-12
+
+
+class TestFoldMatchesDense:
+    """``forward_loss``/``backward`` (GCN layer 1 as a shared product plus a
+    rank-1 task term, edge MLP layer 1 split per node) against the dense
+    per-sample forward and the einsum/``add.at`` backward."""
+
+    @pytest.mark.parametrize("support", ["symmetric", "row-normalized"])
+    @pytest.mark.parametrize("task_linked", [True, False])
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_gradients_match(self, monkeypatch, support, task_linked, batch, seed):
+        if support == "row-normalized":
+            monkeypatch.setattr(nn, "normalized_adjacency", row_normalized_adjacency)
+        rng = np.random.default_rng(500 + seed)
+        v, d = int(rng.integers(4, 9)), 5
+        task = v - 1
+        p = init_params(dim_in=d, dim_hidden=6, mlp_hidden=4, seed=seed)
+        for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+            getattr(p, name)[...] += rng.normal(scale=0.05, size=getattr(p, name).shape)
+        x = rng.normal(size=(v, d))  # a non-zero task row, which task_rows replaces
+        a = (rng.random((v, v)) < 0.4).astype(float)
+        np.fill_diagonal(a, 0.0)
+        a[task], a[:, task] = 0.0, 0.0
+        if task_linked:
+            a[task, 0] = 1.0
+        # Twice as many edges as operations: sources and destinations repeat.
+        edges = rng.integers(0, task, size=(2 * task, 2))
+        rows = None if batch is None else rng.normal(size=(batch, d))
+        n = 1 if batch is None else batch
+        labels = rng.integers(0, 2, size=(n, len(edges))).astype(float)
+        noise = rng.gumbel(size=(n, len(edges)))
+        if batch is None:
+            labels, noise = labels[0], noise[0]
+
+        loss, cache = forward_loss(
+            p, x, a, edges, task, labels, task_rows=rows, tau=0.8, noise=noise
+        )
+        got = backward(cache)
+        want_loss, dense = dense_forward(
+            p, dense_features(x, task, rows), a, edges, task, labels, tau=0.8, noise=noise
+        )
+        want = einsum_reference_backward(dense)
+
+        assert loss == pytest.approx(want_loss, rel=FOLD_RTOL, abs=0)
+        np.testing.assert_allclose(cache.scores, dense.scores, rtol=FOLD_RTOL, atol=0)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(got[name] - want[name])) <= FOLD_RTOL * scale, name
 
 
 # ---------------------------------------------------------------------------
