@@ -124,7 +124,8 @@ class _ModelInputs:
     ``adjacency`` the raw task-graph adjacency (the model normalizes it),
     ``edge_index`` the candidate edges as node-index pairs and ``task_index``
     the task row.  The arrays are read-only because every request on the
-    graph shares them; only the task row varies between samples.
+    graph shares them, and so that ``nn`` may memoize, per read-only params,
+    the terms computed from them; only the task row varies between samples.
     """
 
     def __init__(self, graph: OperationGraph):
@@ -176,7 +177,8 @@ def train(
     Fully deterministic for a given seed: initialization, epoch shuffles and
     the per-batch relaxation noise all draw from one seeded generator.  The
     recorded per-epoch loss is the mean *relaxed* (noise-injected) BCE over
-    the epoch's samples.
+    the epoch's samples.  The returned params are read-only; call ``.copy()``
+    to fine-tune them.
     """
     config = config or TrainConfig()
     if not samples:
@@ -227,31 +229,7 @@ def train(
             )
             running += float(loss) * len(batch)
         epoch_losses.append(running / n)
-    return TrainResult(params=params, epoch_losses=epoch_losses)
-
-
-def evaluate_loss(
-    graph: OperationGraph,
-    samples: Sequence[TrainSample],
-    params: ModelParams,
-) -> float:
-    """Noise-free mean BCE of the scorer over a sample set."""
-    if not samples:
-        raise DataError("cannot evaluate on an empty sample list")
-    inputs = _model_inputs(graph)
-    inputs.check_width(params)
-    labels = np.stack([build_labels(graph, s.workflow) for s in samples])
-    task_rows = np.stack([_EMBEDDER.embed_text(s.task_text) for s in samples])
-    loss, _ = forward_loss(
-        params,
-        inputs.base_x,
-        inputs.adjacency,
-        inputs.edge_index,
-        inputs.task_index,
-        labels,
-        task_rows=task_rows,
-    )
-    return float(loss)
+    return TrainResult(params=params.read_only(), epoch_losses=epoch_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +242,14 @@ def score_candidate_edges(
     params: ModelParams,
     task_text: str,
 ) -> np.ndarray:
-    """Noise-free admission probabilities aligned with ``graph.edge_list``."""
+    """Noise-free admission probabilities aligned with ``graph.edge_list``.  For
+    read-only params a request computes only what its task text changes."""
     inputs = _model_inputs(graph)
     inputs.check_width(params)
-    x = inputs.base_x.copy()
-    x[inputs.task_index] = _EMBEDDER.embed_text(task_text)
-    h = gcn_forward(params, x, inputs.adjacency)
+    row = _EMBEDDER.embed_text(task_text)[None]
+    h = gcn_forward(params, inputs.base_x, inputs.adjacency, inputs.task_index, row)
     omega = score_edges(params, h, inputs.edge_index, inputs.task_index)
-    return gumbel_sigmoid(omega)
+    return gumbel_sigmoid(omega[0])
 
 
 def generated_workflow_id(task_text: str) -> str:
@@ -444,11 +422,8 @@ class PlantedCorpus:
         return tuple(i for i, kw in enumerate(self.route_keywords) if kw in words)
 
     def target_edges_for_routes(self, routes: Sequence[int]) -> tuple[tuple[str, str], ...]:
-        edges: list[tuple[str, str]] = []
-        for r in sorted(set(routes)):
-            chain = (self.entry_id,) + self.route_chains[r]
-            edges.extend(zip(chain, chain[1:]))
-        return tuple(sorted(edges))
+        # The route workflows' own edge tuples, so that held workloads share them.
+        return tuple(sorted(edge for r in set(routes) for edge in self.route_workflows[r].edges))
 
     def target_workflow_for_routes(self, routes: Sequence[int]) -> Workflow:
         routes = tuple(sorted(set(routes)))

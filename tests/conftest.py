@@ -144,3 +144,48 @@ def dense_forward(params, xb, a, edge_index, task_index, labels, *, tau=1.0, noi
         task_index=task_index, zc=zc, p1=p1, a1=a1, p2=p2, a2=a2, omega=omega,
         scores=scores, labels=labels, tau=tau,
     )
+
+
+def mean_loss(graph, samples, params) -> float:
+    """Noise-free mean BCE of the scorer over ``samples``: one ``forward_loss``
+    batch on the graph's model inputs."""
+    from opflow import construct, nn
+
+    inputs = construct._model_inputs(graph)
+    labels = np.stack([construct.build_labels(graph, s.workflow) for s in samples])
+    task_rows = np.stack([construct._EMBEDDER.embed_text(s.task_text) for s in samples])
+    loss, _ = nn.forward_loss(
+        params, inputs.base_x, inputs.adjacency, inputs.edge_index, inputs.task_index, labels,
+        task_rows=task_rows,
+    )
+    return float(loss)
+
+
+def finite_difference_grads(loss_fn, params, step: float = 1e-4) -> dict[str, np.ndarray]:
+    """Central differences over every scalar parameter (slow; small dims only)."""
+    grads: dict[str, np.ndarray] = {}
+    work = params.copy()
+    for name, arr in work.arrays().items():
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss_fn(work)
+            flat[i] = orig - step
+            lo = loss_fn(work)
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * step)
+        grads[name] = g
+    return grads
+
+
+def max_relative_gradient_error(analytic, numeric, floor: float = 1e-8) -> float:
+    """max over parameters of |analytic - numeric| / max(|analytic|, |numeric|, floor)."""
+    worst = 0.0
+    for name, a in analytic.items():
+        f = numeric[name]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
+        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
+    return worst

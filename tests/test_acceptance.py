@@ -46,18 +46,21 @@ from opflow.harness import ablate_pruning, make_workload, run_serving_sim, sweep
 from opflow.kvstore import CacheStore, read_delta, read_kv, sparsify, write_delta, write_kv
 from opflow.nn import (
     backward,
-    finite_difference_grads,
     forward_loss,
     gcn_forward,
     init_params,
     load_checkpoint,
-    max_relative_gradient_error,
     save_checkpoint,
 )
 from opflow.oracle import KVOracle, KVTensor, OracleConfig
 from opflow.pruning import PlanPolicy, write_trace_log
 
-from conftest import doc_json, make_workflow_doc
+from conftest import (
+    doc_json,
+    finite_difference_grads,
+    make_workflow_doc,
+    max_relative_gradient_error,
+)
 
 
 def _report(capsys, name: str, passed: bool, detail: str) -> None:

@@ -220,6 +220,20 @@ class TestGenerate:
         assert captured.out == ""
         assert "error" in captured.err
 
+    def test_truncated_checkpoint_is_data_error(self, cli_project, tmp_path, capsys):
+        root, _ = cli_project
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((root / "checkpoint.bin").read_bytes()[:10])
+        capsys.readouterr()
+        assert main([
+            "generate",
+            "--graph", str(root / "graph.json"),
+            "--checkpoint", str(cut),
+            "--task", "x",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "truncated" in err
+
     def test_checkpoint_of_another_width_is_data_error(self, cli_project, tmp_path, capsys):
         root, _ = cli_project
         checkpoint = tmp_path / "narrow.bin"

@@ -19,7 +19,6 @@ from opflow.construct import (
     TrainSample,
     build_labels,
     edge_f1,
-    evaluate_loss,
     generate,
     generate_synthetic_corpus,
     generated_workflow_id,
@@ -33,9 +32,9 @@ from opflow.construct import (
 from opflow.errors import DataError
 from opflow.features import HashingEmbedder
 from opflow.graph import Operation, Workflow, merge_workflows, parse_workflow
-from opflow.nn import init_params
+from opflow.nn import adamw_init, adamw_step, init_params, load_checkpoint, save_checkpoint
 
-from conftest import dense_forward, doc_json, make_workflow_doc
+from conftest import dense_forward, doc_json, make_workflow_doc, mean_loss
 
 
 def graph_of(edges, extra_nodes=()):
@@ -355,7 +354,7 @@ class TestModelInputsCache:
 
         def run():
             result = train(graph, samples, config)
-            loss = evaluate_loss(graph, samples, result.params)
+            loss = mean_loss(graph, samples, result.params)
             scores = [score_candidate_edges(graph, result.params, s.task_text) for s in samples[:8]]
             return result, loss, scores
 
@@ -388,6 +387,22 @@ class TestModelInputsCache:
         generate(graph, params, "second task")
         assert ops == []
         assert texts == ["second task"]
+
+    def test_second_generate_with_read_only_params_normalizes_nothing(self, monkeypatch):
+        graph = graph_of([("A", "B"), ("A", "C"), ("B", "C")])
+        writable = init_params(seed=5)
+        params = writable.read_only()
+        calls = []
+        original = opflow.nn.normalized_adjacency
+        monkeypatch.setattr(
+            opflow.nn, "normalized_adjacency", lambda a: calls.append(a) or original(a)
+        )
+        first = generate(graph, params, "first task")
+        assert len(calls) == 1
+        second = generate(graph, params, "second task")
+        assert len(calls) == 1
+        assert first == generate(graph, writable, "first task")
+        assert second == generate(graph, writable, "second task")
 
     def test_entry_lives_as_long_as_the_graph(self):
         graph = graph_of([("A", "B"), ("B", "C")])
@@ -450,6 +465,15 @@ class TestPlantedCorpus:
             assert set(wf.nodes) == {corpus.entry_id} | nx.descendants(
                 dig, corpus.entry_id
             )
+
+    def test_targets_are_route_chains_sharing_their_edge_tuples(self, planted_default):
+        corpus = planted_default
+        own = {id(edge) for wf in corpus.route_workflows for edge in wf.edges}
+        for routes in ([0], [3, 1], [5, 0, 2]):
+            edges = corpus.target_edges_for_routes(routes)
+            chains = [(corpus.entry_id,) + corpus.route_chains[r] for r in routes]
+            assert edges == tuple(sorted(e for c in chains for e in zip(c, c[1:])))
+            assert all(id(edge) in own for edge in edges)
 
     def test_targets_recoverable_from_task_text(self, planted_default):
         corpus = planted_default
@@ -567,9 +591,9 @@ class TestTraining:
     def test_initial_loss_near_ln2(self):
         corpus = generate_synthetic_corpus(vocab_size=10, n_tasks=200, seed=1)
         samples = list(corpus.samples)
-        exact = evaluate_loss(corpus.graph, samples, zero_params())
+        exact = mean_loss(corpus.graph, samples, zero_params())
         assert exact == pytest.approx(math.log(2.0), abs=1e-12)
-        glorot = evaluate_loss(corpus.graph, samples, init_params(seed=0))
+        glorot = mean_loss(corpus.graph, samples, init_params(seed=0))
         assert abs(glorot - math.log(2.0)) < 0.05
 
     def test_evaluate_loss_matches_per_sample_dense_reference(self):
@@ -590,8 +614,44 @@ class TestTraining:
                 build_labels(corpus.graph, sample.workflow),
             )
             losses.append(loss)
-        got = evaluate_loss(corpus.graph, samples, params)
+        got = mean_loss(corpus.graph, samples, params)
         assert got == pytest.approx(np.mean(losses), rel=1e-12, abs=0)
+
+
+class TestReadOnlyParams:
+    """``train`` and ``load_checkpoint`` return params that nothing can write,
+    which is what lets serving memoize their request-invariant terms."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        corpus = generate_synthetic_corpus(vocab_size=6, n_tasks=16, seed=1)
+        config = TrainConfig(epochs=1, batch_size=8, hidden_dim=8, mlp_hidden=4, seed=3)
+        params = train(corpus.graph, list(corpus.samples), config).params
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(path, params, seed=3)
+        return params, load_checkpoint(path)[0]
+
+    @pytest.mark.parametrize("source", ["train", "load_checkpoint"])
+    def test_writes_raise(self, trained, source):
+        params = trained[source == "load_checkpoint"]
+        grads = {name: np.ones_like(arr) for name, arr in params.arrays().items()}
+        before = {name: arr.copy() for name, arr in params.arrays().items()}
+        with pytest.raises(ValueError, match="read-only"):
+            adamw_step(params, grads, adamw_init(params), lr=1e-2)
+        for name, arr in params.arrays().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+            assert np.array_equal(arr, before[name]), name
+
+    def test_copy_stays_trainable(self, trained):
+        params = trained[0].copy()
+        grads = {name: np.ones_like(arr) for name, arr in params.arrays().items()}
+        before = params.gcn_w1.copy()
+        adamw_step(params, grads, adamw_init(params), lr=1e-2)
+        assert all(arr.flags.writeable for arr in params.arrays().values())
+        assert not np.array_equal(params.gcn_w1, before)
+        assert np.array_equal(trained[0].gcn_w1, before)
 
 
 # ---------------------------------------------------------------------------

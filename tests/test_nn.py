@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -19,21 +21,24 @@ from opflow.nn import (
     adamw_step,
     backward,
     bce_loss,
-    finite_difference_grads,
     forward_loss,
     gcn_forward,
     gumbel_noise,
     gumbel_sigmoid,
     init_params,
     load_checkpoint,
-    max_relative_gradient_error,
     normalized_adjacency,
     save_checkpoint,
     score_edges,
     sigmoid,
 )
 
-from conftest import dense_features, dense_forward
+from conftest import (
+    dense_features,
+    dense_forward,
+    finite_difference_grads,
+    max_relative_gradient_error,
+)
 
 
 def tiny_params(d=2, h=2, m=3, seed=0) -> ModelParams:
@@ -451,6 +456,89 @@ class TestFoldMatchesDense:
             assert np.max(np.abs(got[name] - want[name])) <= FOLD_RTOL * scale, name
 
 
+def serving_instance(seed: int):
+    """Read-only graph inputs with a task row that the task rows replace, as
+    ``construct._ModelInputs`` hands them to the serving forward."""
+    rng = np.random.default_rng(700 + seed)
+    v, d = int(rng.integers(4, 10)), 5
+    task = v - 1
+    p = init_params(dim_in=d, dim_hidden=8, mlp_hidden=8, seed=seed)
+    for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+        getattr(p, name)[...] += rng.normal(scale=0.05, size=getattr(p, name).shape)
+    x = rng.normal(size=(v, d))
+    a = (rng.random((v, v)) < 0.4).astype(float)
+    np.fill_diagonal(a, 0.0)
+    a[task, : int(rng.integers(1, task + 1))] = 1.0
+    edges = rng.integers(0, task, size=(2 * task, 2))
+    rows = rng.normal(size=(int(rng.integers(1, 4)), d))
+    for array in (x, a):
+        array.setflags(write=False)
+    return p, x, a, edges, task, rows
+
+
+def served_logits(p, x, a, edges, task, rows):
+    return score_edges(p, gcn_forward(p, x, a, task, rows), edges, task)
+
+
+class TestServingFold:
+    """``gcn_forward`` with task rows and ``score_edges`` (the folded forward,
+    memoized for read-only params) against the dense per-sample forward."""
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_scores_match_dense(self, read_only, seed):
+        p, x, a, edges, task, rows = serving_instance(seed)
+        if read_only:
+            p = p.read_only()
+        labels = np.zeros((len(rows), len(edges)))
+        _, dense = dense_forward(p, dense_features(x, task, rows), a, edges, task, labels)
+        for _ in range(2):  # with read-only params the second call is a memo hit
+            scores = gumbel_sigmoid(served_logits(p, x, a, edges, task, rows))
+            np.testing.assert_allclose(scores, dense.scores, rtol=FOLD_RTOL, atol=0)
+        assert (p in nn._MEMOS) == read_only
+
+    def test_memo_gives_bitwise_the_unmemoized_scores(self):
+        p, x, a, edges, task, rows = serving_instance(4)
+        frozen = p.read_only()
+        want = served_logits(p, x, a, edges, task, rows)
+        for _ in range(3):
+            assert np.array_equal(served_logits(frozen, x, a, edges, task, rows), want)
+        # Other graph inputs replace the memoized ones, and coming back recomputes them.
+        _, x2, a2, edges2, task2, rows2 = serving_instance(5)
+        other = served_logits(p, x2, a2, edges2, task2, rows2)
+        assert np.array_equal(served_logits(frozen, x2, a2, edges2, task2, rows2), other)
+        assert np.array_equal(served_logits(frozen, x, a, edges, task, rows), want)
+
+    @pytest.mark.parametrize("name", ["gcn_w1", "mlp_w1"])
+    @pytest.mark.parametrize("writable", [False, True])
+    def test_rebinding_a_memoized_weight_is_seen(self, name, writable):
+        p, x, a, edges, task, rows = serving_instance(6)
+        p = p.read_only()
+        before = served_logits(p, x, a, edges, task, rows)
+        replacement = init_params(dim_in=5, dim_hidden=8, mlp_hidden=8, seed=60)
+        if not writable:
+            replacement = replacement.read_only()
+        setattr(p, name, getattr(replacement, name))
+        after = served_logits(p, x, a, edges, task, rows)
+        assert not np.array_equal(after, before)
+        fresh = dataclasses.replace(p)  # the same arrays under a params never served
+        assert np.array_equal(after, served_logits(fresh, x, a, edges, task, rows))
+        assert (p in nn._MEMOS) != writable
+
+    def test_task_rows_need_a_task_index(self):
+        p, x, a, _, _, rows = serving_instance(0)
+        with pytest.raises(DataError, match="task_index"):
+            gcn_forward(p, x, a, task_rows=rows)
+
+    def test_writable_params_leave_no_memo_entry(self):
+        p, x, a, edges, task, rows = serving_instance(7)
+        served_logits(p, x, a, edges, task, rows)
+        assert p not in nn._MEMOS
+        p.gcn_w1.setflags(write=False)  # read-only, yet it could be made writable again
+        served_logits(p, x, a, edges, task, rows)
+        assert p not in nn._MEMOS
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
@@ -547,6 +635,30 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["header", "shapes", "payload"])
+    def test_truncated_file_is_data_error(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(dim_in=3, dim_hidden=2, mlp_hidden=2), seed=0)
+        raw = path.read_bytes()
+        header = 4 + struct.calcsize("<IIIIQI")
+        path.write_bytes(raw[: {"header": 10, "shapes": header + 6, "payload": len(raw) - 3}[cut]])
+        with pytest.raises(DataError, match=f"truncated.*{cut}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [(28, 0xFFFFFFFF, "expected 8 arrays"), (32, 0xFFFFFFFF, "truncated.*shapes")],
+    )
+    def test_corrupt_counts_are_data_errors(self, tmp_path, offset, value, message):
+        # offset 28 is the array count, 32 the first array's ndim.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(dim_in=3, dim_hidden=2, mlp_hidden=2), seed=0)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
