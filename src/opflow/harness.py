@@ -144,7 +144,8 @@ def execution_chains(workflow: Workflow) -> dict[str, tuple[str, ...]]:
     """Root-to-node chain for every node, following each node's smallest parent.
 
     The chain is the KV prefix context for the node's fetch; the chain of a
-    leaf is a maximal executed trace.
+    leaf is a maximal executed trace.  The dict is in topological order, the
+    order ``run_serving_sim`` fetches the nodes in.
     """
     parents: dict[str, list[str]] = {node: [] for node in workflow.nodes}
     for src, dst in workflow.edges:
@@ -161,7 +162,10 @@ def execution_chains(workflow: Workflow) -> dict[str, tuple[str, ...]]:
 
 def maximal_traces(workflow: Workflow) -> list[list[str]]:
     """The smallest-parent chains of the workflow's leaves, sorted."""
-    chains = execution_chains(workflow)
+    return _leaf_traces(workflow, execution_chains(workflow))
+
+
+def _leaf_traces(workflow: Workflow, chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
     has_out = {src for src, _ in workflow.edges}
     leaves = sorted(n for n in workflow.nodes if n not in has_out)
     return [list(chains[leaf]) for leaf in leaves]
@@ -329,8 +333,8 @@ def run_serving_sim(
         n_hit = 0
         n_fall = 0
         n_entries = 0
-        for node in topological_order(wf.nodes, wf.edges):
-            path = chains[node][:-1]
+        for node, chain in chains.items():
+            path = chain[:-1]
             kv, result = req_store.fetch(path, node)
             cost += fetch_cost(
                 result.flag, result.entries_applied, result.prefix_tokens, result.op_tokens
@@ -354,7 +358,7 @@ def run_serving_sim(
             memory.append(combine_memory("stateful", memory[-1:] + [req_store.memory_footprint()]))
 
         if stats is not None:
-            for trace in maximal_traces(wf):
+            for trace in _leaf_traces(wf, chains):
                 stats.record(trace)
 
     return RunReport(

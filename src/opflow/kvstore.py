@@ -39,6 +39,7 @@ import json
 import re
 import shutil
 import struct
+import weakref
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
@@ -60,6 +61,9 @@ _SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
 MODES = ("stateful", "differential", "stateless")
 
 PathKey = tuple[str, ...]
+
+# Op tokens per (immutable) graph, as tuples, shared by every store on it.
+_OP_TOKENS: weakref.WeakKeyDictionary[OperationGraph, dict] = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,8 @@ class CacheStore:
     in context (a (layers, d_model) float64 array, 2 KiB per path at the
     default config), so an in-context computation costs only the op's own
     tokens.  A carry that is missing, as on a store ``load_store`` returned,
-    is rebuilt from the longest prefix of the path that has one.
+    is rebuilt from the longest prefix of the path that has one.  Op tokens
+    are kept per graph, in ``_OP_TOKENS``.
     """
 
     def __init__(
@@ -340,30 +345,27 @@ class CacheStore:
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
         self._bytes = {"bases": 0, "residuals": 0, "fulls": 0}
         self._edges = set(graph.edge_list)
-        self._op_tokens: dict[str, list[int]] = {}
+        self._op_tokens = _OP_TOKENS.setdefault(graph, {})
         self._prefix_len: dict[PathKey, int] = {}
         self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
         self._last_fallback: tuple[tuple[PathKey, str], KVTensor] | None = None
 
     # -- token plumbing ------------------------------------------------------
 
-    def op_tokens(self, op_id: str) -> list[int]:
+    def op_tokens(self, op_id: str) -> tuple[int, ...]:
         cached = self._op_tokens.get(op_id)
         if cached is None:
             op = self.graph.operations.get(op_id)
             if op is None:
                 raise DataError(f"unknown operation {op_id!r}")
-            cached = tokenize(op.instruction)
+            cached = tuple(tokenize(op.instruction))
             if not cached:
                 raise DataError(f"operation {op_id!r} has an empty instruction")
             self._op_tokens[op_id] = cached
         return cached
 
     def prefix_tokens(self, path: Iterable[str]) -> list[int]:
-        tokens: list[int] = []
-        for op_id in path:
-            tokens.extend(self.op_tokens(op_id))
-        return tokens
+        return [token for op_id in path for token in self.op_tokens(op_id)]
 
     def validate_path(self, path: PathKey, op_id: str) -> int:
         """Path ops must chain along graph edges and end on an edge into op.

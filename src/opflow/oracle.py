@@ -9,10 +9,11 @@ standalone computation bitwise — the exactness anchor used by the tests.
 
 Construction per layer: hidden states are causally mixed
 (``m_t = x_t + lam * m_{t-1}``), projected to per-head K and V, and passed
-through a tanh projection to the next layer.  K and V come from one product
-per layer, laid out as ``KVTensor.states``, the one KV layout the cache
-layer reads and writes.  All weights are seeded; the whole computation is
-bitwise reproducible for a given config.
+through a tanh projection to the next layer.  One product per layer gives
+K and V, laid out as ``KVTensor.states`` (the one KV layout the cache layer
+reads and writes), and the next layer's input.  Positional encodings come
+from a table bounded by the positions served.  All weights are seeded; the
+whole computation is bitwise reproducible for a given config.
 
 Everything a prefix contributes to later tokens passes through the causal
 mix, so one (layers, d_model) float64 array, each layer's ``m_t`` at the
@@ -38,6 +39,7 @@ from .errors import DataError
 
 TOKEN_SPACE = 8192
 _MAX_POSITION = 2**31 - 1
+_FIRST_TABLE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ class KVTensor:
     def shape(self) -> tuple[int, int, int, int]:
         return self.keys.shape
 
-    @property
-    def tokens(self) -> int:
-        return self.states.shape[2]
-
 
 def tokenize(text: str) -> list[int]:
     """Whitespace words hashed into a fixed id space."""
@@ -131,13 +129,26 @@ class KVOracle:
         self._embeddings = rng.standard_normal((TOKEN_SPACE, dm))
         w_key = rng.standard_normal((cfg.layers, dm, dm)) * scale
         w_value = rng.standard_normal((cfg.layers, dm, dm)) * scale
-        # One projection per layer into the states layout: each head's key
-        # columns, then its value columns.
+        w_hidden = rng.standard_normal((cfg.layers, dm, dm)) * scale
+        # One projection per layer: each head's key columns, then its value
+        # columns (the states layout), then the next layer's hidden columns.
         per_head = (cfg.layers, dm, cfg.heads, cfg.head_dim)
-        self._w_kv = np.concatenate(
-            [w_key.reshape(per_head), w_value.reshape(per_head)], axis=3
-        ).reshape(cfg.layers, dm, 2 * dm)
-        self._w_hidden = rng.standard_normal((cfg.layers, dm, dm)) * scale
+        w_kv = np.concatenate([w_key.reshape(per_head), w_value.reshape(per_head)], axis=3)
+        self._w = np.concatenate([w_kv.reshape(cfg.layers, dm, 2 * dm), w_hidden], axis=2)
+        self._positions = np.empty((0, dm))
+
+    def _position_rows(self, position_offset: int, t: int) -> np.ndarray:
+        """Encodings of [position_offset, position_offset + t), sliced from a
+        table of [0, n) that doubles only for a call ending within twice its
+        length; any other call computes its rows directly."""
+        end, table = position_offset + t, self._positions
+        if end > len(table):
+            size = max(2 * len(table), _FIRST_TABLE_ROWS)
+            if end > size:
+                positions = position_offset + np.arange(t, dtype=np.int64)
+                return _positional_encoding(positions, self.config.d_model)
+            table = self._positions = _positional_encoding(np.arange(size), self.config.d_model)
+        return table[position_offset:end]
 
     # -- core computation ---------------------------------------------------
 
@@ -168,25 +179,23 @@ class KVOracle:
             raise DataError(f"token ids must lie in [0, {TOKEN_SPACE})")
 
         t = len(tokens)
-        positions = position_offset + np.arange(t, dtype=np.int64)
-        x = self._embeddings[token_arr] + _positional_encoding(positions, cfg.d_model)
+        x = self._embeddings[token_arr] + self._position_rows(position_offset, t)
 
         lam = cfg.lam
+        n_kv = 2 * cfg.d_model
         states = np.empty((cfg.layers, cfg.heads, t, 2 * cfg.head_dim), dtype=np.float32)
         carry_out = np.empty((cfg.layers, cfg.d_model), dtype=np.float64)
         for layer in range(cfg.layers):
-            if lam == 0.0:
-                mixed = x.copy()
-            else:
-                mixed = np.empty_like(x)
-                m = carry[layer]
-                for i in range(t):
-                    m = x[i] + lam * m
-                    mixed[i] = m
-            carry_out[layer] = mixed[-1]
-            kv = mixed @ self._w_kv[layer]
-            states[layer] = kv.reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)
-            x = np.tanh(mixed @ self._w_hidden[layer])
+            # x is fresh in every layer, so its rows are mixed in place.
+            if lam != 0.0:
+                rows = list(x)
+                rows[0] += lam * carry[layer]
+                for prev, row in zip(rows, rows[1:]):
+                    row += lam * prev
+            carry_out[layer] = x[-1]
+            prod = x @ self._w[layer]
+            states[layer] = prod[:, :n_kv].reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)
+            x = np.tanh(prod[:, n_kv:])
         return KVTensor(states, position_offset), carry_out
 
     # -- segment views ------------------------------------------------------

@@ -8,6 +8,8 @@ parameters, whose generated workflows collapse to the entry operation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,72 @@ class TestRunServingSim:
         combo = combine_memory("stateful", [a, b])
         assert combo == MemoryReport("stateful", 11, 22, 33, 44, 55, 66)
         assert combo.total_bytes == 11 + 22 + 33
+
+
+def diamond_graph():
+    ops = {
+        "OP_Z": "open the ticket and read the request",
+        "OP_B": "look up the billing record for the account",
+        "OP_M": "check the message history for earlier replies",
+        "OP_A": "answer the customer with the findings",
+    }
+    full = Workflow(
+        id="WF_DIAMOND", name="diamond", description="", patterns_must=(), patterns_should=(),
+        nodes=tuple(sorted(ops)),
+        edges=(("OP_Z", "OP_B"), ("OP_Z", "OP_M"), ("OP_B", "OP_A"), ("OP_M", "OP_A")),
+        operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+    )
+    return merge_workflows([full]), full
+
+
+class TestOnePlanPerRequest:
+    """``run_serving_sim`` sorts each workflow once: it fetches in the order
+    of the dict ``execution_chains`` returns and records the leaf traces of
+    those same chains."""
+
+    def test_fetches_in_topological_order_with_one_sort_per_request(self, monkeypatch):
+        from opflow import harness
+        from opflow.graph import topological_order
+        from opflow.pruning import TransitionStats
+
+        graph, full = diamond_graph()
+        # Node tuples in lexicographic order, which is not a topological
+        # order here, so fetching in ``nodes`` or sorted order shows.
+        workflows = [
+            full,
+            wf(["OP_A", "OP_M", "OP_Z"], [("OP_M", "OP_A"), ("OP_Z", "OP_M")], wf_id="WF_1"),
+            wf(["OP_B", "OP_Z"], [("OP_Z", "OP_B")], wf_id="WF_2"),
+            full,
+        ]
+        texts = [f"request {i}" for i in range(len(workflows))]
+        workload = Workload(requests=tuple(texts), targets=tuple(w.edges for w in workflows), batch_sizes=(4,))
+        cache = dict(zip(texts, workflows))
+
+        expected_fetches, expected_stats = [], TransitionStats(graph)
+        for w in workflows:
+            chains = execution_chains(w)
+            expected_fetches += [(chains[n][:-1], n) for n in topological_order(w.nodes, w.edges)]
+            for trace in maximal_traces(w):
+                expected_stats.record(trace)
+        reference = run_serving_sim(graph, object(), workload, "differential", workflow_cache=cache)
+
+        sorts, fetches = [], []
+        monkeypatch.setattr(
+            harness, "topological_order", lambda nodes, edges: sorts.append(1) or topological_order(nodes, edges)
+        )
+        real_fetch = CacheStore.fetch
+        monkeypatch.setattr(
+            CacheStore, "fetch", lambda store, path, op_id: fetches.append((path, op_id)) or real_fetch(store, path, op_id)
+        )
+        stats = TransitionStats(graph)
+        report = run_serving_sim(
+            graph, object(), workload, "differential", workflow_cache=cache, stats=stats, verify_fetches=True
+        )
+        assert len(sorts) == len(workflows)
+        assert fetches == expected_fetches
+        assert stats == expected_stats
+        assert report.verified
+        assert replace(report, verified=None) == reference
 
 
 # ---------------------------------------------------------------------------

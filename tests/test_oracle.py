@@ -376,3 +376,80 @@ class TestFusedProjection:
                 assert np.array_equal(got.states.view(np.uint32), expected.view(np.uint32))
                 assert np.array_equal(carry, ref_carry)
                 offset += len(segment)
+
+
+# ---------------------------------------------------------------------------
+# Positional table and the parent arithmetic on single segments
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+class TestPositionTable:
+    def test_slices_equal_direct_encoding_across_growth_steps(self):
+        oracle = KVOracle()
+        dm = oracle.config.d_model
+        # (offset, tokens, table rows after the call): the table doubles only
+        # for a call that ends within twice its length.
+        calls = [
+            (0, 5, 256),
+            (250, 10, 512),
+            (500, 20, 1024),
+            (1000, 30, 2048),
+            (5000, 5, 2048),
+            (2040, 16, 4096),
+            (4090, 6, 4096),
+        ]
+        for offset, t, rows in calls:
+            got = oracle._position_rows(offset, t)
+            expected = _positional_encoding(offset + np.arange(t, dtype=np.int64), dm)
+            assert np.array_equal(bits(got), bits(expected)), (offset, t)
+            assert len(oracle._positions) == rows
+
+    def test_far_offset_allocates_no_table(self, monkeypatch):
+        import opflow.oracle as oracle_module
+
+        config = OracleConfig(layers=3, heads=2, head_dim=24, lam=0.6, seed=7)
+        oracle, reference = KVOracle(config), TwoProductOracle(config)
+        real_encoding = oracle_module._positional_encoding
+
+        def bounded_encoding(positions, dim):
+            assert len(positions) <= 256, f"a {len(positions)}-row positional table"
+            return real_encoding(positions, dim)
+
+        monkeypatch.setattr(oracle_module, "_positional_encoding", bounded_encoding)
+        rng = np.random.default_rng(59)
+        tokens = list(rng.integers(0, TOKEN_SPACE, size=20))
+        carry = rng.standard_normal((config.layers, config.d_model))
+        for table_rows in (0, 256):
+            if table_rows:
+                oracle.kv_states(tokens, 0)
+            got, got_carry = oracle.resume(carry, tokens, 2**31 - 30)
+            keys, values, ref_carry = reference.resume(carry, tokens, 2**31 - 30)
+            assert len(oracle._positions) == table_rows
+            assert np.array_equal(bits(got.states), bits(np.concatenate([keys, values], axis=3)))
+            assert np.array_equal(bits(got_carry), bits(ref_carry))
+
+
+class TestSegmentsMatchParentArithmetic:
+    """``base_segment`` and ``kv_states`` (resume from the zero carry) give
+    bitwise what the per-token loop with two products and a direct
+    positional encoding gives."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [OracleConfig(lam=0.0), OracleConfig(layers=3, heads=2, head_dim=24, lam=0.6, seed=7)],
+        ids=["lam0", "3x2x24"],
+    )
+    def test_base_segment_and_kv_states(self, config):
+        oracle, reference = KVOracle(config), TwoProductOracle(config)
+        rng = np.random.default_rng(67)
+        for offset in (0, 3, 240, 251, 509, 1021, 3000, 70000):
+            tokens = list(rng.integers(0, TOKEN_SPACE, size=int(rng.integers(1, 46))))
+            keys, values, _ = reference.resume(oracle.empty_carry(), tokens, offset)
+            expected = np.concatenate([keys, values], axis=3)
+            for got in (oracle.base_segment(tokens, offset), oracle.kv_states(tokens, offset)):
+                assert got.position_offset == offset
+                assert np.array_equal(bits(got.states), bits(expected)), offset
