@@ -342,15 +342,15 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
 
 
 def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
-    from .kvstore import load_store, store_root
+    from .kvstore import has_store, load_store
 
     store_dir = _require(cfg, "store")
     header = (
         "mode,bases_bytes,residuals_bytes,fulls_bytes,"
         "n_bases,n_residuals,n_fulls,total_bytes"
     )
-    if store_root(store_dir) is None:
-        # An empty (or not yet created) store has an all-zero footprint.
+    if not has_store(store_dir):
+        # A directory holding no store, or none at all, has an all-zero footprint.
         row = f"{cfg.mode},0,0,0,0,0,0,0"
     else:
         graph = _load_graph(cfg)

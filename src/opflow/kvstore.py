@@ -30,17 +30,19 @@ each kept coordinate, a replacement rather than an addend: reconstruction
 copies the base's states and puts those values at their flat indices, so it
 reproduces the full tensor bit-for-bit on every kept coordinate, and at an
 energy target of 1.0 the whole reconstruction is bitwise exact.
+
+``save_store`` writes a store as one file, a JSON manifest followed by each
+entry encoded as a KV or delta file, and swaps it in with one ``os.replace``;
+``load_store`` reads it back one entry at a time.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
-import shutil
+import os
 import struct
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from math import prod
 from pathlib import Path
 from typing import Iterable
@@ -56,7 +58,10 @@ DELTA_MAGIC = b"OFDL"
 KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
 DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, energy, count
 DTYPE_FLOAT32 = 1
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9._-]+$")
+STORE_MAGIC = b"OFST"
+STORE_VERSION = 2
+STORE_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest byte length
+STORE_FILE = "store.bin"
 
 MODES = ("stateful", "differential", "stateless")
 
@@ -187,39 +192,37 @@ def kv_file_nbytes(kv: KVTensor) -> int:
     return KV_HEADER.size + kv.states.nbytes
 
 
-def write_kv(path: str | Path, kv: KVTensor) -> None:
+def _kv_bytes(kv: KVTensor) -> bytes:
     """Version 1: header, then every key, then every value, each half
     row-major over (layers, heads, tokens, head_dim)."""
     layers, heads, t, d = kv.shape
     header = KV_HEADER.pack(
         KV_MAGIC, 1, layers, heads, t, d, kv.position_offset, DTYPE_FLOAT32
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(kv.keys.astype("<f4", copy=False).tobytes())
-        fh.write(kv.values.astype("<f4", copy=False).tobytes())
+    return b"".join(
+        (header, kv.keys.astype("<f4", copy=False).tobytes(), kv.values.astype("<f4", copy=False).tobytes())
+    )
 
 
-def read_kv(path: str | Path) -> KVTensor:
-    raw = Path(path).read_bytes()
+def _kv_from_bytes(raw: bytes, where: str | Path) -> KVTensor:
     if len(raw) < KV_HEADER.size:
-        raise DataError(f"{path}: truncated KV file")
+        raise DataError(f"{where}: truncated KV file")
     magic, version, layers, heads, t, d, offset, dtype = KV_HEADER.unpack_from(raw)
     if magic != KV_MAGIC:
-        raise DataError(f"{path}: not a KV tensor file")
+        raise DataError(f"{where}: not a KV tensor file")
     if version != 1:
-        raise DataError(f"{path}: unsupported KV file version {version}")
+        raise DataError(f"{where}: unsupported KV file version {version}")
     if dtype != DTYPE_FLOAT32:
-        raise DataError(f"{path}: unsupported dtype tag {dtype}")
+        raise DataError(f"{where}: unsupported dtype tag {dtype}")
     count = layers * heads * t * d
     expected = KV_HEADER.size + 2 * count * 4
     if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
     halves = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size).reshape(2, layers, heads, t, d)
     return KVTensor(np.concatenate(halves, axis=3), offset)
 
 
-def write_delta(path: str | Path, delta: SparseDelta) -> None:
+def _delta_bytes(delta: SparseDelta) -> bytes:
     """Version 2: header, a row-major bitmap of the kept coordinates over
     ``dense_shape`` (zero-padded to whole bytes), then their float32 values."""
     header = DELTA_HEADER.pack(
@@ -232,22 +235,18 @@ def write_delta(path: str | Path, delta: SparseDelta) -> None:
     )
     kept = np.zeros(prod(delta.dense_shape), dtype=bool)
     kept[delta.index] = True
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.packbits(kept).tobytes())
-        fh.write(np.asarray(delta.values, dtype="<f4").tobytes())
+    return b"".join((header, np.packbits(kept).tobytes(), np.asarray(delta.values, dtype="<f4").tobytes()))
 
 
-def read_delta(path: str | Path) -> SparseDelta:
-    raw = Path(path).read_bytes()
+def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
     if len(raw) < DELTA_HEADER.size:
-        raise DataError(f"{path}: truncated delta file")
+        raise DataError(f"{where}: truncated delta file")
     magic, version, *shape, offset, energy, count = DELTA_HEADER.unpack_from(raw)
     if magic != DELTA_MAGIC:
-        raise DataError(f"{path}: not a residual delta file")
+        raise DataError(f"{where}: not a residual delta file")
     if version != 2:
         raise DataError(
-            f"{path}: unsupported delta file version {version}; "
+            f"{where}: unsupported delta file version {version}; "
             "rebuild the store with `opflow kv materialize`"
         )
     shape = tuple(shape)
@@ -255,13 +254,13 @@ def read_delta(path: str | Path) -> SparseDelta:
     values_at = DELTA_HEADER.size + (size + 7) // 8
     expected = values_at + 4 * count
     if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
     bits = np.unpackbits(np.frombuffer(raw[DELTA_HEADER.size : values_at], dtype=np.uint8))
     if bits[size:].any():
-        raise DataError(f"{path}: nonzero padding bits after the coordinate bitmap")
+        raise DataError(f"{where}: nonzero padding bits after the coordinate bitmap")
     flat = np.flatnonzero(bits)
     if len(flat) != count:
-        raise DataError(f"{path}: bitmap marks {len(flat)} coordinates, header says {count}")
+        raise DataError(f"{where}: bitmap marks {len(flat)} coordinates, header says {count}")
     return SparseDelta(
         dense_shape=shape,
         position_offset=offset,
@@ -271,10 +270,20 @@ def read_delta(path: str | Path) -> SparseDelta:
     )
 
 
-def path_digest(path: Iterable[str]) -> str:
-    """Stable 16-hex-char digest used to key prefix paths on disk."""
-    joined = ",".join(path).encode("utf-8")
-    return hashlib.blake2b(joined, digest_size=8, person=b"opflow-path").hexdigest()
+def write_kv(path: str | Path, kv: KVTensor) -> None:
+    Path(path).write_bytes(_kv_bytes(kv))
+
+
+def read_kv(path: str | Path) -> KVTensor:
+    return _kv_from_bytes(Path(path).read_bytes(), path)
+
+
+def write_delta(path: str | Path, delta: SparseDelta) -> None:
+    Path(path).write_bytes(_delta_bytes(delta))
+
+
+def read_delta(path: str | Path) -> SparseDelta:
+    return _delta_from_bytes(Path(path).read_bytes(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -507,203 +516,180 @@ def _nbytes(entry: KVTensor | SparseDelta) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Store directories
+# Store files
 # ---------------------------------------------------------------------------
 
-
-def _check_component(name: str, kind: str) -> str:
-    if not _SAFE_NAME.match(name):
-        raise DataError(f"{kind} {name!r} is not filename-safe")
-    return name
+_TABLES = ("bases", "residuals", "fulls")
+_ROW_FIELDS = {"table", "path", "op", "offset", "start", "size"}
 
 
 def save_store(store: CacheStore, directory: str | Path) -> None:
-    """Persist a store: meta.json, bases/, residuals/, fulls/, paths.tsv.
+    """Persist a store as ``<directory>/store.bin``: a header (magic, version,
+    manifest length), a JSON manifest, then every entry's payload.
 
-    The snapshot is written to a sibling directory and swapped in, so a
-    reload gives exactly this store and a failed save leaves the earlier one
-    as it was (a crash between the swap's two renames leaves it in the
-    ``.<name>.old`` sibling, where ``load_store`` finds it).  A non-empty
-    directory with no store, or one holding the working directory, is
-    refused.
+    The manifest holds the mode, energy target and oracle config, and one row
+    per entry: its table, prefix path, op id, base offset (null outside
+    ``bases``), and the byte start and size of its payload, counted from the
+    manifest's end.  Payloads are KV version-1 files (bases, fulls) and delta
+    version-2 files (residuals), so the payload bytes total
+    ``memory_footprint().total_bytes``.  Payloads are encoded and written one
+    at a time.
+
+    The file is written, flushed and synced as ``.store.bin.tmp`` in the same
+    directory, then moved over ``store.bin`` by one ``os.replace``: a reload
+    gives exactly this store, and a failed or interrupted save leaves the
+    earlier one as it was.  Other files in the directory are left alone.
     """
-    root = Path(directory).resolve()
-    if root.is_dir() and any(root.iterdir()) and not (root / "meta.json").is_file():
-        raise DataError(f"{root}: not a cache store, refusing to replace it")
-    if Path.cwd().is_relative_to(root):
-        raise DataError(f"{root}: holds the working directory, refusing to replace it")
-    staging = _sibling(root, "tmp")
-    retired = _sibling(root, "old")
-    shutil.rmtree(staging, ignore_errors=True)  # left behind by a crashed save
-    staging.mkdir(parents=True)
-    try:
-        _write_snapshot(store, staging)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    if (root / "meta.json").is_file():
-        shutil.rmtree(retired, ignore_errors=True)  # stale: root holds a whole store
-        root.rename(retired)
-    staging.rename(root)  # replaces an empty directory
-    shutil.rmtree(retired, ignore_errors=True)
-
-
-def _sibling(root: Path, tag: str) -> Path:
-    root = root.resolve()
-    return root.with_name(f".{root.name}.{tag}")
-
-
-def store_root(directory: str | Path) -> Path | None:
-    """The directory holding the store saved to ``directory``: itself, or its
-    ``.<name>.old`` sibling after a crash between ``save_store``'s two
-    renames; None when neither holds one."""
-    root = Path(directory)
-    for candidate in (root, _sibling(root, "old")):
-        if (candidate / "meta.json").is_file():
-            return candidate
-    return None
-
-
-def _write_snapshot(store: CacheStore, root: Path) -> None:
-    cfg = store.oracle.config
-    meta = {
+    rows, entries, start = [], [], 0
+    for table in _TABLES:
+        for key, entry in sorted(getattr(store, table).items()):
+            path, op_id, offset = ((), *key) if table == "bases" else (*key, None)
+            size = _nbytes(entry)
+            rows.append(
+                {"table": table, "path": list(path), "op": op_id, "offset": offset, "start": start, "size": size}
+            )
+            entries.append(entry)
+            start += size
+    manifest = {
         "energy_target": store.energy_target,
         "mode": store.mode,
-        "oracle": {
-            "head_dim": cfg.head_dim,
-            "heads": cfg.heads,
-            "lam": cfg.lam,
-            "layers": cfg.layers,
-            "seed": cfg.seed,
-        },
+        "oracle": asdict(store.oracle.config),
+        "entries": rows,
     }
-    (root / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    bases_dir = root / "bases"
-    bases_dir.mkdir()
-    for (op_id, offset), kv in sorted(store.bases.items()):
-        _check_component(op_id, "operation id")
-        write_kv(bases_dir / f"{op_id}@{offset}.kv", kv)
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    staging = root / f".{STORE_FILE}.tmp"
+    try:
+        with open(staging, "wb") as fh:  # truncates one left by a killed save
+            fh.write(STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(text)))
+            fh.write(text)
+            for entry in entries:
+                fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(staging, root / STORE_FILE)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
 
-    digests: dict[str, PathKey] = {}
 
-    def keyed_dir(parent: Path, path: PathKey) -> Path:
-        digest = path_digest(path)
-        known = digests.get(digest)
-        if known is not None and known != path:
-            raise DataError(f"path digest collision between {known} and {path}")
-        digests[digest] = path
-        sub = parent / digest
-        sub.mkdir(parents=True, exist_ok=True)
-        return sub
+def has_store(directory: str | Path) -> bool:
+    """Whether ``directory`` holds a saved store, of this version or an
+    earlier one (which ``load_store`` rejects)."""
+    return any((Path(directory) / name).is_file() for name in (STORE_FILE, "meta.json"))
 
-    residuals_dir = root / "residuals"
-    residuals_dir.mkdir()
-    for (path, op_id), delta in sorted(store.residuals.items()):
-        _check_component(op_id, "operation id")
-        write_delta(keyed_dir(residuals_dir, path) / f"{op_id}.delta", delta)
 
-    fulls_dir = root / "fulls"
-    fulls_dir.mkdir()
-    for (path, op_id), kv in sorted(store.fulls.items()):
-        _check_component(op_id, "operation id")
-        write_kv(keyed_dir(fulls_dir, path) / f"{op_id}.kv", kv)
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
-    lines = [f"{digest}\t{','.join(path)}\n" for digest, path in sorted(digests.items())]
-    (root / "paths.tsv").write_text("".join(lines))
+
+def _manifest_rows(manifest, file: Path) -> list[tuple[str, tuple, PathKey, str, int]]:
+    """(table, key, path, op id, size) for each manifest row, checked."""
+    rows = manifest.get("entries")
+    if not isinstance(rows, list):
+        raise DataError(f"{file}: manifest has no entry list")
+    out, seen, start = [], set(), 0
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or set(row) != _ROW_FIELDS:
+            raise DataError(f"{file}: malformed manifest row {i}")
+        table, path, op_id, offset = row["table"], row["path"], row["op"], row["offset"]
+        if table not in _TABLES:
+            raise DataError(f"{file}: manifest row {i} names unknown table {table!r}")
+        is_base = table == "bases"
+        if not (
+            isinstance(path, list)
+            and all(isinstance(node, str) for node in path)
+            and isinstance(op_id, str)
+            and _is_count(row["start"])
+            and _is_count(row["size"])
+            and (_is_count(offset) and not path if is_base else offset is None)
+        ):
+            raise DataError(f"{file}: malformed manifest row {i}")
+        if row["start"] != start:
+            raise DataError(f"{file}: manifest row {i} starts at byte {row['start']}, expected {start}")
+        start += row["size"]
+        path = tuple(path)
+        key = (op_id, offset) if is_base else (path, op_id)
+        if (table, key) in seen:
+            raise DataError(f"{file}: manifest row {i} repeats {table} entry {key}")
+        seen.add((table, key))
+        out.append((table, key, path, op_id, row["size"]))
+    return out
 
 
 def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
-    """Read a store saved by ``save_store`` (from where ``store_root`` finds
-    it), rejecting entries off ``graph``'s edges, of another shape than the
-    stored oracle config gives them, or at another position offset than
-    their key names: a base's filename offset, or the prefix path's token
-    count."""
-    root = store_root(directory)
-    if root is None:
-        raise DataError(f"{directory}: not a cache store (missing meta.json)")
-    meta_path = root / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON ({exc})") from exc
-    try:
-        ocfg = meta["oracle"]
-        config = OracleConfig(
-            layers=ocfg["layers"],
-            heads=ocfg["heads"],
-            head_dim=ocfg["head_dim"],
-            lam=ocfg["lam"],
-            seed=ocfg["seed"],
-        )
-        store = CacheStore(
-            graph,
-            mode=meta["mode"],
-            oracle=KVOracle(config),
-            energy_target=meta["energy_target"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{meta_path}: malformed store metadata ({exc})") from exc
+    """Read the store ``save_store`` wrote to ``directory``, one payload at a
+    time, ignoring any other file there.
 
-    paths_by_digest: dict[str, PathKey] = {}
-    manifest = root / "paths.tsv"
-    if manifest.is_file():
-        for line_no, line in enumerate(manifest.read_text().splitlines(), 1):
-            if not line:
-                continue
-            try:
-                digest, joined = line.split("\t", 1)
-            except ValueError as exc:
-                raise DataError(f"{manifest}:{line_no}: malformed manifest line") from exc
-            path = tuple(joined.split(",")) if joined else ()
-            if path_digest(path) != digest:
-                raise DataError(f"{manifest}:{line_no}: digest does not match path")
-            paths_by_digest[digest] = path
-
-    def resolve(digest: str, where: Path) -> PathKey:
-        path = paths_by_digest.get(digest)
-        if path is None:
-            raise DataError(f"{where}: path digest {digest} missing from paths.tsv")
-        return path
-
-    def checked(path: PathKey, op_id: str, entry, where: Path, offset: int | None = None):
+    Rejects with a ``DataError``: a missing ``store.bin`` (naming a store
+    directory of an earlier version as such), a wrong magic or version, a
+    header, manifest or payload cut short, trailing bytes, a manifest that is
+    not JSON or has a malformed row, an unknown table, payload byte ranges
+    that do not run on from the manifest's end, a repeated key, and entries
+    off ``graph``'s edges, of another shape than the stored oracle config
+    gives them, or at another position offset than their key names: a base's
+    offset, or the prefix path's token count.
+    """
+    file = Path(directory) / STORE_FILE
+    if not file.is_file():
+        if has_store(directory):
+            raise DataError(
+                f"{directory}: a store directory from an earlier version; "
+                "rebuild it with `opflow kv materialize`"
+            )
+        raise DataError(f"{directory}: not a cache store (missing {STORE_FILE})")
+    with open(file, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(STORE_HEADER.size)
+        if len(head) < STORE_HEADER.size:
+            raise DataError(f"{file}: truncated store header")
+        magic, version, manifest_size = STORE_HEADER.unpack(head)
+        if magic != STORE_MAGIC:
+            raise DataError(f"{file}: not a cache store file")
+        if version != STORE_VERSION:
+            raise DataError(f"{file}: unsupported store file version {version}")
+        payloads_at = STORE_HEADER.size + manifest_size
+        if payloads_at > file_size:
+            raise DataError(f"{file}: truncated manifest")
         try:
-            n_prefix = store.validate_path(path, op_id)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        shape = entry.dense_shape if isinstance(entry, SparseDelta) else entry.states.shape
-        expected = (config.layers, config.heads, len(store.op_tokens(op_id)), 2 * config.head_dim)
-        if shape != expected:
-            raise DataError(f"{where}: shape {shape} does not match the oracle config {expected}")
-        offset = n_prefix if offset is None else offset
-        if entry.position_offset != offset:
-            raise DataError(f"{where}: position offset {entry.position_offset}, expected {offset}")
-        return entry
+            manifest = json.loads(fh.read(manifest_size))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{file}: invalid manifest JSON ({exc})") from exc
+        try:
+            ocfg = manifest["oracle"]
+            config = OracleConfig(**{field.name: ocfg[field.name] for field in fields(OracleConfig)})
+            store = CacheStore(
+                graph,
+                mode=manifest["mode"],
+                oracle=KVOracle(config),
+                energy_target=manifest["energy_target"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{file}: malformed store metadata ({exc})") from exc
 
-    bases_dir = root / "bases"
-    if bases_dir.is_dir():
-        for file in sorted(bases_dir.glob("*.kv")):
-            stem = file.name[: -len(".kv")]
-            op_id, sep, offset_text = stem.rpartition("@")
-            if not sep or not offset_text.isdigit():
-                raise DataError(f"{file}: base filename must look like <op>@<offset>.kv")
-            offset = int(offset_text)
-            store._put("bases", (op_id, offset), checked((), op_id, read_kv(file), file, offset))
+        rows = _manifest_rows(manifest, file)
+        end = payloads_at + sum(row[-1] for row in rows)
+        if end > file_size:
+            raise DataError(f"{file}: truncated payloads ({file_size} of {end} bytes)")
+        if end < file_size:
+            raise DataError(f"{file}: {file_size - end} trailing bytes after the payloads")
 
-    residuals_dir = root / "residuals"
-    if residuals_dir.is_dir():
-        for sub in sorted(p for p in residuals_dir.iterdir() if p.is_dir()):
-            path = resolve(sub.name, sub)
-            for file in sorted(sub.glob("*.delta")):
-                op_id = file.name[: -len(".delta")]
-                store._put("residuals", (path, op_id), checked(path, op_id, read_delta(file), file))
-
-    fulls_dir = root / "fulls"
-    if fulls_dir.is_dir():
-        for sub in sorted(p for p in fulls_dir.iterdir() if p.is_dir()):
-            path = resolve(sub.name, sub)
-            for file in sorted(sub.glob("*.kv")):
-                op_id = file.name[: -len(".kv")]
-                store._put("fulls", (path, op_id), checked(path, op_id, read_kv(file), file))
-
+        for table, key, path, op_id, size in rows:
+            where = f"{file}: {table} entry {key}"
+            raw = fh.read(size)
+            entry = _delta_from_bytes(raw, where) if table == "residuals" else _kv_from_bytes(raw, where)
+            try:
+                n_prefix = store.validate_path(path, op_id)
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            shape = entry.dense_shape if table == "residuals" else entry.states.shape
+            expected = (config.layers, config.heads, len(store.op_tokens(op_id)), 2 * config.head_dim)
+            if shape != expected:
+                raise DataError(f"{where}: shape {shape} does not match the oracle config {expected}")
+            offset = key[1] if table == "bases" else n_prefix
+            if entry.position_offset != offset:
+                raise DataError(f"{where}: position offset {entry.position_offset}, expected {offset}")
+            store._put(table, key, entry)
     return store

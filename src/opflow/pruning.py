@@ -11,6 +11,7 @@ and are served by the differential fallback, which is slower but correct.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +19,15 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .graph import OperationGraph
-from .kvstore import CacheStore, path_digest
+from .kvstore import CacheStore
 
 PathKey = tuple[str, ...]
+
+
+def path_digest(path: Iterable[str]) -> str:
+    """Stable 16-hex-char digest of a prefix path, the report's ``path_hash``."""
+    joined = ",".join(path).encode("utf-8")
+    return hashlib.blake2b(joined, digest_size=8, person=b"opflow-path").hexdigest()
 
 
 class TransitionStats:

@@ -22,20 +22,6 @@ def wf_math_001(wf_math_001_text):
     return parse_workflow(wf_math_001_text)
 
 
-def crash_after_rename(monkeypatch, survived):
-    """Make ``Path.rename`` raise once it has renamed ``survived`` times."""
-    real_rename = Path.rename
-    calls = []
-
-    def rename(self, target):
-        calls.append(target)
-        if len(calls) > survived:
-            raise OSError("simulated crash")
-        return real_rename(self, target)
-
-    monkeypatch.setattr(Path, "rename", rename)
-
-
 def make_workflow_doc(wf_id: str, ops: dict[str, str], edges: list[tuple[str, str]]) -> dict:
     """Minimal valid document: ops maps op id -> instruction."""
     return {

@@ -22,8 +22,6 @@ from opflow.graph import parse_graph, parse_workflow, serialize_workflow
 from opflow.nn import init_params, load_checkpoint, save_checkpoint
 from opflow.pruning import write_trace_log
 
-from conftest import crash_after_rename
-
 
 @pytest.fixture(scope="session")
 def cli_project(tmp_path_factory):
@@ -323,12 +321,13 @@ class TestKvStoreCommands:
         assert int(row[4]) > 0 and int(row[5]) > 0
         assert (tmp_path / "footprint.csv").read_text() == csv_text
 
-    def test_footprint_reads_store_left_by_crashed_save(
+    def test_failed_swap_leaves_earlier_store_for_load_and_footprint(
         self, cli_project, tmp_path, capsys, monkeypatch
     ):
-        from opflow.kvstore import load_store, save_store
+        from opflow import kvstore
 
         root, _ = cli_project
+        graph = parse_graph((root / "graph.json").read_text())
         store = tmp_path / "store"
         assert self.materialize(root, store) == 0
         footprint = [
@@ -338,15 +337,42 @@ class TestKvStoreCommands:
         capsys.readouterr()
         assert main(footprint) == 0
         before = capsys.readouterr().out
-        loaded = load_store(store, parse_graph((root / "graph.json").read_text()))
+        saved = (store / "store.bin").read_bytes()
+        loaded = kvstore.load_store(store, graph)
+        residuals = set(loaded.residuals)
         loaded.drop_residual(*next(iter(loaded.residuals)))
-        crash_after_rename(monkeypatch, 1)
-        with pytest.raises(OSError):
-            save_store(loaded, store)
+
+        def failing_replace(src, dst):
+            raise OSError("simulated crash")
+
+        monkeypatch.setattr(kvstore.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            kvstore.save_store(loaded, store)
         monkeypatch.undo()
+        assert [p.name for p in store.iterdir()] == ["store.bin"]
+        assert (store / "store.bin").read_bytes() == saved
+        assert set(kvstore.load_store(store, graph).residuals) == residuals
         assert main(footprint) == 0
         assert capsys.readouterr().out == before
         assert int(before.splitlines()[1].split(",")[-1]) > 0
+
+    def test_footprint_rejects_corrupt_or_version_one_store(self, cli_project, tmp_path, capsys):
+        root, _ = cli_project
+        store = tmp_path / "store"
+        footprint = [
+            "kv", "footprint", "--graph", str(root / "graph.json"),
+            "--store", str(store), "--out", str(tmp_path),
+        ]
+        assert self.materialize(root, store) == 0
+        with open(store / "store.bin", "ab") as fh:
+            fh.write(b"\0")
+        capsys.readouterr()
+        assert main(footprint) == 2
+        assert "trailing bytes" in capsys.readouterr().err
+        (store / "store.bin").unlink()
+        (store / "meta.json").write_text("{}\n")
+        assert main(footprint) == 2
+        assert "kv materialize" in capsys.readouterr().err
 
     def test_footprint_on_empty_store_is_zero_row(self, tmp_path, capsys):
         assert main([
@@ -355,6 +381,13 @@ class TestKvStoreCommands:
         ]) == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert row == "differential,0,0,0,0,0,0,0"
+        # Files that are neither a store nor a version-1 store's meta.json
+        # (here one left by a killed save) still read as an empty store.
+        beside = tmp_path / "beside"
+        beside.mkdir()
+        (beside / ".store.bin.tmp").write_bytes(b"partial")
+        assert main(["kv", "footprint", "--store", str(beside), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
 
     def test_materialize_is_byte_deterministic(self, cli_project, tmp_path):
         root, _ = cli_project

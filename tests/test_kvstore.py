@@ -1,7 +1,8 @@
 """Tests for sparse residuals, cache modes, and the on-disk store layout."""
 
 import json
-import shutil
+import os
+from dataclasses import replace
 from math import prod
 from pathlib import Path
 
@@ -16,13 +17,15 @@ from opflow.kvstore import (
     DELTA_MAGIC,
     KV_HEADER,
     MODES,
+    STORE_HEADER,
+    STORE_MAGIC,
+    STORE_VERSION,
     CacheStore,
     FetchResult,
     MemoryReport,
     SparseDelta,
     kv_file_nbytes,
     load_store,
-    path_digest,
     read_delta,
     read_kv,
     reconstruct,
@@ -32,9 +35,7 @@ from opflow.kvstore import (
     write_kv,
 )
 from opflow.oracle import KVOracle, KVTensor, OracleConfig, tokenize
-from opflow.pruning import PlanPolicy, TransitionStats, apply_plan, plan_materialization
-
-from conftest import crash_after_rename
+from opflow.pruning import PlanPolicy, TransitionStats, apply_plan, path_digest, plan_materialization
 
 
 def small_graph():
@@ -649,13 +650,19 @@ class TestFootprint:
         assert report.n_fulls == 0
 
         save_store(store, tmp_path / "store")
-        base_bytes = sum(f.stat().st_size for f in (tmp_path / "store" / "bases").glob("*.kv"))
-        res_bytes = sum(
-            f.stat().st_size for f in (tmp_path / "store" / "residuals").rglob("*.delta")
-        )
-        assert base_bytes == report.bases_bytes
-        assert res_bytes == report.residuals_bytes
+        text, payloads = split_store_file(tmp_path / "store")
+        sizes = {table: 0 for table in ("bases", "residuals", "fulls")}
+        for row in json.loads(text)["entries"]:
+            sizes[row["table"]] += row["size"]
+        assert sizes == {
+            "bases": report.bases_bytes,
+            "residuals": report.residuals_bytes,
+            "fulls": report.fulls_bytes,
+        }
         assert report.total_bytes == report.bases_bytes + report.residuals_bytes
+        file_size = (tmp_path / "store" / "store.bin").stat().st_size
+        assert file_size == STORE_HEADER.size + len(text) + report.total_bytes
+        assert len(payloads) == report.total_bytes
 
     def test_residual_entry_count_below_dense(self):
         # Decay concentrates the delta, so the kept set is always a strict
@@ -678,7 +685,7 @@ class TestFootprint:
 
 
 # ---------------------------------------------------------------------------
-# Store directory round-trip
+# Store file round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -690,6 +697,13 @@ def assert_same_entries(got, expected):
             for field in ("keys", "values", "coords"):
                 if hasattr(entry, field):
                     assert np.array_equal(getattr(mine[key], field), getattr(entry, field))
+
+
+def split_store_file(where):
+    """(manifest text, payload bytes) of ``where``'s store file."""
+    raw = (where / "store.bin").read_bytes()
+    _, _, size = STORE_HEADER.unpack_from(raw)
+    return raw[STORE_HEADER.size : STORE_HEADER.size + size], raw[STORE_HEADER.size + size :]
 
 
 class TestStoreRoundTrip:
@@ -728,11 +742,8 @@ class TestStoreRoundTrip:
         graph, store = self.populate()
         save_store(store, tmp_path / "one")
         save_store(store, tmp_path / "two")
-        files_one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
-        files_two = sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*") if p.is_file())
-        assert files_one == files_two
-        for rel in files_one:
-            assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+        assert [p.name for p in (tmp_path / "one").iterdir()] == ["store.bin"]
+        assert (tmp_path / "one" / "store.bin").read_bytes() == (tmp_path / "two" / "store.bin").read_bytes()
 
     def test_stateful_store_round_trip(self, tmp_path):
         graph = small_graph()
@@ -746,68 +757,74 @@ class TestStoreRoundTrip:
         assert info.flag == "hit"
         assert np.array_equal(kv.keys, store.fulls[(("OP_A",), "OP_B")].keys)
 
-    def test_load_rejects_digest_mismatch(self, tmp_path):
-        graph, store = self.populate()
-        where = tmp_path / "store"
-        save_store(store, where)
-        manifest = where / "paths.tsv"
-        lines = manifest.read_text().splitlines()
-        first_digest = lines[0].split("\t")[0]
-        tampered = [f"{first_digest}\tOP_B" if l.startswith(first_digest) else l for l in lines]
-        manifest.write_text("\n".join(tampered) + "\n")
-        with pytest.raises(DataError):
-            load_store(where, graph)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_round_trips_bitwise(self, tmp_path, mode):
+        graph = small_graph()
+        store = CacheStore(graph, mode=mode)
+        for path, op_id in (((), "OP_A"), (("OP_A",), "OP_B"), (("OP_A", "OP_B"), "OP_C")):
+            store.fetch(path, op_id)
+            if mode == "differential" and path:
+                store.insert_residual(path, op_id)
+        save_store(store, tmp_path)
+        back = load_store(tmp_path, graph)
+        assert_same_entries(back, store)
+        for table in ("bases", "residuals", "fulls"):
+            for key, entry in getattr(store, table).items():
+                assert getattr(back, table)[key].position_offset == entry.position_offset
+        assert back.memory_footprint() == store.memory_footprint()
 
     def test_failed_save_leaves_earlier_store(self, tmp_path, monkeypatch):
         graph, store = self.populate()
         where = tmp_path / "store"
         save_store(store, where)
-        before = {p: p.read_bytes() for p in where.rglob("*") if p.is_file()}
+        before = (where / "store.bin").read_bytes()
         saved = set(store.residuals)
         store.drop_residual(("OP_A", "OP_B"), "OP_C")
-        written = []
+        encoded = []
+        real_kv_bytes = kvstore._kv_bytes
 
-        def failing_write_delta(path, delta):
-            if written:
+        def failing_kv_bytes(kv):  # the second payload fails to encode
+            if encoded:
                 raise OSError("disk full")
-            written.append(path)
-            write_delta(path, delta)
+            encoded.append(kv)
+            return real_kv_bytes(kv)
 
-        monkeypatch.setattr(kvstore, "write_delta", failing_write_delta)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(kvstore, "_kv_bytes", failing_kv_bytes)
+        with pytest.raises(OSError, match="disk full"):
             save_store(store, where)
-        assert written
-        assert {p: p.read_bytes() for p in where.rglob("*") if p.is_file()} == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
-        back = load_store(where, graph)
-        assert set(back.residuals) == saved
+        assert encoded
+        assert [p.name for p in where.iterdir()] == ["store.bin"]
+        assert (where / "store.bin").read_bytes() == before
+        assert set(load_store(where, graph).residuals) == saved
 
-    def test_crash_between_renames_leaves_earlier_store_loadable(self, tmp_path, monkeypatch):
+    def test_save_syncs_the_whole_file_before_the_swap(self, tmp_path, monkeypatch):
+        graph, store = self.populate()
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace_file(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(kvstore.os, "fsync", fsync)
+        monkeypatch.setattr(kvstore.os, "replace", replace_file)
+        save_store(store, tmp_path)
+        size = (tmp_path / "store.bin").stat().st_size
+        assert calls == [("fsync", size), ("replace", ".store.bin.tmp", "store.bin")]
+
+    def test_stale_temporary_file_is_ignored_then_overwritten(self, tmp_path):
         graph, store = self.populate()
         where = tmp_path / "store"
         save_store(store, where)
+        (where / ".store.bin.tmp").write_bytes(b"left by a killed save")
+        assert_same_entries(load_store(where, graph), store)
         store.drop_residual(("OP_A", "OP_B"), "OP_C")
-        crash_after_rename(monkeypatch, 1)
-        with pytest.raises(OSError):
-            save_store(store, where)
-        monkeypatch.undo()
-        assert not where.exists()
-        _, earlier = self.populate()
-        assert_same_entries(load_store(where, graph), earlier)
-
-        # the next save drops the earlier copy only once its own is in place
-        kept = []
-        real_rmtree = shutil.rmtree
-
-        def watching_rmtree(path, *args, **kwargs):
-            if Path(path).name == ".store.old":
-                kept.append((where / "meta.json").is_file())
-            return real_rmtree(path, *args, **kwargs)
-
-        monkeypatch.setattr(kvstore.shutil, "rmtree", watching_rmtree)
         save_store(store, where)
-        assert kept and all(kept)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert [p.name for p in where.iterdir()] == ["store.bin"]
         assert_same_entries(load_store(where, graph), store)
 
     def test_save_replaces_earlier_snapshot(self, tmp_path):
@@ -818,19 +835,20 @@ class TestStoreRoundTrip:
         save_store(store, where)
         assert set(load_store(where, graph).residuals) == set(store.residuals)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert [p.name for p in where.iterdir()] == ["store.bin"]
 
-    def test_save_refuses_to_replace_a_foreign_directory(self, tmp_path, monkeypatch):
+    def test_save_leaves_files_beside_the_store_untouched(self, tmp_path, monkeypatch):
         graph, store = self.populate()
         (tmp_path / "notes.txt").write_text("keep me")
-        with pytest.raises(DataError):
-            save_store(store, tmp_path)
+        save_store(store, tmp_path)
+        store.drop_residual(("OP_A", "OP_B"), "OP_C")
+        save_store(store, tmp_path)
         assert (tmp_path / "notes.txt").read_text() == "keep me"
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        with pytest.raises(DataError):
-            save_store(store, ".")  # the swap would move the working directory away
-        assert work.is_dir() and not any(work.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "store.bin"]
+        assert_same_entries(load_store(tmp_path, graph), store)
+        monkeypatch.chdir(tmp_path)
+        save_store(store, ".")  # no directory moves, so the working one is fine
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "store.bin"]
 
     def test_load_rejects_operation_missing_from_graph(self, tmp_path):
         graph, store = self.populate()
@@ -845,45 +863,43 @@ class TestStoreRoundTrip:
         with pytest.raises(DataError, match="OP_D"):
             load_store(tmp_path / "store", smaller)
 
+    # Each tampered entry goes into the store dict directly, bypassing the
+    # methods that would never produce it, and is saved like any other.
+
     @staticmethod
     def narrower(kv):
         return KVTensor(np.concatenate([kv.keys[..., :-1], kv.values[..., :-1]], axis=3), kv.position_offset)
 
+    @staticmethod
+    def rejects_after_save(tmp_path, graph, store, match):
+        save_store(store, tmp_path / "store")
+        with pytest.raises(DataError, match=match):
+            load_store(tmp_path / "store", graph)
+
     def test_load_rejects_base_shape_mismatch(self, tmp_path):
         graph, store = self.populate()
-        where = tmp_path / "store"
-        save_store(store, where)
-        file = where / "bases" / "OP_A@0.kv"
-        write_kv(file, self.narrower(read_kv(file)))
-        with pytest.raises(DataError, match="shape"):
-            load_store(where, graph)
+        store.bases[("OP_A", 0)] = self.narrower(store.bases[("OP_A", 0)])
+        self.rejects_after_save(tmp_path, graph, store, "shape")
 
     def test_load_rejects_full_shape_mismatch(self, tmp_path):
         graph = small_graph()
         store = CacheStore(graph, mode="stateful")
         store.fetch(("OP_A",), "OP_B")
-        where = tmp_path / "store"
-        save_store(store, where)
-        (file,) = (where / "fulls").rglob("*.kv")
-        write_kv(file, self.narrower(read_kv(file)))
-        with pytest.raises(DataError, match="shape"):
-            load_store(where, graph)
+        key = (("OP_A",), "OP_B")
+        store.fulls[key] = self.narrower(store.fulls[key])
+        self.rejects_after_save(tmp_path, graph, store, "shape")
 
     def test_load_rejects_delta_shape_mismatch(self, tmp_path):
         graph, store = self.populate()
-        where = tmp_path / "store"
-        save_store(store, where)
-        file = where / "residuals" / path_digest(("OP_A",)) / "OP_B.delta"
-        delta = read_delta(file)
+        key = (("OP_A",), "OP_B")
+        delta = store.residuals[key]
         layers, heads, tokens, width = delta.dense_shape
         wider = (layers, heads, tokens, width + 2)
-        wrong = SparseDelta(
+        store.residuals[key] = SparseDelta(
             wider, delta.position_offset, delta.kept_energy_fraction,
             np.ravel_multi_index(tuple(delta.coords.T), wider).astype(np.int32), delta.values,
         )
-        write_delta(file, wrong)
-        with pytest.raises(DataError, match="shape"):
-            load_store(where, graph)
+        self.rejects_after_save(tmp_path, graph, store, "shape")
 
     @staticmethod
     def shifted(kv, by=3):
@@ -893,47 +909,140 @@ class TestStoreRoundTrip:
         graph = small_graph()
         store = CacheStore(graph, mode="stateless")
         store.fetch(("OP_A",), "OP_B")
-        where = tmp_path / "store"
-        save_store(store, where)
-        n_prefix = len(store.prefix_tokens(("OP_A",)))
-        file = where / "bases" / f"OP_B@{n_prefix}.kv"
-        write_kv(file, self.shifted(read_kv(file)))
-        with pytest.raises(DataError, match="offset"):
-            load_store(where, graph)
+        key = ("OP_B", len(store.prefix_tokens(("OP_A",))))
+        store.bases[key] = self.shifted(store.bases[key])
+        self.rejects_after_save(tmp_path, graph, store, "offset")
 
     def test_load_rejects_full_offset_other_than_its_prefix(self, tmp_path):
         graph = small_graph()
         store = CacheStore(graph, mode="stateful")
         store.fetch(("OP_A",), "OP_B")
-        where = tmp_path / "store"
-        save_store(store, where)
-        (file,) = (where / "fulls").rglob("*.kv")
-        write_kv(file, self.shifted(read_kv(file)))
-        with pytest.raises(DataError, match="offset"):
-            load_store(where, graph)
+        key = (("OP_A",), "OP_B")
+        store.fulls[key] = self.shifted(store.fulls[key])
+        self.rejects_after_save(tmp_path, graph, store, "offset")
 
     def test_load_rejects_delta_offset_other_than_its_prefix(self, tmp_path):
         graph, store = self.populate()
-        where = tmp_path / "store"
-        save_store(store, where)
-        file = where / "residuals" / path_digest(("OP_A",)) / "OP_B.delta"
-        delta = read_delta(file)
-        delta.position_offset += 3
-        write_delta(file, delta)
-        with pytest.raises(DataError, match="offset"):
-            load_store(where, graph)
+        key = (("OP_A",), "OP_B")
+        store.residuals[key] = replace(store.residuals[key], position_offset=store.residuals[key].position_offset + 3)
+        self.rejects_after_save(tmp_path, graph, store, "offset")
 
     def test_load_rejects_missing_meta(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not a cache store"):
+            load_store(tmp_path, small_graph())
+
+    def test_load_rejects_version_one_store_directory(self, tmp_path):
+        (tmp_path / "meta.json").write_text('{"mode": "differential"}\n')
+        (tmp_path / "bases").mkdir()
+        with pytest.raises(DataError, match="earlier version.*kv materialize"):
             load_store(tmp_path, small_graph())
 
     def test_meta_is_canonical_json(self, tmp_path):
         graph, store = self.populate()
         save_store(store, tmp_path / "s")
-        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        text, _ = split_store_file(tmp_path / "s")
+        meta = json.loads(text)
+        assert text == json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
         assert meta["mode"] == "differential"
         assert meta["energy_target"] == 0.97
         assert meta["oracle"]["lam"] == 0.8
+
+
+class TestStoreFileRejections:
+    """Each malformed store file is refused with a DataError naming it."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        graph, store = TestStoreRoundTrip().populate()
+        save_store(store, tmp_path)
+        text, payloads = split_store_file(tmp_path)
+        return graph, tmp_path, json.loads(text), payloads
+
+    @staticmethod
+    def framed(manifest, payloads, magic=STORE_MAGIC, version=STORE_VERSION):
+        text = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+        return STORE_HEADER.pack(magic, version, len(text)) + text + payloads
+
+    @staticmethod
+    def rejects(saved, raw, match):
+        graph, where = saved[:2]
+        (where / "store.bin").write_bytes(raw)
+        with pytest.raises(DataError, match=f"store.bin: .*{match}"):
+            load_store(where, graph)
+
+    def test_reframed_file_loads(self, saved):
+        graph, where, manifest, payloads = saved
+        (where / "store.bin").write_bytes(self.framed(manifest, payloads))
+        assert len(load_store(where, graph).residuals) == 3
+
+    def test_wrong_magic(self, saved):
+        self.rejects(saved, self.framed(saved[2], saved[3], magic=b"OFKV"), "not a cache store file")
+
+    def test_unsupported_version(self, saved):
+        self.rejects(saved, self.framed(saved[2], saved[3], version=1), "version 1")
+
+    @pytest.mark.parametrize("cut, match", [
+        (lambda raw, manifest_end: raw[: STORE_HEADER.size - 1], "truncated store header"),
+        (lambda raw, manifest_end: raw[: manifest_end - 1], "truncated manifest"),
+        (lambda raw, manifest_end: raw[:-1], "truncated payloads"),
+    ], ids=["header", "manifest", "payload"])
+    def test_cut_short(self, saved, cut, match):
+        raw = self.framed(saved[2], saved[3])
+        self.rejects(saved, cut(raw, len(raw) - len(saved[3])), match)
+
+    def test_trailing_bytes(self, saved):
+        self.rejects(saved, self.framed(saved[2], saved[3] + b"\0"), "1 trailing bytes")
+
+    def test_invalid_json(self, saved):
+        self.rejects(saved, self.framed(b'{"mode": ', saved[3]), "invalid manifest JSON")
+
+    @pytest.mark.parametrize("malform", [
+        lambda row: row.pop("size"),
+        lambda row: row.update(extra=1),
+        lambda row: row.update(size=str(row["size"])),
+        lambda row: row.update(size=-1),
+        lambda row: row.update(offset=True),
+        lambda row: row.update(op=7),
+        lambda row: row.update(path=["OP_A", 3]),
+        lambda row: row.update(path=["OP_A"]),  # a base has no prefix path
+    ])
+    def test_malformed_row(self, saved, malform):
+        manifest = saved[2]
+        malform(manifest["entries"][0])
+        self.rejects(saved, self.framed(manifest, saved[3]), "malformed manifest row 0")
+
+    def test_residual_row_with_an_offset(self, saved):
+        manifest = saved[2]
+        row = next(i for i, r in enumerate(manifest["entries"]) if r["table"] == "residuals")
+        manifest["entries"][row]["offset"] = 0
+        self.rejects(saved, self.framed(manifest, saved[3]), f"malformed manifest row {row}")
+
+    def test_missing_entry_list(self, saved):
+        manifest = saved[2]
+        del manifest["entries"]
+        self.rejects(saved, self.framed(manifest, saved[3]), "no entry list")
+
+    def test_unknown_table(self, saved):
+        manifest = saved[2]
+        manifest["entries"][0]["table"] = "extras"
+        self.rejects(saved, self.framed(manifest, saved[3]), "unknown table 'extras'")
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_byte_ranges_not_contiguous(self, saved, shift):
+        manifest = saved[2]
+        manifest["entries"][1]["start"] += shift
+        self.rejects(saved, self.framed(manifest, saved[3]), "row 1 starts at byte")
+
+    def test_first_range_not_at_manifest_end(self, saved):
+        manifest = saved[2]
+        manifest["entries"][0]["start"] = 4
+        self.rejects(saved, self.framed(manifest, saved[3]), "row 0 starts at byte 4, expected 0")
+
+    def test_duplicate_key(self, saved):
+        manifest = saved[2]
+        first, second = manifest["entries"][:2]
+        second.update(op=first["op"], offset=first["offset"])
+        self.rejects(saved, self.framed(manifest, saved[3]), "row 1 repeats bases entry")
 
 
 # ---------------------------------------------------------------------------

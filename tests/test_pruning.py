@@ -7,12 +7,13 @@ import pytest
 
 from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
-from opflow.kvstore import CacheStore, path_digest
+from opflow.kvstore import CacheStore
 from opflow.pruning import (
     MaterializationPlan,
     PlanPolicy,
     TransitionStats,
     apply_plan,
+    path_digest,
     plan_materialization,
     read_trace_log,
     write_trace_log,
