@@ -261,14 +261,14 @@ def generated_workflow_id(task_text: str) -> str:
 
 def instantiate_workflow(
     graph: OperationGraph,
-    edge_scores: Mapping[tuple[str, str], float] | np.ndarray,
+    edge_scores: np.ndarray,
     config: DecodeConfig | None = None,
     workflow_id: str = "WF_GEN",
-    name: str = "generated workflow",
     description: str = "",
 ) -> Workflow:
     """Constrained greedy decode: grow a workflow from the entry operations.
 
+    ``edge_scores`` is the ``(E,)`` score array aligned with ``graph.edge_list``.
     Starting from the zero-in-degree operations, repeatedly admit the
     highest-scoring candidate edge whose source is already reachable and
     whose score clears ``theta_min`` (ties broken by lexicographic edge id),
@@ -280,14 +280,9 @@ def instantiate_workflow(
     if not graph.node_ids:
         raise DataError("cannot instantiate a workflow over an empty graph")
     candidates = graph.edge_list
-    if isinstance(edge_scores, np.ndarray):
-        if edge_scores.shape != (len(candidates),):
-            raise DataError(
-                f"expected {len(candidates)} edge scores, got shape {edge_scores.shape}"
-            )
-        score_of = {edge: float(edge_scores[i]) for i, edge in enumerate(candidates)}
-    else:
-        score_of = {edge: float(edge_scores[edge]) for edge in candidates if edge in edge_scores}
+    if edge_scores.shape != (len(candidates),):
+        raise DataError(f"expected {len(candidates)} edge scores, got shape {edge_scores.shape}")
+    score_of = dict(zip(candidates, edge_scores.tolist()))
 
     max_nodes = config.max_nodes if config.max_nodes is not None else len(graph.node_ids)
     reachable = set(graph.entry_ops())
@@ -295,7 +290,7 @@ def instantiate_workflow(
     remaining = [
         edge
         for edge in candidates
-        if score_of.get(edge, 0.0) >= config.theta_min
+        if score_of[edge] >= config.theta_min
     ]
 
     while True:
@@ -320,7 +315,7 @@ def instantiate_workflow(
     edges = tuple(sorted(admitted))
     return Workflow(
         id=workflow_id,
-        name=name,
+        name="generated workflow",
         description=description,
         patterns_must=(),
         patterns_should=(),

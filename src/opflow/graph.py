@@ -4,7 +4,9 @@ A *workflow document* is a JSON file describing one agent workflow: a small DAG
 of atomic operations, each with an instruction and trigger patterns.  Many
 documents are merged into one shared :class:`OperationGraph` by deduplicating
 operations whose instructions match after normalization; the merged graph is
-the candidate space from which new workflows are synthesized.
+the candidate space from which new workflows are synthesized, and a *graph
+file* persists it.  Both document kinds share one set of checks, and every DAG
+question is answered by one pass of Kahn's algorithm.
 
 Conditioning the merged graph on a task inserts a virtual task node connected
 bidirectionally to every operation (:func:`condition_on_task`), which is the
@@ -13,8 +15,9 @@ graph the neural scorer consumes.
 
 from __future__ import annotations
 
+import heapq
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import CycleError, DataError, DocumentError, MergeError
@@ -81,16 +84,10 @@ class OperationGraph:
         """Canonical candidate-edge order: lexicographic by (source, target)."""
         return sorted(self.edges)
 
-    def in_degrees(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.operations}
-        for _, dst in self.edges:
-            deg[dst] += 1
-        return deg
-
     def entry_ops(self) -> list[str]:
         """Operations with no incoming edge, in canonical order."""
-        deg = self.in_degrees()
-        return sorted(v for v, d in deg.items() if d == 0)
+        targets = {dst for _, dst in self.edges}
+        return sorted(v for v in self.operations if v not in targets)
 
 
 @dataclass
@@ -124,90 +121,111 @@ def normalize_instruction(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# DAG validation
+# DAG order and cycle witnesses
 # ---------------------------------------------------------------------------
 
 
-def validate_dag(
-    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> list[str] | None:
+def _kahn(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[list[str], list[str]]:
+    """Kahn's algorithm, popping the smallest ready node first.
+
+    Returns the order of every node it could place and, sorted, the nodes it
+    could not: those on or downstream of a cycle, so none exactly when the
+    graph is acyclic.  Edges touching unknown nodes raise :class:`DataError`.
+    """
+    deg = dict.fromkeys(nodes, 0)
+    succ: dict[str, list[str]] = {v: [] for v in deg}
+    for src, dst in edges:
+        if src not in deg or dst not in deg:
+            unknown = src if src not in deg else dst
+            raise DataError(f"edge ({src!r}, {dst!r}) references unknown node {unknown!r}")
+        succ[src].append(dst)
+        deg[dst] += 1
+    ready = [v for v, d in deg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            deg[w] -= 1
+            if deg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(order) == len(deg):
+        return order, []
+    return order, sorted(v for v, d in deg.items() if d)
+
+
+def _witness(unordered: list[str], edges: Iterable[tuple[str, str]]) -> list[str]:
+    """A cycle ``[a, b, ..., a]`` among the nodes Kahn could not order: each
+    has an unordered predecessor, so walking from the smallest one to its
+    smallest unordered predecessor repeats a node, closing the loop."""
+    pred: dict[str, list[str]] = {v: [] for v in unordered}
+    for src, dst in edges:
+        if src in pred and dst in pred:
+            pred[dst].append(src)
+    walk = [unordered[0]]
+    at = {unordered[0]: 0}
+    while (v := min(pred[walk[-1]])) not in at:
+        at[v] = len(walk)
+        walk.append(v)
+    loop = walk[at[v]:] + [v]
+    loop.reverse()
+    return loop
+
+
+def validate_dag(nodes: Iterable[str], edges: Collection[tuple[str, str]]) -> list[str] | None:
     """Check acyclicity; return ``None`` if acyclic, else a cycle witness.
 
     The witness is a node sequence ``[a, b, ..., a]`` whose consecutive pairs
     are all edges.  Edges touching unknown nodes raise :class:`DataError`.
     """
-    node_set = set(nodes)
-    adj: dict[str, list[str]] = {v: [] for v in node_set}
-    for src, dst in edges:
-        if src not in node_set:
-            raise DataError(f"edge ({src!r}, {dst!r}) references unknown node {src!r}")
-        if dst not in node_set:
-            raise DataError(f"edge ({src!r}, {dst!r}) references unknown node {dst!r}")
-        adj[src].append(dst)
-    for v in adj:
-        adj[v].sort()
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in node_set}
-    parent: dict[str, str] = {}
-    for root in sorted(node_set):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if color[w] == GRAY:
-                    # Found a back edge v -> w: walk parents back to w.
-                    cycle = [v]
-                    cur = v
-                    while cur != w:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle + [cycle[0]]
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    parent[w] = v
-                    stack.append((w, 0))
-            else:
-                color[v] = BLACK
-                stack.pop()
-    return None
+    _, unordered = _kahn(nodes, edges)
+    return _witness(unordered, edges) if unordered else None
 
 
-def topological_order(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str]:
-    """Deterministic topological order (Kahn, lexicographic tie-break)."""
-    import heapq
+def topological_order(nodes: Iterable[str], edges: Collection[tuple[str, str]]) -> list[str]:
+    """Deterministic topological order (Kahn, lexicographic tie-break).
 
-    node_list = sorted(set(nodes))
-    deg = {v: 0 for v in node_list}
-    adj: dict[str, list[str]] = {v: [] for v in node_list}
-    for src, dst in edges:
-        adj[src].append(dst)
-        deg[dst] += 1
-    heap = [v for v in node_list if deg[v] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in sorted(adj[v]):
-            deg[w] -= 1
-            if deg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != len(node_list):
-        witness = validate_dag(node_list, edges)
-        raise CycleError(witness or [])
+    Raises :class:`CycleError` carrying :func:`validate_dag`'s witness when
+    the graph has a cycle, and :class:`DataError` on an unknown endpoint.
+    """
+    order, unordered = _kahn(nodes, edges)
+    if unordered:
+        raise CycleError(_witness(unordered, edges))
     return order
 
 
 # ---------------------------------------------------------------------------
-# Workflow document parsing / serialization
+# Document parsing / serialization, shared by workflow documents and graph files
 # ---------------------------------------------------------------------------
+
+
+def _decode(document: str | bytes | Mapping) -> dict:
+    """The top-level object of raw JSON text or an already-decoded mapping."""
+    if isinstance(document, (str, bytes)):
+        try:
+            document = json.loads(document)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DocumentError("$", f"malformed JSON: {exc}") from None
+    return _expect_object(document, "$")
+
+
+def _require(doc: dict, keys: Iterable[str], path: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise DocumentError(f"{path}.{key}", "missing required field")
+
+
+def _expect_object(value: object, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _expect_list(value: object, path: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(path, f"expected a list, got {type(value).__name__}")
+    return value
 
 
 def _expect_str(value: object, path: str) -> str:
@@ -217,119 +235,102 @@ def _expect_str(value: object, path: str) -> str:
 
 
 def _expect_str_list(value: object, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise DocumentError(path, f"expected a list of strings, got {type(value).__name__}")
-    out = []
-    for i, item in enumerate(value):
-        out.append(_expect_str(item, f"{path}[{i}]"))
-    return tuple(out)
+    return tuple(_expect_str(item, f"{path}[{i}]") for i, item in enumerate(_expect_list(value, path)))
+
+
+def _expect_pair(value: object, path: str, what: str) -> tuple[str, str]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise DocumentError(path, f"expected a {what} pair")
+    return _expect_str(value[0], f"{path}[0]"), _expect_str(value[1], f"{path}[1]")
 
 
 def _parse_patterns(value: object, path: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if not isinstance(value, dict):
-        raise DocumentError(path, f"expected an object, got {type(value).__name__}")
+    value = _expect_object(value, path)
     must = _expect_str_list(value.get("must", []), f"{path}.must")
     should = _expect_str_list(value.get("should", []), f"{path}.should")
     return must, should
 
 
-def parse_workflow(
-    document: str | bytes | Mapping, *, ignore_duplicate_edges: bool = False
-) -> Workflow:
+def _parse_operations(value: object, path: str) -> dict[str, Operation]:
+    """Operation id -> :class:`Operation`, each needing an instruction."""
+    operations: dict[str, Operation] = {}
+    for op_id, raw in _expect_object(value, path).items():
+        where = f"{path}.{op_id}"
+        raw = _expect_object(raw, where)
+        _require(raw, ("instruction",), where)
+        must, should = _parse_patterns(raw.get("patterns", {}), f"{where}.patterns")
+        operations[op_id] = Operation(
+            id=op_id,
+            instruction=_expect_str(raw["instruction"], f"{where}.instruction"),
+            patterns_must=must,
+            patterns_should=should,
+            name=_expect_str(raw.get("name", ""), f"{where}.name"),
+        )
+    return operations
+
+
+def _parse_edges(value: object, path: str, nodes: Collection[str]) -> list[tuple[str, str]]:
+    """``[source, target]`` pairs in document order: known endpoints, no
+    duplicates, no cycle."""
+    edges: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    for i, pair in enumerate(_expect_list(value, path)):
+        where = f"{path}[{i}]"
+        edge = _expect_pair(pair, where, "[source, target]")
+        for end, node in enumerate(edge):
+            if node not in nodes:
+                raise DocumentError(f"{where}[{end}]", f"edge references unknown node {node!r}")
+        if edge in seen:
+            raise DocumentError(where, f"duplicate edge [{edge[0]!r}, {edge[1]!r}]")
+        seen.add(edge)
+        edges.append(edge)
+    witness = validate_dag(nodes, edges)
+    if witness is not None:
+        raise DocumentError(path, f"cycle: {' -> '.join(witness)}")
+    return edges
+
+
+def _operation_document(op: Operation) -> dict:
+    return {
+        "name": op.name,
+        "instruction": op.instruction,
+        "patterns": {"must": list(op.patterns_must), "should": list(op.patterns_should)},
+    }
+
+
+def parse_workflow(document: str | bytes | Mapping) -> Workflow:
     """Parse and validate one workflow document.
 
     Accepts raw JSON text or an already-decoded mapping.  Validation covers:
-    required fields, node/edge shape, edges referencing declared nodes,
-    one operation definition per node (and none extra), unique node ids,
-    duplicate edges (strict unless ``ignore_duplicate_edges``), and
-    acyclicity.  Errors carry the offending document path.
+    required fields and their types, unique node ids, edges between declared
+    nodes with no duplicates and no cycle, and exactly one operation
+    definition per node.  Errors are :class:`DocumentError`\\ s carrying the
+    offending document path.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("$", f"malformed JSON: {exc}") from None
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise DocumentError("$", f"expected a JSON object, got {type(doc).__name__}")
-
-    for key in _REQUIRED_FIELDS:
-        if key not in doc:
-            raise DocumentError(f"$.{key}", "missing required field")
-
+    doc = _decode(document)
+    _require(doc, _REQUIRED_FIELDS, "$")
     wf_id = _expect_str(doc["id"], "$.id")
     name = _expect_str(doc["name"], "$.name")
     description = _expect_str(doc["description"], "$.description")
     patterns_must, patterns_should = _parse_patterns(doc["patterns"], "$.patterns")
 
-    gs = doc["graph_structure"]
-    if not isinstance(gs, dict):
-        raise DocumentError("$.graph_structure", "expected an object")
-    if "nodes" not in gs:
-        raise DocumentError("$.graph_structure.nodes", "missing required field")
-    if "edges" not in gs:
-        raise DocumentError("$.graph_structure.edges", "missing required field")
+    gs = _expect_object(doc["graph_structure"], "$.graph_structure")
+    _require(gs, ("nodes", "edges"), "$.graph_structure")
     nodes = _expect_str_list(gs["nodes"], "$.graph_structure.nodes")
-    seen_nodes: set[str] = set()
+    declared: set[str] = set()
     for i, node in enumerate(nodes):
-        if node in seen_nodes:
+        if node in declared:
             raise DocumentError(f"$.graph_structure.nodes[{i}]", f"duplicate node id {node!r}")
-        seen_nodes.add(node)
+        declared.add(node)
+    edges = _parse_edges(gs["edges"], "$.graph_structure.edges", declared)
 
-    raw_edges = gs["edges"]
-    if not isinstance(raw_edges, list):
-        raise DocumentError("$.graph_structure.edges", "expected a list")
-    edges: list[tuple[str, str]] = []
-    seen_edges: set[tuple[str, str]] = set()
-    for i, pair in enumerate(raw_edges):
-        path = f"$.graph_structure.edges[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(path, "expected a [source, target] pair")
-        src = _expect_str(pair[0], f"{path}[0]")
-        dst = _expect_str(pair[1], f"{path}[1]")
-        if src not in seen_nodes:
-            raise DocumentError(f"{path}[0]", f"edge references unknown node {src!r}")
-        if dst not in seen_nodes:
-            raise DocumentError(f"{path}[1]", f"edge references unknown node {dst!r}")
-        if (src, dst) in seen_edges:
-            if ignore_duplicate_edges:
-                continue
-            raise DocumentError(path, f"duplicate edge [{src!r}, {dst!r}]")
-        seen_edges.add((src, dst))
-        edges.append((src, dst))
-
-    raw_ops = doc["operations"]
-    if not isinstance(raw_ops, dict):
-        raise DocumentError("$.operations", "expected an object")
-    operations: dict[str, Operation] = {}
-    for op_id, raw in raw_ops.items():
-        path = f"$.operations.{op_id}"
-        if op_id not in seen_nodes:
-            raise DocumentError(path, f"operation {op_id!r} is not a declared node")
-        if not isinstance(raw, dict):
-            raise DocumentError(path, "expected an object")
-        if "instruction" not in raw:
-            raise DocumentError(f"{path}.instruction", "missing required field")
-        instruction = _expect_str(raw["instruction"], f"{path}.instruction")
-        op_name = _expect_str(raw.get("name", ""), f"{path}.name")
-        must, should = _parse_patterns(raw.get("patterns", {}), f"{path}.patterns")
-        operations[op_id] = Operation(
-            id=op_id,
-            instruction=instruction,
-            patterns_must=must,
-            patterns_should=should,
-            name=op_name,
-        )
+    operations = _parse_operations(doc["operations"], "$.operations")
+    for op_id in operations:
+        if op_id not in declared:
+            raise DocumentError(f"$.operations.{op_id}", f"operation {op_id!r} is not a declared node")
     for node in nodes:
         if node not in operations:
             raise DocumentError(f"$.operations.{node}", "missing operation definition for node")
-
-    witness = validate_dag(nodes, edges)
-    if witness is not None:
-        raise DocumentError(
-            "$.graph_structure.edges", f"cycle: {' -> '.join(witness)}"
-        )
 
     return Workflow(
         id=wf_id,
@@ -343,20 +344,13 @@ def parse_workflow(
     )
 
 
-def workflow_to_document(workflow: Workflow) -> dict:
-    """Rebuild the plain-JSON document form of a workflow."""
-    ops = {}
-    for op_id in workflow.nodes:
-        op = workflow.operations[op_id]
-        ops[op_id] = {
-            "name": op.name,
-            "instruction": op.instruction,
-            "patterns": {
-                "must": list(op.patterns_must),
-                "should": list(op.patterns_should),
-            },
-        }
-    return {
+def serialize_workflow(workflow: Workflow) -> str:
+    """Canonical document text: sorted object keys, 2-space indent.
+
+    Node and edge arrays keep document order; only object keys are sorted.
+    ``parse -> serialize -> parse`` is a fixed point.
+    """
+    doc = {
         "id": workflow.id,
         "name": workflow.name,
         "description": workflow.description,
@@ -368,17 +362,11 @@ def workflow_to_document(workflow: Workflow) -> dict:
             "nodes": list(workflow.nodes),
             "edges": [list(e) for e in workflow.edges],
         },
-        "operations": ops,
+        "operations": {
+            op_id: _operation_document(workflow.operations[op_id]) for op_id in workflow.nodes
+        },
     }
-
-
-def serialize_workflow(workflow: Workflow) -> str:
-    """Canonical document text: sorted object keys, 2-space indent.
-
-    Node and edge arrays keep document order; only object keys are sorted.
-    ``parse -> serialize -> parse`` is a fixed point.
-    """
-    return json.dumps(workflow_to_document(workflow), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -386,30 +374,25 @@ def serialize_workflow(workflow: Workflow) -> str:
 # ---------------------------------------------------------------------------
 
 
-def merge_workflows(
-    workflows: Sequence[Workflow],
-    *,
-    dedup_key: Callable[[Operation], str] | None = None,
-) -> OperationGraph:
+def merge_workflows(workflows: Sequence[Workflow]) -> OperationGraph:
     """Merge workflows into one deduplicated operation DAG.
 
-    Operations sharing a dedup key (default: normalized instruction text) are
-    folded into one canonical node whose id is the lexicographically smallest
-    contributing id; edges are re-pointed to canonical ids and unioned.  The
-    result is independent of workflow ingestion order.
+    Operations sharing a normalized instruction (:func:`normalize_instruction`)
+    are folded into one canonical node whose id is the lexicographically
+    smallest contributing id; edges are re-pointed to canonical ids and
+    unioned.  The result is independent of workflow ingestion order.
 
     Raises :class:`MergeError` when one operation id appears with two
-    different keys (conflicting reuse of an id), when a merge would create a
-    self-loop, or when cross-workflow orderings disagree and form a cycle.
+    different instructions (conflicting reuse of an id), when a merge would
+    create a self-loop, and :class:`CycleError` when cross-workflow orderings
+    disagree and form a cycle.
     """
-    key_of = dedup_key or (lambda op: normalize_instruction(op.instruction))
-
     # Group contributions by dedup key, checking id consistency as we go.
     groups: dict[str, list[tuple[str, Operation]]] = {}
     id_to_key: dict[str, str] = {}
     for wf in workflows:
         for op_id, op in wf.operations.items():
-            key = key_of(op)
+            key = normalize_instruction(op.instruction)
             prior = id_to_key.get(op_id)
             if prior is not None and prior != key:
                 raise MergeError(
@@ -479,19 +462,10 @@ def condition_on_task(graph: OperationGraph, task_text: str) -> TaskGraph:
 # ---------------------------------------------------------------------------
 
 
-def graph_to_document(graph: OperationGraph) -> dict:
-    return {
-        "operations": {
-            op_id: {
-                "name": op.name,
-                "instruction": op.instruction,
-                "patterns": {
-                    "must": list(op.patterns_must),
-                    "should": list(op.patterns_should),
-                },
-            }
-            for op_id, op in sorted(graph.operations.items())
-        },
+def serialize_graph(graph: OperationGraph) -> str:
+    """Canonical graph file: sorted keys, 2-space indent, sorted edges."""
+    doc = {
+        "operations": {op_id: _operation_document(op) for op_id, op in sorted(graph.operations.items())},
         "edges": [list(e) for e in graph.edge_list],
         "node_sources": {k: list(v) for k, v in sorted(graph.node_sources.items())},
         "edge_sources": {
@@ -501,70 +475,41 @@ def graph_to_document(graph: OperationGraph) -> dict:
             k: [list(pair) for pair in v] for k, v in sorted(graph.merged_from.items())
         },
     }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def serialize_graph(graph: OperationGraph) -> str:
-    """Canonical graph file: sorted keys, 2-space indent, sorted edges."""
-    return json.dumps(graph_to_document(graph), sort_keys=True, indent=2) + "\n"
+def _parse_sources(
+    doc: dict, table: str, keys: Mapping[str, object], item: Callable[[object, str], object]
+) -> dict:
+    """An optional graph-file table: each key one of ``keys`` (which maps it
+    to its in-memory key), each value a list of what ``item`` parses."""
+    path = f"$.{table}"
+    out = {}
+    for key, value in _expect_object(doc.get(table, {}), path).items():
+        where = f"{path}.{key}"
+        if key not in keys:
+            raise DocumentError(where, f"{key!r} is not an operation or edge of the graph")
+        out[keys[key]] = tuple(item(x, f"{where}[{i}]") for i, x in enumerate(_expect_list(value, where)))
+    return out
 
 
 def parse_graph(document: str | bytes | Mapping) -> OperationGraph:
-    """Load a graph persisted by :func:`serialize_graph`."""
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("$", f"malformed JSON: {exc}") from None
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise DocumentError("$", f"expected a JSON object, got {type(doc).__name__}")
-    for key in ("operations", "edges"):
-        if key not in doc:
-            raise DocumentError(f"$.{key}", "missing required field")
+    """Load a graph file written by :func:`serialize_graph`.
 
-    operations: dict[str, Operation] = {}
-    for op_id, raw in doc["operations"].items():
-        path = f"$.operations.{op_id}"
-        if not isinstance(raw, dict) or "instruction" not in raw:
-            raise DocumentError(path, "expected an object with an instruction")
-        must, should = _parse_patterns(raw.get("patterns", {}), f"{path}.patterns")
-        operations[op_id] = Operation(
-            id=op_id,
-            instruction=_expect_str(raw["instruction"], f"{path}.instruction"),
-            patterns_must=must,
-            patterns_should=should,
-            name=_expect_str(raw.get("name", ""), f"{path}.name"),
-        )
-
-    edges: list[tuple[str, str]] = []
-    for i, pair in enumerate(doc["edges"]):
-        path = f"$.edges[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(path, "expected a [source, target] pair")
-        src, dst = _expect_str(pair[0], path), _expect_str(pair[1], path)
-        if src not in operations or dst not in operations:
-            raise DocumentError(path, "edge references unknown operation")
-        edges.append((src, dst))
-
-    witness = validate_dag(operations, edges)
-    if witness is not None:
-        raise DocumentError("$.edges", f"cycle: {' -> '.join(witness)}")
-
-    node_sources = {
-        k: tuple(v) for k, v in doc.get("node_sources", {}).items()
-    }
-    edge_sources = {}
-    for key, v in doc.get("edge_sources", {}).items():
-        a, _, b = key.partition("->")
-        edge_sources[(a, b)] = tuple(v)
-    merged_from = {
-        k: tuple((wf, op) for wf, op in v) for k, v in doc.get("merged_from", {}).items()
-    }
+    ``operations`` and ``edges`` get :func:`parse_workflow`'s checks.  The
+    optional provenance tables must be keyed by an operation or an ``"a->b"``
+    edge of the file and hold string lists (``merged_from``: ``[workflow, op]``
+    pairs).  Errors are :class:`DocumentError`\\ s carrying the offending path.
+    """
+    doc = _decode(document)
+    _require(doc, ("operations", "edges"), "$")
+    operations = _parse_operations(doc["operations"], "$.operations")
+    edges = _parse_edges(doc["edges"], "$.edges", operations)
+    ops = {op_id: op_id for op_id in operations}
     return OperationGraph(
         operations=operations,
         edges=tuple(sorted(edges)),
-        node_sources=node_sources,
-        edge_sources=edge_sources,
-        merged_from=merged_from,
+        node_sources=_parse_sources(doc, "node_sources", ops, _expect_str),
+        edge_sources=_parse_sources(doc, "edge_sources", {f"{a}->{b}": (a, b) for a, b in edges}, _expect_str),
+        merged_from=_parse_sources(doc, "merged_from", ops, lambda v, p: _expect_pair(v, p, "[workflow, op]")),
     )

@@ -520,6 +520,7 @@ def _nbytes(entry: KVTensor | SparseDelta) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLES = ("bases", "residuals", "fulls")
+_MODE_TABLES = {"differential": ("bases", "residuals"), "stateless": ("bases",), "stateful": ("fulls",)}
 _ROW_FIELDS = {"table", "path", "op", "offset", "start", "size"}
 
 
@@ -585,7 +586,7 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _manifest_rows(manifest, file: Path) -> list[tuple[str, tuple, PathKey, str, int]]:
+def _manifest_rows(manifest, mode: str, file: Path) -> list[tuple[str, tuple, PathKey, str, int]]:
     """(table, key, path, op id, size) for each manifest row, checked."""
     rows = manifest.get("entries")
     if not isinstance(rows, list):
@@ -597,6 +598,8 @@ def _manifest_rows(manifest, file: Path) -> list[tuple[str, tuple, PathKey, str,
         table, path, op_id, offset = row["table"], row["path"], row["op"], row["offset"]
         if table not in _TABLES:
             raise DataError(f"{file}: manifest row {i} names unknown table {table!r}")
+        if table not in _MODE_TABLES[mode]:
+            raise DataError(f"{file}: manifest row {i} is a {table} entry, which a {mode} store never holds")
         is_base = table == "bases"
         if not (
             isinstance(path, list)
@@ -626,8 +629,9 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     Rejects with a ``DataError``: a missing ``store.bin`` (naming a store
     directory of an earlier version as such), a wrong magic or version, a
     header, manifest or payload cut short, trailing bytes, a manifest that is
-    not JSON or has a malformed row, an unknown table, payload byte ranges
-    that do not run on from the manifest's end, a repeated key, and entries
+    not JSON or has a malformed row, an unknown table or one the stored mode
+    never uses, payload byte ranges that do not run on from the manifest's
+    end, a repeated key, and entries
     off ``graph``'s edges, of another shape than the stored oracle config
     gives them, or at another position offset than their key names: a base's
     offset, or the prefix path's token count.
@@ -669,7 +673,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
         except (KeyError, TypeError) as exc:
             raise DataError(f"{file}: malformed store metadata ({exc})") from exc
 
-        rows = _manifest_rows(manifest, file)
+        rows = _manifest_rows(manifest, store.mode, file)
         end = payloads_at + sum(row[-1] for row in rows)
         if end > file_size:
             raise DataError(f"{file}: truncated payloads ({file_size} of {end} bytes)")

@@ -253,6 +253,31 @@ class TestGenerate:
             "--checkpoint", str(root / "checkpoint.bin"),
         ]) == 1
 
+    @pytest.mark.parametrize("text", [
+        b"\xff",
+        b"[]",
+        b'{"operations": [], "edges": []}',
+        b'{"operations": {"A": "do a"}, "edges": []}',
+        b'{"operations": {}, "edges": {}}',
+        b'{"operations": {}, "edges": [["A", "B"]]}',
+        b'{"operations": {"A": {"instruction": "a"}}, "edges": [["A", "A"]]}',
+        b'{"operations": {"A": {"instruction": "a"}}, "edges": [], "edge_sources": {"A": ["w"]}}',
+        b'{"operations": {"A": {"instruction": "a"}}, "edges": [], "merged_from": {"A": [["w"]]}}',
+    ])
+    def test_malformed_graph_file_is_data_error(self, cli_project, tmp_path, capsys, text):
+        root, _ = cli_project
+        graph = tmp_path / "graph.json"
+        graph.write_bytes(text)
+        capsys.readouterr()
+        assert main([
+            "generate",
+            "--graph", str(graph),
+            "--checkpoint", str(root / "checkpoint.bin"),
+            "--task", "x",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opflow: data error:") and "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # kv subcommands

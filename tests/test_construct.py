@@ -37,6 +37,11 @@ from opflow.nn import adamw_init, adamw_step, init_params, load_checkpoint, save
 from conftest import dense_forward, doc_json, make_workflow_doc, mean_loss
 
 
+def scores_for(graph, by_edge):
+    """The (E,) score array of ``graph.edge_list`` from an edge -> score map."""
+    return np.array([by_edge[edge] for edge in graph.edge_list])
+
+
 def graph_of(edges, extra_nodes=()):
     """Small operation graph from an edge list (distinct instructions)."""
     ids = sorted({n for e in edges for n in e} | set(extra_nodes))
@@ -184,20 +189,20 @@ class TestBuildLabels:
 class TestInstantiateWorkflow:
     def test_linear_chain_fully_admitted(self):
         graph = graph_of([("A", "B"), ("B", "C")])
-        wf = instantiate_workflow(graph, {("A", "B"): 0.9, ("B", "C"): 0.8})
+        wf = instantiate_workflow(graph, scores_for(graph, {("A", "B"): 0.9, ("B", "C"): 0.8}))
         assert wf.edges == (("A", "B"), ("B", "C"))
         assert wf.nodes == ("A", "B", "C")
 
     def test_theta_floor_blocks_low_scores(self):
         graph = graph_of([("A", "B"), ("B", "C")])
-        wf = instantiate_workflow(graph, {("A", "B"): 0.9, ("B", "C"): 0.4})
+        wf = instantiate_workflow(graph, scores_for(graph, {("A", "B"): 0.9, ("B", "C"): 0.4}))
         assert wf.edges == (("A", "B"),)
 
     def test_equal_scores_admit_lexicographically_first(self):
         # With room for only one new node, the winner of the tie is visible.
         wf = instantiate_workflow(
             DIAMOND,
-            {e: 0.9 for e in DIAMOND.edge_list},
+            np.full(len(DIAMOND.edge_list), 0.9),
             DecodeConfig(max_nodes=2),
         )
         assert wf.edges == (("A", "B"),)
@@ -206,14 +211,14 @@ class TestInstantiateWorkflow:
     def test_max_nodes_only_counts_new_nodes(self):
         graph = graph_of([("A", "B"), ("A", "C"), ("B", "C"), ("B", "D")])
         scores = {("A", "B"): 0.9, ("A", "C"): 0.85, ("B", "C"): 0.8, ("B", "D"): 0.7}
-        wf = instantiate_workflow(graph, scores, DecodeConfig(max_nodes=3))
+        wf = instantiate_workflow(graph, scores_for(graph, scores), DecodeConfig(max_nodes=3))
         # D is blocked by the budget, but B->C joins two reachable nodes.
         assert wf.nodes == ("A", "B", "C")
         assert wf.edges == (("A", "B"), ("A", "C"), ("B", "C"))
 
     def test_max_nodes_one_yields_entry_only(self):
         wf = instantiate_workflow(
-            DIAMOND, {e: 0.9 for e in DIAMOND.edge_list}, DecodeConfig(max_nodes=1)
+            DIAMOND, np.full(len(DIAMOND.edge_list), 0.9), DecodeConfig(max_nodes=1)
         )
         assert wf.edges == ()
         assert wf.nodes == ("A",)
@@ -232,7 +237,7 @@ class TestInstantiateWorkflow:
                 values = rng.uniform(0.0, 1.0, size=len(candidates))
             score_of = dict(zip(candidates, values.tolist()))
             wf = instantiate_workflow(
-                DIAMOND, score_of, DecodeConfig(theta_min=theta, max_nodes=max_nodes)
+                DIAMOND, values, DecodeConfig(theta_min=theta, max_nodes=max_nodes)
             )
             nodes, edges = oracle_decode(candidates, entries, score_of, theta, budget)
             assert wf.nodes == nodes
@@ -257,14 +262,6 @@ class TestInstantiateWorkflow:
                 reached |= nx.descendants(dig, src)
             assert reached == set(wf.nodes)
 
-    def test_scores_given_as_array_match_mapping(self):
-        values = np.array([0.9, 0.55, 0.7, 0.2])
-        by_edge = dict(zip(DIAMOND.edge_list, values.tolist()))
-        shuffled = dict(reversed(list(by_edge.items())))
-        a = instantiate_workflow(DIAMOND, values)
-        b = instantiate_workflow(DIAMOND, shuffled)
-        assert a.edges == b.edges and a.nodes == b.nodes
-
     def test_wrong_score_shape_rejected(self):
         with pytest.raises(DataError, match="edge scores"):
             instantiate_workflow(DIAMOND, np.array([0.9, 0.9]))
@@ -273,7 +270,7 @@ class TestInstantiateWorkflow:
         from opflow.graph import OperationGraph
 
         with pytest.raises(DataError, match="empty graph"):
-            instantiate_workflow(OperationGraph(operations={}, edges=()), {})
+            instantiate_workflow(OperationGraph(operations={}, edges=()), np.zeros(0))
 
     def test_decode_config_validation(self):
         with pytest.raises(DataError):

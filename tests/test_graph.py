@@ -78,14 +78,11 @@ class TestParseWorkflow:
             parse_workflow(json.dumps(doc))
         assert "$.graph_structure.edges[0]" in exc.value.path
 
-    def test_duplicate_edge_strict_and_lenient(self):
+    def test_duplicate_edge_is_rejected(self):
         doc = make_workflow_doc("WF_X", {"A": "do a", "B": "do b"}, [("A", "B"), ("A", "B")])
-        text = json.dumps(doc)
         with pytest.raises(DocumentError) as exc:
-            parse_workflow(text)
+            parse_workflow(json.dumps(doc))
         assert exc.value.path == "$.graph_structure.edges[1]"
-        wf = parse_workflow(text, ignore_duplicate_edges=True)
-        assert wf.edges == (("A", "B"),)
 
     def test_duplicate_node_id(self):
         doc = make_workflow_doc("WF_X", {"A": "do a"}, [])
@@ -205,6 +202,15 @@ class TestTopologicalOrder:
     def test_lexicographic_tie_break(self):
         assert topological_order(["B", "A", "C"], []) == ["A", "B", "C"]
 
+    def test_unknown_endpoint_raises(self):
+        with pytest.raises(DataError, match="unknown node 'B'"):
+            topological_order(["A"], [("A", "B")])
+
+    def test_cycle_raises_with_witness(self):
+        with pytest.raises(CycleError) as exc:
+            topological_order(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "B")])
+        assert exc.value.witness == ["B", "C", "B"]
+
 
 # ---------------------------------------------------------------------------
 # Merging
@@ -263,12 +269,6 @@ class TestMerge:
         a = wf("WF_A", {"OP_1": "same step", "OP_2": "Same  Step"}, [("OP_1", "OP_2")])
         with pytest.raises(MergeError):
             merge_workflows([a])
-
-    def test_custom_dedup_key_hook(self):
-        a = wf("WF_A", {"OP_1": "pick top results"}, [])
-        b = wf("WF_B", {"OP_2": "select best results"}, [])
-        g = merge_workflows([a, b], dedup_key=lambda op: "same-bucket")
-        assert sorted(g.operations) == ["OP_1"]
 
     def test_empty_merge(self):
         g = merge_workflows([])
@@ -348,3 +348,62 @@ class TestGraphFile:
         }
         with pytest.raises(DocumentError):
             parse_graph(json.dumps(doc))
+
+
+class TestGraphFileRejections:
+    """Each malformed graph file is refused with a DocumentError at its path."""
+
+    @staticmethod
+    def document():
+        g = merge_workflows([wf("WF_A", {"A": "do a", "B": "do b"}, [("A", "B")])])
+        return json.loads(serialize_graph(g))
+
+    def test_document_is_valid(self):
+        g = parse_graph(json.dumps(self.document()))
+        assert g.edges == (("A", "B"),)
+        assert g.edge_sources == {("A", "B"): ("WF_A",)}
+        assert g.merged_from == {"A": (("WF_A", "A"),), "B": (("WF_A", "B"),)}
+
+    @pytest.mark.parametrize("table, value, path", [
+        ("operations", None, "$.operations"),
+        ("operations", ["A", "B"], "$.operations"),
+        ("operations", {"A": "do a", "B": {"instruction": "do b"}}, "$.operations.A"),
+        ("operations", {"A": {"name": "a"}, "B": {"instruction": "do b"}}, "$.operations.A.instruction"),
+        ("operations", {"A": {"instruction": 1}, "B": {"instruction": "do b"}}, "$.operations.A.instruction"),
+        ("edges", None, "$.edges"),
+        ("edges", {"A": "B"}, "$.edges"),
+        ("edges", [["A", "B", "C"]], "$.edges[0]"),
+        ("edges", ["A->B"], "$.edges[0]"),
+        ("edges", [["A", 2]], "$.edges[0][1]"),
+        ("edges", [["A", "Z"]], "$.edges[0][1]"),
+        ("edges", [["A", "B"], ["A", "B"]], "$.edges[1]"),
+        ("node_sources", ["WF_A"], "$.node_sources"),
+        ("node_sources", {"Z": ["WF_A"]}, "$.node_sources.Z"),
+        ("node_sources", {"A": "WF_A"}, "$.node_sources.A"),
+        ("node_sources", {"A": [7]}, "$.node_sources.A[0]"),
+        ("edge_sources", [["A", "B"]], "$.edge_sources"),
+        ("edge_sources", {"A": ["WF_A"]}, "$.edge_sources.A"),
+        ("edge_sources", {"B->A": ["WF_A"]}, "$.edge_sources.B->A"),
+        ("edge_sources", {"A->B": [None]}, "$.edge_sources.A->B[0]"),
+        ("merged_from", "A", "$.merged_from"),
+        ("merged_from", {"Z": [["WF_A", "Z"]]}, "$.merged_from.Z"),
+        ("merged_from", {"A": ["WF_A", "A"]}, "$.merged_from.A[0]"),
+        ("merged_from", {"A": [["WF_A"]]}, "$.merged_from.A[0]"),
+        ("merged_from", {"A": [["WF_A", 1]]}, "$.merged_from.A[0][1]"),
+        ("merged_from", {"A": {"WF_A": "A"}}, "$.merged_from.A"),
+    ])
+    def test_rejects(self, table, value, path):
+        doc = self.document()
+        if value is None:
+            del doc[table]
+        else:
+            doc[table] = value
+        with pytest.raises(DocumentError) as exc:
+            parse_graph(json.dumps(doc))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("text", [b"\xff{}", "[]", '{"operations": '])
+    def test_rejects_text_that_is_not_a_json_object(self, text):
+        with pytest.raises(DocumentError) as exc:
+            parse_graph(text)
+        assert exc.value.path == "$"

@@ -1027,6 +1027,13 @@ class TestStoreFileRejections:
         manifest["entries"][0]["table"] = "extras"
         self.rejects(saved, self.framed(manifest, saved[3]), "unknown table 'extras'")
 
+    @pytest.mark.parametrize("mode, table", [("stateless", "residuals"), ("stateful", "bases")])
+    def test_table_the_mode_never_uses(self, saved, mode, table):
+        manifest = saved[2]
+        manifest["mode"] = mode
+        row = next(i for i, r in enumerate(manifest["entries"]) if r["table"] == table)
+        self.rejects(saved, self.framed(manifest, saved[3]), f"row {row} is a {table} entry, which a {mode} store")
+
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_byte_ranges_not_contiguous(self, saved, shift):
         manifest = saved[2]
