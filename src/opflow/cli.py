@@ -1,9 +1,9 @@
 """Command-line surface tying the pipeline together.
 
-Subcommands: ``build-graph`` (merge workflow documents into the operation
-graph), ``train`` (fit the edge scorer), ``generate`` (synthesize a workflow
-for a task), ``kv analyze|materialize|prune|footprint`` (cache-store
-operations), ``bench`` (serving-mode benchmark CSVs).
+``_COMMANDS`` lists the subcommands (``build-graph``, ``train``,
+``generate``, ``kv analyze|materialize|prune|footprint``, ``bench``) with
+their keys.  ``_KEYS`` declares each key once, and its one reader checks a
+value from a flag and a value from a config line alike.
 
 Conventions, uniform across subcommands:
 
@@ -24,55 +24,114 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
+from .construct import (
+    DecodeConfig,
+    TrainConfig,
+    generate,
+    generate_synthetic_corpus,
+    load_samples,
+    train,
+)
 from .errors import DataError, NumericError
+from .graph import merge_workflows, parse_graph, parse_workflow, serialize_graph, serialize_workflow
+from .harness import DEFAULT_BATCH_SIZES, _csv, make_workload, sparsity_report, sweep_batch_sizes
+from .kvstore import MODES, CacheStore, MemoryReport, has_store, load_store, save_store
+from .nn import init_params, load_checkpoint, save_checkpoint
+from .oracle import KVOracle, OracleConfig
+from .pruning import (
+    PlanPolicy,
+    PlanReport,
+    TransitionStats,
+    apply_plan,
+    plan_materialization,
+    read_trace_log,
+)
 
 log = logging.getLogger("opflow")
 
-# Every config key: how a config-file value is read, and its built-in default
-# (None = must be supplied by flag or config file where required).
-_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
-    # paths
-    "workflows": (str, None),
-    "graph": (str, None),
-    "samples": (str, None),
-    "checkpoint": (str, None),
-    "store": (str, None),
-    "traces": (str, None),
-    "out": (str, "."),
-    # global knobs
-    "seed": (int, 42),
-    "mode": (str, "differential"),
-    "energy_target": (float, 0.95),
-    "lam": (float, 0.8),
-    "prune_k": (int, 2),
-    "budget": (int, None),
-    # decoding
-    "theta_min": (float, 0.5),
-    "max_nodes": (int, None),
-    # training
-    "epochs": (int, 20),
-    "batch_size": (int, 64),
-    "learning_rate": (float, 1e-4),
-    "weight_decay": (float, 1e-2),
-    "tau": (float, 1.0),
-    "hidden_dim": (int, 256),
-    "mlp_hidden": (int, 128),
-    # analysis / benchmark
-    "pair_limit": (int, 64),
-    "vocab_size": (int, 20),
-    "n_requests": (int, 50),
-    "overlap": (float, 0.5),
-    "distribution": (str, "uniform"),
-    "batch_sizes": (str, "10,20,30,40,50"),
+
+def _choice(names: Sequence[str]) -> Callable[[str], str]:
+    def read(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
+        return text
+
+    return read
+
+
+def _parse_batch_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(int(part) for part in text.split(",") if part.strip())
+    if not sizes:
+        raise ValueError("need at least one size")
+    return sizes
+
+
+# Every key, read the same way from a flag or a config file: its reader
+# (raising ValueError on a bad value), its built-in default (None = must be
+# supplied where required) and its help text.
+_KEYS: dict[str, tuple[Callable[[str], object], object, str]] = {
+    "workflows": (str, None, "directory of workflow JSON documents"),
+    "graph": (str, None, "operation graph JSON file"),
+    "samples": (str, None, "task<TAB>workflow-id sample file"),
+    "checkpoint": (str, None, "trained model checkpoint (bench: fresh init if unset)"),
+    "store": (str, None, "cache-store directory"),
+    "traces": (str, None, "trace log file"),
+    "out": (str, ".", "output directory"),
+    "seed": (int, 42, "global random seed"),
+    "mode": (_choice(MODES), "differential", f"serving mode: {', '.join(MODES)}"),
+    "energy_target": (float, 0.95, "residual energy kept per delta"),
+    "lam": (float, 0.8, "oracle memory decay"),
+    "prune_k": (int, 2, "keep a pair if every edge on its path was seen k times"),
+    "budget": (int, None, "max residual pairs to keep (hottest first)"),
+    "theta_min": (float, 0.5, "edge score threshold"),
+    "max_nodes": (int, None, "cap on generated workflow nodes"),
+    "epochs": (int, 20, "training epochs"),
+    "batch_size": (int, 64, "training batch size"),
+    "learning_rate": (float, 1e-4, "AdamW learning rate"),
+    "weight_decay": (float, 1e-2, "AdamW weight decay"),
+    "tau": (float, 1.0, "Gumbel-sigmoid temperature"),
+    "hidden_dim": (int, 256, "GCN hidden width"),
+    "mlp_hidden": (int, 128, "edge MLP hidden width"),
+    "pair_limit": (int, 64, "graph edges to analyze"),
+    "vocab_size": (int, 20, "synthetic corpus vocabulary"),
+    "n_requests": (int, 50, "requests in the workload"),
+    "overlap": (float, 0.5, "fraction of routes each task mentions"),
+    "distribution": (_choice(("uniform", "zipf")), "uniform", "route popularity: uniform, zipf"),
+    "batch_sizes": (_parse_batch_sizes, DEFAULT_BATCH_SIZES, "comma-separated, e.g. 10,20,30"),
 }
+
+# Every command: its help text and the keys it takes as flags besides
+# --config, --seed, --out and -v.  A None key list makes a command group.
+# --task alone is a flag and no config key.
+_COMMANDS: tuple[tuple[str, str, tuple[str, ...] | None], ...] = (
+    ("build-graph", "merge workflow documents into the operation graph", ("workflows",)),
+    ("train", "fit the edge scorer on task/workflow samples", (
+        "graph", "workflows", "samples", "epochs", "batch_size", "learning_rate",
+        "weight_decay", "tau", "hidden_dim", "mlp_hidden",
+    )),
+    ("generate", "synthesize a workflow document for a task",
+     ("graph", "checkpoint", "task", "theta_min", "max_nodes")),
+    ("kv", "cache-store operations", None),
+    ("kv analyze", "per-pair KV difference sparsity CSVs", ("graph", "lam", "pair_limit")),
+    ("kv materialize", "build a store from a trace log",
+     ("graph", "traces", "store", "mode", "energy_target", "lam")),
+    ("kv prune", "drop residuals off the planned hot set",
+     ("graph", "store", "traces", "prune_k", "budget")),
+    ("kv footprint", "store memory accounting CSV", ("graph", "store", "mode")),
+    ("bench", "serving-mode benchmark CSVs", (
+        "checkpoint", "vocab_size", "n_requests", "overlap", "distribution",
+        "batch_sizes", "energy_target", "lam",
+    )),
+)
 
 
 class UsageError(Exception):
-    """Bad invocation: unknown flag/key, missing required value."""
+    """Bad invocation: unknown flag/key, bad or missing value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +139,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A002 - argparse API
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _flag(key: str) -> str:
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +155,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -111,19 +174,17 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def resolve_config(args: argparse.Namespace, file_values: Mapping[str, str]) -> SimpleNamespace:
-    """Merge flags > config file > defaults into one namespace."""
+    """Merge flags > config file > defaults into one namespace, reading a
+    flag string and a config value with the same reader."""
     resolved: dict[str, object] = {}
-    for key, (coerce, default) in _KEYS.items():
+    for key, (read, default, _) in _KEYS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            try:
-                resolved[key] = coerce(file_values[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
-        else:
-            resolved[key] = default
+        text = flag if flag is not None else file_values.get(key)
+        try:
+            resolved[key] = default if text is None else read(text)
+        except ValueError as exc:
+            source = _flag(key) if flag is not None else f"config key {key}"
+            raise UsageError(f"{source}: {exc}") from exc
     resolved["task"] = getattr(args, "task", None)
     return SimpleNamespace(**resolved)
 
@@ -131,19 +192,8 @@ def resolve_config(args: argparse.Namespace, file_values: Mapping[str, str]) -> 
 def _require(cfg: SimpleNamespace, key: str) -> str:
     value = getattr(cfg, key)
     if value is None:
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"missing required {flag} (flag or config key)")
+        raise UsageError(f"missing required {_flag(key)} (flag or config key)")
     return value
-
-
-def _parse_batch_sizes(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"--batch-sizes: {exc}") from exc
-    if not sizes:
-        raise UsageError("--batch-sizes: need at least one size")
-    return sizes
 
 
 def _format_rate(value: float) -> str:
@@ -162,13 +212,10 @@ def _out_dir(cfg: SimpleNamespace) -> Path:
 
 
 def _load_graph(cfg: SimpleNamespace):
-    from .graph import parse_graph
-
-    path = _require(cfg, "graph")
-    return parse_graph(_read_text(path))
+    return parse_graph(_read_text(_require(cfg, "graph")))
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -176,18 +223,21 @@ def _read_text(path: str) -> str:
 
 
 def _load_workflow_dir(directory: str):
-    from .graph import parse_workflow
-
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"{directory}: not a directory")
     workflows = []
     for path in sorted(root.glob("*.json")):
+        text = _read_text(path)
         try:
-            workflows.append(parse_workflow(path.read_text()))
+            workflows.append(parse_workflow(text))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
     return workflows
+
+
+def _oracle(cfg: SimpleNamespace) -> KVOracle:
+    return KVOracle(OracleConfig(lam=cfg.lam, seed=cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +246,6 @@ def _load_workflow_dir(directory: str):
 
 
 def cmd_build_graph(cfg: SimpleNamespace) -> int:
-    from .graph import merge_workflows, serialize_graph
-
     workflows = _load_workflow_dir(_require(cfg, "workflows"))
     graph = merge_workflows(workflows)
     out = _out_dir(cfg) / "graph.json"
@@ -209,9 +257,6 @@ def cmd_build_graph(cfg: SimpleNamespace) -> int:
 
 
 def cmd_train(cfg: SimpleNamespace) -> int:
-    from .construct import TrainConfig, load_samples, train
-    from .nn import save_checkpoint
-
     graph = _load_graph(cfg)
     workflows = {w.id: w for w in _load_workflow_dir(_require(cfg, "workflows"))}
     samples = load_samples(_require(cfg, "samples"), workflows)
@@ -239,10 +284,6 @@ def cmd_train(cfg: SimpleNamespace) -> int:
 
 
 def cmd_generate(cfg: SimpleNamespace) -> int:
-    from .construct import DecodeConfig, generate
-    from .graph import serialize_workflow
-    from .nn import load_checkpoint
-
     graph = _load_graph(cfg)
     params, _ = load_checkpoint(_require(cfg, "checkpoint"))
     if cfg.task is None:
@@ -254,9 +295,6 @@ def cmd_generate(cfg: SimpleNamespace) -> int:
 
 
 def cmd_kv_analyze(cfg: SimpleNamespace) -> int:
-    from .harness import sparsity_report
-    from .oracle import OracleConfig
-
     graph = _load_graph(cfg)
     pairs = [
         (graph.operations[src].instruction, graph.operations[dst].instruction)
@@ -277,16 +315,7 @@ def cmd_kv_analyze(cfg: SimpleNamespace) -> int:
     return 0
 
 
-def _oracle(cfg: SimpleNamespace):
-    from .oracle import KVOracle, OracleConfig
-
-    return KVOracle(OracleConfig(lam=cfg.lam, seed=cfg.seed))
-
-
 def cmd_kv_materialize(cfg: SimpleNamespace) -> int:
-    from .kvstore import CacheStore, save_store
-    from .pruning import read_trace_log
-
     graph = _load_graph(cfg)
     traces = read_trace_log(_require(cfg, "traces"))
     store = CacheStore(graph, cfg.mode, oracle=_oracle(cfg), energy_target=cfg.energy_target)
@@ -309,15 +338,6 @@ def cmd_kv_materialize(cfg: SimpleNamespace) -> int:
 
 
 def cmd_kv_prune(cfg: SimpleNamespace) -> int:
-    from .kvstore import load_store, save_store
-    from .pruning import (
-        PlanPolicy,
-        TransitionStats,
-        apply_plan,
-        plan_materialization,
-        read_trace_log,
-    )
-
     graph = _load_graph(cfg)
     store = load_store(_require(cfg, "store"), graph)
     stats = TransitionStats(graph)
@@ -329,48 +349,27 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
     save_store(store, cfg.store)
     out = _out_dir(cfg)
     (out / "prune_report.csv").write_text(report.to_csv())
-    summary = (
-        "bytes_before,bytes_after,residual_bytes_before,residual_bytes_after,"
-        "inserted,kept,dropped\n"
-        f"{report.bytes_before},{report.bytes_after},{report.residual_bytes_before},"
-        f"{report.residual_bytes_after},{report.inserted},{report.kept},{report.dropped}\n"
-    )
-    (out / "prune_summary.csv").write_text(summary)
+    counters = [f.name for f in fields(PlanReport) if f.name != "rows"]
+    (out / "prune_summary.csv").write_text(_csv(counters, [report]))
     print(f"bytes_before={report.bytes_before} bytes_after={report.bytes_after} "
           f"dropped={report.dropped}")
     return 0
 
 
 def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
-    from .kvstore import has_store, load_store
-
     store_dir = _require(cfg, "store")
-    header = (
-        "mode,bases_bytes,residuals_bytes,fulls_bytes,"
-        "n_bases,n_residuals,n_fulls,total_bytes"
-    )
-    if not has_store(store_dir):
-        # A directory holding no store, or none at all, has an all-zero footprint.
-        row = f"{cfg.mode},0,0,0,0,0,0,0"
+    if has_store(store_dir):
+        m = load_store(store_dir, _load_graph(cfg)).memory_footprint()
     else:
-        graph = _load_graph(cfg)
-        m = load_store(store_dir, graph).memory_footprint()
-        row = (
-            f"{m.mode},{m.bases_bytes},{m.residuals_bytes},{m.fulls_bytes},"
-            f"{m.n_bases},{m.n_residuals},{m.n_fulls},{m.total_bytes}"
-        )
-    csv_text = f"{header}\n{row}\n"
+        # A directory holding no store, or none at all, has an all-zero footprint.
+        m = MemoryReport(cfg.mode, 0, 0, 0, 0, 0, 0)
+    csv_text = _csv([f.name for f in fields(MemoryReport)] + ["total_bytes"], [m])
     (_out_dir(cfg) / "footprint.csv").write_text(csv_text)
     sys.stdout.write(csv_text)
     return 0
 
 
 def cmd_bench(cfg: SimpleNamespace) -> int:
-    from .construct import generate_synthetic_corpus
-    from .harness import make_workload, sweep_batch_sizes
-    from .nn import init_params, load_checkpoint
-
-    batch_sizes = _parse_batch_sizes(cfg.batch_sizes)
     corpus = generate_synthetic_corpus(vocab_size=cfg.vocab_size, n_tasks=1, seed=cfg.seed)
     if cfg.checkpoint is not None:
         params, _ = load_checkpoint(cfg.checkpoint)
@@ -382,7 +381,7 @@ def cmd_bench(cfg: SimpleNamespace) -> int:
         seed=cfg.seed,
         overlap=cfg.overlap,
         distribution=cfg.distribution,
-        batch_sizes=batch_sizes,
+        batch_sizes=cfg.batch_sizes,
     )
     sweep = sweep_batch_sizes(
         corpus.graph, params, workload, oracle=_oracle(cfg), energy_target=cfg.energy_target
@@ -405,93 +404,28 @@ def cmd_bench(cfg: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--seed", type=int, help="global random seed (default 42)")
-    parser.add_argument("--out", help="output directory (default '.')")
-    parser.add_argument("-v", dest="verbose", action="store_true", help="log progress to stderr")
-
-
 def build_parser() -> _Parser:
+    """One subparser per ``_COMMANDS`` row, every value left a string for
+    :func:`resolve_config` to read."""
     parser = _Parser(prog="opflow", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("build-graph", help="merge workflow documents into the operation graph")
-    _add_common(p)
-    p.add_argument("--workflows", help="directory of workflow JSON documents")
-    p.set_defaults(handler=cmd_build_graph)
-
-    p = sub.add_parser("train", help="fit the edge scorer on task/workflow samples")
-    _add_common(p)
-    p.add_argument("--graph", help="operation graph JSON file")
-    p.add_argument("--workflows", help="directory of target workflow documents")
-    p.add_argument("--samples", help="task<TAB>workflow-id sample file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--mlp-hidden", type=int, dest="mlp_hidden")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("generate", help="synthesize a workflow document for a task")
-    _add_common(p)
-    p.add_argument("--graph", help="operation graph JSON file")
-    p.add_argument("--checkpoint", help="trained model checkpoint")
-    p.add_argument("--task", help="task text to condition on")
-    p.add_argument("--theta-min", type=float, dest="theta_min")
-    p.add_argument("--max-nodes", type=int, dest="max_nodes")
-    p.set_defaults(handler=cmd_generate)
-
-    kv = sub.add_parser("kv", help="cache-store operations")
-    kv_sub = kv.add_subparsers(dest="kv_command", required=True, parser_class=_Parser)
-
-    p = kv_sub.add_parser("analyze", help="per-pair KV difference sparsity CSVs")
-    _add_common(p)
-    p.add_argument("--graph")
-    p.add_argument("--lambda", type=float, dest="lam", help="oracle memory decay")
-    p.add_argument("--pair-limit", type=int, dest="pair_limit")
-    p.set_defaults(handler=cmd_kv_analyze)
-
-    p = kv_sub.add_parser("materialize", help="build a store from a trace log")
-    _add_common(p)
-    p.add_argument("--graph")
-    p.add_argument("--traces", help="trace log file")
-    p.add_argument("--store", help="store directory to write")
-    p.add_argument("--mode", choices=("stateful", "differential", "stateless"))
-    p.add_argument("--energy-target", type=float, dest="energy_target")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.set_defaults(handler=cmd_kv_materialize)
-
-    p = kv_sub.add_parser("prune", help="drop residuals off the planned hot set")
-    _add_common(p)
-    p.add_argument("--graph")
-    p.add_argument("--store", help="store directory to prune in place")
-    p.add_argument("--traces", help="trace log file")
-    p.add_argument("--prune-k", type=int, dest="prune_k")
-    p.add_argument("--budget", type=int, help="max residual pairs to keep (hottest first)")
-    p.set_defaults(handler=cmd_kv_prune)
-
-    p = kv_sub.add_parser("footprint", help="store memory accounting CSV")
-    _add_common(p)
-    p.add_argument("--graph")
-    p.add_argument("--store", help="store directory to measure")
-    p.add_argument("--mode", choices=("stateful", "differential", "stateless"))
-    p.set_defaults(handler=cmd_kv_footprint)
-
-    p = sub.add_parser("bench", help="serving-mode benchmark CSVs")
-    _add_common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint (default: fresh init)")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--n-requests", type=int, dest="n_requests")
-    p.add_argument("--overlap", type=float)
-    p.add_argument("--distribution", choices=("uniform", "zipf"))
-    p.add_argument("--batch-sizes", dest="batch_sizes", help="comma-separated, e.g. 10,20,30")
-    p.add_argument("--energy-target", type=float, dest="energy_target")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.set_defaults(handler=cmd_bench)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for name, help_text, keys in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        if keys is None:
+            groups[name] = p.add_subparsers(
+                dest=f"{name}_command", required=True, parser_class=_Parser
+            )
+            continue
+        p.add_argument("--config", help="flat key=value configuration file")
+        for key in ("seed", "out", *keys):
+            _, default, key_help = _KEYS.get(key, (None, None, "task text to condition on"))
+            if default is not None:
+                key_help = f"{key_help} (default {default})"
+            p.add_argument(_flag(key), dest=key, help=key_help)
+        p.add_argument("-v", dest="verbose", action="store_true", help="log progress to stderr")
+        # Looked up as the parser is built, so a handler replaced on the module runs.
+        p.set_defaults(handler=globals()["cmd_" + name.replace("-", "_").replace(" ", "_")])
     return parser
 
 
@@ -509,15 +443,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"opflow: error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"opflow: data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"opflow: numeric error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"opflow: data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

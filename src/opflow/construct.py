@@ -561,7 +561,10 @@ def load_samples(
     path: str | Path, workflows: Mapping[str, Workflow]
 ) -> list[TrainSample]:
     samples = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue

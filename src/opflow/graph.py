@@ -256,6 +256,8 @@ def _parse_operations(value: object, path: str) -> dict[str, Operation]:
     operations: dict[str, Operation] = {}
     for op_id, raw in _expect_object(value, path).items():
         where = f"{path}.{op_id}"
+        if "->" in op_id:
+            raise DocumentError(where, "operation id contains '->', the edge key separator")
         raw = _expect_object(raw, where)
         _require(raw, ("instruction",), where)
         must, should = _parse_patterns(raw.get("patterns", {}), f"{where}.patterns")
@@ -382,7 +384,8 @@ def merge_workflows(workflows: Sequence[Workflow]) -> OperationGraph:
     smallest contributing id; edges are re-pointed to canonical ids and
     unioned.  The result is independent of workflow ingestion order.
 
-    Raises :class:`MergeError` when one operation id appears with two
+    Raises :class:`MergeError` when an operation id contains ``->`` (graph
+    files key edges as ``"a->b"``), when one operation id appears with two
     different instructions (conflicting reuse of an id), when a merge would
     create a self-loop, and :class:`CycleError` when cross-workflow orderings
     disagree and form a cycle.
@@ -392,6 +395,8 @@ def merge_workflows(workflows: Sequence[Workflow]) -> OperationGraph:
     id_to_key: dict[str, str] = {}
     for wf in workflows:
         for op_id, op in wf.operations.items():
+            if "->" in op_id:
+                raise MergeError(f"operation id {op_id!r} contains '->' (workflow {wf.id!r})")
             key = normalize_instruction(op.instruction)
             prior = id_to_key.get(op_id)
             if prior is not None and prior != key:

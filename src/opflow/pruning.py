@@ -221,7 +221,10 @@ def write_trace_log(path: str | Path, traces: Iterable[tuple[str, Sequence[str]]
 
 def read_trace_log(path: str | Path) -> list[tuple[str, list[str]]]:
     traces = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue

@@ -7,6 +7,9 @@ subprocess test proves the module entry point works end to end.
 
 from __future__ import annotations
 
+import argparse
+import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +102,33 @@ class TestBuildGraph:
         assert main(["build-graph", "--workflows", str(wfdir),
                      "--out", str(tmp_path)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is a data error (a usage error for
+    --config) that names the file, never a traceback."""
+
+    @pytest.mark.parametrize("kind, code", [
+        ("workflow", 2), ("samples", 2), ("traces", 2), ("config", 1),
+    ])
+    def test_names_the_file(self, cli_project, tmp_path, capsys, kind, code):
+        root, _ = cli_project
+        bad = tmp_path / "docs" / "bad.json"
+        bad.parent.mkdir()
+        bad.write_bytes(b"\xff\xfe{}")
+        graph, out = str(root / "graph.json"), str(tmp_path / "out")
+        args = {
+            "workflow": ["build-graph", "--workflows", str(bad.parent), "--out", out],
+            "samples": ["train", "--graph", graph, "--workflows", str(root / "workflows"),
+                        "--samples", str(bad), "--out", out],
+            "traces": ["kv", "materialize", "--graph", graph, "--traces", str(bad),
+                       "--store", str(tmp_path / "store")],
+            "config": ["bench", "--config", str(bad), "--out", out],
+        }[kind]
+        capsys.readouterr()
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +630,60 @@ class TestConfigFile:
         for row in rows:
             assert row.split(",")[6] == "1.0"  # frac_exact_zero
 
+    # A non-default value for every key, as text and as resolved.
+    VALUES = {
+        "workflows": ("wf", "wf"), "graph": ("g.json", "g.json"),
+        "samples": ("s.tsv", "s.tsv"), "checkpoint": ("c.bin", "c.bin"),
+        "store": ("st", "st"), "traces": ("t.log", "t.log"), "out": ("o", "o"),
+        "seed": ("7", 7), "mode": ("stateless", "stateless"),
+        "energy_target": ("0.5", 0.5), "lam": ("0.25", 0.25), "prune_k": ("3", 3),
+        "budget": ("5", 5), "theta_min": ("0.25", 0.25), "max_nodes": ("4", 4),
+        "epochs": ("3", 3), "batch_size": ("8", 8), "learning_rate": ("0.001", 0.001),
+        "weight_decay": ("0", 0.0), "tau": ("2", 2.0), "hidden_dim": ("16", 16),
+        "mlp_hidden": ("8", 8), "pair_limit": ("4", 4), "vocab_size": ("8", 8),
+        "n_requests": ("6", 6), "overlap": ("0.25", 0.25),
+        "distribution": ("zipf", "zipf"), "batch_sizes": ("3, 6,", (3, 6)),
+    }
+
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_flag_and_config_line_resolve_alike(self, tmp_path, key):
+        text, expected = self.VALUES[key]
+        words = next(
+            name for name, _, keys in cli._COMMANDS if key in ("seed", "out", *(keys or ()))
+        ).split()
+        parser = cli.build_parser()
+        from_flag = cli.resolve_config(parser.parse_args([*words, cli._flag(key), text]), {})
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {text}\n")
+        from_file = cli.resolve_config(parser.parse_args(words), cli.read_config_file(config))
+        assert getattr(from_flag, key) == getattr(from_file, key) == expected
+        assert expected != cli._KEYS[key][1]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, text, command", [
+        ("mode", "bogus", ["kv", "footprint", "--store", "nowhere"]),
+        ("distribution", "pareto", ["bench", "--vocab-size", "8", "--n-requests", "6"]),
+        ("batch_sizes", ",", ["bench", "--vocab-size", "8", "--n-requests", "6"]),
+        ("epochs", "three", ["train"]),
+    ])
+    def test_bad_value_exits_one_from_flag_and_config(
+        self, tmp_path, capsys, monkeypatch, source, key, text, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        args = [*command, "--out", str(out)]
+        flag = cli._flag(key)
+        if source == "flag":
+            args += [flag, text]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}={text}\n")
+            args += ["--config", "run.cfg"]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert (flag if source == "flag" else f"config key {key}") in err
+        assert not out.exists()  # the command never ran: no CSV, no directory
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
@@ -636,6 +720,60 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_build_graph", bad)
         assert main(["build-graph", "--workflows", str(tmp_path)]) == 2
+
+
+def option_strings() -> dict[str, set[str]]:
+    """Each command's option strings, keyed by its words ("kv prune")."""
+    found = {}
+
+    def walk(parser, words):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, (*words, name))
+        found[" ".join(words)] = {o for a in parser._actions for o in a.option_strings}
+
+    walk(cli.build_parser(), ())
+    return found
+
+
+class TestFlags:
+    def test_each_command_has_exactly_its_flags(self):
+        expected = {
+            "": set(), "kv": set(),
+            "build-graph": {"--workflows"},
+            "train": {"--graph", "--workflows", "--samples", "--epochs", "--batch-size",
+                      "--learning-rate", "--weight-decay", "--tau", "--hidden-dim",
+                      "--mlp-hidden"},
+            "generate": {"--graph", "--checkpoint", "--task", "--theta-min", "--max-nodes"},
+            "kv analyze": {"--graph", "--lambda", "--pair-limit"},
+            "kv materialize": {"--graph", "--traces", "--store", "--mode", "--energy-target",
+                               "--lambda"},
+            "kv prune": {"--graph", "--store", "--traces", "--prune-k", "--budget"},
+            "kv footprint": {"--graph", "--store", "--mode"},
+            "bench": {"--checkpoint", "--vocab-size", "--n-requests", "--overlap",
+                      "--distribution", "--batch-sizes", "--energy-target", "--lambda"},
+        }
+        found = option_strings()
+        assert found.keys() == expected.keys()
+        for command, flags in expected.items():
+            common = {"--config", "--seed", "--out", "-v"} if flags else set()
+            assert found[command] == flags | common | {"-h", "--help"}, command
+
+    def test_readme_command_line_block_uses_declared_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        found = option_strings()
+        listed = set()
+        for line in block.replace("\\\n", " ").strip().splitlines():
+            # "opflow kv prune --graph FILE [--prune-k N] ...": command words, then flags.
+            program, *words = line.split()
+            assert program == "opflow", line
+            command = " ".join(itertools.takewhile(lambda word: word[0] not in "-[", words))
+            listed.add(command)
+            for flag in re.findall(r"--[a-z][a-z-]*", line):
+                assert flag in found[command], f"{command} {flag}"
+        assert listed == {name for name, flags in found.items() if "--out" in flags}
 
 
 class TestModuleEntryPoint:

@@ -12,6 +12,8 @@ import pytest
 from opflow.errors import CycleError, DataError, DocumentError, MergeError
 from opflow.graph import (
     TASK_NODE_ID,
+    Operation,
+    Workflow,
     condition_on_task,
     merge_workflows,
     normalize_instruction,
@@ -117,6 +119,12 @@ class TestParseWorkflow:
         with pytest.raises(DocumentError) as exc:
             parse_workflow(json.dumps(doc))
         assert exc.value.path == "$.operations.A.instruction"
+
+    def test_operation_id_with_edge_separator(self):
+        doc = make_workflow_doc("WF_X", {"A->B": "do a then b", "C": "do c"}, [("A->B", "C")])
+        with pytest.raises(DocumentError) as exc:
+            parse_workflow(json.dumps(doc))
+        assert exc.value.path == "$.operations.A->B"
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +278,21 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge_workflows([a])
 
+    def test_operation_id_with_edge_separator_is_an_error(self):
+        # Graph files key edge_sources by "a->b", so A->B -> C and A -> B->C
+        # would share the key "A->B->C".  Built directly: the parser refuses them.
+        def raw(wf_id, ops, edges):
+            return Workflow(
+                id=wf_id, name=wf_id, description=wf_id, patterns_must=(), patterns_should=(),
+                nodes=tuple(ops), edges=tuple(edges),
+                operations={op_id: Operation(id=op_id, instruction=text) for op_id, text in ops.items()},
+            )
+
+        w1 = raw("W1", {"A->B": "first step", "C": "third step"}, [("A->B", "C")])
+        w2 = raw("W2", {"A": "zeroth step", "B->C": "second step"}, [("A", "B->C")])
+        with pytest.raises(MergeError, match="'A->B'"):
+            merge_workflows([w1, w2])
+
     def test_empty_merge(self):
         g = merge_workflows([])
         assert g.operations == {} and g.edges == ()
@@ -391,6 +414,7 @@ class TestGraphFileRejections:
         ("merged_from", {"A": [["WF_A"]]}, "$.merged_from.A[0]"),
         ("merged_from", {"A": [["WF_A", 1]]}, "$.merged_from.A[0][1]"),
         ("merged_from", {"A": {"WF_A": "A"}}, "$.merged_from.A"),
+        ("operations", {"A": {"instruction": "a"}, "A->B": {"instruction": "ab"}}, "$.operations.A->B"),
     ])
     def test_rejects(self, table, value, path):
         doc = self.document()
