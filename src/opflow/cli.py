@@ -64,6 +64,19 @@ def _choice(names: Sequence[str]) -> Callable[[str], str]:
     return read
 
 
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """A reader for integers in [low, high), or at least ``low`` without ``high``."""
+    span = f">= {low}" if high is None else f"in [{low}, {high})"
+
+    def read(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value >= high):
+            raise ValueError(f"expected an integer {span}, got {value}")
+        return value
+
+    return read
+
+
 def _parse_batch_sizes(text: str) -> tuple[int, ...]:
     sizes = tuple(int(part) for part in text.split(",") if part.strip())
     if not sizes:
@@ -82,7 +95,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object, str]] = {
     "store": (str, None, "cache-store directory"),
     "traces": (str, None, "trace log file"),
     "out": (str, ".", "output directory"),
-    "seed": (int, 42, "global random seed"),
+    "seed": (_int_in(0, 2**64), 42, "global random seed"),
     "mode": (_choice(MODES), "differential", f"serving mode: {', '.join(MODES)}"),
     "energy_target": (float, 0.95, "residual energy kept per delta"),
     "lam": (float, 0.8, "oracle memory decay"),
@@ -97,7 +110,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object, str]] = {
     "tau": (float, 1.0, "Gumbel-sigmoid temperature"),
     "hidden_dim": (int, 256, "GCN hidden width"),
     "mlp_hidden": (int, 128, "edge MLP hidden width"),
-    "pair_limit": (int, 64, "graph edges to analyze"),
+    "pair_limit": (_int_in(1), 64, "graph edges to analyze"),
     "vocab_size": (int, 20, "synthetic corpus vocabulary"),
     "n_requests": (int, 50, "requests in the workload"),
     "overlap": (float, 0.5, "fraction of routes each task mentions"),

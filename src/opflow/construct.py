@@ -69,6 +69,9 @@ class TrainConfig:
             raise DataError("batch_size must be positive")
         if self.tau <= 0:
             raise DataError("tau must be positive")
+        for name in ("hidden_dim", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

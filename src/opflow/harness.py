@@ -63,8 +63,6 @@ class Workload:
     requests: tuple[str, ...]
     targets: tuple[tuple[tuple[str, str], ...], ...]
     batch_sizes: tuple[int, ...] = DEFAULT_BATCH_SIZES
-    seed: int = 0
-    overlap: float = 0.5
 
     def __post_init__(self):
         if not self.requests:
@@ -126,13 +124,7 @@ def make_workload(
         ordered = tuple(sorted(routes))
         requests.append(corpus.compose_task(ordered, rng))
         targets.append(corpus.target_edges_for_routes(ordered))
-    return Workload(
-        requests=tuple(requests),
-        targets=tuple(targets),
-        batch_sizes=tuple(batch_sizes),
-        seed=seed,
-        overlap=overlap,
-    )
+    return Workload(tuple(requests), tuple(targets), tuple(batch_sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +288,14 @@ def run_serving_sim(
     ``execution_chains``; fallbacks in differential mode materialize the
     missing residual (unless ``warm_differential`` is off, as when measuring
     a pruned store).  ``stats`` collects the executed maximal traces for
-    materialization planning.
+    materialization planning.  An injected ``store`` brings its own oracle
+    and energy target; ``oracle`` and ``energy_target`` build the stores
+    this function creates.
     """
     if mode not in MODES:
         raise DataError(f"unknown serving mode {mode!r}")
-    oracle = oracle or KVOracle(OracleConfig())
-
     if store is None:
+        oracle = oracle or KVOracle(OracleConfig())
         if mode != "stateful":
             store = CacheStore(graph, mode, oracle=oracle, energy_target=energy_target)
     elif store.mode != mode:
@@ -526,16 +519,8 @@ def ablate_pruning(
     cache = {text: generate(graph, params, text) for text in dict.fromkeys(workload.requests)}
 
     unpruned = run_serving_sim(
-        graph,
-        params,
-        workload,
-        "differential",
-        oracle=oracle,
-        energy_target=energy_target,
-        store=store,
-        stats=stats,
-        workflow_cache=cache,
-        verify_fetches=verify_fetches,
+        graph, params, workload, "differential",
+        store=store, stats=stats, workflow_cache=cache, verify_fetches=verify_fetches,
     )
     bytes_unpruned = store.memory_footprint().total_bytes
 
@@ -544,16 +529,8 @@ def ablate_pruning(
     bytes_pruned = store.memory_footprint().total_bytes
 
     pruned = run_serving_sim(
-        graph,
-        params,
-        workload,
-        "differential",
-        oracle=oracle,
-        energy_target=energy_target,
-        store=store,
-        workflow_cache=cache,
-        warm_differential=False,
-        verify_fetches=verify_fetches,
+        graph, params, workload, "differential",
+        store=store, workflow_cache=cache, warm_differential=False, verify_fetches=verify_fetches,
     )
     return AblationReport(
         policy=policy,
@@ -642,8 +619,8 @@ def sparsity_report(
         delta = full.states - base.states
         magnitude = np.abs(delta)
         peak = float(magnitude.max())
-        cut = _SPARSITY_THRESHOLD * peak
-        below = float(np.mean(magnitude < cut)) if peak > 0.0 else 1.0
+        # With no difference at all, every entry counts as below the threshold.
+        below = (magnitude < _SPARSITY_THRESHOLD * peak) | (peak == 0.0)
         pair_rows.append(
             SparsityPair(
                 pair_index=index,
@@ -653,25 +630,18 @@ def sparsity_report(
                 frobenius_full=float(
                     np.sqrt(np.sum(full.keys**2) + np.sum(full.values**2))
                 ),
-                frac_below_threshold=below,
+                frac_below_threshold=float(below.mean()),
                 frac_exact_zero=float(np.mean(magnitude == 0.0)),
             )
         )
-        for layer in range(config.layers):
-            mag_l = magnitude[layer]
-            layer_rows.append(
-                SparsityLayerRow(
-                    pair_index=index,
-                    layer=layer,
-                    frobenius_delta=float(np.sqrt(np.sum(delta[layer] ** 2))),
-                    frac_below_threshold=float(np.mean(mag_l < cut)) if peak > 0.0 else 1.0,
-                )
-            )
-            for head in range(config.heads):
-                abs_sums[layer, head] += float(mag_l[head].mean())
-                frac_sums[layer, head] += (
-                    float(np.mean(mag_l[head] < cut)) if peak > 0.0 else 1.0
-                )
+        layer_norms = np.sqrt(np.sum(delta**2, axis=(1, 2, 3))).tolist()
+        layer_fracs = below.mean(axis=(1, 2, 3)).tolist()
+        layer_rows += [
+            SparsityLayerRow(index, layer, norm, frac)
+            for layer, (norm, frac) in enumerate(zip(layer_norms, layer_fracs))
+        ]
+        abs_sums += magnitude.mean(axis=(2, 3))
+        frac_sums += below.mean(axis=(2, 3))
     n = len(pairs)
     heatmap = [
         (layer, head, float(abs_sums[layer, head] / n), float(frac_sums[layer, head] / n))

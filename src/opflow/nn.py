@@ -128,23 +128,15 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(
-    params: ModelParams, x: np.ndarray, a: np.ndarray,
-    task_index: int | None = None, task_rows: np.ndarray | None = None,
+    params: ModelParams, x: np.ndarray, a: np.ndarray, task_index: int, task_rows: np.ndarray
 ) -> np.ndarray:
-    """Two message-passing layers with ReLU after each.
+    """Two message-passing layers with ReLU after each, (B, V, H).
 
-    Without ``task_rows``, ``x`` may be (V, D) or batched (B, V, D); the
-    adjacency is shared.  With ``task_rows`` (B, D), sample b is ``x`` with
-    row ``task_index`` replaced by ``task_rows[b]``, layer 1 is folded as in
-    ``forward_loss``, and ``S`` and ``S (X0 W1)`` come from the memo when
-    it holds them; returns (B, V, H).
+    Sample b is the (V, D) ``x`` with row ``task_index`` replaced by
+    ``task_rows[b]`` of the (B, D) ``task_rows``; layer 1 is folded as in
+    ``forward_loss``, and ``S`` and ``S (X0 W1)`` come from the memo when it
+    holds them.
     """
-    if task_rows is None:
-        s = normalized_adjacency(a)
-        z1 = s @ x @ params.gcn_w1
-        return _layer2(params, s, z1)[2]
-    if task_index is None:
-        raise DataError("task_rows need the task_index of the row they replace")
     memo = _memo(params)
     seen = (None, None, None) if memo is None else memo.inputs
     if seen[0] is x and seen[1] is a and seen[2] == task_index:
@@ -286,28 +278,22 @@ def forward_loss(
     task_index: int,
     labels: np.ndarray,
     *,
-    task_rows: np.ndarray | None = None,
+    task_rows: np.ndarray,
     tau: float = 1.0,
     noise: np.ndarray | None = None,
 ) -> tuple[float, ForwardCache]:
     """Full training loss with everything the backward pass needs.
 
-    ``x`` is the (V, D) feature matrix.  With ``task_rows`` (B, D), sample b
-    is ``x`` with row ``task_index`` replaced by ``task_rows[b]``, and
-    ``labels`` (and ``noise``) are (B, E); without it there is one sample,
-    ``x`` itself, with (E,) labels.  ``noise`` enables the Gumbel
-    relaxation; it is treated as a constant by the backward pass.  The loss
-    is the batch mean of per-sample edge means.
+    Sample b is the (V, D) feature matrix ``x`` with row ``task_index``
+    replaced by ``task_rows[b]`` of the (B, D) ``task_rows``; ``labels``
+    (and ``noise``) are (B, E).  ``noise`` enables the Gumbel relaxation; it
+    is treated as a constant by the backward pass.  The loss is the batch
+    mean of per-sample edge means.
 
     Each term is computed where it varies: samples differ only in the task
     row (``_layer1``), and the edge MLP's first layer runs per node
     (``_edge_layer1``).
     """
-    if task_rows is None:
-        task_rows = x[task_index][None]
-        labels = np.asarray(labels, dtype=np.float64)[None]
-        if noise is not None:
-            noise = np.asarray(noise)[None]
     labels = np.asarray(labels, dtype=np.float64)
 
     s, x0, shared = _shared_layer1(params, x, a, task_index)  # once per step

@@ -19,9 +19,9 @@ Everything a prefix contributes to later tokens passes through the causal
 mix, so one (layers, d_model) float64 array, each layer's ``m_t`` at the
 prefix's last token, sums up the whole prefix.  ``KVOracle.resume`` takes
 that *carry*, computes a segment after it and returns the segment's states
-with the carry at its end; ``kv_states`` is ``resume`` from the zero carry.
-A cache that keeps one carry per prefix therefore computes an op in context
-at the cost of the op's own tokens.  ``stateful_segment`` stays the
+with the carry at its end; ``base_segment`` is ``resume`` from the zero
+carry.  A cache that keeps one carry per prefix therefore computes an op in
+context at the cost of the op's own tokens.  ``stateful_segment`` stays the
 one-pass reference (prefix ++ op from token 0, sliced to the op) that
 resumed results are checked against; resuming is bitwise equal to it as
 long as the matrix products give each row the same bits whatever the number
@@ -156,10 +156,6 @@ class KVOracle:
         """The carry of an empty prefix: zeros of shape (layers, d_model)."""
         return np.zeros((self.config.layers, self.config.d_model), dtype=np.float64)
 
-    def kv_states(self, tokens: list[int], position_offset: int = 0) -> KVTensor:
-        """KV states for a token sequence starting at an absolute position."""
-        return self.resume(self.empty_carry(), tokens, position_offset)[0]
-
     def resume(
         self, carry: np.ndarray, tokens: list[int], position_offset: int
     ) -> tuple[KVTensor, np.ndarray]:
@@ -205,10 +201,11 @@ class KVOracle:
         token 0, sliced to the op.  The reference for resumed computations."""
         if len(op_tokens) == 0:
             raise DataError("operation segment must contain at least one token")
-        full = self.kv_states(list(prefix_tokens) + list(op_tokens), 0)
+        full = self.resume(self.empty_carry(), list(prefix_tokens) + list(op_tokens), 0)[0]
         start = len(prefix_tokens)
         return KVTensor(np.ascontiguousarray(full.states[:, :, start:]), start)
 
     def base_segment(self, op_tokens: list[int], position_offset: int) -> KVTensor:
-        """The op's KV computed standalone at the same absolute positions."""
-        return self.kv_states(op_tokens, position_offset)
+        """The op's KV computed standalone at the same absolute positions:
+        ``resume`` from the zero carry."""
+        return self.resume(self.empty_carry(), op_tokens, position_offset)[0]

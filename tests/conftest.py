@@ -90,10 +90,8 @@ def doc_json(doc: dict) -> str:
     return json.dumps(doc)
 
 
-def dense_features(x, task_index, task_rows=None) -> np.ndarray:
+def dense_features(x, task_index, task_rows) -> np.ndarray:
     """(B, V, D) per-sample features: ``x`` with each sample's task row."""
-    if task_rows is None:
-        return x[None].copy()
     xb = np.broadcast_to(x, (len(task_rows),) + x.shape).copy()
     xb[:, task_index] = task_rows
     return xb

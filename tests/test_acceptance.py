@@ -270,7 +270,8 @@ def test_06_gcn_forward_and_equivariance(capsys):
         params = init_params(dim_in=4, dim_hidden=5, seed=int(adj.sum()))
         x = rng.normal(size=(3, 4))
         expected = _reference_gcn(x, adj, params.gcn_w1, params.gcn_w2)
-        got = gcn_forward(params, x, adj)
+        # The served form: the last node's own row passed as the task row.
+        got = gcn_forward(params, x, adj, 2, x[2][None])[0]
         worst_forward = max(worst_forward, float(np.max(np.abs(got - expected))))
 
     worst_perm = 0.0
@@ -282,8 +283,10 @@ def test_06_gcn_forward_and_equivariance(capsys):
         np.fill_diagonal(adj, 0.0)
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        h = gcn_forward(params, x, adj)
-        h_permuted = gcn_forward(params, p @ x, p @ adj @ p.T)
+        task, row = n - 1, x[n - 1][None]  # the task index moves with the nodes
+        h = gcn_forward(params, x, adj, task, row)[0]
+        moved = int(np.argsort(perm)[task])
+        h_permuted = gcn_forward(params, p @ x, p @ adj @ p.T, moved, row)[0]
         worst_perm = max(worst_perm, float(np.max(np.abs(p @ h - h_permuted))))
 
     passed = worst_forward <= 1e-10 and worst_perm <= 1e-10
@@ -314,11 +317,13 @@ def test_07_gradient_fidelity(capsys):
         labels = rng.integers(0, 2, size=len(edge_index)).astype(float)
         noise = rng.gumbel(size=len(edge_index))
 
-        _, cache = forward_loss(params, x, adj, edge_index, ops, labels, tau=1.0, noise=noise)
+        # One sample whose task row is the task node's own.
+        args = (x, adj, edge_index, ops, labels[None])
+        _, cache = forward_loss(params, *args, task_rows=x[ops][None], tau=1.0, noise=noise[None])
         analytic = backward(cache)
 
         def loss_fn(q):
-            return forward_loss(q, x, adj, edge_index, ops, labels, tau=1.0, noise=noise)[0]
+            return forward_loss(q, *args, task_rows=x[ops][None], tau=1.0, noise=noise[None])[0]
 
         numeric = finite_difference_grads(loss_fn, params, step=1e-4)
         worst = max(worst, max_relative_gradient_error(analytic, numeric))

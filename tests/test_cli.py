@@ -665,6 +665,8 @@ class TestConfigFile:
         ("distribution", "pareto", ["bench", "--vocab-size", "8", "--n-requests", "6"]),
         ("batch_sizes", ",", ["bench", "--vocab-size", "8", "--n-requests", "6"]),
         ("epochs", "three", ["train"]),
+        ("seed", "-1", ["bench", "--vocab-size", "8", "--n-requests", "6"]),
+        ("pair_limit", "0", ["kv", "analyze", "--graph", "nowhere"]),
     ])
     def test_bad_value_exits_one_from_flag_and_config(
         self, tmp_path, capsys, monkeypatch, source, key, text, command
@@ -683,6 +685,41 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert (flag if source == "flag" else f"config key {key}") in err
         assert not out.exists()  # the command never ran: no CSV, no directory
+
+
+class TestIntegerKeys:
+    """Integer values a command cannot use are refused by name: an
+    out-of-range ``seed`` or ``pair_limit`` as a usage error (exit 1), a
+    non-positive model width as a data error (exit 2)."""
+
+    @pytest.mark.parametrize("command, key, text, code", [
+        ("kv analyze", "pair_limit", "-3", 1),
+        ("kv analyze", "pair_limit", "0", 1),
+        ("kv analyze", "seed", "-1", 1),
+        ("bench", "seed", "-1", 1),
+        ("train", "seed", "-1", 1),
+        ("train", "seed", str(2**64), 1),
+        ("train", "hidden_dim", "0", 2),
+        ("train", "hidden_dim", "-2", 2),
+        ("train", "mlp_hidden", "-1", 2),
+    ])
+    def test_out_of_range_value(self, cli_project, tmp_path, capsys, command, key, text, code):
+        root, _ = cli_project
+        inputs = {
+            "kv analyze": ["--graph", str(root / "graph.json")],
+            "bench": ["--vocab-size", "8", "--n-requests", "6"],
+            "train": [
+                "--graph", str(root / "graph.json"), "--workflows", str(root / "workflows"),
+                "--samples", str(root / "samples.tsv"), "--epochs", "1",
+            ],
+        }[command]
+        capsys.readouterr()
+        args = [*command.split(), *inputs, cli._flag(key), text, "--out", str(tmp_path / "out")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert key in err or cli._flag(key) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:

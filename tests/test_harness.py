@@ -36,7 +36,7 @@ from opflow.harness import (
 )
 from opflow.kvstore import CacheStore, MemoryReport
 from opflow.nn import init_params
-from opflow.oracle import KVOracle, OracleConfig
+from opflow.oracle import KVOracle, OracleConfig, tokenize
 from opflow.pruning import PlanPolicy
 
 
@@ -417,6 +417,21 @@ class TestRunServingSim:
                 corpus.graph, init_params(seed=0), workload, "differential", store=store
             )
 
+    def test_injected_store_builds_no_oracle(self, planted_default, monkeypatch):
+        corpus = planted_default
+        workload = small_workload(corpus, n=3, batches=(3,))
+        store = CacheStore(corpus.graph, "differential", oracle=KVOracle())
+        built = []
+        real_init = KVOracle.__init__
+
+        def counting_init(self, config=None):
+            built.append(config)
+            real_init(self, config)
+
+        monkeypatch.setattr(KVOracle, "__init__", counting_init)
+        run_serving_sim(corpus.graph, init_params(seed=0), workload, "differential", store=store)
+        assert built == []
+
     def test_combine_memory_sums_fields(self):
         a = MemoryReport("stateful", 1, 2, 3, 4, 5, 6)
         b = MemoryReport("stateful", 10, 20, 30, 40, 50, 60)
@@ -519,8 +534,6 @@ class TestSweep:
                 requests=workload.requests[:batch],
                 targets=workload.targets[:batch],
                 batch_sizes=(batch,),
-                seed=workload.seed,
-                overlap=workload.overlap,
             )
             for mode in ("stateless", "differential", "stateful"):
                 report = run_serving_sim(corpus.graph, control_params, sub, mode)
@@ -701,6 +714,38 @@ class TestSparsityReport:
             assert np.sqrt(sum(n**2 for n in layer_norms)) == pytest.approx(
                 p.frobenius_delta, rel=1e-6, abs=1e-9
             )
+
+    def test_layer_rows_and_heatmap_match_element_loop(self):
+        # One ordinary pair and one empty-prefix pair, whose all-zero delta
+        # counts every entry as below the threshold.
+        config = OracleConfig(layers=2, heads=2, head_dim=4)
+        pairs = [self.PAIRS[0], self.PAIRS[2]]
+        report = sparsity_report(config, pairs)
+        oracle = KVOracle(config)
+        frac_sums = np.zeros((config.layers, config.heads))
+        abs_sums = np.zeros((config.layers, config.heads))
+        layer_fracs = []
+        for prefix_text, op_text in pairs:
+            prefix, op = tokenize(prefix_text), tokenize(op_text)
+            full = oracle.stateful_segment(prefix, op)
+            delta = full.states - oracle.base_segment(op, len(prefix)).states
+            peak = max(abs(float(d)) for d in delta.flat)
+            cut = np.float32(0.1 * peak)  # the comparison runs in float32
+            below = np.zeros(delta.shape[:2])
+            total = np.zeros(delta.shape[:2])
+            for layer, head, t, k in np.ndindex(delta.shape):
+                below[layer, head] += peak == 0.0 or abs(delta[layer, head, t, k]) < cut
+                total[layer, head] += abs(float(delta[layer, head, t, k]))
+            per_head = delta.shape[2] * delta.shape[3]
+            layer_fracs += (below.sum(axis=1) / (config.heads * per_head)).tolist()
+            frac_sums += below / per_head
+            abs_sums += total / per_head
+        assert [r.frac_below_threshold for r in report.layers] == layer_fracs
+        assert report.layers[-1].frac_below_threshold == 1.0
+        assert 0.0 < report.layers[0].frac_below_threshold < 1.0
+        for layer, head, mean_abs, mean_frac in report.heatmap:
+            assert mean_frac == frac_sums[layer, head] / len(pairs)
+            assert mean_abs == pytest.approx(abs_sums[layer, head] / len(pairs), rel=1e-6)
 
     def test_heatmap_covers_layer_head_grid(self):
         config = OracleConfig()

@@ -373,7 +373,7 @@ class TestMatchesArgsortSelection:
 class TestFileFormats:
     def test_kv_round_trip_bitwise(self, tmp_path):
         oracle = KVOracle()
-        kv = oracle.kv_states([7, 99, 2048], 5)
+        kv = oracle.base_segment([7, 99, 2048], 5)
         file = tmp_path / "seg.kv"
         write_kv(file, kv)
         assert file.stat().st_size == kv_file_nbytes(kv)
@@ -420,7 +420,7 @@ class TestFileFormats:
 
     def test_rejects_corrupt_files(self, tmp_path):
         oracle = KVOracle()
-        kv = oracle.kv_states([1, 2], 0)
+        kv = oracle.base_segment([1, 2], 0)
         file = tmp_path / "a.kv"
         write_kv(file, kv)
         raw = file.read_bytes()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import re
 import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,8 +104,9 @@ class TestGCNForward:
                 ],
             ]
         )
-        got = gcn_forward(identity_gcn_params(2), x, a)
-        np.testing.assert_allclose(got, h2, atol=1e-10)
+        # Node 2's own row as the task row: the features are x itself.
+        got = gcn_forward(identity_gcn_params(2), x, a, 2, x[2][None])
+        np.testing.assert_allclose(got[0], h2, atol=1e-10)
 
     def test_single_node_no_edges(self):
         # Degree 1 (self-loop only) so the node just passes through both layers.
@@ -110,7 +114,7 @@ class TestGCNForward:
         x = np.array([[0.3, -0.7, 1.1]])
         a = np.zeros((1, 1))
         expect = np.maximum(np.maximum(x @ p.gcn_w1, 0.0) @ p.gcn_w2, 0.0)
-        np.testing.assert_allclose(gcn_forward(p, x, a), expect, atol=1e-14)
+        np.testing.assert_allclose(gcn_forward(p, x, a, 0, x[0][None])[0], expect, atol=1e-14)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(42)
@@ -121,8 +125,11 @@ class TestGCNForward:
             a = (rng.random((v, v)) < 0.3).astype(float)
             np.fill_diagonal(a, 0.0)
             perm = rng.permutation(v)
-            h = gcn_forward(p, x, a)
-            h_perm = gcn_forward(p, x[perm], a[np.ix_(perm, perm)])
+            # The last node's own row is the task row; it moves with the nodes.
+            row = x[v - 1][None]
+            h = gcn_forward(p, x, a, v - 1, row)[0]
+            moved = int(np.argsort(perm)[v - 1])
+            h_perm = gcn_forward(p, x[perm], a[np.ix_(perm, perm)], moved, row)[0]
             np.testing.assert_allclose(h_perm, h[perm], atol=1e-10)
 
     def test_batched_matches_loop(self):
@@ -130,10 +137,12 @@ class TestGCNForward:
         p = tiny_params(d=4, h=3, seed=5)
         a = (rng.random((6, 6)) < 0.4).astype(float)
         np.fill_diagonal(a, 0.0)
-        xb = rng.normal(size=(3, 6, 4))
-        hb = gcn_forward(p, xb, a)
+        x = rng.normal(size=(6, 4))
+        rows = rng.normal(size=(3, 4))
+        hb = gcn_forward(p, x, a, 5, rows)
         for k in range(3):
-            np.testing.assert_allclose(hb[k], gcn_forward(p, xb[k], a), atol=1e-14)
+            single = gcn_forward(p, x, a, 5, rows[k : k + 1])[0]
+            np.testing.assert_allclose(hb[k], single, atol=1e-14)
 
     def test_directed_edges_use_undirected_support(self):
         p = identity_gcn_params(1)
@@ -141,7 +150,8 @@ class TestGCNForward:
         a_fwd = np.array([[0.0, 1.0], [0.0, 0.0]])
         a_rev = np.array([[0.0, 0.0], [1.0, 0.0]])
         np.testing.assert_allclose(
-            gcn_forward(p, x, a_fwd), gcn_forward(p, x, a_rev), atol=1e-15
+            gcn_forward(p, x, a_fwd, 1, x[1][None]), gcn_forward(p, x, a_rev, 1, x[1][None]),
+            atol=1e-15,
         )
 
 
@@ -231,6 +241,21 @@ class TestSigmoid:
         assert result.stdout == "[]\n"
 
 
+def test_declared_dependencies_are_the_imported_modules():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "opflow").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names)
+
+
 class TestBCELoss:
     def test_coin_flip_scores_give_ln2(self):
         loss = bce_loss(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
@@ -267,15 +292,15 @@ def random_instance(seed: int, batch: int = 1):
         arr = getattr(p, name)
         arr += rng.normal(scale=0.05, size=arr.shape)
     x = rng.normal(size=(v, d))
-    task_rows = rng.normal(size=(batch, d)) if batch > 1 else None
+    task_rows = rng.normal(size=(batch, d)) if batch > 1 else x[v - 1][None]
     a = (rng.random((v, v)) < 0.4).astype(float)
     np.fill_diagonal(a, 0.0)
     pairs = [(i, j) for i in range(v - 1) for j in range(v - 1) if i != j]
     take = rng.choice(len(pairs), size=min(len(pairs), 5), replace=False)
     edge_index = np.array([pairs[int(t)] for t in take])
     e = len(edge_index)
-    labels = rng.integers(0, 2, size=(batch, e) if batch > 1 else e).astype(float)
-    noise = rng.gumbel(size=(batch, e) if batch > 1 else e)
+    labels = rng.integers(0, 2, size=(batch, e)).astype(float)
+    noise = rng.gumbel(size=(batch, e))
     return p, x, a, edge_index, v - 1, labels, noise, task_rows
 
 
@@ -315,12 +340,13 @@ def einsum_reference_backward(cache) -> dict[str, np.ndarray]:
 class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_finite_differences(self, seed):
-        p, x, a, edges, task, labels, noise, _ = random_instance(seed)
-        _, cache = forward_loss(p, x, a, edges, task, labels, tau=1.0, noise=noise)
+        p, x, a, edges, task, labels, noise, rows = random_instance(seed)
+        args = (x, a, edges, task, labels)
+        _, cache = forward_loss(p, *args, task_rows=rows, tau=1.0, noise=noise)
         analytic = backward(cache)
 
         def loss_fn(q):
-            return forward_loss(q, x, a, edges, task, labels, tau=1.0, noise=noise)[0]
+            return forward_loss(q, *args, task_rows=rows, tau=1.0, noise=noise)[0]
 
         numeric = finite_difference_grads(loss_fn, p, step=1e-4)
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
@@ -338,12 +364,10 @@ class TestBackward:
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
 
     def test_duplicated_sample_leaves_mean_gradient_unchanged(self):
-        p, x, a, edges, task, labels, noise, _ = random_instance(23)
-        _, cache1 = forward_loss(p, x, a, edges, task, labels, noise=noise)
+        p, x, a, edges, task, labels, noise, rows = random_instance(23)
+        _, cache1 = forward_loss(p, x, a, edges, task, labels, task_rows=rows, noise=noise)
         g1 = backward(cache1)
-        rows2 = np.stack([x[task], x[task]])
-        labels2 = np.stack([labels, labels])
-        noise2 = np.stack([noise, noise])
+        rows2, labels2, noise2 = (np.concatenate([v, v]) for v in (rows, labels, noise))
         _, cache2 = forward_loss(p, x, a, edges, task, labels2, task_rows=rows2, noise=noise2)
         g2 = backward(cache2)
         for name in g1:
@@ -381,10 +405,10 @@ class TestBackward:
     def test_saturated_scores_give_clamp_scale_gradients(self):
         # Drive omega hugely positive on a label-1 edge: the clamp leaves only
         # a ~1e-7-scale residual gradient signal.
-        p, x, a, edges, task, labels, _, _ = random_instance(31)
+        p, x, a, edges, task, labels, _, rows = random_instance(31)
         p.mlp_b3 = np.array([60.0])
         labels = np.ones_like(labels)
-        _, cache = forward_loss(p, x, a, edges, task, labels)
+        _, cache = forward_loss(p, x, a, edges, task, labels, task_rows=rows)
         grads = backward(cache)
         worst = max(np.max(np.abs(g)) for g in grads.values())
         assert worst <= 1e-6
@@ -430,12 +454,10 @@ class TestFoldMatchesDense:
             a[task, 0] = 1.0
         # Twice as many edges as operations: sources and destinations repeat.
         edges = rng.integers(0, task, size=(2 * task, 2))
-        rows = None if batch is None else rng.normal(size=(batch, d))
-        n = 1 if batch is None else batch
-        labels = rng.integers(0, 2, size=(n, len(edges))).astype(float)
-        noise = rng.gumbel(size=(n, len(edges)))
-        if batch is None:
-            labels, noise = labels[0], noise[0]
+        # batch None: one sample whose task row is x's own.
+        rows = x[task][None] if batch is None else rng.normal(size=(batch, d))
+        labels = rng.integers(0, 2, size=(len(rows), len(edges))).astype(float)
+        noise = rng.gumbel(size=(len(rows), len(edges)))
 
         loss, cache = forward_loss(
             p, x, a, edges, task, labels, task_rows=rows, tau=0.8, noise=noise
@@ -524,11 +546,6 @@ class TestServingFold:
         fresh = dataclasses.replace(p)  # the same arrays under a params never served
         assert np.array_equal(after, served_logits(fresh, x, a, edges, task, rows))
         assert (p in nn._MEMOS) != writable
-
-    def test_task_rows_need_a_task_index(self):
-        p, x, a, _, _, rows = serving_instance(0)
-        with pytest.raises(DataError, match="task_index"):
-            gcn_forward(p, x, a, task_rows=rows)
 
     def test_writable_params_leave_no_memo_entry(self):
         p, x, a, edges, task, rows = serving_instance(7)

@@ -91,7 +91,7 @@ class TestAgainstReference:
         oracle = KVOracle(config)
         rng = np.random.default_rng(seed + 100)
         tokens = list(rng.integers(0, TOKEN_SPACE, size=9))
-        got = oracle.kv_states(tokens, offset)
+        got = oracle.base_segment(tokens, offset)
         ref_k, ref_v = reference_kv(config, tokens, offset)
         assert np.array_equal(got.keys, ref_k)
         assert np.array_equal(got.values, ref_v)
@@ -116,37 +116,37 @@ class TestKVStates:
     def test_deterministic_across_instances(self):
         config = OracleConfig(seed=42)
         tokens = tokenize("performs a full sweep of the archive")
-        one = KVOracle(config).kv_states(tokens, 3)
-        two = KVOracle(config).kv_states(tokens, 3)
+        one = KVOracle(config).base_segment(tokens, 3)
+        two = KVOracle(config).base_segment(tokens, 3)
         assert np.array_equal(one.keys, two.keys)
         assert np.array_equal(one.values, two.values)
 
     def test_seed_changes_output(self):
         tokens = tokenize("inspect the queue")
-        a = KVOracle(OracleConfig(seed=0)).kv_states(tokens, 0)
-        b = KVOracle(OracleConfig(seed=1)).kv_states(tokens, 0)
+        a = KVOracle(OracleConfig(seed=0)).base_segment(tokens, 0)
+        b = KVOracle(OracleConfig(seed=1)).base_segment(tokens, 0)
         assert not np.array_equal(a.keys, b.keys)
 
     def test_position_offset_changes_output(self):
         oracle = KVOracle()
         tokens = tokenize("inspect the queue")
-        a = oracle.kv_states(tokens, 0)
-        b = oracle.kv_states(tokens, 5)
+        a = oracle.base_segment(tokens, 0)
+        b = oracle.base_segment(tokens, 5)
         assert not np.array_equal(a.keys, b.keys)
 
     def test_rejects_empty_tokens(self):
         with pytest.raises(DataError):
-            KVOracle().kv_states([], 0)
+            KVOracle().base_segment([], 0)
 
     def test_rejects_out_of_range_tokens(self):
         with pytest.raises(DataError):
-            KVOracle().kv_states([TOKEN_SPACE], 0)
+            KVOracle().base_segment([TOKEN_SPACE], 0)
         with pytest.raises(DataError):
-            KVOracle().kv_states([-1], 0)
+            KVOracle().base_segment([-1], 0)
 
     def test_rejects_negative_offset(self):
         with pytest.raises(DataError):
-            KVOracle().kv_states([1, 2], -1)
+            KVOracle().base_segment([1, 2], -1)
 
     def test_rejects_bad_decay(self):
         with pytest.raises(DataError):
@@ -257,7 +257,7 @@ class TestPrefixInfluence:
         oracle = KVOracle()
         prefix = tokenize("one two three four")
         op = tokenize("five six")
-        joint = oracle.kv_states(prefix + op, 0)
+        joint = oracle.base_segment(prefix + op, 0)
         seg = oracle.stateful_segment(prefix, op)
         assert np.array_equal(joint.keys[:, :, 4:, :], seg.keys)
         assert np.array_equal(joint.values[:, :, 4:, :], seg.values)
@@ -297,11 +297,11 @@ class TestResume:
                 assert np.array_equal(got.values.view(np.uint32), expected.values.view(np.uint32))
                 prefix += segment
 
-    def test_empty_carry_gives_kv_states(self):
+    def test_empty_carry_gives_base_segment(self):
         oracle = KVOracle()
         tokens = tokenize("resume from nothing at all")
         got, carry = oracle.resume(oracle.empty_carry(), tokens, 9)
-        expected = oracle.kv_states(tokens, 9)
+        expected = oracle.base_segment(tokens, 9)
         assert np.array_equal(got.keys, expected.keys)
         assert np.array_equal(got.values, expected.values)
         assert carry.shape == (4, 64) and carry.dtype == np.float64
@@ -425,7 +425,7 @@ class TestPositionTable:
         carry = rng.standard_normal((config.layers, config.d_model))
         for table_rows in (0, 256):
             if table_rows:
-                oracle.kv_states(tokens, 0)
+                oracle.base_segment(tokens, 0)
             got, got_carry = oracle.resume(carry, tokens, 2**31 - 30)
             keys, values, ref_carry = reference.resume(carry, tokens, 2**31 - 30)
             assert len(oracle._positions) == table_rows
@@ -434,22 +434,22 @@ class TestPositionTable:
 
 
 class TestSegmentsMatchParentArithmetic:
-    """``base_segment`` and ``kv_states`` (resume from the zero carry) give
-    bitwise what the per-token loop with two products and a direct
-    positional encoding gives."""
+    """``base_segment`` (resume from the zero carry) gives bitwise what the
+    per-token loop with two products and a direct positional encoding
+    gives."""
 
     @pytest.mark.parametrize(
         "config",
         [OracleConfig(lam=0.0), OracleConfig(layers=3, heads=2, head_dim=24, lam=0.6, seed=7)],
         ids=["lam0", "3x2x24"],
     )
-    def test_base_segment_and_kv_states(self, config):
+    def test_base_segment(self, config):
         oracle, reference = KVOracle(config), TwoProductOracle(config)
         rng = np.random.default_rng(67)
         for offset in (0, 3, 240, 251, 509, 1021, 3000, 70000):
             tokens = list(rng.integers(0, TOKEN_SPACE, size=int(rng.integers(1, 46))))
             keys, values, _ = reference.resume(oracle.empty_carry(), tokens, offset)
             expected = np.concatenate([keys, values], axis=3)
-            for got in (oracle.base_segment(tokens, offset), oracle.kv_states(tokens, offset)):
-                assert got.position_offset == offset
-                assert np.array_equal(bits(got.states), bits(expected)), offset
+            got = oracle.base_segment(tokens, offset)
+            assert got.position_offset == offset
+            assert np.array_equal(bits(got.states), bits(expected)), offset
