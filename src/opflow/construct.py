@@ -67,8 +67,11 @@ class TrainConfig:
             raise DataError("epochs must be non-negative")
         if self.batch_size < 1:
             raise DataError("batch_size must be positive")
-        if self.tau <= 0:
-            raise DataError("tau must be positive")
+        if not (0 < self.tau < np.inf):
+            raise DataError(f"tau must be positive and finite, got {self.tau}")
+        for name in ("learning_rate", "weight_decay"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise DataError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         for name in ("hidden_dim", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive")

@@ -59,9 +59,10 @@ KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, d
 DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, energy, count
 DTYPE_FLOAT32 = 1
 STORE_MAGIC = b"OFST"
-STORE_VERSION = 2
+STORE_VERSION = 3
 STORE_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest byte length
 STORE_FILE = "store.bin"
+_REBUILD = "rebuild the store with `opflow kv materialize`"
 
 MODES = ("stateful", "differential", "stateless")
 
@@ -129,8 +130,8 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
     the kept coordinates in row-major order with ``full``'s value at each,
     which replaces the base value on reconstruction.
     """
-    if full.shape != base.shape:
-        raise DataError(f"shape mismatch: full {full.shape} vs base {base.shape}")
+    if full.states.shape != base.states.shape:
+        raise DataError(f"shape mismatch: full {full.states.shape} vs base {base.states.shape}")
     if full.position_offset != base.position_offset:
         raise DataError("full and base tensors disagree on position offset")
     if not (0.0 < energy_target):
@@ -193,15 +194,13 @@ def kv_file_nbytes(kv: KVTensor) -> int:
 
 
 def _kv_bytes(kv: KVTensor) -> bytes:
-    """Version 1: header, then every key, then every value, each half
-    row-major over (layers, heads, tokens, head_dim)."""
-    layers, heads, t, d = kv.shape
+    """Version 2: header (``d`` is head_dim), then ``states`` row-major over
+    (layers, heads, tokens, 2 * head_dim)."""
+    layers, heads, t, width = kv.states.shape
     header = KV_HEADER.pack(
-        KV_MAGIC, 1, layers, heads, t, d, kv.position_offset, DTYPE_FLOAT32
+        KV_MAGIC, 2, layers, heads, t, width // 2, kv.position_offset, DTYPE_FLOAT32
     )
-    return b"".join(
-        (header, kv.keys.astype("<f4", copy=False).tobytes(), kv.values.astype("<f4", copy=False).tobytes())
-    )
+    return b"".join((header, np.ascontiguousarray(kv.states, dtype="<f4")))
 
 
 def _kv_from_bytes(raw: bytes, where: str | Path) -> KVTensor:
@@ -210,16 +209,15 @@ def _kv_from_bytes(raw: bytes, where: str | Path) -> KVTensor:
     magic, version, layers, heads, t, d, offset, dtype = KV_HEADER.unpack_from(raw)
     if magic != KV_MAGIC:
         raise DataError(f"{where}: not a KV tensor file")
-    if version != 1:
-        raise DataError(f"{where}: unsupported KV file version {version}")
+    if version != 2:
+        raise DataError(f"{where}: unsupported KV file version {version}; {_REBUILD}")
     if dtype != DTYPE_FLOAT32:
         raise DataError(f"{where}: unsupported dtype tag {dtype}")
-    count = layers * heads * t * d
-    expected = KV_HEADER.size + 2 * count * 4
+    expected = KV_HEADER.size + layers * heads * t * 2 * d * 4
     if len(raw) != expected:
         raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
-    halves = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size).reshape(2, layers, heads, t, d)
-    return KVTensor(np.concatenate(halves, axis=3), offset)
+    states = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size).reshape(layers, heads, t, 2 * d)
+    return KVTensor(states, offset)
 
 
 def _delta_bytes(delta: SparseDelta) -> bytes:
@@ -245,10 +243,7 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
     if magic != DELTA_MAGIC:
         raise DataError(f"{where}: not a residual delta file")
     if version != 2:
-        raise DataError(
-            f"{where}: unsupported delta file version {version}; "
-            "rebuild the store with `opflow kv materialize`"
-        )
+        raise DataError(f"{where}: unsupported delta file version {version}; {_REBUILD}")
     shape = tuple(shape)
     size = prod(shape)
     values_at = DELTA_HEADER.size + (size + 7) // 8
@@ -322,7 +317,8 @@ class CacheStore:
     ``bases``, ``residuals`` and ``fulls`` are the stored tensors; callers
     read them and write only through the store's methods, which keep the
     running byte totals ``memory_footprint`` reports.  Fetched tensors are
-    shared with the store and must not be modified.
+    shared with the store and must not be modified: every array the store
+    holds is read-only, whether computed or loaded.
 
     Besides the stored tensors the store keeps derived state that is neither
     saved nor counted in ``memory_footprint``: each validated prefix path's
@@ -401,8 +397,10 @@ class CacheStore:
     # -- tensor production ----------------------------------------------------
 
     def _put(self, table: str, key, entry: KVTensor | SparseDelta) -> None:
-        """Store an entry in ``bases``, ``residuals`` or ``fulls``, keeping
-        that table's byte total."""
+        """Store an entry in ``bases``, ``residuals`` or ``fulls``, read-only,
+        keeping that table's byte total."""
+        for array in (entry.index, entry.values) if isinstance(entry, SparseDelta) else (entry.states,):
+            array.setflags(write=False)
         entries = getattr(self, table)
         old = entries.get(key)
         if old is not None:
@@ -531,7 +529,7 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     The manifest holds the mode, energy target and oracle config, and one row
     per entry: its table, prefix path, op id, base offset (null outside
     ``bases``), and the byte start and size of its payload, counted from the
-    manifest's end.  Payloads are KV version-1 files (bases, fulls) and delta
+    manifest's end.  Payloads are KV version-2 files (bases, fulls) and delta
     version-2 files (residuals), so the payload bytes total
     ``memory_footprint().total_bytes``.  Payloads are encoded and written one
     at a time.
@@ -639,10 +637,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     file = Path(directory) / STORE_FILE
     if not file.is_file():
         if has_store(directory):
-            raise DataError(
-                f"{directory}: a store directory from an earlier version; "
-                "rebuild it with `opflow kv materialize`"
-            )
+            raise DataError(f"{directory}: a store directory from an earlier version; {_REBUILD}")
         raise DataError(f"{directory}: not a cache store (missing {STORE_FILE})")
     with open(file, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -653,7 +648,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
         if magic != STORE_MAGIC:
             raise DataError(f"{file}: not a cache store file")
         if version != STORE_VERSION:
-            raise DataError(f"{file}: unsupported store file version {version}")
+            raise DataError(f"{file}: unsupported store file version {version}; {_REBUILD}")
         payloads_at = STORE_HEADER.size + manifest_size
         if payloads_at > file_size:
             raise DataError(f"{file}: truncated manifest")
@@ -670,7 +665,7 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
                 oracle=KVOracle(config),
                 energy_target=manifest["energy_target"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, DataError) as exc:
             raise DataError(f"{file}: malformed store metadata ({exc})") from exc
 
         rows = _manifest_rows(manifest, store.mode, file)

@@ -55,6 +55,8 @@ class OracleConfig:
             raise DataError(f"decay must lie in [0, 1), got {self.lam}")
         if min(self.layers, self.heads, self.head_dim) < 1:
             raise DataError("layers, heads and head_dim must all be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def d_model(self) -> int:
@@ -67,9 +69,9 @@ class KVTensor:
 
     ``states`` is one float32 array of shape (layers, heads, tokens,
     2 * head_dim): in the last axis the key dims come first, the value dims
-    second.  ``keys`` and ``values`` are views of the two halves, and
-    ``shape`` is the shape of either.  ``position_offset`` is the absolute
-    position of the segment's first token.
+    second.  ``keys`` and ``values`` are views of the two halves.
+    ``position_offset`` is the absolute position of the segment's first
+    token.  A tensor a ``CacheStore`` holds is read-only.
     """
 
     states: np.ndarray
@@ -92,10 +94,6 @@ class KVTensor:
     @property
     def values(self) -> np.ndarray:
         return self.states[..., self.states.shape[3] // 2 :]
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.keys.shape
 
 
 def tokenize(text: str) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import re
 import subprocess
 import sys
@@ -429,6 +430,30 @@ class TestKvStoreCommands:
         assert main(footprint) == 2
         assert "kv materialize" in capsys.readouterr().err
 
+    def test_footprint_rejects_negative_oracle_seed(self, cli_project, tmp_path, capsys):
+        from opflow import kvstore
+
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert self.materialize(root, store) == 0
+        raw = (store / "store.bin").read_bytes()
+        magic, version, size = kvstore.STORE_HEADER.unpack_from(raw)
+        manifest_at = kvstore.STORE_HEADER.size
+        manifest = json.loads(raw[manifest_at : manifest_at + size])
+        manifest["oracle"]["seed"] = -1
+        text = json.dumps(manifest).encode()
+        (store / "store.bin").write_bytes(
+            kvstore.STORE_HEADER.pack(magic, version, len(text)) + text + raw[manifest_at + size :]
+        )
+        capsys.readouterr()
+        assert main([
+            "kv", "footprint", "--graph", str(root / "graph.json"),
+            "--store", str(store), "--out", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer" in err
+        assert "Traceback" not in err
+
     def test_footprint_on_empty_store_is_zero_row(self, tmp_path, capsys):
         assert main([
             "kv", "footprint",
@@ -688,9 +713,10 @@ class TestConfigFile:
 
 
 class TestIntegerKeys:
-    """Integer values a command cannot use are refused by name: an
-    out-of-range ``seed`` or ``pair_limit`` as a usage error (exit 1), a
-    non-positive model width as a data error (exit 2)."""
+    """Values a command cannot use are refused by name: an out-of-range
+    ``seed`` or ``pair_limit`` as a usage error (exit 1), a non-positive
+    model width or a rate that is negative or not finite as a data error
+    (exit 2)."""
 
     @pytest.mark.parametrize("command, key, text, code", [
         ("kv analyze", "pair_limit", "-3", 1),
@@ -702,6 +728,9 @@ class TestIntegerKeys:
         ("train", "hidden_dim", "0", 2),
         ("train", "hidden_dim", "-2", 2),
         ("train", "mlp_hidden", "-1", 2),
+        ("train", "learning_rate", "-1", 2),
+        ("train", "weight_decay", "inf", 2),
+        ("train", "tau", "nan", 2),
     ])
     def test_out_of_range_value(self, cli_project, tmp_path, capsys, command, key, text, code):
         root, _ = cli_project

@@ -577,6 +577,20 @@ class TestTraining:
         with pytest.raises(DataError):
             TrainConfig(tau=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", -1.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("weight_decay", -0.5),
+        ("weight_decay", float("inf")),
+        ("weight_decay", float("nan")),
+        ("tau", float("nan")),
+        ("tau", float("inf")),
+    ])
+    def test_rejects_rate_that_means_nothing(self, key, value):
+        with pytest.raises(DataError, match=key):
+            TrainConfig(**{key: value})
+
     def test_zero_epochs_returns_initialization(self):
         corpus = generate_synthetic_corpus(vocab_size=6, n_tasks=20, seed=2)
         result = train(corpus.graph, list(corpus.samples), TrainConfig(epochs=0, seed=9))

@@ -386,14 +386,27 @@ class TestFileFormats:
         write_kv(again, back)
         assert again.read_bytes() == file.read_bytes()
 
-    def test_kv_file_is_header_then_keys_then_values(self, tmp_path):
-        rng = np.random.default_rng(37)
-        keys = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
-        values = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+    def test_kv_file_is_header_then_states(self, tmp_path):
+        states = np.random.default_rng(37).normal(size=(2, 3, 5, 8)).astype(np.float32)
         file = tmp_path / "seg.kv"
-        write_kv(file, KVTensor(np.concatenate([keys, values], axis=3), 11))
-        header = KV_HEADER.pack(kvstore.KV_MAGIC, 1, 2, 3, 5, 4, 11, kvstore.DTYPE_FLOAT32)
-        assert file.read_bytes() == header + keys.tobytes() + values.tobytes()
+        write_kv(file, KVTensor(states, 11))
+        header = KV_HEADER.pack(kvstore.KV_MAGIC, 2, 2, 3, 5, 4, 11, kvstore.DTYPE_FLOAT32)
+        assert file.read_bytes() == header + states.tobytes()
+
+    def test_version_one_kv_file_is_rejected(self, tmp_path):
+        file = tmp_path / "old.kv"
+        header = KV_HEADER.pack(kvstore.KV_MAGIC, 1, 1, 1, 2, 2, 0, kvstore.DTYPE_FLOAT32)
+        file.write_bytes(header + bytes(4 * 8))
+        with pytest.raises(DataError, match="old.kv.*version 1.*kv materialize"):
+            read_kv(file)
+
+    def test_read_kv_is_a_read_only_view(self, tmp_path):
+        file = tmp_path / "seg.kv"
+        write_kv(file, KVOracle().base_segment([7, 99, 2048], 5))
+        back = read_kv(file)
+        assert not back.states.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.states[0, 0, 0, 0] = 1.0
 
     def test_delta_round_trip_bitwise(self, tmp_path):
         oracle = KVOracle()
@@ -637,6 +650,31 @@ class TestCacheStoreModes:
 # ---------------------------------------------------------------------------
 
 
+class TestStoredEntriesAreReadOnly:
+    def test_computed_base_full_and_residual(self):
+        graph = small_graph()
+        stateful = CacheStore(graph, mode="stateful")
+        full, _ = stateful.fetch(("OP_A",), "OP_B")
+        store = CacheStore(graph, mode="differential")
+        base, _ = store.fetch((), "OP_A")
+        delta = store.insert_residual(("OP_A",), "OP_B")
+        for array in (full.states, base.states, delta.index, delta.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[0] = 0
+        assert stateful.fulls[(("OP_A",), "OP_B")] is full
+        assert store.bases[("OP_A", 0)] is base
+
+    def test_reconstruct_returns_a_writable_copy(self):
+        store = CacheStore(small_graph(), mode="differential")
+        store.insert_residual(("OP_A",), "OP_B")
+        kv, info = store.fetch(("OP_A",), "OP_B")
+        assert info.flag == "hit"
+        assert kv.states.flags.writeable
+        kv.states[...] = 0.0
+        assert np.count_nonzero(next(iter(store.bases.values())).states)
+
+
 class TestFootprint:
     def test_counts_match_file_sizes(self, tmp_path):
         graph = small_graph()
@@ -673,7 +711,7 @@ class TestFootprint:
         for _ in range(50):
             full, base = random_pair(oracle, rng, max_prefix=50, max_op=30)
             delta = sparsify(full, base, 0.95)
-            dense_elements = 2 * int(np.prod(full.shape))
+            dense_elements = int(np.prod(full.states.shape))
             assert delta.entries < dense_elements
 
         prefix = list(rng.integers(0, 8192, size=60))
@@ -697,6 +735,17 @@ def assert_same_entries(got, expected):
             for field in ("keys", "values", "coords"):
                 if hasattr(entry, field):
                     assert np.array_equal(getattr(mine[key], field), getattr(entry, field))
+
+
+def filled_store(graph, mode):
+    """A store of ``mode`` that has served a three-op chain, with a residual
+    per prefixed op in differential mode."""
+    store = CacheStore(graph, mode=mode)
+    for path, op_id in (((), "OP_A"), (("OP_A",), "OP_B"), (("OP_A", "OP_B"), "OP_C")):
+        store.fetch(path, op_id)
+        if mode == "differential" and path:
+            store.insert_residual(path, op_id)
+    return store
 
 
 def split_store_file(where):
@@ -738,6 +787,36 @@ class TestStoreRoundTrip:
         b, _ = back.fetch(("OP_A",), "OP_B")
         assert np.array_equal(a.keys, b.keys)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kv_payloads_are_header_then_states(self, tmp_path, mode):
+        store = filled_store(small_graph(), mode)
+        save_store(store, tmp_path)
+        text, payloads = split_store_file(tmp_path)
+        rows = [row for row in json.loads(text)["entries"] if row["table"] != "residuals"]
+        assert rows
+        for row in rows:
+            key = (row["op"], row["offset"]) if row["table"] == "bases" else (tuple(row["path"]), row["op"])
+            kv = getattr(store, row["table"])[key]
+            layers, heads, tokens, width = kv.states.shape
+            header = KV_HEADER.pack(
+                kvstore.KV_MAGIC, 2, layers, heads, tokens, width // 2, kv.position_offset, kvstore.DTYPE_FLOAT32
+            )
+            assert payloads[row["start"] : row["start"] + row["size"]] == header + kv.states.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loaded_entries_are_read_only(self, tmp_path, mode):
+        graph = small_graph()
+        store = filled_store(graph, mode)
+        save_store(store, tmp_path)
+        back = load_store(tmp_path, graph)
+        arrays = [kv.states for kv in (*back.bases.values(), *back.fulls.values())]
+        arrays += [a for delta in back.residuals.values() for a in (delta.index, delta.values)]
+        assert arrays
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_save_is_deterministic(self, tmp_path):
         graph, store = self.populate()
         save_store(store, tmp_path / "one")
@@ -760,11 +839,7 @@ class TestStoreRoundTrip:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_round_trips_bitwise(self, tmp_path, mode):
         graph = small_graph()
-        store = CacheStore(graph, mode=mode)
-        for path, op_id in (((), "OP_A"), (("OP_A",), "OP_B"), (("OP_A", "OP_B"), "OP_C")):
-            store.fetch(path, op_id)
-            if mode == "differential" and path:
-                store.insert_residual(path, op_id)
+        store = filled_store(graph, mode)
         save_store(store, tmp_path)
         back = load_store(tmp_path, graph)
         assert_same_entries(back, store)
@@ -979,7 +1054,13 @@ class TestStoreFileRejections:
         self.rejects(saved, self.framed(saved[2], saved[3], magic=b"OFKV"), "not a cache store file")
 
     def test_unsupported_version(self, saved):
-        self.rejects(saved, self.framed(saved[2], saved[3], version=1), "version 1")
+        for version in (1, 2):
+            self.rejects(saved, self.framed(saved[2], saved[3], version=version), f"version {version}.*kv materialize")
+
+    def test_negative_oracle_seed(self, saved):
+        manifest = saved[2]
+        manifest["oracle"]["seed"] = -1
+        self.rejects(saved, self.framed(manifest, saved[3]), "seed must be a non-negative integer")
 
     @pytest.mark.parametrize("cut, match", [
         (lambda raw, manifest_end: raw[: STORE_HEADER.size - 1], "truncated store header"),

@@ -109,7 +109,7 @@ class TestKVStates:
         prefix = tokenize(random_words(rng, 135))
         op = tokenize(random_words(rng, 65))
         seg = oracle.stateful_segment(prefix, op)
-        assert seg.shape == (4, 4, 65, 16)
+        assert seg.states.shape == (4, 4, 65, 32)
         assert seg.position_offset == 135
         assert seg.keys.dtype == np.float32
 
@@ -153,6 +153,11 @@ class TestKVStates:
             OracleConfig(lam=1.0)
         with pytest.raises(DataError):
             OracleConfig(lam=-0.1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            OracleConfig(seed=seed)
 
     def test_kvtensor_validation(self):
         k = np.zeros((1, 1, 2, 3), dtype=np.float32)
