@@ -19,6 +19,7 @@ import heapq
 import json
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CycleError, DataError, DocumentError, MergeError
 
@@ -64,8 +65,9 @@ class OperationGraph:
     each element; ``merged_from`` maps every canonical operation id to the
     ``(workflow_id, original_op_id)`` pairs folded into it.
 
-    A graph is immutable once built and hashes by identity, because the
-    model inputs derived from it are cached per graph object (``construct``).
+    A graph is immutable once built and hashes by identity, because what is
+    derived from it is cached per graph object: its model inputs
+    (``construct``), op tokens (``kvstore``) and edge set.
     """
 
     operations: dict[str, Operation]
@@ -83,6 +85,23 @@ class OperationGraph:
     def edge_list(self) -> list[tuple[str, str]]:
         """Canonical candidate-edge order: lexicographic by (source, target)."""
         return sorted(self.edges)
+
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.edges)
+
+    def check_chain(self, ops: Sequence[str], what: str) -> None:
+        """Raise :class:`DataError`, naming ``what``, at the first op that is
+        not an operation of the graph or the first consecutive pair that is
+        not an edge.  Edges join operations, so a valid chain costs one
+        membership test per op."""
+        if ops and ops[0] not in self.operations:
+            raise DataError(f"unknown operation {ops[0]!r} in {what}")
+        for a, b in zip(ops, ops[1:]):
+            if (a, b) not in self._edge_set:
+                if b not in self.operations:
+                    raise DataError(f"unknown operation {b!r} in {what}")
+                raise DataError(f"{what} step {a!r} -> {b!r} is not a graph edge")
 
     def entry_ops(self) -> list[str]:
         """Operations with no incoming edge, in canonical order."""

@@ -31,14 +31,7 @@ from .graph import OperationGraph, Workflow, topological_order
 from .kvstore import MODES, CacheStore, MemoryReport
 from .nn import ModelParams
 from .oracle import KVOracle, OracleConfig, tokenize
-from .pruning import (
-    MaterializationPlan,
-    PlanPolicy,
-    PlanReport,
-    TransitionStats,
-    apply_plan,
-    plan_materialization,
-)
+from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
 
 DEFAULT_BATCH_SIZES = (10, 20, 30, 40, 50)
 SWEEP_MODES = ("stateless", "differential", "stateful")
@@ -70,8 +63,9 @@ class Workload:
         if len(self.targets) != len(self.requests):
             raise DataError("each request needs a reference edge set")
         sizes = self.batch_sizes
-        if any(b < 1 for b in sizes) or list(sizes) != sorted(set(sizes)):
-            raise DataError(f"batch sizes must be positive and ascending, got {sizes}")
+        whole = all(isinstance(b, (int, np.integer)) and b >= 1 for b in sizes)
+        if not (sizes and whole and list(sizes) == sorted(set(sizes))):
+            raise DataError(f"batch sizes must be positive ascending integers, got {sizes}")
 
 
 _ZIPF_EXPONENT = 1.6
@@ -135,9 +129,9 @@ def make_workload(
 def execution_chains(workflow: Workflow) -> dict[str, tuple[str, ...]]:
     """Root-to-node chain for every node, following each node's smallest parent.
 
-    The chain is the KV prefix context for the node's fetch; the chain of a
-    leaf is a maximal executed trace.  The dict is in topological order, the
-    order ``run_serving_sim`` fetches the nodes in.
+    The chain is the KV prefix context for the node's fetch; a chain that no
+    other chain extends is a maximal executed trace.  The dict is in
+    topological order, the order ``run_serving_sim`` fetches the nodes in.
     """
     parents: dict[str, list[str]] = {node: [] for node in workflow.nodes}
     for src, dst in workflow.edges:
@@ -153,14 +147,16 @@ def execution_chains(workflow: Workflow) -> dict[str, tuple[str, ...]]:
 
 
 def maximal_traces(workflow: Workflow) -> list[list[str]]:
-    """The smallest-parent chains of the workflow's leaves, sorted."""
-    return _leaf_traces(workflow, execution_chains(workflow))
+    """The smallest-parent chains that no other chain extends, sorted by last
+    node: every fetched (path, op) pair is a prefix of one.  On a tree these
+    are the leaves' chains; on a DAG, a node that is no child's smallest
+    parent ends one too."""
+    return _maximal_traces(execution_chains(workflow))
 
 
-def _leaf_traces(workflow: Workflow, chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
-    has_out = {src for src, _ in workflow.edges}
-    leaves = sorted(n for n in workflow.nodes if n not in has_out)
-    return [list(chains[leaf]) for leaf in leaves]
+def _maximal_traces(chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
+    extended = {chain[-2] for chain in chains.values() if len(chain) > 1}
+    return [list(chains[node]) for node in sorted(chains) if node not in extended]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def run_serving_sim(
             memory.append(combine_memory("stateful", memory[-1:] + [req_store.memory_footprint()]))
 
         if stats is not None:
-            for trace in _leaf_traces(wf, chains):
+            for trace in _maximal_traces(chains):
                 stats.record(trace)
 
     return RunReport(
@@ -489,7 +485,7 @@ class AblationReport:
     policy: PlanPolicy
     unpruned: RunReport
     pruned: RunReport
-    plan: MaterializationPlan
+    plan: tuple[PlanEntry, ...]
     plan_report: PlanReport
     bytes_unpruned: int
     bytes_pruned: int
@@ -502,7 +498,6 @@ def ablate_pruning(
     policy: PlanPolicy | None = None,
     *,
     oracle: KVOracle | None = None,
-    energy_target: float = 0.95,
     verify_fetches: bool = True,
 ) -> AblationReport:
     """Run differential serving, prune the warmed store, then run it again.
@@ -515,7 +510,7 @@ def ablate_pruning(
     policy = policy or PlanPolicy()
     oracle = oracle or KVOracle(OracleConfig())
     stats = TransitionStats(graph)
-    store = CacheStore(graph, "differential", oracle=oracle, energy_target=energy_target)
+    store = CacheStore(graph, "differential", oracle=oracle)
     cache = {text: generate(graph, params, text) for text in dict.fromkeys(workload.requests)}
 
     unpruned = run_serving_sim(

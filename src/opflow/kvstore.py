@@ -178,8 +178,12 @@ def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
         )
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
+    # An intp index takes numpy's fast path; the int32 one stored is half the
+    # bytes.  Converted before the copy: converted after it, the transient
+    # index left heap holes that raised a long-lived process's peak RSS.
+    index = delta.index.astype(np.intp)
     states = base.states.copy()
-    states.reshape(-1)[delta.index] = delta.values
+    states.reshape(-1)[index] = delta.values
     return KVTensor(states, base.position_offset)
 
 
@@ -349,7 +353,6 @@ class CacheStore:
         self.residuals: dict[tuple[PathKey, str], SparseDelta] = {}
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
         self._bytes = {"bases": 0, "residuals": 0, "fulls": 0}
-        self._edges = set(graph.edge_list)
         self._op_tokens = _OP_TOKENS.setdefault(graph, {})
         self._prefix_len: dict[PathKey, int] = {}
         self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
@@ -379,19 +382,9 @@ class CacheStore:
         with it check only ``op_id`` and the edge into it.
         """
         n_prefix = self._prefix_len.get(path)
+        self.graph.check_chain((path if n_prefix is None else path[-1:]) + (op_id,), "prefix path")
         if n_prefix is None:
-            for node in path:
-                if node not in self.graph.operations:
-                    raise DataError(f"unknown operation {node!r} in prefix path")
-        if op_id not in self.graph.operations:
-            raise DataError(f"unknown operation {op_id!r}")
-        chain = (path if n_prefix is None else path[-1:]) + (op_id,)
-        for a, b in zip(chain, chain[1:]):
-            if (a, b) not in self._edges:
-                raise DataError(f"prefix step {a!r} -> {b!r} is not a graph edge")
-        if n_prefix is None:
-            n_prefix = len(self.prefix_tokens(path))
-            self._prefix_len[path] = n_prefix
+            n_prefix = self._prefix_len[path] = len(self.prefix_tokens(path))
         return n_prefix
 
     # -- tensor production ----------------------------------------------------

@@ -40,25 +40,19 @@ class TransitionStats:
 
     def __init__(self, graph: OperationGraph):
         self.graph = graph
-        self._edges = set(graph.edge_list)
         self.edge_counts: dict[tuple[str, str], int] = {}
         self.observed_pairs: set[tuple[PathKey, str]] = set()
         self.total_observations: int = 0
 
     def record(self, trace: Sequence[str]) -> None:
-        trace = list(trace)
+        trace = tuple(trace)
         if not trace:
             return
-        for op_id in trace:
-            if op_id not in self.graph.operations:
-                raise DataError(f"trace references unknown operation {op_id!r}")
-        for a, b in zip(trace, trace[1:]):
-            if (a, b) not in self._edges:
-                raise DataError(f"trace step {a!r} -> {b!r} is not a graph edge")
-        for a, b in zip(trace, trace[1:]):
-            self.edge_counts[(a, b)] = self.edge_counts.get((a, b), 0) + 1
+        self.graph.check_chain(trace, "trace")
+        for step in zip(trace, trace[1:]):
+            self.edge_counts[step] = self.edge_counts.get(step, 0) + 1
         for i in range(1, len(trace)):
-            self.observed_pairs.add((tuple(trace[:i]), trace[i]))
+            self.observed_pairs.add((trace[:i], trace[i]))
         self.total_observations += 1
 
     def min_edge_count(self, path: PathKey, op_id: str) -> int:
@@ -102,18 +96,9 @@ class PlanEntry:
     min_edge_count: int
 
 
-@dataclass(frozen=True)
-class MaterializationPlan:
-    policy: PlanPolicy
-    entries: tuple[PlanEntry, ...]
-
-    def pairs(self) -> set[tuple[PathKey, str]]:
-        return {(e.path, e.op_id) for e in self.entries}
-
-
 def plan_materialization(
     graph: OperationGraph, stats: TransitionStats, policy: PlanPolicy | None = None
-) -> MaterializationPlan:
+) -> tuple[PlanEntry, ...]:
     """Pick the observed pairs worth materializing.
 
     Entries are ordered hottest-first (descending min edge count, then path
@@ -121,19 +106,14 @@ def plan_materialization(
     budget keeps the most frequently exercised pairs.
     """
     policy = policy or PlanPolicy()
-    edges = set(graph.edge_list)
     candidates = []
     for path, op_id in stats.observed_pairs:
-        chain = list(path) + [op_id]
-        if any((a, b) not in edges for a, b in zip(chain, chain[1:])):
-            raise DataError(f"stats contain a pair that is no longer a graph path: {chain}")
+        graph.check_chain(path + (op_id,), "observed pair")
         count = stats.min_edge_count(path, op_id)
         if count >= policy.k:
             candidates.append(PlanEntry(path=path, op_id=op_id, min_edge_count=count))
     candidates.sort(key=lambda e: (-e.min_edge_count, e.path, e.op_id))
-    if policy.budget is not None:
-        candidates = candidates[: policy.budget]
-    return MaterializationPlan(policy=policy, entries=tuple(candidates))
+    return tuple(candidates[: policy.budget])
 
 
 @dataclass
@@ -155,7 +135,7 @@ class PlanReport:
         return buf.getvalue()
 
 
-def apply_plan(store: CacheStore, plan: MaterializationPlan) -> PlanReport:
+def apply_plan(store: CacheStore, plan: Sequence[PlanEntry]) -> PlanReport:
     """Make the store's residual set exactly the planned set.
 
     Planned pairs missing from the store are materialized; already-present
@@ -165,9 +145,9 @@ def apply_plan(store: CacheStore, plan: MaterializationPlan) -> PlanReport:
     if store.mode != "differential":
         raise DataError("materialization plans only apply to differential stores")
     before = store.memory_footprint()
-    planned = plan.pairs()
+    planned = {(entry.path, entry.op_id) for entry in plan}
     inserted = kept = 0
-    for entry in plan.entries:
+    for entry in plan:
         if (entry.path, entry.op_id) in store.residuals:
             kept += 1
         else:
@@ -184,7 +164,7 @@ def apply_plan(store: CacheStore, plan: MaterializationPlan) -> PlanReport:
             entry.min_edge_count,
             store.residuals[(entry.path, entry.op_id)].nbytes(),
         )
-        for entry in plan.entries
+        for entry in plan
     )
     return PlanReport(
         bytes_before=before.total_bytes,
@@ -213,7 +193,7 @@ def write_trace_log(path: str | Path, traces: Iterable[tuple[str, Sequence[str]]
         if not ops:
             raise DataError(f"trace for {task_id!r} is empty")
         for op_id in ops:
-            if "," in op_id or "\t" in op_id or "\n" in op_id:
+            if not op_id or "," in op_id or "\t" in op_id or "\n" in op_id:
                 raise DataError(f"op id {op_id!r} is not trace-log-safe")
         lines.append(f"{task_id}\t{','.join(ops)}\n")
     Path(path).write_text("".join(lines))

@@ -302,6 +302,38 @@ class TestMerge:
         assert g.entry_ops() == ["OP_01"]
 
 
+class TestCheckChain:
+    @staticmethod
+    def graph():
+        ops = {k: Operation(id=k, instruction=f"step {k}") for k in ("A", "B", "C")}
+        return merge_workflows([Workflow("W", "w", "", (), (), ("A", "B", "C"), (("A", "B"), ("B", "C")), ops)])
+
+    def test_accepts_chains_along_edges(self):
+        g = self.graph()
+        for ops in [(), ("C",), ("A", "B"), ["A", "B", "C"]]:
+            g.check_chain(ops, "trace")
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            (("X",), "unknown operation 'X' in prefix path"),
+            (("A", "X"), "unknown operation 'X' in prefix path"),
+            (("A", "C"), "prefix path step 'A' -> 'C' is not a graph edge"),
+            (("B", "A"), "prefix path step 'B' -> 'A' is not a graph edge"),
+            (("A", "C", "X"), "prefix path step 'A' -> 'C'"),  # the first fault along the chain
+        ],
+    )
+    def test_names_the_first_fault_and_what(self, ops, message):
+        with pytest.raises(DataError, match=message):
+            self.graph().check_chain(ops, "prefix path")
+
+    def test_edge_set_is_built_once_per_graph(self):
+        g = self.graph()
+        g.check_chain(("A", "B"), "trace")
+        assert g._edge_set is g._edge_set == frozenset(g.edges)
+        assert self.graph()._edge_set is not g._edge_set
+
+
 class TestNormalizeInstruction:
     def test_casefold_and_whitespace_collapse(self):
         assert normalize_instruction("  Solve\tthe   SYSTEM \n") == "solve the system"

@@ -188,6 +188,10 @@ class TestMakeWorkload:
             Workload(requests=("a",), targets=((),), batch_sizes=(5, 3))
         with pytest.raises(DataError):
             Workload(requests=("a",), targets=((),), batch_sizes=(0, 3))
+        with pytest.raises(DataError):
+            Workload(requests=("a",), targets=((),), batch_sizes=())
+        with pytest.raises(DataError):
+            Workload(requests=("a",), targets=((),), batch_sizes=(1.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,11 @@ class TestExecutionChains:
             [("A", "B"), ("A", "C"), ("B", "D"), ("C", "E")],
         )
         assert maximal_traces(w) == [["A", "B", "D"], ["A", "C", "E"]]
+
+    def test_maximal_traces_cover_a_node_that_is_no_smallest_parent(self):
+        # C is D's second parent, so D's chain runs through B and misses C.
+        w = wf(["A", "B", "C", "D"], [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
+        assert maximal_traces(w) == [["A", "C"], ["A", "B", "D"]]
 
     def test_isolated_nodes_are_their_own_traces(self):
         w = wf(["A", "B"], [])
@@ -657,6 +666,19 @@ class TestAblation:
         assert report.pruned.fallbacks > 0
         # And the rerun must not silently re-materialize what was dropped.
         assert report.pruned.memory.total_bytes == report.bytes_pruned
+
+    def test_pruned_pass_serves_every_pair_of_a_dag_workflow(self, monkeypatch):
+        # OP_M is no node's smallest parent: its pair reaches the stats only
+        # if traces cover every chain, not just the leaf's.
+        from opflow import harness
+
+        graph, full = diamond_graph()
+        monkeypatch.setattr(harness, "generate", lambda graph, params, text: full)
+        workload = Workload(requests=("diamond",) * 4, targets=(full.edges,) * 4, batch_sizes=(4,))
+        report = ablate_pruning(graph, object(), workload, PlanPolicy(k=2))
+        assert report.pruned.request_fallbacks == (0, 0, 0, 0)
+        assert (("OP_Z",), "OP_M") in {(e.path, e.op_id) for e in report.plan}
+        assert report.bytes_pruned == report.bytes_unpruned
 
     def test_ablation_is_deterministic(self, planted_default, control_params):
         corpus = planted_default

@@ -9,7 +9,6 @@ from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import CacheStore
 from opflow.pruning import (
-    MaterializationPlan,
     PlanPolicy,
     TransitionStats,
     apply_plan,
@@ -162,12 +161,12 @@ class TestPlanMaterialization:
         for k in (1, 2, 3, 4, 5):
             plan = plan_materialization(graph, stats, PlanPolicy(k=k))
             expected = brute_force_plan(stats, k)
-            assert [(e.path, e.op_id, e.min_edge_count) for e in plan.entries] == expected
+            assert [(e.path, e.op_id, e.min_edge_count) for e in plan] == expected
 
     def test_threshold_filters_cold_paths(self):
         graph, stats = seeded_stats(n_alpha=5, n_beta=1)
         plan = plan_materialization(graph, stats, PlanPolicy(k=2))
-        assert plan.pairs() == {
+        assert {(e.path, e.op_id) for e in plan} == {
             (("OP_E",), "OP_A1"),
             (("OP_E", "OP_A1"), "OP_A2"),
         }
@@ -175,7 +174,7 @@ class TestPlanMaterialization:
     def test_raising_k_never_grows_the_plan(self):
         graph, stats = seeded_stats(n_alpha=6, n_beta=3)
         sizes = [
-            len(plan_materialization(graph, stats, PlanPolicy(k=k)).entries)
+            len(plan_materialization(graph, stats, PlanPolicy(k=k)))
             for k in (1, 2, 3, 4, 7)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -184,15 +183,44 @@ class TestPlanMaterialization:
     def test_budget_keeps_hottest_first(self):
         graph, stats = seeded_stats(n_alpha=5, n_beta=4)
         plan = plan_materialization(graph, stats, PlanPolicy(k=1, budget=2))
-        assert len(plan.entries) == 2
-        assert all(e.min_edge_count == 5 for e in plan.entries)
+        assert len(plan) == 2
+        assert all(e.min_edge_count == 5 for e in plan)
         # deterministic order: count desc, then path/op lexicographic
-        assert plan.entries[0].path <= plan.entries[1].path
+        assert plan[0].path <= plan[1].path
 
     def test_budget_zero_empties_plan(self):
         graph, stats = seeded_stats()
         plan = plan_materialization(graph, stats, PlanPolicy(k=1, budget=0))
-        assert plan.entries == ()
+        assert plan == ()
+
+    def test_rejects_pairs_off_the_planning_graph(self):
+        _, stats = seeded_stats(n_beta=0)
+        alpha_cut = Workflow(
+            id="WF_CUT", name="cut", description="", patterns_must=(), patterns_should=(),
+            nodes=("OP_E", "OP_A1", "OP_A2"), edges=(("OP_E", "OP_A1"),),
+            operations={k: v for k, v in route_graph().operations.items() if k in ALPHA},
+        )
+        with pytest.raises(DataError, match="observed pair step 'OP_A1' -> 'OP_A2'"):
+            plan_materialization(merge_workflows([alpha_cut]), stats, PlanPolicy(k=1))
+
+    def test_store_and_pruner_share_the_graph_chain_check(self, monkeypatch):
+        from opflow.graph import OperationGraph
+
+        checked = []
+        real = OperationGraph.check_chain
+        monkeypatch.setattr(
+            OperationGraph, "check_chain", lambda g, ops, what: checked.append((tuple(ops), what)) or real(g, ops, what)
+        )
+        graph = route_graph()
+        stats = TransitionStats(graph)
+        stats.record(["OP_E", "OP_A1"])
+        plan_materialization(graph, stats)
+        CacheStore(graph).fetch(("OP_E",), "OP_A1")
+        assert checked == [
+            (("OP_E", "OP_A1"), "trace"),
+            (("OP_E", "OP_A1"), "observed pair"),
+            (("OP_E", "OP_A1"), "prefix path"),
+        ]
 
     def test_policy_validation(self):
         with pytest.raises(DataError):
@@ -214,16 +242,13 @@ class TestApplyPlan:
         apply_plan(store, full_plan)
         bytes_full = store.memory_footprint().total_bytes
 
-        alpha_only = MaterializationPlan(
-            policy=PlanPolicy(k=1),
-            entries=tuple(e for e in full_plan.entries if "OP_A1" in (e.path + (e.op_id,))),
-        )
+        alpha_only = tuple(e for e in full_plan if "OP_A1" in (e.path + (e.op_id,)))
         report = apply_plan(store, alpha_only)
         assert report.bytes_before == bytes_full
         assert report.bytes_after < bytes_full
         assert report.dropped == 2
         assert report.inserted == 0
-        assert set(store.residuals) == alpha_only.pairs()
+        assert set(store.residuals) == {(e.path, e.op_id) for e in alpha_only}
 
     def test_pruned_store_smaller_and_contract_preserved(self):
         # Skewed traffic: alpha dominates, beta is rare. k=2 drops beta's
@@ -273,7 +298,7 @@ class TestApplyPlan:
         first = apply_plan(store, plan)
         second = apply_plan(store, plan)
         assert second.inserted == 0
-        assert second.kept == len(plan.entries)
+        assert second.kept == len(plan)
         assert second.bytes_before == second.bytes_after == first.bytes_after
 
 
@@ -310,6 +335,8 @@ class TestTraceLog:
             write_trace_log(tmp_path / "x.tsv", [("T", ["OP,1"])])
         with pytest.raises(DataError):
             write_trace_log(tmp_path / "x.tsv", [("T", [])])
+        with pytest.raises(DataError):
+            write_trace_log(tmp_path / "x.tsv", [("T", ["OP_E", ""])])  # the reader would reject the line
 
     def test_skips_blank_lines(self, tmp_path):
         file = tmp_path / "traces.tsv"
