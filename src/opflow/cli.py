@@ -304,6 +304,7 @@ def cmd_generate(cfg: SimpleNamespace) -> int:
         raise UsageError("missing required --task")
     decode = DecodeConfig(theta_min=cfg.theta_min, max_nodes=cfg.max_nodes)
     workflow = generate(graph, params, cfg.task, decode)
+    log.info("generated %d nodes and %d edges", len(workflow.nodes), len(workflow.edges))
     sys.stdout.write(serialize_workflow(workflow))
     return 0
 
@@ -317,15 +318,19 @@ def cmd_kv_analyze(cfg: SimpleNamespace) -> int:
     if not pairs:
         raise DataError("graph has no edges to analyze")
     report = sparsity_report(OracleConfig(lam=cfg.lam, seed=cfg.seed), pairs)
-    out = _out_dir(cfg)
-    written = {
-        out / "sparsity_pairs.csv": report.pairs_csv(),
-        out / "sparsity_layers.csv": report.layers_csv(),
-        out / "sparsity_heatmap.csv": report.heatmap_csv(),
-    }
-    for path, text in written.items():
-        path.write_text(text)
-        print(path)
+    return _write_csvs(_out_dir(cfg), {
+        "sparsity_pairs.csv": report.pairs_csv(),
+        "sparsity_layers.csv": report.layers_csv(),
+        "sparsity_heatmap.csv": report.heatmap_csv(),
+    })
+
+
+def _write_csvs(out: Path, texts: dict[str, str]) -> int:
+    """Write each named file into ``out`` and print its path."""
+    for name, text in texts.items():
+        (out / name).write_text(text)
+        print(out / name)
+    log.info("%s written to %s", ", ".join(texts), out)
     return 0
 
 
@@ -365,6 +370,7 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
     (out / "prune_report.csv").write_text(report.to_csv())
     counters = [f.name for f in fields(PlanReport) if f.name != "rows"]
     (out / "prune_summary.csv").write_text(_csv(counters, [report]))
+    log.info("store written to %s, prune reports to %s", cfg.store, out)
     print(f"bytes_before={report.bytes_before} bytes_after={report.bytes_after} "
           f"dropped={report.dropped}")
     return 0
@@ -378,7 +384,9 @@ def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
         # A directory holding no store, or none at all, has an all-zero footprint.
         m = MemoryReport(cfg.mode, 0, 0, 0, 0, 0, 0)
     csv_text = _csv([f.name for f in fields(MemoryReport)] + ["total_bytes"], [m])
-    (_out_dir(cfg) / "footprint.csv").write_text(csv_text)
+    path = _out_dir(cfg) / "footprint.csv"
+    path.write_text(csv_text)
+    log.info("footprint written to %s", path)
     sys.stdout.write(csv_text)
     return 0
 
@@ -400,17 +408,11 @@ def cmd_bench(cfg: SimpleNamespace) -> int:
     sweep = sweep_batch_sizes(
         corpus.graph, params, workload, oracle=_oracle(cfg), energy_target=cfg.energy_target
     )
-
-    out = _out_dir(cfg)
-    written = {
-        out / "bench_tradeoff.csv": sweep.tradeoff_csv(),
-        out / "bench_memory_sweep.csv": sweep.to_csv(),
-        out / "bench_cost_sweep.csv": sweep.cost_csv(),
-    }
-    for path, text in written.items():
-        path.write_text(text)
-        print(path)
-    return 0
+    return _write_csvs(_out_dir(cfg), {
+        "bench_tradeoff.csv": sweep.tradeoff_csv(),
+        "bench_memory_sweep.csv": sweep.to_csv(),
+        "bench_cost_sweep.csv": sweep.cost_csv(),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ cost plus a per-entry residual-apply cost, while a fallback pays a per-token
 fixed; what matters is that identical seeds give identical reports.
 
 Batch concurrency is modeled as simultaneous live stores for the memory
-account and sequential execution for the cost account: stateful mode gives
-every request its own store, while stateless and differential requests share
-one store, which is exactly where the differential layout's cross-request
-deduplication shows up in the sweep curves.
+account and sequential execution for the cost account: stateful accounting
+models one empty store per request (one store per run does the computing),
+while stateless and differential requests share one store, which is exactly
+where the differential layout's cross-request deduplication shows up in the
+sweep curves.
 
 The batch-size sweep serves each mode once: requests run in order against
 stores that only grow, so batch size B is read off the first B per-request
@@ -28,7 +29,7 @@ import numpy as np
 from .construct import PlantedCorpus, edge_f1, generate
 from .errors import DataError
 from .graph import OperationGraph, Workflow, topological_order
-from .kvstore import MODES, CacheStore, MemoryReport
+from .kvstore import MODES, CacheStore, MemoryReport, kv_file_nbytes
 from .nn import ModelParams
 from .oracle import KVOracle, OracleConfig, tokenize
 from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
@@ -167,7 +168,7 @@ def _maximal_traces(chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
 @dataclass
 class RunReport:
     """Per-request records of one serving run, in order; ``request_memory[i]`` is
-    the footprint right after request ``i`` (stateful: summed over its stores)."""
+    the footprint right after request ``i`` (stateful: summed over per-request stores)."""
 
     mode: str
     request_costs: tuple[float, ...]
@@ -228,18 +229,6 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     return float(ordered[rank - 1])
 
 
-def combine_memory(mode: str, reports: Sequence[MemoryReport]) -> MemoryReport:
-    return MemoryReport(
-        mode=mode,
-        bases_bytes=sum(r.bases_bytes for r in reports),
-        residuals_bytes=sum(r.residuals_bytes for r in reports),
-        fulls_bytes=sum(r.fulls_bytes for r in reports),
-        n_bases=sum(r.n_bases for r in reports),
-        n_residuals=sum(r.n_residuals for r in reports),
-        n_fulls=sum(r.n_fulls for r in reports),
-    )
-
-
 def _distance(a, b) -> float:
     """Key/value Euclidean distance, summed in float64: float32 sums round
     by more than the energy bound's 1e-6 slack once deltas are large."""
@@ -285,15 +274,20 @@ def run_serving_sim(
     missing residual (unless ``warm_differential`` is off, as when measuring
     a pruned store).  ``stats`` collects the executed maximal traces for
     materialization planning.  An injected ``store`` brings its own oracle
-    and energy target; ``oracle`` and ``energy_target`` build the stores
+    and energy target; ``oracle`` and ``energy_target`` build the store
     this function creates.
+
+    Without an injected store, stateful mode accounts for one empty store
+    per request (every fetch a fallback, memory summed over those stores)
+    but computes in one store per run: a request fetches each (path, op)
+    pair at most once, so the records are the same.
     """
     if mode not in MODES:
         raise DataError(f"unknown serving mode {mode!r}")
+    per_request = store is None and mode == "stateful"
     if store is None:
         oracle = oracle or KVOracle(OracleConfig())
-        if mode != "stateful":
-            store = CacheStore(graph, mode, oracle=oracle, energy_target=energy_target)
+        store = CacheStore(graph, mode, oracle=oracle, energy_target=energy_target)
     elif store.mode != mode:
         raise DataError(f"injected store is {store.mode!r}, expected {mode!r}")
 
@@ -303,6 +297,7 @@ def run_serving_sim(
     scores: list[float] = []
     entries: list[int] = []
     memory: list[MemoryReport] = []
+    fulls_bytes = n_fulls = 0  # the per-request stateful stores' running sums
     all_verified = True
 
     for req_index, task_text in enumerate(workload.requests):
@@ -312,11 +307,6 @@ def run_serving_sim(
             wf = generate(graph, params, task_text)
         scores.append(edge_f1(wf.edges, workload.targets[req_index]))
 
-        if mode == "stateful" and store is None:
-            req_store = CacheStore(graph, "stateful", oracle=oracle, energy_target=energy_target)
-        else:
-            req_store = store
-
         chains = execution_chains(wf)
         cost = 0.0
         n_hit = 0
@@ -324,27 +314,29 @@ def run_serving_sim(
         n_entries = 0
         for node, chain in chains.items():
             path = chain[:-1]
-            kv, result = req_store.fetch(path, node)
-            cost += fetch_cost(
-                result.flag, result.entries_applied, result.prefix_tokens, result.op_tokens
-            )
+            kv, result = store.fetch(path, node)
+            flag = "fallback" if per_request else result.flag
+            cost += fetch_cost(flag, result.entries_applied, result.prefix_tokens, result.op_tokens)
             n_entries += result.entries_applied
-            if result.flag == "hit":
+            if flag == "hit":
                 n_hit += 1
             else:
                 n_fall += 1
                 if mode == "differential" and warm_differential and path:
-                    req_store.insert_residual(path, node)
-            if verify_fetches and not _verify_fetch(req_store, path, node, kv, result.flag):
+                    store.insert_residual(path, node)
+            if per_request:
+                fulls_bytes += kv_file_nbytes(kv)
+                n_fulls += 1
+            if verify_fetches and not _verify_fetch(store, path, node, kv, flag):
                 all_verified = False
         costs.append(cost)
         hits.append(n_hit)
         fallbacks.append(n_fall)
         entries.append(n_entries)
-        if req_store is store:
+        if per_request:
+            memory.append(MemoryReport(mode, 0, 0, fulls_bytes, 0, 0, n_fulls))
+        else:
             memory.append(store.memory_footprint())
-        else:  # per-request stateful stores: a running sum
-            memory.append(combine_memory("stateful", memory[-1:] + [req_store.memory_footprint()]))
 
         if stats is not None:
             for trace in _maximal_traces(chains):
@@ -440,8 +432,9 @@ def sweep_batch_sizes(
     """Memory and cost per mode as the number of in-flight requests grows.
 
     Batch size B is modeled as the first B workload requests being live at
-    once: their stores exist simultaneously (one per request in stateful
-    mode, one shared otherwise) and the recorded figure is total store bytes.
+    once: their stores exist simultaneously (stateful accounting models one
+    per request, the other modes share one) and the recorded figure is total
+    store bytes.
     Each mode is served once over the first ``max(batch_sizes)`` requests,
     and batch size B reads the first B requests of that run.
     """

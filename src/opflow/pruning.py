@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -83,10 +84,14 @@ class PlanPolicy:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DataError(f"k must be at least 1, got {self.k}")
-        if self.budget is not None and self.budget < 0:
-            raise DataError(f"budget must be non-negative, got {self.budget}")
+        if not (_is_int(self.k) and self.k >= 1):
+            raise DataError(f"k must be an integer of at least 1, got {self.k!r}")
+        if self.budget is not None and not (_is_int(self.budget) and self.budget >= 0):
+            raise DataError(f"budget must be a non-negative integer, got {self.budget!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -855,7 +855,53 @@ class TestModuleEntryPoint:
         assert (tmp_path / "graph.json").is_file()
 
 
+# Each command's arguments besides ``--out``, for the quiet/verbose comparison.
+VERBOSE_RUNS = {
+    "build-graph": ["--workflows", "{root}/workflows"],
+    "train": ["--graph", "{root}/graph.json", "--workflows", "{root}/workflows",
+              "--samples", "{root}/samples.tsv", "--epochs", "1", "--batch-size", "8"],
+    "generate": ["--graph", "{root}/graph.json", "--checkpoint", "{root}/checkpoint.bin",
+                 "--task", "Deliver the ledger and quartz packet before the review"],
+    "kv analyze": ["--graph", "{root}/graph.json", "--pair-limit", "2"],
+    "kv materialize": ["--graph", "{root}/graph.json", "--traces", "{root}/traces.log",
+                       "--store", "{out}/store"],
+    "kv prune": ["--graph", "{root}/graph.json", "--traces", "{root}/traces.log",
+                 "--store", "{out}/store", "--prune-k", "2"],
+    "kv footprint": ["--graph", "{root}/graph.json", "--store", "{out}/store"],
+    "bench": ["--vocab-size", "8", "--n-requests", "6", "--batch-sizes", "3,6"],
+}
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestVerbose:
+    @pytest.mark.parametrize("command", list(VERBOSE_RUNS))
+    def test_v_logs_info_and_changes_no_output(self, cli_project, tmp_path, command):
+        root, _ = cli_project
+        runs = {}
+        for flags in ((), ("-v",)):
+            out = tmp_path / ("verbose" if flags else "quiet")
+            if command in ("kv prune", "kv footprint"):
+                assert main(["kv", "materialize", "--graph", str(root / "graph.json"),
+                             "--traces", str(root / "traces.log"),
+                             "--store", str(out / "store")]) == 0
+            args = [a.format(root=root, out=out) for a in VERBOSE_RUNS[command]]
+            runs[flags] = subprocess.run(
+                [sys.executable, "-m", "opflow.cli", *command.split(), *flags, *args,
+                 "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert runs[flags].returncode == 0, runs[flags].stderr
+        quiet, verbose = runs[()], runs[("-v",)]
+        assert quiet.stderr == ""
+        assert any(line.startswith("INFO opflow: ") for line in verbose.stderr.splitlines())
+        assert verbose.stdout.replace(str(tmp_path / "verbose"), "") == quiet.stdout.replace(
+            str(tmp_path / "quiet"), ""
+        )
+        assert tree_bytes(tmp_path / "verbose") == tree_bytes(tmp_path / "quiet")
+
     def test_v_logs_progress_to_stderr_and_leaves_stdout(self, cli_project, tmp_path):
         root, _ = cli_project
         runs = {}

@@ -8,7 +8,7 @@ parameters, whose generated workflows collapse to the entry operation.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,11 +20,11 @@ from opflow.harness import (
     APPLY_PER_ENTRY,
     HIT_FIXED,
     PREFILL_PER_TOKEN,
+    RunReport,
     SweepResult,
     SweepRow,
     Workload,
     ablate_pruning,
-    combine_memory,
     execution_chains,
     fetch_cost,
     make_workload,
@@ -342,8 +342,9 @@ class TestRunServingSim:
         assert second.memory.total_bytes == first.memory.total_bytes
 
     def test_stateful_runs_never_hit_across_requests(self, planted_default, control_params):
-        # One fresh store per request: within a request each (path, op) pair
-        # is fetched once, so every fetch recomputes.
+        # The accounting models one store per request, each starting empty:
+        # within a request each (path, op) pair is fetched once, so every
+        # fetch counts as a recompute, although one store per run computes.
         corpus = planted_default
         workload = small_workload(corpus, n=6, batches=(3, 6))
         report = run_serving_sim(corpus.graph, control_params, workload, "stateful")
@@ -441,12 +442,88 @@ class TestRunServingSim:
         run_serving_sim(corpus.graph, init_params(seed=0), workload, "differential", store=store)
         assert built == []
 
-    def test_combine_memory_sums_fields(self):
-        a = MemoryReport("stateful", 1, 2, 3, 4, 5, 6)
-        b = MemoryReport("stateful", 10, 20, 30, 40, 50, 60)
-        combo = combine_memory("stateful", [a, b])
-        assert combo == MemoryReport("stateful", 11, 22, 33, 44, 55, 66)
-        assert combo.total_bytes == 11 + 22 + 33
+    @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_stateful_report_matches_one_store_per_request(
+        self, planted_default, control_params, distribution, verify
+    ):
+        corpus = planted_default
+        workload = repeating_workload(corpus, distribution)
+        report = run_serving_sim(
+            corpus.graph, control_params, workload, "stateful", verify_fetches=verify
+        )
+        reference = one_store_per_request(corpus.graph, control_params, workload, verify)
+        for field in fields(RunReport):
+            assert getattr(report, field.name) == getattr(reference, field.name), field.name
+
+    def test_stateful_computes_each_pair_once(self, planted_default, control_params, monkeypatch):
+        corpus = planted_default
+        workload = repeating_workload(corpus, "zipf")
+        fetched = [
+            (chain[:-1], node)
+            for text in workload.requests
+            for node, chain in execution_chains(generate(corpus.graph, control_params, text)).items()
+        ]
+        calls = []
+        real_resume = KVOracle.resume
+
+        def counting_resume(self, carry, tokens, position_offset):
+            calls.append((len(tokens), position_offset))
+            return real_resume(self, carry, tokens, position_offset)
+
+        monkeypatch.setattr(KVOracle, "resume", counting_resume)
+        run_serving_sim(corpus.graph, control_params, workload, "stateful")
+        assert len(set(fetched)) < len(fetched)  # requests share pairs
+        assert len(calls) == len(set(fetched))
+
+
+def repeating_workload(corpus, distribution):
+    """Eight sampled requests, then the first four again verbatim."""
+    base = make_workload(corpus, n_requests=8, seed=5, distribution=distribution, batch_sizes=(8,))
+    return replace(
+        base,
+        requests=base.requests + base.requests[:4],
+        targets=base.targets + base.targets[:4],
+        batch_sizes=(12,),
+    )
+
+
+def one_store_per_request(graph, params, workload, verify):
+    """What stateful serving reports when every request gets a fresh store of
+    its own and the footprint is summed over those stores."""
+    oracle = KVOracle(OracleConfig())
+    costs, hits, fallbacks, scores, entries, memory = [], [], [], [], [], []
+    total = MemoryReport("stateful", 0, 0, 0, 0, 0, 0)
+    counters = [f.name for f in fields(MemoryReport) if f.name != "mode"]
+    verified = True
+    for text, target in zip(workload.requests, workload.targets):
+        workflow = generate(graph, params, text)
+        store = CacheStore(graph, "stateful", oracle=oracle)
+        cost, n_hit, n_entries = 0.0, 0, 0
+        chains = execution_chains(workflow)
+        for node, chain in chains.items():
+            kv, result = store.fetch(chain[:-1], node)
+            cost += fetch_cost(
+                result.flag, result.entries_applied, result.prefix_tokens, result.op_tokens
+            )
+            n_hit += result.flag == "hit"
+            n_entries += result.entries_applied
+            expect = oracle.stateful_segment(store.prefix_tokens(chain[:-1]), store.op_tokens(node))
+            verified = verified and np.array_equal(kv.states, expect.states)
+        m = store.memory_footprint()
+        total = MemoryReport(
+            "stateful", *(getattr(total, name) + getattr(m, name) for name in counters)
+        )
+        costs.append(cost)
+        hits.append(n_hit)
+        fallbacks.append(len(chains) - n_hit)
+        scores.append(edge_f1(workflow.edges, target))
+        entries.append(n_entries)
+        memory.append(total)
+    return RunReport(
+        "stateful", tuple(costs), tuple(hits), tuple(fallbacks), tuple(scores),
+        tuple(entries), tuple(memory), verified=verified if verify else None,
+    )
 
 
 def diamond_graph():

@@ -228,6 +228,18 @@ class TestPlanMaterialization:
         with pytest.raises(DataError):
             PlanPolicy(budget=-1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", 1.5), ("k", 2.0), ("k", True), ("k", "2"),
+         ("budget", 1.5), ("budget", 2.0), ("budget", False), ("budget", "3")],
+    )
+    def test_policy_rejects_non_integer_values(self, key, value):
+        with pytest.raises(DataError, match="integer"):
+            PlanPolicy(**{key: value})
+
+    def test_policy_accepts_numpy_integers(self):
+        assert PlanPolicy(k=np.int64(3), budget=np.int32(0)) == PlanPolicy(k=3, budget=0)
+
 
 # ---------------------------------------------------------------------------
 # apply_plan
