@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one rule for a
+whole number given by a caller.
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 :class:`DataError` (and subclasses) exit 2, :class:`NumericError` exits 3.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class OpflowError(Exception):
@@ -44,3 +47,11 @@ class MergeError(DataError):
 
 class NumericError(OpflowError):
     """Numerical failure: non-finite values, failed convergence checks."""
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise :class:`DataError` unless ``value`` is an integer, and not a
+    bool, of at least ``minimum`` (0 or 1)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
+        kind = "non-negative" if minimum == 0 else "positive"
+        raise DataError(f"{name} must be a {kind} integer, got {value!r}")

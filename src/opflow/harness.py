@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .construct import PlantedCorpus, edge_f1, generate
-from .errors import DataError
+from .construct import PlantedCorpus, _synthesize, edge_f1
+from .errors import DataError, _check_int
 from .graph import OperationGraph, Workflow, topological_order
 from .kvstore import MODES, CacheStore, MemoryReport, kv_file_nbytes
 from .nn import ModelParams
@@ -64,8 +64,9 @@ class Workload:
         if len(self.targets) != len(self.requests):
             raise DataError("each request needs a reference edge set")
         sizes = self.batch_sizes
-        whole = all(isinstance(b, (int, np.integer)) and b >= 1 for b in sizes)
-        if not (sizes and whole and list(sizes) == sorted(set(sizes))):
+        for size in sizes:
+            _check_int("batch size", size, 1)
+        if not (sizes and list(sizes) == sorted(set(sizes))):
             raise DataError(f"batch sizes must be positive ascending integers, got {sizes}")
 
 
@@ -90,8 +91,7 @@ def make_workload(
     once or never).  With ``ensure_coverage`` the first R requests each pin
     one distinct route so every chain gets exercised early.
     """
-    if n_requests < 1:
-        raise DataError("n_requests must be positive")
+    _check_int("n_requests", n_requests, 1)
     if not (0.0 <= overlap <= 1.0):
         raise DataError(f"overlap must lie in [0, 1], got {overlap}")
     if distribution not in ("uniform", "zipf"):
@@ -269,6 +269,9 @@ def run_serving_sim(
 ) -> RunReport:
     """Generate a workflow per request and execute it against the KV store.
 
+    Workflows come from ``workflow_cache`` when it holds the request's text;
+    every other distinct text is synthesized once, before serving, in
+    fixed-size blocks of task rows (a lone text takes ``generate``'s path).
     Each operation fetches its KV segment under the chain prefix given by
     ``execution_chains``; fallbacks in differential mode materialize the
     missing residual (unless ``warm_differential`` is off, as when measuring
@@ -299,12 +302,11 @@ def run_serving_sim(
     memory: list[MemoryReport] = []
     fulls_bytes = n_fulls = 0  # the per-request stateful stores' running sums
     all_verified = True
+    cached = workflow_cache or {}
+    generated = _synthesize(graph, params, (t for t in workload.requests if t not in cached))
 
     for req_index, task_text in enumerate(workload.requests):
-        if workflow_cache is not None and task_text in workflow_cache:
-            wf = workflow_cache[task_text]
-        else:
-            wf = generate(graph, params, task_text)
+        wf = cached[task_text] if task_text in cached else generated[task_text]
         scores.append(edge_f1(wf.edges, workload.targets[req_index]))
 
         chains = execution_chains(wf)
@@ -436,7 +438,8 @@ def sweep_batch_sizes(
     per request, the other modes share one) and the recorded figure is total
     store bytes.
     Each mode is served once over the first ``max(batch_sizes)`` requests,
-    and batch size B reads the first B requests of that run.
+    and batch size B reads the first B requests of that run.  Their distinct
+    texts are synthesized once, in fixed-size blocks, for all three modes.
     """
     largest = max(workload.batch_sizes)
     if largest > len(workload.requests):
@@ -448,7 +451,7 @@ def sweep_batch_sizes(
     served = replace(
         workload, requests=workload.requests[:largest], targets=workload.targets[:largest]
     )
-    cache = {text: generate(graph, params, text) for text in dict.fromkeys(served.requests)}
+    cache = _synthesize(graph, params, served.requests)
     runs = {
         mode: run_serving_sim(
             graph, params, served, mode,
@@ -498,13 +501,14 @@ def ablate_pruning(
     The first pass warms every residual the workload touches and records the
     executed traces; the materialization plan then keeps only pairs whose
     path edges were each seen at least ``k`` times, so the second pass serves
-    hot paths from residuals and recomputes cold ones.
+    hot paths from residuals and recomputes cold ones.  Both passes serve the
+    workflows of one synthesis of the distinct texts, in fixed-size blocks.
     """
     policy = policy or PlanPolicy()
     oracle = oracle or KVOracle(OracleConfig())
     stats = TransitionStats(graph)
     store = CacheStore(graph, "differential", oracle=oracle)
-    cache = {text: generate(graph, params, text) for text in dict.fromkeys(workload.requests)}
+    cache = _synthesize(graph, params, workload.requests)
 
     unpruned = run_serving_sim(
         graph, params, workload, "differential",

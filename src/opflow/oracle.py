@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_int
 
 TOKEN_SPACE = 8192
 _MAX_POSITION = 2**31 - 1
@@ -53,10 +53,9 @@ class OracleConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam < 1.0):
             raise DataError(f"decay must lie in [0, 1), got {self.lam}")
-        if min(self.layers, self.heads, self.head_dim) < 1:
-            raise DataError("layers, heads and head_dim must all be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("layers", "heads", "head_dim"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
 
     @property
     def d_model(self) -> int:

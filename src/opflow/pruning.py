@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, _check_int
 from .graph import OperationGraph
 from .kvstore import CacheStore
 
@@ -84,14 +83,9 @@ class PlanPolicy:
     budget: int | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.k) and self.k >= 1):
-            raise DataError(f"k must be an integer of at least 1, got {self.k!r}")
-        if self.budget is not None and not (_is_int(self.budget) and self.budget >= 0):
-            raise DataError(f"budget must be a non-negative integer, got {self.budget!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        _check_int("k", self.k, 1)
+        if self.budget is not None:
+            _check_int("budget", self.budget, 0)
 
 
 @dataclass(frozen=True)

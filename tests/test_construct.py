@@ -34,7 +34,7 @@ from opflow.features import HashingEmbedder
 from opflow.graph import Operation, Workflow, merge_workflows, parse_workflow
 from opflow.nn import adamw_init, adamw_step, init_params, load_checkpoint, save_checkpoint
 
-from conftest import dense_forward, doc_json, make_workflow_doc, mean_loss
+from conftest import FOLD_RTOL, dense_features, dense_forward, doc_json, make_workflow_doc, mean_loss
 
 
 def scores_for(graph, by_edge):
@@ -280,6 +280,12 @@ class TestInstantiateWorkflow:
         with pytest.raises(DataError):
             DecodeConfig(max_nodes=0)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3", 0, -1])
+    def test_max_nodes_must_be_a_positive_integer(self, value):
+        with pytest.raises(DataError, match="max_nodes"):
+            DecodeConfig(max_nodes=value)
+        assert DecodeConfig(max_nodes=np.int64(3)).max_nodes == 3
+
 
 # ---------------------------------------------------------------------------
 # Scoring and generation
@@ -337,6 +343,101 @@ class TestScoringAndGenerate:
         wf = generate(DIAMOND, zero_params(), "handle the request")
         assert wf.id == wf_id
         assert wf.description == "handle the request"
+
+
+class TestBatchedSynthesis:
+    """``_synthesize`` scores a call's distinct texts in blocks of task rows,
+    then decodes each text as ``generate`` does."""
+
+    @pytest.fixture
+    def stream(self, planted_default):
+        """Distinct texts for three full blocks and a short fourth, and a
+        stream that repeats some of them before and after their first use."""
+        block = construct._SYNTHESIS_BLOCK
+        distinct = list(dict.fromkeys(s.task_text for s in planted_default.samples))[: 3 * block + 3]
+        assert len(distinct) == 3 * block + 3
+        return distinct, distinct[:5] + distinct + distinct[::7]
+
+    @staticmethod
+    def spy_scores(monkeypatch) -> dict:
+        """Record the scores each text is decoded from."""
+        seen = {}
+        decode = construct.instantiate_workflow
+
+        def spy(graph, scores, config=None, workflow_id="WF_GEN", description=""):
+            seen[description] = scores.copy()
+            return decode(graph, scores, config, workflow_id, description)
+
+        monkeypatch.setattr(construct, "instantiate_workflow", spy)
+        return seen
+
+    def test_workflows_equal_generate(self, planted_default, control_params, stream):
+        distinct, texts = stream
+        graph = planted_default.graph
+        workflows = construct._synthesize(graph, control_params, texts)
+        assert list(workflows) == distinct
+        for text in distinct:
+            assert workflows[text] == generate(graph, control_params, text)
+
+    def test_texts_are_scored_once_in_blocks(self, monkeypatch, planted_default, stream):
+        distinct, texts = stream
+        rows = []
+        forward = construct.gcn_forward
+        monkeypatch.setattr(
+            construct, "gcn_forward",
+            lambda p, x, a, t, task_rows: rows.append(len(task_rows)) or forward(p, x, a, t, task_rows),
+        )
+        construct._synthesize(planted_default.graph, init_params(seed=2).read_only(), texts)
+        block = construct._SYNTHESIS_BLOCK
+        assert rows == [block, block, block, 3]
+        rows.clear()
+        assert construct._synthesize(planted_default.graph, init_params(seed=2), []) == {}
+        assert rows == []
+
+    def test_scores_match_one_text_scores_and_the_dense_forward(
+        self, monkeypatch, planted_default, control_params, stream
+    ):
+        distinct, texts = stream
+        graph = planted_default.graph
+        seen = self.spy_scores(monkeypatch)
+        construct._synthesize(graph, control_params, texts)
+        batched = np.stack([seen[text] for text in distinct])
+        one = np.stack([score_candidate_edges(graph, control_params, text) for text in distinct])
+        np.testing.assert_allclose(batched, one, rtol=FOLD_RTOL, atol=0)
+        inputs = construct._model_inputs(graph)
+        rows = np.stack([construct._EMBEDDER.embed_text(text) for text in distinct])
+        _, dense = dense_forward(
+            control_params, dense_features(inputs.base_x, inputs.task_index, rows),
+            inputs.adjacency, inputs.edge_index, inputs.task_index, np.zeros_like(batched),
+        )
+        np.testing.assert_allclose(batched, dense.scores, rtol=FOLD_RTOL, atol=0)
+
+    def test_scores_do_not_depend_on_block_neighbours(self, planted_default, control_params, stream):
+        distinct, _ = stream
+        graph = planted_default.graph
+        block = distinct[: construct._SYNTHESIS_BLOCK]
+        scores = construct._scores(graph, control_params, block)
+        reversed_block = construct._scores(graph, control_params, block[::-1])[::-1]
+        np.testing.assert_allclose(reversed_block, scores, rtol=FOLD_RTOL, atol=0)
+        strangers = distinct[len(block) : 2 * len(block) - 1]
+        for i in (0, len(block) - 1):
+            among = construct._scores(graph, control_params, [block[i], *strangers])[0]
+            np.testing.assert_allclose(among, scores[i], rtol=FOLD_RTOL, atol=0)
+
+    def test_one_text_takes_the_generate_path_bitwise(self, monkeypatch, planted_default, control_params):
+        graph = planted_default.graph
+        text = planted_default.samples[0].task_text
+        seen = self.spy_scores(monkeypatch)
+        workflows = construct._synthesize(graph, control_params, [text, text])
+        assert np.array_equal(seen[text], score_candidate_edges(graph, control_params, text))
+        assert workflows == {text: generate(graph, control_params, text)}
+
+    def test_decode_config_reaches_every_text(self, planted_default, control_params, stream):
+        distinct, _ = stream
+        decode = DecodeConfig(theta_min=0.9, max_nodes=3)
+        workflows = construct._synthesize(planted_default.graph, control_params, distinct, decode)
+        for text in distinct:
+            assert workflows[text] == generate(planted_default.graph, control_params, text, decode)
 
 
 class TestModelInputsCache:
@@ -568,6 +669,16 @@ class TestTraining:
     def test_rejects_empty_sample_list(self):
         with pytest.raises(DataError, match="empty sample list"):
             train(DIAMOND, [], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("key, value", [
+        *[(key, value) for key in ("epochs", "batch_size", "hidden_dim", "mlp_hidden", "seed")
+          for value in (True, 2.5, "3", None, -1)],
+        ("batch_size", 0), ("hidden_dim", 0), ("mlp_hidden", 0),
+    ])
+    def test_counts_must_be_whole_numbers_in_range(self, key, value):
+        with pytest.raises(DataError, match=key):
+            TrainConfig(**{key: value})
+        assert getattr(TrainConfig(**{key: np.int64(1)}), key) == 1
 
     def test_config_validation(self):
         with pytest.raises(DataError):

@@ -179,6 +179,16 @@ class TestMakeWorkload:
         with pytest.raises(DataError):
             make_workload(planted_default, **kwargs)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3", None, 0, -1])
+    @pytest.mark.parametrize("where", ["batch size", "n_requests"])
+    def test_counts_must_be_whole_numbers_in_range(self, planted_default, where, value):
+        with pytest.raises(DataError, match=where):
+            if where == "batch size":
+                Workload(requests=("a",), targets=((),), batch_sizes=(value,))
+            else:
+                make_workload(planted_default, n_requests=value)
+        assert Workload(("a",), ((),), batch_sizes=(np.int64(1),)).batch_sizes == (1,)
+
     def test_workload_validation(self):
         with pytest.raises(DataError):
             Workload(requests=(), targets=())
@@ -592,6 +602,58 @@ class TestOnePlanPerRequest:
         assert replace(report, verified=None) == reference
 
 
+class TestSynthesisOncePerText:
+    """The harness scores each distinct text that ``workflow_cache`` does not
+    hold exactly once, in blocks, and serves what ``generate`` would give."""
+
+    @staticmethod
+    def scored_texts(monkeypatch) -> list:
+        from opflow import construct
+
+        scored = []
+        scores = construct._scores
+        monkeypatch.setattr(
+            construct, "_scores", lambda graph, params, texts: scored.extend(texts) or scores(graph, params, texts)
+        )
+        return scored
+
+    @staticmethod
+    def repeating(corpus) -> Workload:
+        w = make_workload(corpus, n_requests=40, seed=5, overlap=0.5, batch_sizes=(1,))
+        return replace(w, requests=w.requests + w.requests[::4], targets=w.targets + w.targets[::4])
+
+    def test_each_distinct_uncached_text_is_scored_once(self, monkeypatch, planted_default, control_params):
+        graph = planted_default.graph
+        workload = self.repeating(planted_default)
+        distinct = list(dict.fromkeys(workload.requests))
+        generated = {text: generate(graph, control_params, text) for text in distinct}
+        cached = {text: generated[text] for text in distinct[::3]}
+        scored = self.scored_texts(monkeypatch)
+        report = run_serving_sim(graph, control_params, workload, "differential", workflow_cache=cached)
+        assert scored == [text for text in distinct if text not in cached]
+        reference = run_serving_sim(graph, control_params, workload, "differential", workflow_cache=generated)
+        assert report == reference
+
+    def test_fully_cached_workload_never_reaches_the_scorer(self, monkeypatch, planted_default, control_params):
+        graph = planted_default.graph
+        workload = self.repeating(planted_default)
+        cache = {text: generate(graph, control_params, text) for text in workload.requests}
+        scored = self.scored_texts(monkeypatch)
+        run_serving_sim(graph, control_params, workload, "stateful", workflow_cache=cache)
+        assert scored == []
+
+    def test_sweep_and_ablation_score_each_text_once(self, monkeypatch, planted_default, control_params):
+        graph = planted_default.graph
+        workload = replace(self.repeating(planted_default), batch_sizes=(10, 50))
+        distinct = list(dict.fromkeys(workload.requests[:50]))
+        scored = self.scored_texts(monkeypatch)
+        sweep_batch_sizes(graph, control_params, workload)
+        assert scored == distinct
+        scored.clear()
+        ablate_pruning(graph, control_params, workload, verify_fetches=False)
+        assert scored == list(dict.fromkeys(workload.requests))
+
+
 # ---------------------------------------------------------------------------
 # Batch-size sweep
 # ---------------------------------------------------------------------------
@@ -750,7 +812,7 @@ class TestAblation:
         from opflow import harness
 
         graph, full = diamond_graph()
-        monkeypatch.setattr(harness, "generate", lambda graph, params, text: full)
+        monkeypatch.setattr(harness, "_synthesize", lambda graph, params, texts: dict.fromkeys(texts, full))
         workload = Workload(requests=("diamond",) * 4, targets=(full.edges,) * 4, batch_sizes=(4,))
         report = ablate_pruning(graph, object(), workload, PlanPolicy(k=2))
         assert report.pruned.request_fallbacks == (0, 0, 0, 0)

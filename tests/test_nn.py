@@ -37,6 +37,7 @@ from opflow.nn import (
 )
 
 from conftest import (
+    FOLD_RTOL,
     dense_features,
     dense_forward,
     finite_difference_grads,
@@ -420,12 +421,6 @@ def row_normalized_adjacency(a: np.ndarray) -> np.ndarray:
     u = ((a + a.T) > 0).astype(np.float64)
     np.fill_diagonal(u, 1.0)
     return u / u.sum(axis=1, keepdims=True)
-
-
-# The fold and the split change the summation order, so the loss and the
-# gradients match the dense code to rounding, not bitwise: each array within
-# FOLD_RTOL of its largest entry.
-FOLD_RTOL = 1e-12
 
 
 class TestFoldMatchesDense:

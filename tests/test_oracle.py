@@ -154,6 +154,15 @@ class TestKVStates:
         with pytest.raises(DataError):
             OracleConfig(lam=-0.1)
 
+    @pytest.mark.parametrize("key, value", [
+        *[(key, value) for key in ("layers", "heads", "head_dim") for value in (True, 2.5, "2", 0)],
+        ("seed", True), ("seed", np.float64(1.0)),
+    ])
+    def test_counts_must_be_whole_numbers_in_range(self, key, value):
+        with pytest.raises(DataError, match=key):
+            OracleConfig(**{key: value})
+        assert getattr(OracleConfig(**{key: np.int64(2)}), key) == 2
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(DataError, match="seed"):
