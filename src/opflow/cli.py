@@ -274,16 +274,7 @@ def cmd_train(cfg: SimpleNamespace) -> int:
     graph = _load_graph(cfg)
     workflows = {w.id: w for w in _load_workflow_dir(_require(cfg, "workflows"))}
     samples = load_samples(_require(cfg, "samples"), workflows)
-    config = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        tau=cfg.tau,
-        hidden_dim=cfg.hidden_dim,
-        mlp_hidden=cfg.mlp_hidden,
-        seed=cfg.seed,
-    )
+    config = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     print(
         f"epochs={config.epochs} batch={config.batch_size} "
         f"lr={_format_rate(config.learning_rate)} wd={_format_rate(config.weight_decay)}"
@@ -341,11 +332,9 @@ def cmd_kv_materialize(cfg: SimpleNamespace) -> int:
     for _, trace in traces:
         for i, op_id in enumerate(trace):
             path = tuple(trace[:i])
-            if cfg.mode == "differential" and path:
-                if (path, op_id) not in store.residuals:
-                    store.insert_residual(path, op_id)
-            else:
-                store.fetch(path, op_id)
+            _, result = store.fetch(path, op_id)
+            if result.flag == "fallback" and cfg.mode == "differential":
+                store.insert_residual(path, op_id)
     save_store(store, _require(cfg, "store"))
     m = store.memory_footprint()
     log.info("store written to %s", cfg.store)

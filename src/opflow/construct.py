@@ -43,9 +43,9 @@ from .nn import (
     forward_loss,
     gcn_forward,
     gumbel_noise,
-    gumbel_sigmoid,
     init_params,
     score_edges,
+    sigmoid,
 )
 
 _EMBEDDER = HashingEmbedder()
@@ -249,8 +249,9 @@ _SYNTHESIS_BLOCK = 16
 
 def _scores(graph: OperationGraph, params: ModelParams, texts: Sequence[str]) -> np.ndarray:
     """(len(texts), E) noise-free admission probabilities, one model call
-    over one task row per text.  For read-only params only the task rows'
-    terms are computed."""
+    over one task row per text: the sigmoid of the edge logits, bit for bit
+    ``gumbel_sigmoid`` with no noise at temperature 1.  For read-only params
+    only the task rows' terms are computed."""
     inputs = _model_inputs(graph)
     inputs.check_width(params)
     vectors = [_EMBEDDER.embed_text(text) for text in texts]
@@ -258,7 +259,7 @@ def _scores(graph: OperationGraph, params: ModelParams, texts: Sequence[str]) ->
     # calls, copying it into a fresh (1, D) array read about 2% slower.
     rows = vectors[0][None] if len(vectors) == 1 else np.array(vectors)
     h = gcn_forward(params, inputs.base_x, inputs.adjacency, inputs.task_index, rows)
-    return gumbel_sigmoid(score_edges(params, h, inputs.edge_index, inputs.task_index))
+    return sigmoid(score_edges(params, h, inputs.edge_index, inputs.task_index))
 
 
 def score_candidate_edges(

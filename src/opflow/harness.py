@@ -29,7 +29,7 @@ import numpy as np
 from .construct import PlantedCorpus, _synthesize, edge_f1
 from .errors import DataError, _check_int
 from .graph import OperationGraph, Workflow, topological_order
-from .kvstore import MODES, CacheStore, MemoryReport, kv_file_nbytes
+from .kvstore import CacheStore, MemoryReport, kv_file_nbytes
 from .nn import ModelParams
 from .oracle import KVOracle, OracleConfig, tokenize
 from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
@@ -229,30 +229,6 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     return float(ordered[rank - 1])
 
 
-def _distance(a, b) -> float:
-    """Key/value Euclidean distance, summed in float64: float32 sums round
-    by more than the energy bound's 1e-6 slack once deltas are large."""
-    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
-
-
-def _verify_fetch(store: CacheStore, path: tuple[str, ...], op_id: str, kv, flag: str) -> bool:
-    """Check one fetch output against the oracle per the mode contract."""
-    oracle = store.oracle
-    prefix = store.prefix_tokens(path)
-    op_tokens = store.op_tokens(op_id)
-    if store.mode == "stateless":
-        expect = oracle.base_segment(op_tokens, len(prefix))
-        return np.array_equal(kv.states, expect.states)
-    full = oracle.stateful_segment(prefix, op_tokens)
-    if store.mode == "differential" and flag == "hit" and path:
-        base = oracle.base_segment(op_tokens, len(prefix))
-        delta_norm = _distance(full, base)
-        err = _distance(kv, full)
-        bound = np.sqrt(max(0.0, 1.0 - store.energy_target)) * delta_norm + 1e-6
-        return err <= bound
-    return np.array_equal(kv.states, full.states)
-
-
 def run_serving_sim(
     graph: OperationGraph,
     params: ModelParams,
@@ -260,7 +236,6 @@ def run_serving_sim(
     mode: str,
     *,
     oracle: KVOracle | None = None,
-    energy_target: float = 0.95,
     store: CacheStore | None = None,
     stats: TransitionStats | None = None,
     workflow_cache: Mapping[str, Workflow] | None = None,
@@ -276,23 +251,22 @@ def run_serving_sim(
     ``execution_chains``; fallbacks in differential mode materialize the
     missing residual (unless ``warm_differential`` is off, as when measuring
     a pruned store).  ``stats`` collects the executed maximal traces for
-    materialization planning.  An injected ``store`` brings its own oracle
-    and energy target; ``oracle`` and ``energy_target`` build the store
-    this function creates.
+    materialization planning.  The store is ``store``, or a fresh one built
+    with ``oracle``; an ``oracle`` passed with a store must be the store's.
+    ``verify_fetches`` checks each fetch with ``CacheStore.verify_fetch``.
 
-    Without an injected store, stateful mode accounts for one empty store
-    per request (every fetch a fallback, memory summed over those stores)
-    but computes in one store per run: a request fetches each (path, op)
-    pair at most once, so the records are the same.
+    Stateful mode accounts for one empty store per request (every fetch a
+    fallback, memory summed over those stores) but computes in one store
+    per run: a request fetches each (path, op) pair at most once, so the
+    records are the same.
     """
-    if mode not in MODES:
-        raise DataError(f"unknown serving mode {mode!r}")
-    per_request = store is None and mode == "stateful"
     if store is None:
-        oracle = oracle or KVOracle(OracleConfig())
-        store = CacheStore(graph, mode, oracle=oracle, energy_target=energy_target)
+        store = CacheStore(graph, mode, oracle=oracle)
     elif store.mode != mode:
         raise DataError(f"injected store is {store.mode!r}, expected {mode!r}")
+    elif oracle is not None and oracle is not store.oracle:
+        raise DataError("the oracle passed is not the injected store's")
+    per_request = mode == "stateful"
 
     costs: list[float] = []
     hits: list[int] = []
@@ -324,12 +298,12 @@ def run_serving_sim(
                 n_hit += 1
             else:
                 n_fall += 1
-                if mode == "differential" and warm_differential and path:
+                if mode == "differential" and warm_differential:
                     store.insert_residual(path, node)
             if per_request:
                 fulls_bytes += kv_file_nbytes(kv)
                 n_fulls += 1
-            if verify_fetches and not _verify_fetch(store, path, node, kv, flag):
+            if verify_fetches and not store.verify_fetch(path, node, kv, flag):
                 all_verified = False
         costs.append(cost)
         hits.append(n_hit)
@@ -438,7 +412,8 @@ def sweep_batch_sizes(
     per request, the other modes share one) and the recorded figure is total
     store bytes.
     Each mode is served once over the first ``max(batch_sizes)`` requests,
-    and batch size B reads the first B requests of that run.  Their distinct
+    against a fresh store built with ``oracle`` and ``energy_target``, and
+    batch size B reads the first B requests of that run.  Their distinct
     texts are synthesized once, in fixed-size blocks, for all three modes.
     """
     largest = max(workload.batch_sizes)
@@ -455,7 +430,8 @@ def sweep_batch_sizes(
     runs = {
         mode: run_serving_sim(
             graph, params, served, mode,
-            oracle=oracle, energy_target=energy_target, workflow_cache=cache,
+            store=CacheStore(graph, mode, oracle=oracle, energy_target=energy_target),
+            workflow_cache=cache,
         )
         for mode in SWEEP_MODES
     }
@@ -505,7 +481,6 @@ def ablate_pruning(
     workflows of one synthesis of the distinct texts, in fixed-size blocks.
     """
     policy = policy or PlanPolicy()
-    oracle = oracle or KVOracle(OracleConfig())
     stats = TransitionStats(graph)
     store = CacheStore(graph, "differential", oracle=oracle)
     cache = _synthesize(graph, params, workload.requests)

@@ -324,6 +324,10 @@ class CacheStore:
     shared with the store and must not be modified: every array the store
     holds is read-only, whether computed or loaded.
 
+    The store owns its mode's rules: what ``fetch`` serves (a differential
+    fallback always has a prefix: an empty one is served by a base), the
+    oracle and energy target, and the fetch contract ``verify_fetch`` checks.
+
     Besides the stored tensors the store keeps derived state that is neither
     saved nor counted in ``memory_footprint``: each validated prefix path's
     token count, and the oracle carry after each prefix path it has computed
@@ -480,6 +484,24 @@ class CacheStore:
         self._put("residuals", key, delta)
         return delta
 
+    def verify_fetch(self, path: Iterable[str], op_id: str, kv: KVTensor, flag: str) -> bool:
+        """Whether ``kv``, fetched for ``(path, op_id)`` with ``flag``, keeps
+        the mode's contract: a differential hit on a non-empty path lies within
+        ``sqrt(max(0, 1 - energy_target)) * ||full - base|| + 1e-6`` of the
+        oracle's one-pass ``full``; any other fetch equals ``full`` (stateless:
+        the base) bitwise."""
+        path = tuple(path)
+        prefix = self.prefix_tokens(path)
+        op_tokens = self.op_tokens(op_id)
+        if self.mode == "stateless":
+            return np.array_equal(kv.states, self.oracle.base_segment(op_tokens, len(prefix)).states)
+        full = self.oracle.stateful_segment(prefix, op_tokens)
+        if self.mode == "differential" and flag == "hit" and path:
+            base = self.oracle.base_segment(op_tokens, len(prefix))
+            bound = np.sqrt(max(0.0, 1.0 - self.energy_target)) * _distance(full, base) + 1e-6
+            return _distance(kv, full) <= bound
+        return np.array_equal(kv.states, full.states)
+
     def drop_residual(self, path: Iterable[str], op_id: str) -> bool:
         delta = self.residuals.pop((tuple(path), op_id), None)
         if delta is None:
@@ -504,6 +526,12 @@ class CacheStore:
 
 def _nbytes(entry: KVTensor | SparseDelta) -> int:
     return entry.nbytes() if isinstance(entry, SparseDelta) else kv_file_nbytes(entry)
+
+
+def _distance(a: KVTensor, b: KVTensor) -> float:
+    """Key/value Euclidean distance, summed in float64: float32 sums round
+    by more than the energy bound's 1e-6 slack once deltas are large."""
+    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,11 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
 # AdamW
 # ---------------------------------------------------------------------------
 
+# Moment decay rates and denominator guard, the usual Adam values.
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
@@ -456,9 +461,6 @@ def adamw_step(
     *,
     lr: float = 1e-4,
     weight_decay: float = 1e-2,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamWState]:
     """One decoupled-weight-decay Adam update (in place).
 
@@ -466,19 +468,19 @@ def adamw_step(
     with bias corrections after incrementing the step counter.
     """
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAMW_BETA1**state.t
+    bc2 = 1.0 - ADAMW_BETA2**state.t
     for name, theta in params.arrays().items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= ADAMW_BETA1
+        m += (1.0 - ADAMW_BETA1) * g
+        v *= ADAMW_BETA2
+        v += (1.0 - ADAMW_BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+        theta -= lr * (m_hat / (np.sqrt(v_hat) + ADAMW_EPS) + weight_decay * theta)
     return params, state
 
 

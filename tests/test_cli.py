@@ -8,6 +8,7 @@ subprocess test proves the module entry point works end to end.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import re
@@ -20,11 +21,13 @@ import pytest
 
 import opflow.cli as cli
 from opflow.cli import main
-from opflow.construct import generate_synthetic_corpus, save_samples
+from opflow.construct import TrainConfig, generate_synthetic_corpus, save_samples
 from opflow.errors import DataError, NumericError
 from opflow.graph import parse_graph, parse_workflow, serialize_workflow
+from opflow.kvstore import MODES, CacheStore, save_store
 from opflow.nn import init_params, load_checkpoint, save_checkpoint
-from opflow.pruning import write_trace_log
+from opflow.oracle import KVOracle, OracleConfig
+from opflow.pruning import read_trace_log, write_trace_log
 
 
 @pytest.fixture(scope="session")
@@ -538,6 +541,27 @@ class TestKvStoreCommands:
         n_residuals = int(capsys.readouterr().out.splitlines()[1].split(",")[5])
         assert n_residuals == 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_materialize_matches_the_per_pair_rule(self, cli_project, tmp_path, mode):
+        # The rule spelled out per pair: a residual for each non-root
+        # differential pair not yet stored, a fetch for every other pair.
+        # The fixture's trace log repeats route 0, so pairs recur.
+        root, _ = cli_project
+        assert self.materialize(root, tmp_path / "cli", mode) == 0
+        graph = parse_graph((root / "graph.json").read_text())
+        oracle = KVOracle(OracleConfig(lam=cli._KEYS["lam"][1], seed=cli._KEYS["seed"][1]))
+        store = CacheStore(graph, mode, oracle=oracle, energy_target=cli._KEYS["energy_target"][1])
+        for _, trace in read_trace_log(root / "traces.log"):
+            for i, op_id in enumerate(trace):
+                path = tuple(trace[:i])
+                if mode == "differential" and path:
+                    if (path, op_id) not in store.residuals:
+                        store.insert_residual(path, op_id)
+                else:
+                    store.fetch(path, op_id)
+        save_store(store, tmp_path / "rule")
+        assert (tmp_path / "cli" / "store.bin").read_bytes() == (tmp_path / "rule" / "store.bin").read_bytes()
+
     def test_stateful_materialize_stores_fulls(self, cli_project, tmp_path, capsys):
         root, _ = cli_project
         store = tmp_path / "store"
@@ -825,6 +849,12 @@ class TestFlags:
         for command, flags in expected.items():
             common = {"--config", "--seed", "--out", "-v"} if flags else set()
             assert found[command] == flags | common | {"-h", "--help"}, command
+
+    def test_every_train_config_field_is_a_train_key(self):
+        # cmd_train builds its TrainConfig from one key per field; --seed is
+        # a key of every command.
+        keys = {name: k for name, _, k in cli._COMMANDS}["train"]
+        assert {f.name for f in dataclasses.fields(TrainConfig)} <= {"seed", *keys}
 
     def test_readme_command_line_block_uses_declared_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -32,7 +32,7 @@ from opflow.construct import (
 from opflow.errors import DataError
 from opflow.features import HashingEmbedder
 from opflow.graph import Operation, Workflow, merge_workflows, parse_workflow
-from opflow.nn import adamw_init, adamw_step, init_params, load_checkpoint, save_checkpoint
+from opflow.nn import adamw_init, adamw_step, gumbel_sigmoid, init_params, load_checkpoint, save_checkpoint
 
 from conftest import FOLD_RTOL, dense_features, dense_forward, doc_json, make_workflow_doc, mean_loss
 
@@ -334,6 +334,18 @@ class TestScoringAndGenerate:
         generate(DIAMOND, init_params(seed=1), "handle the request")
         assert len(calls) == 1
         assert set(np.unique(calls[0])) <= {0.0, 1.0}  # the raw adjacency
+
+    def test_served_scores_are_the_noise_free_relaxation_bitwise(self, planted_default, control_params):
+        graph = planted_default.graph
+        inputs = construct._model_inputs(graph)
+        texts = [s.task_text for s in planted_default.samples[:3]]
+        for block in (texts[:1], texts):
+            rows = np.stack([construct._EMBEDDER.embed_text(text) for text in block])
+            h = opflow.nn.gcn_forward(control_params, inputs.base_x, inputs.adjacency, inputs.task_index, rows)
+            logits = opflow.nn.score_edges(control_params, h, inputs.edge_index, inputs.task_index)
+            assert np.array_equal(construct._scores(graph, control_params, block), gumbel_sigmoid(logits))
+        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
+        assert np.array_equal(opflow.nn.sigmoid(special), gumbel_sigmoid(special))
 
     def test_generated_id_format(self):
         wf_id = generated_workflow_id("handle the request")

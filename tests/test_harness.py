@@ -452,6 +452,33 @@ class TestRunServingSim:
         run_serving_sim(corpus.graph, init_params(seed=0), workload, "differential", store=store)
         assert built == []
 
+    def test_oracle_passed_with_a_store_must_be_the_stores(self, planted_default):
+        corpus = planted_default
+        workload = small_workload(corpus, n=3, batches=(3,))
+        oracle = KVOracle(OracleConfig())
+        store = CacheStore(corpus.graph, "differential", oracle=oracle)
+        params = init_params(seed=0)
+        with pytest.raises(DataError, match="oracle"):
+            run_serving_sim(
+                corpus.graph, params, workload, "differential", oracle=KVOracle(OracleConfig()), store=store
+            )
+        report = run_serving_sim(corpus.graph, params, workload, "differential", oracle=oracle, store=store)
+        assert report.hits == 3
+
+    @pytest.mark.parametrize("mode", ["stateless", "differential", "stateful"])
+    def test_injected_fresh_store_reports_as_the_runs_own(self, planted_default, control_params, mode):
+        # Accounting follows the mode alone: an injected stateful store
+        # still models one empty store per request.
+        corpus = planted_default
+        workload = repeating_workload(corpus, "zipf")
+        store = CacheStore(corpus.graph, mode, oracle=KVOracle(OracleConfig()))
+        injected = run_serving_sim(
+            corpus.graph, control_params, workload, mode, store=store, verify_fetches=True
+        )
+        own = run_serving_sim(corpus.graph, control_params, workload, mode, verify_fetches=True)
+        assert injected == own
+        assert injected.verified is True
+
     @pytest.mark.parametrize("distribution", ["uniform", "zipf"])
     @pytest.mark.parametrize("verify", [False, True])
     def test_stateful_report_matches_one_store_per_request(

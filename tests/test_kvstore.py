@@ -645,6 +645,83 @@ class TestCacheStoreModes:
         assert info.flag == "fallback"
 
 
+def nudged(kv, by_ulps=1):
+    """``kv`` with its last coordinate moved up by ``by_ulps`` float32 ulps."""
+    states = kv.states.copy()
+    flat = states.reshape(-1)
+    for _ in range(by_ulps):
+        flat[-1] = np.nextafter(flat[-1], np.float32(np.inf))
+    return KVTensor(states, kv.position_offset)
+
+
+def along(full, base, distance):
+    """A tensor ``distance`` (float64) from ``full`` towards ``base``, as float32."""
+    direction = base.states.astype(np.float64) - full.states
+    direction /= np.sqrt(np.sum(direction**2))
+    return KVTensor((full.states + distance * direction).astype(np.float32), full.position_offset)
+
+
+class TestVerifyFetch:
+    """``verify_fetch`` is the fetch contract: every fetch equals the
+    oracle's one-pass segment bitwise, except a differential hit on a
+    non-empty path, which the energy bound holds."""
+
+    PAIRS = (((), "OP_A"), (("OP_A",), "OP_B"), (("OP_A", "OP_B"), "OP_C"), (("OP_A", "OP_B"), "OP_D"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_accepts_own_fetches_and_rejects_one_ulp_off(self, mode):
+        store = CacheStore(small_graph(), mode=mode)
+        flags = set()
+        for path, op_id in self.PAIRS * 2:  # cold, then warm
+            kv, result = store.fetch(path, op_id)
+            flags.add((result.flag, bool(path)))
+            assert store.verify_fetch(path, op_id, kv, result.flag)
+            if not (mode == "differential" and result.flag == "hit" and path):
+                assert not store.verify_fetch(path, op_id, nudged(kv), result.flag)
+            if mode == "differential" and result.flag == "fallback":
+                store.insert_residual(path, op_id)
+        expected = {
+            "stateless": {("hit", False), ("hit", True)},
+            "stateful": {("fallback", False), ("fallback", True), ("hit", False), ("hit", True)},
+            "differential": {("hit", False), ("fallback", True), ("hit", True)},
+        }
+        assert flags == expected[mode]
+
+    def test_differential_hit_is_held_to_the_energy_bound(self):
+        store = CacheStore(small_graph(), mode="differential", energy_target=0.95)
+        path, op_id = ("OP_A", "OP_B"), "OP_D"
+        store.fetch(path, op_id)
+        store.insert_residual(path, op_id)
+        kv, result = store.fetch(path, op_id)
+        assert result.flag == "hit"
+        assert store.verify_fetch(path, op_id, kv, "hit")
+        prefix, op_tokens = store.prefix_tokens(path), store.op_tokens(op_id)
+        full = store.oracle.stateful_segment(prefix, op_tokens)
+        base = store.oracle.base_segment(op_tokens, len(prefix))
+        bound = np.sqrt(0.05) * kvstore._distance(full, base) + 1e-6
+        inside, outside = along(full, base, 0.99 * bound), along(full, base, 1.01 * bound)
+        assert kvstore._distance(inside, full) < bound < kvstore._distance(outside, full)
+        assert store.verify_fetch(path, op_id, inside, "hit")
+        assert not store.verify_fetch(path, op_id, outside, "hit")
+        # The same tensors as fallbacks are held to bitwise equality.
+        assert not store.verify_fetch(path, op_id, inside, "fallback")
+
+    def test_bound_keeps_an_absolute_slack_of_1e_6(self):
+        # At energy 1.0 the bound is the slack alone: a one-ulp change of a
+        # coordinate under 8 in magnitude (at most 4.8e-7) is within it, a
+        # 2e-6 change is not.
+        store = CacheStore(small_graph(), mode="differential", energy_target=1.0)
+        path, op_id = ("OP_A",), "OP_B"
+        store.fetch(path, op_id)
+        store.insert_residual(path, op_id)
+        kv, result = store.fetch(path, op_id)
+        assert result.flag == "hit" and abs(kv.states.reshape(-1)[-1]) < 8.0
+        assert store.verify_fetch(path, op_id, nudged(kv), "hit")
+        far = kv.states.copy()
+        far.reshape(-1)[-1] += np.float32(2e-6)
+        assert not store.verify_fetch(path, op_id, KVTensor(far, kv.position_offset), "hit")
+
+
 # ---------------------------------------------------------------------------
 # Footprint accounting
 # ---------------------------------------------------------------------------
