@@ -329,12 +329,13 @@ def cmd_kv_materialize(cfg: SimpleNamespace) -> int:
     graph = _load_graph(cfg)
     traces = read_trace_log(_require(cfg, "traces"))
     store = CacheStore(graph, cfg.mode, oracle=_oracle(cfg), energy_target=cfg.energy_target)
-    for _, trace in traces:
-        for i, op_id in enumerate(trace):
-            path = tuple(trace[:i])
-            _, result = store.fetch(path, op_id)
-            if result.flag == "fallback" and cfg.mode == "differential":
-                store.insert_residual(path, op_id)
+    # Each distinct pair once, in first-seen order: a repeat would only fetch
+    # what the store already holds.
+    pairs = dict.fromkeys((tuple(trace[:i]), op_id) for _, trace in traces for i, op_id in enumerate(trace))
+    for path, op_id in pairs:
+        _, result = store.fetch(path, op_id)
+        if result.flag == "fallback" and cfg.mode == "differential":
+            store.insert_residual(path, op_id)
     save_store(store, _require(cfg, "store"))
     m = store.memory_footprint()
     log.info("store written to %s", cfg.store)

@@ -18,6 +18,7 @@ exact reference for edge-level precision/recall.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -296,39 +297,34 @@ def instantiate_workflow(
     already is one.
     """
     config = config or DecodeConfig()
-    if not graph.node_ids:
+    if not graph.operations:
         raise DataError("cannot instantiate a workflow over an empty graph")
     candidates = graph.edge_list
     if edge_scores.shape != (len(candidates),):
         raise DataError(f"expected {len(candidates)} edge scores, got shape {edge_scores.shape}")
-    score_of = dict(zip(candidates, edge_scores.tolist()))
 
-    max_nodes = config.max_nodes if config.max_nodes is not None else len(graph.node_ids)
+    # One max-heap pass: a pop is the best-scoring admissible edge out of the
+    # reachable set, ties going to the smallest edge.  An edge blocked by the
+    # budget is dropped for good, since a full budget admits no new node.
+    max_nodes = config.max_nodes if config.max_nodes is not None else len(graph.operations)
+    by_source: dict[str, list[tuple[float, tuple[str, str]]]] = {}
+    for edge, score in zip(candidates, edge_scores.tolist()):
+        if score >= config.theta_min:
+            by_source.setdefault(edge[0], []).append((-score, edge))
     reachable = set(graph.entry_ops())
+    heap = [item for op in reachable for item in by_source.get(op, ())]
+    heapq.heapify(heap)
     admitted: list[tuple[str, str]] = []
-    remaining = [
-        edge
-        for edge in candidates
-        if score_of[edge] >= config.theta_min
-    ]
-
-    while True:
-        best: tuple[str, str] | None = None
-        best_score = -1.0
-        for edge in remaining:  # candidates stay in lexicographic order
-            src, dst = edge
-            if src not in reachable:
+    while heap:
+        _, edge = heapq.heappop(heap)
+        dst = edge[1]
+        if dst not in reachable:
+            if len(reachable) >= max_nodes:
                 continue
-            if dst not in reachable and len(reachable) >= max_nodes:
-                continue
-            score = score_of[edge]
-            if score > best_score:
-                best, best_score = edge, score
-        if best is None:
-            break
-        remaining.remove(best)
-        admitted.append(best)
-        reachable.add(best[1])
+            reachable.add(dst)
+            for item in by_source.get(dst, ()):
+                heapq.heappush(heap, item)
+        admitted.append(edge)
 
     nodes = tuple(sorted(reachable))
     edges = tuple(sorted(admitted))
@@ -361,12 +357,7 @@ def generate(
     )
 
 
-def _synthesize(
-    graph: OperationGraph,
-    params: ModelParams,
-    texts: Iterable[str],
-    config: DecodeConfig | None = None,
-) -> dict[str, Workflow]:
+def _synthesize(graph: OperationGraph, params: ModelParams, texts: Iterable[str]) -> dict[str, Workflow]:
     """``generate``'s workflow for each distinct text, in first-seen order.
 
     The texts are scored ``_SYNTHESIS_BLOCK`` task rows per model call, then
@@ -380,7 +371,7 @@ def _synthesize(
         block = distinct[start : start + _SYNTHESIS_BLOCK]
         for text, scores in zip(block, _scores(graph, params, block)):
             workflows[text] = instantiate_workflow(
-                graph, scores, config, workflow_id=generated_workflow_id(text), description=text
+                graph, scores, workflow_id=generated_workflow_id(text), description=text
             )
     return workflows
 
@@ -400,17 +391,12 @@ def edge_f1(predicted: Iterable[tuple[str, str]], target: Iterable[tuple[str, st
     return 2.0 * precision * recall / (precision + recall)
 
 
-def mean_edge_f1(
-    graph: OperationGraph,
-    params: ModelParams,
-    samples: Sequence[TrainSample],
-    config: DecodeConfig | None = None,
-) -> float:
+def mean_edge_f1(graph: OperationGraph, params: ModelParams, samples: Sequence[TrainSample]) -> float:
     """Mean edge-F1 of the generated workflows against the samples' targets;
     each distinct task text is synthesized once, in blocks (``_synthesize``)."""
     if not samples:
         raise DataError("cannot score an empty sample list")
-    workflows = _synthesize(graph, params, (s.task_text for s in samples), config)
+    workflows = _synthesize(graph, params, (s.task_text for s in samples))
     return float(np.mean([edge_f1(workflows[s.task_text].edges, s.workflow.edges) for s in samples]))
 
 
@@ -519,10 +505,9 @@ def generate_synthetic_corpus(
     split as evenly as possible over the routes).  Requires at least 4 so
     there is an entry and a non-trivial chain.
     """
-    if vocab_size < 4:
-        raise DataError(f"vocab_size must be at least 4, got {vocab_size}")
-    if n_tasks < 1:
-        raise DataError("n_tasks must be positive")
+    _check_int("vocab_size", vocab_size, 4)
+    _check_int("n_tasks", n_tasks, 1)
+    _check_int("seed", seed, 0)
 
     n_route_ops = vocab_size - 1
     n_routes = max(1, min(len(_KEYWORDS), n_route_ops // 3))

@@ -51,7 +51,9 @@ class NumericError(OpflowError):
 
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise :class:`DataError` unless ``value`` is an integer, and not a
-    bool, of at least ``minimum`` (0 or 1)."""
+    bool, of at least ``minimum``."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
-        kind = "non-negative" if minimum == 0 else "positive"
-        raise DataError(f"{name} must be a {kind} integer, got {value!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer of at least {minimum}"
+        )
+        raise DataError(f"{name} must be {kind}, got {value!r}")

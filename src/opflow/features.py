@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_int
 from .graph import Operation, TaskGraph
 
 DEFAULT_DIM = 384
@@ -46,6 +47,10 @@ class HashingEmbedder:
     """
 
     dim: int = DEFAULT_DIM
+
+    def __post_init__(self):
+        _check_int("dim", self.dim, 1)
+        self.dim = int(self.dim)  # a numpy integer would overflow on the 64-bit hash
 
     def embed_text(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_int
 
 SCORE_CLAMP = 1e-7
 
@@ -102,6 +102,9 @@ def init_params(
     seed: int = 0,
 ) -> ModelParams:
     """Seeded uniform Glorot weights, zero biases, all float64."""
+    for name, value in (("dim_in", dim_in), ("dim_hidden", dim_hidden), ("mlp_hidden", mlp_hidden)):
+        _check_int(name, value, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     arrays = {
         name: np.zeros(shape) if len(shape) == 1 else _glorot(rng, shape)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import opflow.cli as cli
+from opflow import kvstore
 from opflow.cli import main
 from opflow.construct import TrainConfig, generate_synthetic_corpus, save_samples
 from opflow.errors import DataError, NumericError
@@ -561,6 +562,24 @@ class TestKvStoreCommands:
                     store.fetch(path, op_id)
         save_store(store, tmp_path / "rule")
         assert (tmp_path / "cli" / "store.bin").read_bytes() == (tmp_path / "rule" / "store.bin").read_bytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_materialize_fetches_each_distinct_pair_once(self, cli_project, tmp_path, monkeypatch, mode):
+        # The fixture's trace log repeats route 0: a repeated pair would only
+        # fetch a stored tensor, and in differential mode rebuild it for nothing.
+        root, _ = cli_project
+        fetched, rebuilt = [], []
+        fetch, reconstruct = CacheStore.fetch, kvstore.reconstruct
+        monkeypatch.setattr(
+            CacheStore, "fetch", lambda store, path, op_id: fetched.append((path, op_id)) or fetch(store, path, op_id)
+        )
+        monkeypatch.setattr(kvstore, "reconstruct", lambda base, delta: rebuilt.append(delta) or reconstruct(base, delta))
+        assert self.materialize(root, tmp_path / "store", mode) == 0
+        traces = read_trace_log(root / "traces.log")
+        pairs = [(tuple(trace[:i]), op_id) for _, trace in traces for i, op_id in enumerate(trace)]
+        assert len(set(pairs)) < len(pairs)
+        assert fetched == list(dict.fromkeys(pairs))
+        assert rebuilt == []
 
     def test_stateful_materialize_stores_fulls(self, cli_project, tmp_path, capsys):
         root, _ = cli_project

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -69,26 +70,53 @@ def zero_params(dim_in=384):
     return params
 
 
-def oracle_decode(candidates, entries, score_of, theta, max_nodes):
-    """Independent transcription of the greedy rule, evaluated stepwise."""
-    reachable = set(entries)
-    admitted: set[tuple[str, str]] = set()
+def rescan_decode(graph, edge_scores, theta, max_nodes):
+    """The greedy rule evaluated stepwise, as the decoder did before its heap
+    pass: rescan every remaining admissible edge for each admission and take
+    the first strictly best one in lexicographic order.  Returns the sorted
+    (nodes, edges)."""
+    candidates = graph.edge_list
+    score_of = dict(zip(candidates, edge_scores.tolist()))
+    budget = max_nodes if max_nodes is not None else len(graph.node_ids)
+    reachable = set(graph.entry_ops())
+    admitted = []
+    remaining = [edge for edge in candidates if score_of[edge] >= theta]
     while True:
-        best = None
-        for edge in sorted(candidates):
-            if edge in admitted or score_of[edge] < theta:
-                continue
+        best, best_score = None, -1.0
+        for edge in remaining:
             src, dst = edge
             if src not in reachable:
                 continue
-            if dst not in reachable and len(reachable) >= max_nodes:
+            if dst not in reachable and len(reachable) >= budget:
                 continue
-            if best is None or score_of[edge] > score_of[best]:
-                best = edge
+            if score_of[edge] > best_score:
+                best, best_score = edge, score_of[edge]
         if best is None:
             return tuple(sorted(reachable)), tuple(sorted(admitted))
-        admitted.add(best)
+        remaining.remove(best)
+        admitted.append(best)
         reachable.add(best[1])
+
+
+def random_dag(rng, n_nodes, p_edge):
+    """A DAG over shuffled op ids, so that lexicographic and topological
+    order disagree; most nodes have alternative in-edges."""
+    names = [f"N{i:02d}" for i in rng.permutation(n_nodes)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n_nodes)
+        for j in range(i + 1, n_nodes)
+        if rng.random() < p_edge
+    ]
+    return graph_of(edges, extra_nodes=names)
+
+
+def random_scores(rng, n_edges, kind):
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, size=n_edges)
+    if kind == "four levels":
+        return rng.choice([0.2, 0.3, 0.5, 0.8], size=n_edges)
+    return rng.integers(0, 11, size=n_edges) / 10.0  # one decimal, 0.3 and 0.5 included
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +255,34 @@ class TestInstantiateWorkflow:
     @pytest.mark.parametrize("max_nodes", [2, 3, 4, None])
     def test_diamond_matches_stepwise_oracle(self, theta, max_nodes):
         rng = np.random.default_rng(hash((theta, max_nodes)) % 2**32)
-        candidates = DIAMOND.edge_list
-        entries = DIAMOND.entry_ops()
-        budget = max_nodes if max_nodes is not None else len(DIAMOND.node_ids)
         for trial in range(150):
             if trial % 2:
-                values = rng.choice([0.2, 0.4, 0.6, 0.8], size=len(candidates))
+                values = rng.choice([0.2, 0.4, 0.6, 0.8], size=len(DIAMOND.edge_list))
             else:
-                values = rng.uniform(0.0, 1.0, size=len(candidates))
-            score_of = dict(zip(candidates, values.tolist()))
+                values = rng.uniform(0.0, 1.0, size=len(DIAMOND.edge_list))
             wf = instantiate_workflow(
                 DIAMOND, values, DecodeConfig(theta_min=theta, max_nodes=max_nodes)
             )
-            nodes, edges = oracle_decode(candidates, entries, score_of, theta, budget)
-            assert wf.nodes == nodes
-            assert wf.edges == edges
+            assert (wf.nodes, wf.edges) == rescan_decode(DIAMOND, values, theta, max_nodes)
+
+    @pytest.mark.parametrize("graph_kind", ["planted 8", "planted 20", "planted 100", "diamond", "random dag"])
+    def test_heap_pass_matches_the_rescan_reference(self, graph_kind):
+        # Budgets make ties and the theta floor visible: which node is admitted
+        # last depends on both, and one-decimal scores land on theta exactly.
+        rng = np.random.default_rng(sum(map(ord, graph_kind)))
+        if graph_kind == "diamond":
+            graphs = [DIAMOND]
+        elif graph_kind == "random dag":
+            graphs = [random_dag(rng, 24, 0.25) for _ in range(4)]
+        else:
+            vocab = int(graph_kind.split()[1])
+            graphs = [generate_synthetic_corpus(vocab_size=vocab, n_tasks=1).graph]
+        cases = list(itertools.product(("uniform", "four levels", "one decimal"), (0.0, 0.3, 0.5), (None, 7, 3, 2, 1)))
+        for graph in graphs:
+            for kind, theta, max_nodes in cases * 4:
+                values = random_scores(rng, len(graph.edge_list), kind)
+                wf = instantiate_workflow(graph, values, DecodeConfig(theta_min=theta, max_nodes=max_nodes))
+                assert (wf.nodes, wf.edges) == rescan_decode(graph, values, theta, max_nodes)
 
     def test_decoded_workflows_are_connected_dags(self):
         corpus = generate_synthetic_corpus(vocab_size=12, n_tasks=1, seed=5)
@@ -444,13 +485,6 @@ class TestBatchedSynthesis:
         assert np.array_equal(seen[text], score_candidate_edges(graph, control_params, text))
         assert workflows == {text: generate(graph, control_params, text)}
 
-    def test_decode_config_reaches_every_text(self, planted_default, control_params, stream):
-        distinct, _ = stream
-        decode = DecodeConfig(theta_min=0.9, max_nodes=3)
-        workflows = construct._synthesize(planted_default.graph, control_params, distinct, decode)
-        for text in distinct:
-            assert workflows[text] == generate(planted_default.graph, control_params, text, decode)
-
 
 class TestModelInputsCache:
     """Model inputs are built once per graph and shared by every request."""
@@ -610,10 +644,19 @@ class TestPlantedCorpus:
             corpus.compose_task((), rng)
 
     def test_input_validation(self):
-        with pytest.raises(DataError, match="vocab_size"):
+        with pytest.raises(DataError, match="vocab_size must be an integer of at least 4"):
             generate_synthetic_corpus(vocab_size=3)
         with pytest.raises(DataError, match="n_tasks"):
             generate_synthetic_corpus(vocab_size=8, n_tasks=0)
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3", None, -1])
+    @pytest.mark.parametrize("name", ["vocab_size", "n_tasks", "seed"])
+    def test_counts_and_seed_must_be_whole_numbers_in_range(self, name, value):
+        small = {"vocab_size": 8, "n_tasks": 2, "seed": 0}
+        with pytest.raises(DataError, match=name):
+            generate_synthetic_corpus(**small | {name: value})
+        corpus = generate_synthetic_corpus(**small | {name: np.int64(5)})
+        assert corpus.samples == generate_synthetic_corpus(**small | {name: 5}).samples
 
     def test_sample_file_round_trip(self, tmp_path):
         corpus = generate_synthetic_corpus(vocab_size=10, n_tasks=25, seed=2)

@@ -7,7 +7,9 @@ import json
 import random
 
 import numpy as np
+import pytest
 
+from opflow.errors import DataError
 from opflow.features import HashingEmbedder, assemble_features, compose_operation_text
 from opflow.graph import Operation, condition_on_task, merge_workflows, parse_workflow
 
@@ -89,6 +91,13 @@ class TestHashingEmbedder:
             id="A", instruction="solve the system", patterns_must=("unknown", "assign")
         )
         assert not np.array_equal(emb.embed_operation(plain), emb.embed_operation(rich))
+
+    @pytest.mark.parametrize("value", [True, 2.5, "3", None, -1, 0])
+    def test_dim_must_be_a_positive_integer(self, value):
+        with pytest.raises(DataError, match="dim"):
+            HashingEmbedder(dim=value)
+        text = "solve the system"
+        assert np.array_equal(HashingEmbedder(dim=np.int64(8)).embed_text(text), reference_embedding(text, 8))
 
 
 class TestAssembleFeatures:

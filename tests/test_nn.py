@@ -629,6 +629,16 @@ class TestInitParams:
         np.testing.assert_array_equal(a.gcn_w1, b.gcn_w1)
         assert not np.array_equal(a.gcn_w1, c.gcn_w1)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3", None, -1, 0])
+    @pytest.mark.parametrize("name", ["dim_in", "dim_hidden", "mlp_hidden", "seed"])
+    def test_sizes_and_seed_must_be_whole_numbers_in_range(self, name, value):
+        small = {"dim_in": 3, "dim_hidden": 2, "mlp_hidden": 2, "seed": 0}
+        if not (name == "seed" and value == 0):
+            with pytest.raises(DataError, match=name):
+                init_params(**small | {name: value})
+        p = init_params(**small | {name: np.int64(3)})
+        np.testing.assert_array_equal(p.gcn_w1, init_params(**small | {name: 3}).gcn_w1)
+
 
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
