@@ -14,6 +14,8 @@ Conventions, uniform across subcommands:
 * standard output carries the command's artifact (summary line, document, or
   CSV); logging goes to standard error only, warnings by default and
   progress lines too with ``-v``;
+* a command takes only the flags its handler reads: ``--seed`` belongs to
+  the commands that draw random numbers, ``--out`` to those that write files;
 * every command is deterministic for fixed seed and inputs, and no command
   mutates its inputs — all writes land in the ``--out`` or ``--store``
   directories.
@@ -120,26 +122,26 @@ _KEYS: dict[str, tuple[Callable[[str], object], object, str]] = {
 }
 
 # Every command: its help text and the keys it takes as flags besides
-# --config, --seed, --out and -v.  A None key list makes a command group.
-# --task alone is a flag and no config key.
+# --config and -v, each one its handler reads.  A None key list makes a
+# command group.  --task alone is a flag and no config key.
 _COMMANDS: tuple[tuple[str, str, tuple[str, ...] | None], ...] = (
-    ("build-graph", "merge workflow documents into the operation graph", ("workflows",)),
+    ("build-graph", "merge workflow documents into the operation graph", ("workflows", "out")),
     ("train", "fit the edge scorer on task/workflow samples", (
         "graph", "workflows", "samples", "epochs", "batch_size", "learning_rate",
-        "weight_decay", "tau", "hidden_dim", "mlp_hidden",
+        "weight_decay", "tau", "hidden_dim", "mlp_hidden", "seed", "out",
     )),
     ("generate", "synthesize a workflow document for a task",
      ("graph", "checkpoint", "task", "theta_min", "max_nodes")),
     ("kv", "cache-store operations", None),
-    ("kv analyze", "per-pair KV difference sparsity CSVs", ("graph", "lam", "pair_limit")),
+    ("kv analyze", "per-pair KV difference sparsity CSVs", ("graph", "lam", "pair_limit", "seed", "out")),
     ("kv materialize", "build a store from a trace log",
-     ("graph", "traces", "store", "mode", "energy_target", "lam")),
+     ("graph", "traces", "store", "mode", "energy_target", "lam", "seed")),
     ("kv prune", "drop residuals off the planned hot set",
-     ("graph", "store", "traces", "prune_k", "budget")),
-    ("kv footprint", "store memory accounting CSV", ("graph", "store", "mode")),
+     ("graph", "store", "traces", "prune_k", "budget", "out")),
+    ("kv footprint", "store memory accounting CSV", ("graph", "store", "mode", "out")),
     ("bench", "serving-mode benchmark CSVs", (
         "checkpoint", "vocab_size", "n_requests", "overlap", "distribution",
-        "batch_sizes", "energy_target", "lam",
+        "batch_sizes", "energy_target", "lam", "seed", "out",
     )),
 )
 
@@ -424,7 +426,7 @@ def build_parser() -> _Parser:
             )
             continue
         p.add_argument("--config", help="flat key=value configuration file")
-        for key in ("seed", "out", *keys):
+        for key in keys:
             _, default, key_help = _KEYS.get(key, (None, None, "task text to condition on"))
             if default is not None:
                 key_help = f"{key_help} (default {default})"

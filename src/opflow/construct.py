@@ -136,7 +136,7 @@ class _ModelInputs:
         if not graph.edge_list:
             raise DataError("operation graph has no candidate edges to score")
         task_graph = condition_on_task(graph, "")
-        self.base_x, self.adjacency = assemble_features(task_graph, _EMBEDDER)
+        self.base_x, self.adjacency = assemble_features(task_graph)
         index = {node: i for i, node in enumerate(task_graph.node_ids)}
         self.edge_index = np.asarray(
             [(index[a], index[b]) for a, b in graph.edge_list], dtype=np.int64
@@ -311,7 +311,7 @@ def instantiate_workflow(
     for edge, score in zip(candidates, edge_scores.tolist()):
         if score >= config.theta_min:
             by_source.setdefault(edge[0], []).append((-score, edge))
-    reachable = set(graph.entry_ops())
+    reachable = set(graph.entry_ops)
     heap = [item for op in reachable for item in by_source.get(op, ())]
     heapq.heapify(heap)
     admitted: list[tuple[str, str]] = []

@@ -8,14 +8,10 @@ external downloads, bitwise reproducible everywhere.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_int
 from .graph import Operation, TaskGraph
-
-DEFAULT_DIM = 384
 
 _HASH_PERSON = b"opflow-feat"
 
@@ -36,21 +32,19 @@ def _features(text: str) -> list[str]:
     return feats
 
 
-@dataclass
 class HashingEmbedder:
-    """Signed feature hashing into ``dim`` buckets, L2-normalized.
+    """Signed feature hashing into ``dim`` = 384 buckets, L2-normalized.
 
     Each token and each 3-token shingle is hashed (keyed blake2b, so the
     mapping is stable across processes and platforms); the low bits pick a
     bucket and one extra bit picks the sign.  Empty text embeds to the zero
-    vector, everything else to a unit vector.
+    vector, everything else to a unit vector.  The width is the model's input
+    width, so it is fixed: the class takes no arguments and an instance has
+    no attribute to set.
     """
 
-    dim: int = DEFAULT_DIM
-
-    def __post_init__(self):
-        _check_int("dim", self.dim, 1)
-        self.dim = int(self.dim)  # a numpy integer would overflow on the 64-bit hash
+    __slots__ = ()
+    dim = 384
 
     def embed_text(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
@@ -70,15 +64,14 @@ class HashingEmbedder:
         return self.embed_text(compose_operation_text(op))
 
 
-def assemble_features(
-    task_graph: TaskGraph, embedder: HashingEmbedder
-) -> tuple[np.ndarray, np.ndarray]:
+def assemble_features(task_graph: TaskGraph) -> tuple[np.ndarray, np.ndarray]:
     """Build the node feature matrix X and binary adjacency A.
 
     Rows follow canonical node order (lexicographic operation ids, task node
     last).  A has A[i, j] = 1 exactly for directed edges, including both task
     links; the diagonal is zero.
     """
+    embedder = HashingEmbedder()
     op_ids = task_graph.graph.node_ids
     n = len(op_ids) + 1
     x = np.zeros((n, embedder.dim), dtype=np.float64)

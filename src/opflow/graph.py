@@ -67,7 +67,9 @@ class OperationGraph:
 
     A graph is immutable once built and hashes by identity, because what is
     derived from it is cached per graph object: its model inputs
-    (``construct``), op tokens (``kvstore``) and edge set.
+    (``construct``), op tokens (``kvstore``), edge set, and its canonical
+    orders ``node_ids``, ``edge_list`` and ``entry_ops``, each computed on
+    first use and held as a tuple so that no caller can reorder it.
     """
 
     operations: dict[str, Operation]
@@ -76,15 +78,15 @@ class OperationGraph:
     edge_sources: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     merged_from: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
-    @property
-    def node_ids(self) -> list[str]:
+    @cached_property
+    def node_ids(self) -> tuple[str, ...]:
         """Canonical node order: lexicographic by operation id."""
-        return sorted(self.operations)
+        return tuple(sorted(self.operations))
 
-    @property
-    def edge_list(self) -> list[tuple[str, str]]:
+    @cached_property
+    def edge_list(self) -> tuple[tuple[str, str], ...]:
         """Canonical candidate-edge order: lexicographic by (source, target)."""
-        return sorted(self.edges)
+        return tuple(sorted(self.edges))
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[str, str]]:
@@ -103,10 +105,11 @@ class OperationGraph:
                     raise DataError(f"unknown operation {b!r} in {what}")
                 raise DataError(f"{what} step {a!r} -> {b!r} is not a graph edge")
 
-    def entry_ops(self) -> list[str]:
+    @cached_property
+    def entry_ops(self) -> tuple[str, ...]:
         """Operations with no incoming edge, in canonical order."""
         targets = {dst for _, dst in self.edges}
-        return sorted(v for v in self.operations if v not in targets)
+        return tuple(v for v in self.node_ids if v not in targets)
 
 
 @dataclass
@@ -122,16 +125,15 @@ class TaskGraph:
     task_text: str
 
     @property
-    def node_ids(self) -> list[str]:
+    def node_ids(self) -> tuple[str, ...]:
         """Operations in canonical order, task node last."""
-        return self.graph.node_ids + [TASK_NODE_ID]
+        return self.graph.node_ids + (TASK_NODE_ID,)
 
     @property
-    def edge_list(self) -> list[tuple[str, str]]:
+    def edge_list(self) -> tuple[tuple[str, str], ...]:
         ops = self.graph.node_ids
         t = TASK_NODE_ID
-        extra = [(t, v) for v in ops] + [(v, t) for v in ops]
-        return self.graph.edge_list + extra
+        return self.graph.edge_list + tuple((t, v) for v in ops) + tuple((v, t) for v in ops)
 
 
 def normalize_instruction(text: str) -> str:

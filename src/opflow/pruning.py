@@ -59,15 +59,6 @@ class TransitionStats:
         chain = list(path) + [op_id]
         return min(self.edge_counts.get((a, b), 0) for a, b in zip(chain, chain[1:]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransitionStats):
-            return NotImplemented
-        return (
-            self.edge_counts == other.edge_counts
-            and self.observed_pairs == other.observed_pairs
-            and self.total_observations == other.total_observations
-        )
-
 
 # ---------------------------------------------------------------------------
 # Planning

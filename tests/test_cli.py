@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestGenerate:
         ]) == 0
         workflow = parse_workflow(capsys.readouterr().out)
         assert workflow.edges == ()
-        assert list(workflow.nodes) == corpus.graph.entry_ops()
+        assert workflow.nodes == corpus.graph.entry_ops
 
     def test_invalid_checkpoint_is_data_error_with_diagnostic(self, cli_project, capsys):
         root, _ = cli_project
@@ -716,9 +717,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("key", sorted(cli._KEYS))
     def test_flag_and_config_line_resolve_alike(self, tmp_path, key):
         text, expected = self.VALUES[key]
-        words = next(
-            name for name, _, keys in cli._COMMANDS if key in ("seed", "out", *(keys or ()))
-        ).split()
+        words = next(name for name, _, keys in cli._COMMANDS if key in (keys or ())).split()
         parser = cli.build_parser()
         from_flag = cli.resolve_config(parser.parse_args([*words, cli._flag(key), text]), {})
         config = tmp_path / "run.cfg"
@@ -850,30 +849,30 @@ class TestFlags:
     def test_each_command_has_exactly_its_flags(self):
         expected = {
             "": set(), "kv": set(),
-            "build-graph": {"--workflows"},
+            "build-graph": {"--workflows", "--out"},
             "train": {"--graph", "--workflows", "--samples", "--epochs", "--batch-size",
                       "--learning-rate", "--weight-decay", "--tau", "--hidden-dim",
-                      "--mlp-hidden"},
+                      "--mlp-hidden", "--seed", "--out"},
             "generate": {"--graph", "--checkpoint", "--task", "--theta-min", "--max-nodes"},
-            "kv analyze": {"--graph", "--lambda", "--pair-limit"},
+            "kv analyze": {"--graph", "--lambda", "--pair-limit", "--seed", "--out"},
             "kv materialize": {"--graph", "--traces", "--store", "--mode", "--energy-target",
-                               "--lambda"},
-            "kv prune": {"--graph", "--store", "--traces", "--prune-k", "--budget"},
-            "kv footprint": {"--graph", "--store", "--mode"},
+                               "--lambda", "--seed"},
+            "kv prune": {"--graph", "--store", "--traces", "--prune-k", "--budget", "--out"},
+            "kv footprint": {"--graph", "--store", "--mode", "--out"},
             "bench": {"--checkpoint", "--vocab-size", "--n-requests", "--overlap",
-                      "--distribution", "--batch-sizes", "--energy-target", "--lambda"},
+                      "--distribution", "--batch-sizes", "--energy-target", "--lambda",
+                      "--seed", "--out"},
         }
         found = option_strings()
         assert found.keys() == expected.keys()
         for command, flags in expected.items():
-            common = {"--config", "--seed", "--out", "-v"} if flags else set()
+            common = {"--config", "-v"} if flags else set()
             assert found[command] == flags | common | {"-h", "--help"}, command
 
     def test_every_train_config_field_is_a_train_key(self):
-        # cmd_train builds its TrainConfig from one key per field; --seed is
-        # a key of every command.
+        # cmd_train builds its TrainConfig from one key per field.
         keys = {name: k for name, _, k in cli._COMMANDS}["train"]
-        assert {f.name for f in dataclasses.fields(TrainConfig)} <= {"seed", *keys}
+        assert {f.name for f in dataclasses.fields(TrainConfig)} <= set(keys)
 
     def test_readme_command_line_block_uses_declared_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -888,7 +887,7 @@ class TestFlags:
             listed.add(command)
             for flag in re.findall(r"--[a-z][a-z-]*", line):
                 assert flag in found[command], f"{command} {flag}"
-        assert listed == {name for name, flags in found.items() if "--out" in flags}
+        assert listed == {name for name, _, keys in cli._COMMANDS if keys is not None}
 
 
 class TestModuleEntryPoint:
@@ -904,21 +903,77 @@ class TestModuleEntryPoint:
         assert (tmp_path / "graph.json").is_file()
 
 
-# Each command's arguments besides ``--out``, for the quiet/verbose comparison.
+# Each command's arguments, writing under ``{out}``; ``kv prune`` and
+# ``kv footprint`` expect a store materialized at ``{out}/store`` first.
 VERBOSE_RUNS = {
-    "build-graph": ["--workflows", "{root}/workflows"],
+    "build-graph": ["--workflows", "{root}/workflows", "--out", "{out}"],
     "train": ["--graph", "{root}/graph.json", "--workflows", "{root}/workflows",
-              "--samples", "{root}/samples.tsv", "--epochs", "1", "--batch-size", "8"],
+              "--samples", "{root}/samples.tsv", "--epochs", "1", "--batch-size", "8",
+              "--out", "{out}"],
     "generate": ["--graph", "{root}/graph.json", "--checkpoint", "{root}/checkpoint.bin",
                  "--task", "Deliver the ledger and quartz packet before the review"],
-    "kv analyze": ["--graph", "{root}/graph.json", "--pair-limit", "2"],
+    "kv analyze": ["--graph", "{root}/graph.json", "--pair-limit", "2", "--out", "{out}"],
     "kv materialize": ["--graph", "{root}/graph.json", "--traces", "{root}/traces.log",
                        "--store", "{out}/store"],
     "kv prune": ["--graph", "{root}/graph.json", "--traces", "{root}/traces.log",
-                 "--store", "{out}/store", "--prune-k", "2"],
-    "kv footprint": ["--graph", "{root}/graph.json", "--store", "{out}/store"],
-    "bench": ["--vocab-size", "8", "--n-requests", "6", "--batch-sizes", "3,6"],
+                 "--store", "{out}/store", "--prune-k", "2", "--out", "{out}"],
+    "kv footprint": ["--graph", "{root}/graph.json", "--store", "{out}/store", "--out", "{out}"],
+    "bench": ["--vocab-size", "8", "--n-requests", "6", "--batch-sizes", "3,6", "--out", "{out}"],
 }
+
+
+class TestEveryFlagIsRead:
+    """A flag a command declares is one its handler reads, so every flag
+    changes something; a config file may still carry any key."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        read: set[str] = set()
+        resolve = cli.resolve_config
+
+        class Recorder(SimpleNamespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(cli, "resolve_config", lambda args, values: Recorder(**vars(resolve(args, values))))
+        return read
+
+    @pytest.mark.parametrize("command", list(VERBOSE_RUNS))
+    def test_handler_reads_every_declared_flag(self, cli_project, tmp_path, reads, command):
+        root, _ = cli_project
+        out = tmp_path / "out"
+        if command in ("kv prune", "kv footprint"):
+            assert main(["kv", "materialize", "--graph", str(root / "graph.json"),
+                         "--traces", str(root / "traces.log"), "--store", str(out / "store")]) == 0
+        runs = [VERBOSE_RUNS[command]]
+        if command == "kv footprint":
+            # --mode is read only to label the row of a directory with no store.
+            runs.append([a.replace("{out}/store", "{out}/empty") for a in runs[0]])
+        reads.clear()
+        for args in runs:
+            assert main([*command.split(), *(a.format(root=root, out=out) for a in args)]) == 0
+        flags = option_strings()[command] - {"--config", "-v", "-h", "--help"}
+        declared = {key for key in (*cli._KEYS, "task") if cli._flag(key) in flags}
+        assert {cli._flag(key) for key in declared} == flags
+        assert declared <= reads, sorted(declared - reads)
+
+    def test_config_may_carry_keys_a_command_does_not_take(self, cli_project, tmp_path):
+        root, _ = cli_project
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 7\nout = {tmp_path / 'out'}\n")
+        assert main(["generate", "--config", str(config), "--graph", str(root / "graph.json"),
+                     "--checkpoint", str(root / "checkpoint.bin"), "--task", "x"]) == 0
+        assert main(["kv", "footprint", "--config", str(config),
+                     "--store", str(tmp_path / "empty")]) == 0
+        assert (tmp_path / "out" / "footprint.csv").is_file()
+
+    def test_generate_takes_no_out_flag(self, cli_project, tmp_path):
+        root, _ = cli_project
+        assert main(["generate", "--graph", str(root / "graph.json"),
+                     "--checkpoint", str(root / "checkpoint.bin"), "--task", "x",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -938,8 +993,7 @@ class TestVerbose:
                              "--store", str(out / "store")]) == 0
             args = [a.format(root=root, out=out) for a in VERBOSE_RUNS[command]]
             runs[flags] = subprocess.run(
-                [sys.executable, "-m", "opflow.cli", *command.split(), *flags, *args,
-                 "--out", str(out)],
+                [sys.executable, "-m", "opflow.cli", *command.split(), *flags, *args],
                 capture_output=True, text=True,
             )
             assert runs[flags].returncode == 0, runs[flags].stderr

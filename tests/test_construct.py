@@ -78,7 +78,7 @@ def rescan_decode(graph, edge_scores, theta, max_nodes):
     candidates = graph.edge_list
     score_of = dict(zip(candidates, edge_scores.tolist()))
     budget = max_nodes if max_nodes is not None else len(graph.node_ids)
-    reachable = set(graph.entry_ops())
+    reachable = set(graph.entry_ops)
     admitted = []
     remaining = [edge for edge in candidates if score_of[edge] >= theta]
     while True:
@@ -289,7 +289,7 @@ class TestInstantiateWorkflow:
         graph = corpus.graph
         rng = np.random.default_rng(11)
         candidate_set = set(graph.edge_list)
-        entries = set(graph.entry_ops())
+        entries = set(graph.entry_ops)
         for _ in range(100):
             scores = rng.uniform(0.0, 1.0, size=len(graph.edge_list))
             wf = instantiate_workflow(graph, scores)
@@ -344,7 +344,7 @@ class TestScoringAndGenerate:
             DIAMOND, zero_params(), "solve the problem", DecodeConfig(theta_min=0.6)
         )
         assert wf.edges == ()
-        assert wf.nodes == tuple(DIAMOND.entry_ops())
+        assert wf.nodes == DIAMOND.entry_ops
 
     def test_scores_lie_in_unit_interval(self):
         params = init_params(seed=3)

@@ -9,7 +9,6 @@ import random
 import numpy as np
 import pytest
 
-from opflow.errors import DataError
 from opflow.features import HashingEmbedder, assemble_features, compose_operation_text
 from opflow.graph import Operation, condition_on_task, merge_workflows, parse_workflow
 
@@ -36,11 +35,11 @@ WORDS = (
 
 class TestHashingEmbedder:
     def test_matches_independent_reference(self):
-        emb = HashingEmbedder(dim=64)
+        emb = HashingEmbedder()
         rng = random.Random(303)
         for _ in range(50):
             text = " ".join(rng.choices(WORDS, k=rng.randint(1, 12)))
-            np.testing.assert_array_equal(emb.embed_text(text), reference_embedding(text, 64))
+            np.testing.assert_array_equal(emb.embed_text(text), reference_embedding(text, 384))
 
     def test_unit_norm_and_determinism(self):
         emb = HashingEmbedder()
@@ -92,12 +91,17 @@ class TestHashingEmbedder:
         )
         assert not np.array_equal(emb.embed_operation(plain), emb.embed_operation(rich))
 
-    @pytest.mark.parametrize("value", [True, 2.5, "3", None, -1, 0])
-    def test_dim_must_be_a_positive_integer(self, value):
-        with pytest.raises(DataError, match="dim"):
-            HashingEmbedder(dim=value)
+    def test_width_is_fixed(self):
+        # The width is the model's input width: no caller picks another, and
+        # no instance can be given one after construction.
+        with pytest.raises(TypeError):
+            HashingEmbedder(8)
+        emb = HashingEmbedder()
         text = "solve the system"
-        assert np.array_equal(HashingEmbedder(dim=np.int64(8)).embed_text(text), reference_embedding(text, 8))
+        with pytest.raises(AttributeError):
+            emb.dim = 0
+        assert HashingEmbedder.dim == emb.dim == 384
+        np.testing.assert_array_equal(emb.embed_text(text), reference_embedding(text, 384))
 
 
 class TestAssembleFeatures:
@@ -107,9 +111,9 @@ class TestAssembleFeatures:
     def test_shapes_and_order(self, wf_math_001):
         g = merge_workflows([wf_math_001])
         tg = condition_on_task(g, "solve the system")
-        emb = HashingEmbedder(dim=32)
-        x, a = assemble_features(tg, emb)
-        assert x.shape == (6, 32)
+        emb = HashingEmbedder()
+        x, a = assemble_features(tg)
+        assert x.shape == (6, 384)
         assert a.shape == (6, 6)
         np.testing.assert_array_equal(x[5], emb.embed_text("solve the system"))
         np.testing.assert_array_equal(x[0], emb.embed_operation(g.operations["OP_01"]))
@@ -121,16 +125,15 @@ class TestAssembleFeatures:
 
     def test_empty_task_text_row_is_zero(self, wf_math_001):
         g = merge_workflows([wf_math_001])
-        x, _ = assemble_features(condition_on_task(g, ""), HashingEmbedder(dim=16))
+        x, _ = assemble_features(condition_on_task(g, ""))
         assert np.all(x[-1] == 0.0)
 
     def test_ingestion_order_does_not_change_features(self):
         d1 = make_workflow_doc("WF_A", {"OP_2": "beta work", "OP_4": "delta work"}, [("OP_2", "OP_4")])
         d2 = make_workflow_doc("WF_B", {"OP_1": "alpha work", "OP_3": "beta  WORK"}, [("OP_1", "OP_3")])
-        emb = HashingEmbedder(dim=48)
         g_ab = self._graph(d1, d2)
         g_ba = self._graph(d2, d1)
-        x1, a1 = assemble_features(condition_on_task(g_ab, "task"), emb)
-        x2, a2 = assemble_features(condition_on_task(g_ba, "task"), emb)
+        x1, a1 = assemble_features(condition_on_task(g_ab, "task"))
+        x2, a2 = assemble_features(condition_on_task(g_ba, "task"))
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(a1, a2)

@@ -299,7 +299,7 @@ class TestMerge:
 
     def test_entry_ops(self, wf_math_001):
         g = merge_workflows([wf_math_001])
-        assert g.entry_ops() == ["OP_01"]
+        assert g.entry_ops == ("OP_01",)
 
 
 class TestCheckChain:

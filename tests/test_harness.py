@@ -405,7 +405,9 @@ class TestRunServingSim:
             for trace in maximal_traces(workflow):
                 expected.record(trace)
                 n_traces += 1
-        assert stats == expected
+        assert stats.edge_counts == expected.edge_counts
+        assert stats.observed_pairs == expected.observed_pairs
+        assert stats.total_observations == expected.total_observations
         assert stats.total_observations == n_traces
         assert sum(stats.edge_counts.values()) > 0
 
@@ -415,7 +417,7 @@ class TestRunServingSim:
         corpus = planted_default
         workload = small_workload(corpus, n=3, batches=(3,))
         cache = {
-            text: wf([corpus.graph.entry_ops()[0]], [], wf_id=f"WF_{i}")
+            text: wf([corpus.graph.entry_ops[0]], [], wf_id=f"WF_{i}")
             for i, text in enumerate(workload.requests)
         }
         report = run_serving_sim(
@@ -624,7 +626,9 @@ class TestOnePlanPerRequest:
         )
         assert len(sorts) == len(workflows)
         assert fetches == expected_fetches
-        assert stats == expected_stats
+        assert stats.edge_counts == expected_stats.edge_counts
+        assert stats.observed_pairs == expected_stats.observed_pairs
+        assert stats.total_observations == expected_stats.total_observations
         assert report.verified
         assert replace(report, verified=None) == reference
 

@@ -86,7 +86,9 @@ class TestTransitionStats:
             one.record(t)
         for t in reversed(traces):
             two.record(t)
-        assert one == two
+        assert one.edge_counts == two.edge_counts
+        assert one.observed_pairs == two.observed_pairs
+        assert one.total_observations == two.total_observations
 
     def test_empty_trace_is_a_no_op(self):
         graph = route_graph()
