@@ -414,7 +414,8 @@ def sweep_batch_sizes(
     Each mode is served once over the first ``max(batch_sizes)`` requests,
     against a fresh store built with ``oracle`` and ``energy_target``, and
     batch size B reads the first B requests of that run.  Their distinct
-    texts are synthesized once, in fixed-size blocks, for all three modes.
+    texts are synthesized once, in fixed-size blocks, for all three modes,
+    and the stores share one table of oracle results (``CacheStore``).
     """
     largest = max(workload.batch_sizes)
     if largest > len(workload.requests):
@@ -427,10 +428,11 @@ def sweep_batch_sizes(
         workload, requests=workload.requests[:largest], targets=workload.targets[:largest]
     )
     cache = _synthesize(graph, params, served.requests)
+    table: dict = {}
     runs = {
         mode: run_serving_sim(
             graph, params, served, mode,
-            store=CacheStore(graph, mode, oracle=oracle, energy_target=energy_target),
+            store=CacheStore(graph, mode, oracle=oracle, energy_target=energy_target, _table=table),
             workflow_cache=cache,
         )
         for mode in SWEEP_MODES
@@ -478,11 +480,12 @@ def ablate_pruning(
     executed traces; the materialization plan then keeps only pairs whose
     path edges were each seen at least ``k`` times, so the second pass serves
     hot paths from residuals and recomputes cold ones.  Both passes serve the
-    workflows of one synthesis of the distinct texts, in fixed-size blocks.
+    workflows of one synthesis of the distinct texts, in fixed-size blocks,
+    and the pruned pass reads the first's oracle results (``CacheStore``).
     """
     policy = policy or PlanPolicy()
     stats = TransitionStats(graph)
-    store = CacheStore(graph, "differential", oracle=oracle)
+    store = CacheStore(graph, "differential", oracle=oracle, _table={})
     cache = _synthesize(graph, params, workload.requests)
 
     unpruned = run_serving_sim(

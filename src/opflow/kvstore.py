@@ -137,16 +137,19 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
     if not (0.0 < energy_target):
         raise DataError(f"energy target must be positive, got {energy_target}")
 
-    if not (np.isfinite(full.states).all() and np.isfinite(base.states).all()):
+    # Any non-finite input shows in the float64 difference (inf - inf is nan).
+    with np.errstate(invalid="ignore"):
+        flat = (full.states.astype(np.float64) - base.states).ravel()
+    if not np.isfinite(flat).all():
         raise DataError("KV tensors must be finite")
-    flat = (full.states.astype(np.float64) - base.states).ravel()
 
-    nonzero = int(np.count_nonzero(flat))
+    magnitude = np.abs(flat)
+    ascending = np.sort(magnitude)
+    nonzero = magnitude.size - int(np.searchsorted(ascending, 0.0, side="right"))
     kept_idx = np.zeros(0, dtype=np.intp)
     kept_fraction = 1.0
     if nonzero:
-        magnitude = np.abs(flat)
-        ranked = np.sort(magnitude)[::-1]
+        ranked = ascending[::-1]
         cumulative = np.cumsum(ranked**2)
         total = cumulative[-1]
         keep = nonzero
@@ -335,7 +338,10 @@ class CacheStore:
     default config), so an in-context computation costs only the op's own
     tokens.  A carry that is missing, as on a store ``load_store`` returned,
     is rebuilt from the longest prefix of the path that has one.  Op tokens
-    are kept per graph, in ``_OP_TOKENS``.
+    are kept per graph, in ``_OP_TOKENS``.  The stores of one
+    ``sweep_batch_sizes`` or ``ablate_pruning`` call share its ``_table`` of
+    read-only ``resume`` results and carries, keyed ``(op, offset)`` for a
+    base or ``(path, op)`` in context; a plain store keeps no in-context KV.
     """
 
     def __init__(
@@ -344,6 +350,7 @@ class CacheStore:
         mode: str = "differential",
         oracle: KVOracle | None = None,
         energy_target: float = 0.95,
+        *, _table: dict | None = None,
     ):
         if mode not in MODES:
             raise DataError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -361,6 +368,7 @@ class CacheStore:
         self._prefix_len: dict[PathKey, int] = {}
         self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
         self._last_fallback: tuple[tuple[PathKey, str], KVTensor] | None = None
+        self._table = _table
 
     # -- token plumbing ------------------------------------------------------
 
@@ -409,9 +417,19 @@ class CacheStore:
         key = (op_id, position_offset)
         kv = self.bases.get(key)
         if kv is None:
-            kv = self.oracle.base_segment(self.op_tokens(op_id), position_offset)
+            kv = self._resume(key, self._carries[()], op_id, position_offset)[0]
             self._put("bases", key, kv)
         return kv
+
+    def _resume(self, key, carry: np.ndarray, op_id: str, offset: int) -> tuple[KVTensor, np.ndarray]:
+        """``oracle.resume`` of the op's tokens from ``carry`` at ``offset``,
+        read from or recorded in the call's table when the store has one."""
+        table = {} if self._table is None else self._table
+        if key not in table:
+            table[key] = self.oracle.resume(carry, self.op_tokens(op_id), offset)
+            for array in (table[key][0].states, table[key][1]):
+                array.setflags(write=False)
+        return table[key]
 
     def _carry(self, path: PathKey, n_prefix: int) -> np.ndarray:
         """The oracle carry after ``path`` (``n_prefix`` tokens), computing
@@ -420,19 +438,17 @@ class CacheStore:
         depth = len(path)
         while path[:depth] not in self._carries:
             depth -= 1
-        carry = self._carries[path[:depth]]
         offset = n_prefix - sum(len(self.op_tokens(op)) for op in path[depth:])
         for i in range(depth, len(path)):
-            tokens = self.op_tokens(path[i])
-            _, carry = self.oracle.resume(carry, tokens, offset)
-            offset += len(tokens)
-            self._carries[path[: i + 1]] = carry
-        return carry
+            self._stateful(path[:i], path[i], offset)
+            offset += len(self.op_tokens(path[i]))
+        return self._carries[path]
 
     def _stateful(self, path: PathKey, op_id: str, n_prefix: int) -> KVTensor:
-        """The op's in-context KV, resumed from the carry after ``path``."""
-        kv, carry = self.oracle.resume(self._carry(path, n_prefix), self.op_tokens(op_id), n_prefix)
-        self._carries[path + (op_id,)] = carry
+        """The op's in-context KV, resumed from the carry after ``path``; with
+        no prefix that is the base ``(op, 0)``, so the two share a table key."""
+        key = (path, op_id) if path else (op_id, 0)
+        kv, self._carries[path + (op_id,)] = self._resume(key, self._carry(path, n_prefix), op_id, n_prefix)
         return kv
 
     def fetch(self, path: Iterable[str], op_id: str) -> tuple[KVTensor, FetchResult]:

@@ -8,6 +8,8 @@ parameters, whose generated workflows collapse to the entry operation.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -740,6 +742,62 @@ class TestSweep:
         workload = small_workload(planted_default, n=14)
         sweep_batch_sizes(planted_default.graph, init_params(seed=0), workload)
         assert calls == [12, 12, 12]
+
+    @pytest.mark.parametrize("call", ["sweep", "ablation"])
+    def test_one_oracle_computation_per_distinct_input_per_call(
+        self, planted_default, control_params, monkeypatch, call
+    ):
+        # Every base (op, offset) and non-empty in-context (path, op) is
+        # computed once per call; a second call computes them all again, and
+        # nothing the call built outlives it, so no memo spans calls.
+        corpus = planted_default
+        if call == "sweep":
+            workload = small_workload(corpus)
+        else:
+            workload = make_workload(
+                corpus, n_requests=24, seed=11, overlap=0.5,
+                distribution="zipf", ensure_coverage=False, batch_sizes=(24,),
+            )
+        n_tokens = {op: len(tokenize(o.instruction)) for op, o in corpus.graph.operations.items()}
+        bases, segments = set(), set()
+        for text in workload.requests:
+            for node, chain in execution_chains(generate(corpus.graph, control_params, text)).items():
+                path = chain[:-1]
+                bases.add((node, sum(n_tokens[op] for op in path)))
+                if path:
+                    segments.add((path, node))
+        assert segments
+
+        calls, alive = [], []
+        real_resume = KVOracle.resume
+        real_init = CacheStore.__init__
+
+        def counting_resume(self, carry, tokens, position_offset):
+            kv, carry_out = real_resume(self, carry, tokens, position_offset)
+            calls.append((len(tokens), position_offset))
+            alive.extend((weakref.ref(kv), weakref.ref(carry_out)))
+            return kv, carry_out
+
+        def tracking_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(KVOracle, "resume", counting_resume)
+        monkeypatch.setattr(CacheStore, "__init__", tracking_init)
+        oracle = KVOracle(OracleConfig())
+        for _ in range(2):
+            calls.clear()
+            if call == "sweep":
+                sweep_batch_sizes(corpus.graph, control_params, workload, oracle=oracle)
+            else:
+                report = ablate_pruning(
+                    corpus.graph, control_params, workload, PlanPolicy(k=2),
+                    oracle=oracle, verify_fetches=False,
+                )
+                assert report.pruned.fallbacks > 0  # the pruned pass recomputes pairs
+            assert len(calls) == len(bases) + len(segments)
+        gc.collect()
+        assert alive and all(ref() is None for ref in alive)
 
     def test_cost_and_tradeoff_csvs(self):
         rows = [

@@ -144,6 +144,18 @@ class TestSparsify:
         expected = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3)]
         assert [tuple(c) for c in delta.coords] == expected
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["full", "base", "both"])
+    def test_rejects_non_finite_inputs(self, bad, which):
+        full, base = random_pair(KVOracle(), np.random.default_rng(6))
+        tensors = {"full": full, "base": base}
+        for name in (("full", "base") if which == "both" else (which,)):
+            states = tensors[name].states.copy()
+            states[0, 0, 0, 1] = bad
+            tensors[name] = KVTensor(states, tensors[name].position_offset)
+        with pytest.raises(DataError, match="finite"):
+            sparsify(tensors["full"], tensors["base"], 0.95)
+
     def test_rejects_mismatches(self):
         oracle = KVOracle()
         rng = np.random.default_rng(4)
@@ -1355,6 +1367,21 @@ class TestCarriedState:
         kv, info = store.fetch(("OP_0_0",), "OP_1_0")
         assert info.flag == "hit"
         assert_bitwise(kv, expected)
+
+    @pytest.mark.parametrize("mode", ["stateful", "differential"])
+    def test_stores_without_a_table_share_no_results(self, monkeypatch, mode):
+        # A plain store keeps no in-context tensors, so two on one oracle
+        # each compute a pair they share: long-lived stores stay bounded.
+        graph, oracle = layered_graph(), KVOracle()
+        resumed, _ = spy_oracle(monkeypatch, oracle)
+        path, op_id = ("OP_0_1",), "OP_1_2"
+        counts = []
+        for _ in range(2):
+            before = len(resumed)
+            CacheStore(graph, mode=mode, oracle=oracle).fetch(path, op_id)
+            counts.append(resumed[before:])
+        expected = [len(tokenize(graph.operations[op].instruction)) for op in path + (op_id,)]
+        assert counts[0] == counts[1] == expected
 
     def test_stateful_fetch_feeds_the_oracle_only_the_op(self, monkeypatch):
         store = CacheStore(layered_graph(levels=8), mode="stateful")
