@@ -178,13 +178,16 @@ class KVOracle:
         n_kv = 2 * cfg.d_model
         states = np.empty((cfg.layers, cfg.heads, t, 2 * cfg.head_dim), dtype=np.float32)
         carry_out = np.empty((cfg.layers, cfg.d_model), dtype=np.float64)
+        step = np.empty(cfg.d_model, dtype=np.float64)
         for layer in range(cfg.layers):
-            # x is fresh in every layer, so its rows are mixed in place.
+            # x is fresh in every layer, so its rows are mixed in place:
+            # row += lam * prev, through one buffer for the product.
             if lam != 0.0:
-                rows = list(x)
-                rows[0] += lam * carry[layer]
-                for prev, row in zip(rows, rows[1:]):
-                    row += lam * prev
+                prev = carry[layer]
+                for row in x:
+                    np.multiply(prev, lam, out=step)
+                    np.add(row, step, out=row)
+                    prev = row
             carry_out[layer] = x[-1]
             prod = x @ self._w[layer]
             states[layer] = prod[:, :n_kv].reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)

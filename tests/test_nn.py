@@ -497,6 +497,35 @@ def served_logits(p, x, a, edges, task, rows):
     return score_edges(p, gcn_forward(p, x, a, task, rows), edges, task)
 
 
+def dead_unit_instance(seed: int, batch: int):
+    """Inputs and params that leave all-zero input columns at every weight
+    product: feature buckets that no op or task row fills, GCN units held
+    negative by non-positive weights on non-negative inputs, and edge-MLP
+    units held negative by their bias."""
+    rng = np.random.default_rng(900 + seed)
+    v, d = int(rng.integers(5, 9)), 8
+    task = v - 1
+    p = init_params(dim_in=d, dim_hidden=8, mlp_hidden=6, seed=seed)
+    for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+        getattr(p, name)[...] += rng.normal(scale=0.05, size=getattr(p, name).shape)
+    x = np.abs(rng.normal(size=(v, d)))
+    rows = np.abs(rng.normal(size=(batch, d)))
+    x[:, :3] = 0.0  # buckets 0-2 empty for every op, 2-4 for every task row
+    rows[:, 2:5] = 0.0
+    p.gcn_w1[:, :3] = -np.abs(p.gcn_w1[:, :3])  # GCN layer-1 units 0-2 never fire
+    p.gcn_w2[:, :2] = -np.abs(p.gcn_w2[:, :2])  # GCN layer-2 units 0-1 never fire
+    p.mlp_b1[:2] = p.mlp_b2[:2] = -50.0  # edge-MLP units 0-1 of both layers never fire
+    a = (rng.random((v, v)) < 0.4).astype(float)
+    np.fill_diagonal(a, 0.0)
+    a[task, : int(rng.integers(1, task + 1))] = 1.0
+    edges = rng.integers(0, task, size=(2 * task, 2))
+    labels = rng.integers(0, 2, size=(batch, len(edges))).astype(float)
+    noise = rng.gumbel(size=(batch, len(edges)))
+    for array in (x, a):
+        array.setflags(write=False)
+    return p, x, a, edges, task, rows, labels, noise
+
+
 class TestServingFold:
     """``gcn_forward`` with task rows and ``score_edges`` (the folded forward,
     memoized for read-only params) against the dense per-sample forward."""
@@ -513,6 +542,18 @@ class TestServingFold:
             scores = gumbel_sigmoid(served_logits(p, x, a, edges, task, rows))
             np.testing.assert_allclose(scores, dense.scores, rtol=FOLD_RTOL, atol=0)
         assert (p in nn._MEMOS) == read_only
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])  # one task row takes BLAS's vector path
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_with_dead_units_match_dense(self, read_only, batch, seed):
+        p, x, a, edges, task, rows, labels, _ = dead_unit_instance(seed, batch)
+        _, dense = dense_forward(p, dense_features(x, task, rows), a, edges, task, labels)
+        if read_only:
+            p = p.read_only()
+        for _ in range(2):  # with read-only params the second call is a memo hit
+            scores = gumbel_sigmoid(served_logits(p, x, a, edges, task, rows))
+            np.testing.assert_allclose(scores, dense.scores, rtol=FOLD_RTOL, atol=0)
 
     def test_memo_gives_bitwise_the_unmemoized_scores(self):
         p, x, a, edges, task, rows = serving_instance(4)
@@ -549,6 +590,87 @@ class TestServingFold:
         p.gcn_w1.setflags(write=False)  # read-only, yet it could be made writable again
         served_logits(p, x, a, edges, task, rows)
         assert p not in nn._MEMOS
+
+
+# ---------------------------------------------------------------------------
+# Products that skip all-zero input columns
+# ---------------------------------------------------------------------------
+
+
+class TestDeadUnits:
+    """The training fold, whose weight products skip input columns that are
+    zero in every row, against the dense forward and the einsum backward on
+    inputs where many columns are zero (``TestServingFold`` serves them too)."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_instance_has_dead_and_live_columns_at_every_site(self, batch, seed):
+        p, x, a, edges, task, rows, labels, noise = dead_unit_instance(seed, batch)
+        _, cache = forward_loss(p, x, a, edges, task, labels, task_rows=rows, noise=noise)
+        inputs = {
+            "x0": (cache.x0, slice(0, 3)), "task_rows": (rows, slice(2, 5)),
+            "m2": (cache.m2, slice(0, 3)), "h2": (cache.h2, slice(0, 2)),
+            "a1": (cache.a1, slice(0, 2)), "a2": (cache.a2, slice(0, 2)),
+        }
+        for name, (arr, forced) in inputs.items():
+            dead = ~nn._rows(arr).any(axis=0)
+            assert dead[forced].all() and not dead.all(), name
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_gradients_match_einsum_reference(self, batch, seed):
+        p, x, a, edges, task, rows, labels, noise = dead_unit_instance(seed, batch)
+        loss, cache = forward_loss(p, x, a, edges, task, labels, task_rows=rows, tau=0.8, noise=noise)
+        got = backward(cache)
+        want_loss, dense = dense_forward(
+            p, dense_features(x, task, rows), a, edges, task, labels, tau=0.8, noise=noise
+        )
+        want = einsum_reference_backward(dense)
+        assert loss == pytest.approx(want_loss, rel=FOLD_RTOL, abs=0)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(got[name] - want[name])) <= FOLD_RTOL * scale, name
+        # A dead unit's weights get no gradient; the skipped block stays exactly 0.
+        assert not got["gcn_w2"][:3].any() and not got["mlp_w2"][:2].any()
+
+
+class TestLiveColumnProducts:
+    def test_no_dead_column_is_bitwise_the_plain_product(self):
+        rng = np.random.default_rng(0)
+        a, w = rng.normal(size=(3, 4, 6)), rng.normal(size=(6, 5))
+        assert np.array_equal(nn._times(a, w), (a.reshape(-1, 6) @ w).reshape(3, 4, 5))
+        x, dy = rng.normal(size=(7, 6)), rng.normal(size=(7, 5))
+        assert np.array_equal(nn._outer(x, dy), x.T @ dy)
+
+    def test_every_column_dead_gives_exact_zeros(self):
+        rng = np.random.default_rng(1)
+        for shape in [(3, 4, 6), (1, 6), (6,)]:
+            got = nn._times(np.zeros(shape), rng.normal(size=(6, 5)))
+            assert got.shape == shape[:-1] + (5,) and not got.any()
+        for x, dy in [(np.zeros((7, 6)), rng.normal(size=(7, 5))), (rng.normal(size=(7, 6)), np.zeros((7, 5)))]:
+            got = nn._outer(x, dy)
+            assert got.shape == (6, 5) and not got.any()
+
+    def test_skips_only_columns_zero_in_every_row(self):
+        rng = np.random.default_rng(2)
+        a, w = rng.normal(size=(4, 6)), rng.normal(size=(6, 5))
+        a[:, [1, 4]] = 0.0
+        a[0, 3] = 0.0  # zero in one row only: column 3 stays live
+        want = a @ w
+        np.testing.assert_allclose(nn._times(a, w), want, rtol=1e-14, atol=1e-15)
+        w[[1, 4]] = np.inf  # rows only dead columns meet are never read
+        np.testing.assert_allclose(nn._times(a, w), want, rtol=1e-14, atol=1e-15)
+        dy = rng.normal(size=(4, 3))
+        dy[:, 0] = 0.0
+        got = nn._outer(a, dy)
+        np.testing.assert_allclose(got, a.T @ dy, rtol=1e-14, atol=1e-15)
+        assert not got[[1, 4]].any() and not got[:, 0].any()
+        a[2, 1] = np.nan  # NaN is nonzero: its column is live and spreads as in a @ w
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(nn._times(a, w)[2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +803,16 @@ class TestCheckpoint:
         struct.pack_into("<I", raw, offset, value)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gcn_w2", "mlp_w2"])
+    def test_non_finite_parameter_is_data_error(self, tmp_path, name, value):
+        p = init_params(dim_in=3, dim_hidden=4, mlp_hidden=4, seed=0)
+        getattr(p, name)[2, 1] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, p, seed=0)
+        with pytest.raises(DataError, match=f"'{name}'.*NaN or infinite"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
