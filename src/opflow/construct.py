@@ -204,6 +204,7 @@ def train(
     n = len(samples)
     n_edges = len(graph.edge_list)
     epoch_losses: list[float] = []
+    grads: dict[str, np.ndarray] = {}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         running = 0.0
@@ -223,7 +224,14 @@ def train(
             )
             if not np.isfinite(loss):
                 raise NumericError(f"training loss became non-finite ({loss})")
+            # One step's activations are live at a time: the cache goes as
+            # soon as backward has read it, and the last step's gradients just
+            # before backward.  Those stay through the forward, whose peak is
+            # below backward's, because a heap that empties at each step's end
+            # is handed back to the system and faulted in again.
+            grads.clear()
             grads = backward(cache)
+            del cache
             params, state = adamw_step(
                 params,
                 grads,

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and its one rule for a
-whole number given by a caller.
+"""Exception hierarchy shared across the package, its one rule for a whole
+number given by a caller, and its one way to replace a file.
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 :class:`DataError` (and subclasses) exit 2, :class:`NumericError` exits 3.
@@ -8,6 +8,9 @@ The CLI maps these onto process exit codes: usage problems exit 1,
 from __future__ import annotations
 
 import numbers
+import os
+from pathlib import Path
+from typing import BinaryIO, Callable
 
 
 class OpflowError(Exception):
@@ -57,3 +60,23 @@ def _check_int(name: str, value, minimum: int) -> None:
             minimum, f"an integer of at least {minimum}"
         )
         raise DataError(f"{name} must be {kind}, got {value!r}")
+
+
+def _write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """Replace ``path`` with the bytes ``write(fh)`` writes, all or nothing.
+
+    They go to ``.<name>.tmp`` in the same directory, which is flushed and
+    synced, then moved over ``path`` by one ``os.replace``: a failed or
+    interrupted write leaves ``path`` as it was and removes the staging file.
+    """
+    path = Path(path)
+    staging = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(staging, "wb") as fh:  # truncates one left by a killed write
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise

@@ -49,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _write_atomic
 from .graph import OperationGraph
 from .oracle import KVOracle, KVTensor, OracleConfig, tokenize
 
@@ -596,19 +596,14 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
 
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    staging = root / f".{STORE_FILE}.tmp"
-    try:
-        with open(staging, "wb") as fh:  # truncates one left by a killed save
-            fh.write(STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(text)))
-            fh.write(text)
-            for entry in entries:
-                fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(staging, root / STORE_FILE)
-    except BaseException:
-        staging.unlink(missing_ok=True)
-        raise
+
+    def write(fh) -> None:
+        fh.write(STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(text)))
+        fh.write(text)
+        for entry in entries:
+            fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
+
+    _write_atomic(root / STORE_FILE, write)
 
 
 def has_store(directory: str | Path) -> bool:

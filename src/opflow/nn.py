@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, _check_int
+from .errors import DataError, _check_int, _write_atomic
 
 SCORE_CLAMP = 1e-7
 
@@ -294,19 +294,22 @@ def _incidence(nodes: np.ndarray, n_nodes: int) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
+    """What ``backward`` reads of one step's forward pass: one set of
+    activations, alive for one step only (``train`` drops it before the next
+    forward).  Of a ReLU it keeps only the output, whose ``> 0`` mask is the
+    input's, so ``h2``, ``a1`` and ``a2`` stand for ``z2``, ``p1`` and ``p2``;
+    ``z1`` stays because layer 1's output is not kept."""
+
     params: ModelParams
     s: np.ndarray
     x0: np.ndarray
     task_rows: np.ndarray
     z1: np.ndarray
-    z2: np.ndarray
     m2: np.ndarray
     h2: np.ndarray
     edge_index: np.ndarray
     task_index: int
-    p1: np.ndarray
     a1: np.ndarray
-    p2: np.ndarray
     a2: np.ndarray
     omega: np.ndarray
     scores: np.ndarray
@@ -342,9 +345,10 @@ def forward_loss(
 
     s, x0, shared = _shared_layer1(params, x, a, task_index)  # once per step
     z1 = _layer1(params, s, shared, task_index, task_rows)
-    m2, z2, h2 = _layer2(params, s, z1)
+    # The cache keeps ReLU outputs only, so z2, p1 and p2 die with this call.
+    m2, _, h2 = _layer2(params, s, z1)
     p1 = _edge_layer1(params, h2, _pair_weights(params), edge_index, task_index)
-    a1, p2, a2, omega = _mlp_tail(params, p1)
+    a1, _, a2, omega = _mlp_tail(params, p1)
 
     scores = gumbel_sigmoid(omega, tau, noise)
     loss = bce_loss(scores, labels)
@@ -354,14 +358,11 @@ def forward_loss(
         x0=x0,
         task_rows=task_rows,
         z1=z1,
-        z2=z2,
         m2=m2,
         h2=h2,
         edge_index=edge_index,
         task_index=task_index,
-        p1=p1,
         a1=a1,
-        p2=p2,
         a2=a2,
         omega=omega,
         scores=scores,
@@ -426,6 +427,12 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
 
     Gumbel noise is a constant; the score clamp acts as a pass-through whose
     clamped value feeds the standard (score - label) identity.
+
+    One set of activations is live at a time: each ReLU mask is read off the
+    cached post-ReLU array (``a > 0`` is ``pre > 0`` for ``a = max(pre, 0)``,
+    NaN and signed zeros included) and multiplied into its gradient in place,
+    and each (B, E, M) and (B, V, .) gradient is dropped after its last
+    reader.  ``cache`` itself is left unchanged.
     """
     p = cache.params
     b, n_edges = cache.omega.shape
@@ -438,12 +445,13 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     grads["mlp_w3"] = _rows(cache.a2).T @ d_omega.reshape(-1, 1)
     grads["mlp_b3"] = np.array([d_omega.sum()])
-    d_a2 = d_omega[..., None] * p.mlp_w3[:, 0]
-    d_p2 = d_a2 * (cache.p2 > 0)
+    d_p2 = d_omega[..., None] * p.mlp_w3[:, 0]
+    d_p2 *= cache.a2 > 0
     grads["mlp_w2"] = _outer(_rows(cache.a1), _rows(d_p2))
     grads["mlp_b2"] = d_p2.sum(axis=(0, 1))
-    d_a1 = _times(d_p2, p.mlp_w2.T)
-    d_p1 = d_a1 * (cache.p1 > 0)  # (B, E, M)
+    d_p1 = _times(d_p2, p.mlp_w2.T)  # (B, E, M)
+    del d_p2
+    d_p1 *= cache.a1 > 0
 
     # Each edge's d_p1 row, added onto its source (first M columns) and its
     # destination (last M): the gradient of the per-node product U.
@@ -456,20 +464,23 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
         axis=-1,
     )
     d_c = d_p1.sum(axis=1)  # (B, M)
+    del d_p1
     g_pair = _outer(_rows(cache.h2), _rows(d_pair))  # (H, 2M)
     grads["mlp_w1"] = np.vstack(
         [g_pair[:, :m], g_pair[:, m:], cache.h2[:, cache.task_index].T @ d_c]
     )
     grads["mlp_b1"] = d_c.sum(axis=0)
 
-    d_h2 = _times(d_pair, _pair_weights(p).T)  # (B, V, H)
-    d_h2[:, cache.task_index] += d_c @ p.mlp_w1[2 * h :].T
-
-    d_z2 = d_h2 * (cache.z2 > 0)
+    d_z2 = _times(d_pair, _pair_weights(p).T)  # (B, V, H)
+    del d_pair
+    d_z2[:, cache.task_index] += d_c @ p.mlp_w1[2 * h :].T
+    d_z2 *= cache.h2 > 0
     grads["gcn_w2"] = _outer(_rows(cache.m2), _rows(d_z2))
     d_m2 = _times(d_z2, p.gcn_w2.T)
-    d_h1 = cache.s.T @ d_m2
-    d_z1 = d_h1 * (cache.z1 > 0)
+    del d_z2
+    d_z1 = cache.s.T @ d_m2
+    del d_m2
+    d_z1 *= cache.z1 > 0
     grads["gcn_w1"] = (
         cache.x0.T @ (cache.s.T @ d_z1.sum(axis=0))
         + cache.task_rows.T @ (cache.s[:, cache.task_index] @ d_z1)
@@ -538,9 +549,11 @@ def adamw_step(
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
-    """Versioned flat binary: header (dims, shapes, seed) then float64 LE arrays."""
+    """Versioned flat binary: header (dims, shapes, seed) then float64 LE
+    arrays, written atomically: a failed write leaves an earlier file whole."""
     arrays = params.arrays()
-    with open(path, "wb") as fh:
+
+    def write(fh) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIQ I", 1, params.dim_in, params.dim_hidden, params.mlp_hidden, seed, len(arrays)))
         for arr in arrays.values():
@@ -548,6 +561,8 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+    _write_atomic(path, write)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:

@@ -30,6 +30,7 @@ of rows, which the tests pin.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -114,25 +115,35 @@ def _positional_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
     return enc
 
 
+@functools.lru_cache(maxsize=4)
+def _weights(seed: int, layers: int, heads: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded embedding table and fused per-layer projections of one
+    config, read-only.  They depend on these four values alone, so every
+    oracle of a config shares one copy; the last four configs are kept."""
+    rng = np.random.default_rng(seed)
+    dm = heads * head_dim
+    scale = 1.0 / np.sqrt(dm)
+    embeddings = rng.standard_normal((TOKEN_SPACE, dm))
+    w_key = rng.standard_normal((layers, dm, dm)) * scale
+    w_value = rng.standard_normal((layers, dm, dm)) * scale
+    w_hidden = rng.standard_normal((layers, dm, dm)) * scale
+    # One projection per layer: each head's key columns, then its value
+    # columns (the states layout), then the next layer's hidden columns.
+    per_head = (layers, dm, heads, head_dim)
+    w_kv = np.concatenate([w_key.reshape(per_head), w_value.reshape(per_head)], axis=3)
+    w = np.concatenate([w_kv.reshape(layers, dm, 2 * dm), w_hidden], axis=2)
+    embeddings.flags.writeable = w.flags.writeable = False
+    return embeddings, w
+
+
 class KVOracle:
     """Seeded weights plus the segment-level KV computations."""
 
     def __init__(self, config: OracleConfig | None = None):
         self.config = config or OracleConfig()
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        dm = cfg.d_model
-        scale = 1.0 / np.sqrt(dm)
-        self._embeddings = rng.standard_normal((TOKEN_SPACE, dm))
-        w_key = rng.standard_normal((cfg.layers, dm, dm)) * scale
-        w_value = rng.standard_normal((cfg.layers, dm, dm)) * scale
-        w_hidden = rng.standard_normal((cfg.layers, dm, dm)) * scale
-        # One projection per layer: each head's key columns, then its value
-        # columns (the states layout), then the next layer's hidden columns.
-        per_head = (cfg.layers, dm, cfg.heads, cfg.head_dim)
-        w_kv = np.concatenate([w_key.reshape(per_head), w_value.reshape(per_head)], axis=3)
-        self._w = np.concatenate([w_kv.reshape(cfg.layers, dm, 2 * dm), w_hidden], axis=2)
-        self._positions = np.empty((0, dm))
+        self._embeddings, self._w = _weights(cfg.seed, cfg.layers, cfg.heads, cfg.head_dim)
+        self._positions = np.empty((0, cfg.d_model))
 
     def _position_rows(self, position_offset: int, t: int) -> np.ndarray:
         """Encodings of [position_offset, position_offset + t), sliced from a

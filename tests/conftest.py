@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -149,6 +150,22 @@ def mean_loss(graph, samples, params) -> float:
         task_rows=task_rows,
     )
     return float(loss)
+
+
+def traced_peak_mib(fn) -> float:
+    """The largest traced allocation total while ``fn()`` runs, in MiB above
+    what was allocated when it started: numpy registers its array buffers
+    with ``tracemalloc``, so this counts the arrays a call holds at once."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def finite_difference_grads(loss_fn, params, step: float = 1e-4) -> dict[str, np.ndarray]:

@@ -392,6 +392,38 @@ class TestFusedProjection:
                 offset += len(segment)
 
 
+class TestSharedWeights:
+    """The weights are a pure function of seed, layers, heads and head_dim,
+    so oracles of one config share one read-only copy."""
+
+    def test_one_config_shares_read_only_arrays(self):
+        a, b = KVOracle(OracleConfig(seed=5)), KVOracle(OracleConfig(seed=5, lam=0.3))
+        assert a._embeddings is b._embeddings and a._w is b._w
+        for arr in (a._embeddings, a._w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        a.base_segment([1, 2, 3], 300)  # grows a's position table only
+        assert a._positions is not b._positions and len(b._positions) == 0
+
+    def test_another_seed_gets_other_arrays(self):
+        a, b = KVOracle(OracleConfig(seed=5)), KVOracle(OracleConfig(seed=6))
+        assert not np.array_equal(a._embeddings, b._embeddings)
+        assert not np.array_equal(a._w, b._w)
+
+    @pytest.mark.parametrize(
+        "config", [OracleConfig(), OracleConfig(layers=3, heads=2, head_dim=24, seed=7)], ids=["default", "3x2x24"]
+    )
+    def test_weights_equal_the_seeded_draws_bitwise(self, config):
+        reference, oracle = TwoProductOracle(config), KVOracle(config)
+        cfg, dm = config, config.d_model
+        per_head = (cfg.layers, dm, cfg.heads, cfg.head_dim)
+        w_kv = np.concatenate([reference.w_key.reshape(per_head), reference.w_value.reshape(per_head)], axis=3)
+        w = np.concatenate([w_kv.reshape(cfg.layers, dm, 2 * dm), reference.w_hidden], axis=2)
+        assert np.array_equal(bits(oracle._embeddings), bits(reference.embeddings))
+        assert np.array_equal(bits(oracle._w), bits(w))
+
+
 # ---------------------------------------------------------------------------
 # Positional table and the parent arithmetic on single segments
 # ---------------------------------------------------------------------------
