@@ -39,7 +39,7 @@ from .construct import (
     load_samples,
     train,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _write_atomic
 from .graph import merge_workflows, parse_graph, parse_workflow, serialize_graph, serialize_workflow
 from .harness import DEFAULT_BATCH_SIZES, _csv, make_workload, sparsity_report, sweep_batch_sizes
 from .kvstore import MODES, CacheStore, MemoryReport, has_store, load_store, save_store
@@ -265,7 +265,7 @@ def cmd_build_graph(cfg: SimpleNamespace) -> int:
     workflows = _load_workflow_dir(_require(cfg, "workflows"))
     graph = merge_workflows(workflows)
     out = _out_dir(cfg) / "graph.json"
-    out.write_text(serialize_graph(graph))
+    _write_atomic(out, lambda fh: fh.write(serialize_graph(graph).encode("utf-8")))
     merged = sum(len(sources) - 1 for sources in graph.merged_from.values())
     log.info("graph written to %s", out)
     print(f"{len(graph.node_ids)} nodes, {len(graph.edge_list)} edges, {merged} merged")
@@ -285,7 +285,7 @@ def cmd_train(cfg: SimpleNamespace) -> int:
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.params, cfg.seed)
     rows = "".join(f"{i},{loss!r}\n" for i, loss in enumerate(result.epoch_losses))
-    (out / "train_loss.csv").write_text("epoch,mean_loss\n" + rows)
+    _write_atomic(out / "train_loss.csv", lambda fh: fh.write(("epoch,mean_loss\n" + rows).encode("utf-8")))
     log.info("checkpoint and loss curve written to %s", out)
     return 0
 
@@ -321,7 +321,7 @@ def cmd_kv_analyze(cfg: SimpleNamespace) -> int:
 def _write_csvs(out: Path, texts: dict[str, str]) -> int:
     """Write each named file into ``out`` and print its path."""
     for name, text in texts.items():
-        (out / name).write_text(text)
+        _write_atomic(out / name, lambda fh: fh.write(text.encode("utf-8")))
         print(out / name)
     log.info("%s written to %s", ", ".join(texts), out)
     return 0
@@ -359,9 +359,9 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
     report = apply_plan(store, plan)
     save_store(store, cfg.store)
     out = _out_dir(cfg)
-    (out / "prune_report.csv").write_text(report.to_csv())
+    _write_atomic(out / "prune_report.csv", lambda fh: fh.write(report.to_csv().encode("utf-8")))
     counters = [f.name for f in fields(PlanReport) if f.name != "rows"]
-    (out / "prune_summary.csv").write_text(_csv(counters, [report]))
+    _write_atomic(out / "prune_summary.csv", lambda fh: fh.write(_csv(counters, [report]).encode("utf-8")))
     log.info("store written to %s, prune reports to %s", cfg.store, out)
     print(f"bytes_before={report.bytes_before} bytes_after={report.bytes_after} "
           f"dropped={report.dropped}")
@@ -377,7 +377,7 @@ def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
         m = MemoryReport(cfg.mode, 0, 0, 0, 0, 0, 0)
     csv_text = _csv([f.name for f in fields(MemoryReport)] + ["total_bytes"], [m])
     path = _out_dir(cfg) / "footprint.csv"
-    path.write_text(csv_text)
+    _write_atomic(path, lambda fh: fh.write(csv_text.encode("utf-8")))
     log.info("footprint written to %s", path)
     sys.stdout.write(csv_text)
     return 0

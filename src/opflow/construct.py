@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, _check_int
+from .errors import DataError, NumericError, _check_int, _write_atomic
 from .features import HashingEmbedder, assemble_features
 from .graph import (
     TASK_NODE_ID,
@@ -589,7 +589,7 @@ def save_samples(path: str | Path, samples: Sequence[TrainSample]) -> None:
         if "\t" in sample.task_text or "\n" in sample.task_text:
             raise DataError(f"task text {sample.task_text!r} contains tab or newline")
         lines.append(f"{sample.task_text}\t{sample.workflow.id}\n")
-    Path(path).write_text("".join(lines))
+    _write_atomic(path, lambda fh: fh.write("".join(lines).encode("utf-8")))
 
 
 def load_samples(

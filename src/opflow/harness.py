@@ -7,9 +7,11 @@ cost plus a per-entry residual-apply cost, while a fallback pays a per-token
 (``PREFILL_PER_TOKEN``, ``APPLY_PER_ENTRY``, ``HIT_FIXED``) are arbitrary but
 fixed; what matters is that identical seeds give identical reports.
 
-Batch concurrency is modeled as simultaneous live stores for the memory
-account and sequential execution for the cost account: stateful accounting
-models one empty store per request (one store per run does the computing),
+A serving run records, then folds: its fetch loop only computes and keeps
+one ``FetchRecord`` per fetch, and one fold turns the records into the
+report.  Batch concurrency is modeled as simultaneous live stores for the
+memory account and sequential execution for the cost account: the fold
+accounts one empty store per stateful request (one store per run computes),
 while stateless and differential requests share one store, which is exactly
 where the differential layout's cross-request deduplication shows up in the
 sweep curves.
@@ -21,15 +23,18 @@ records (cost, score, entries applied, footprint after) of that one run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from itertools import accumulate, groupby
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .construct import PlantedCorpus, _synthesize, edge_f1
 from .errors import DataError, _check_int
 from .graph import OperationGraph, Workflow, topological_order
-from .kvstore import CacheStore, MemoryReport, kv_file_nbytes
+from .kvstore import CacheStore, FetchResult, MemoryReport, kv_file_nbytes
 from .nn import ModelParams
 from .oracle import KVOracle, OracleConfig, tokenize
 from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
@@ -165,10 +170,23 @@ def _maximal_traces(chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
+class FetchRecord(NamedTuple):
+    """One fetch of a serving run: the request's index, the (path, op) pair,
+    the store's own result and the fetched tensor's file bytes (never the
+    tensor: a differential hit is a fresh reconstruction)."""
+
+    request: int
+    path: tuple[str, ...]
+    op: str
+    result: FetchResult
+    nbytes: int
+
+
 @dataclass
 class RunReport:
-    """Per-request records of one serving run, in order; ``request_memory[i]`` is
-    the footprint right after request ``i`` (stateful: summed over per-request stores)."""
+    """Per-request figures of one serving run, in order, folded from its
+    ``fetches``; ``request_memory[i]`` is the footprint right after request
+    ``i`` (stateful: summed over per-request stores)."""
 
     mode: str
     request_costs: tuple[float, ...]
@@ -178,12 +196,14 @@ class RunReport:
     request_entries: tuple[int, ...]
     request_memory: tuple[MemoryReport, ...]
     verified: bool | None = None  # None when oracle verification was off
+    fetches: tuple[FetchRecord, ...] = ()
 
     def head(self, n: int) -> RunReport:
         """What a run over only the first ``n`` requests reports (``verified``
-        still covers the whole run)."""
-        per_request = [f.name for f in fields(self) if f.name.startswith("request_")]
-        return replace(self, **{name: getattr(self, name)[:n] for name in per_request})
+        still covers the whole run), sliced rather than folded again."""
+        cut = bisect_left(self.fetches, n, key=attrgetter("request"))
+        sliced = {f.name: getattr(self, f.name)[:n] for f in fields(self) if f.name.startswith("request_")}
+        return replace(self, fetches=self.fetches[:cut], **sliced)
 
     @property
     def memory(self) -> MemoryReport:
@@ -255,10 +275,9 @@ def run_serving_sim(
     with ``oracle``; an ``oracle`` passed with a store must be the store's.
     ``verify_fetches`` checks each fetch with ``CacheStore.verify_fetch``.
 
-    Stateful mode accounts for one empty store per request (every fetch a
-    fallback, memory summed over those stores) but computes in one store
-    per run: a request fetches each (path, op) pair at most once, so the
-    records are the same.
+    Stateful mode accounts for one empty store per request but computes in
+    one store per run: a request fetches each (path, op) pair at most once,
+    so the fold gives what per-request stores would report.
     """
     if store is None:
         store = CacheStore(graph, mode, oracle=oracle)
@@ -266,67 +285,57 @@ def run_serving_sim(
         raise DataError(f"injected store is {store.mode!r}, expected {mode!r}")
     elif oracle is not None and oracle is not store.oracle:
         raise DataError("the oracle passed is not the injected store's")
-    per_request = mode == "stateful"
 
-    costs: list[float] = []
-    hits: list[int] = []
-    fallbacks: list[int] = []
+    fetches: list[FetchRecord] = []
     scores: list[float] = []
-    entries: list[int] = []
     memory: list[MemoryReport] = []
-    fulls_bytes = n_fulls = 0  # the per-request stateful stores' running sums
-    all_verified = True
+    verified = True
     cached = workflow_cache or {}
     generated = _synthesize(graph, params, (t for t in workload.requests if t not in cached))
 
     for req_index, task_text in enumerate(workload.requests):
         wf = cached[task_text] if task_text in cached else generated[task_text]
         scores.append(edge_f1(wf.edges, workload.targets[req_index]))
-
-        chains = execution_chains(wf)
-        cost = 0.0
-        n_hit = 0
-        n_fall = 0
-        n_entries = 0
-        for node, chain in chains.items():
+        for node, chain in execution_chains(wf).items():
             path = chain[:-1]
             kv, result = store.fetch(path, node)
-            flag = "fallback" if per_request else result.flag
-            cost += fetch_cost(flag, result.entries_applied, result.prefix_tokens, result.op_tokens)
-            n_entries += result.entries_applied
-            if flag == "hit":
-                n_hit += 1
-            else:
-                n_fall += 1
-                if mode == "differential" and warm_differential:
-                    store.insert_residual(path, node)
-            if per_request:
-                fulls_bytes += kv_file_nbytes(kv)
-                n_fulls += 1
-            if verify_fetches and not store.verify_fetch(path, node, kv, flag):
-                all_verified = False
-        costs.append(cost)
-        hits.append(n_hit)
-        fallbacks.append(n_fall)
-        entries.append(n_entries)
-        if per_request:
-            memory.append(MemoryReport(mode, 0, 0, fulls_bytes, 0, 0, n_fulls))
-        else:
-            memory.append(store.memory_footprint())
+            if result.flag == "fallback" and mode == "differential" and warm_differential:
+                store.insert_residual(path, node)
+            if verify_fetches and not store.verify_fetch(path, node, kv, result.flag):
+                verified = False
+            fetches.append(FetchRecord(req_index, path, node, result, kv_file_nbytes(kv)))
+        memory.append(store.memory_footprint())
 
-        if stats is not None:
-            for trace in _maximal_traces(chains):
+    if stats is not None:
+        for _, records in groupby(fetches, key=attrgetter("request")):
+            for trace in _maximal_traces({f.op: f.path + (f.op,) for f in records}):
                 stats.record(trace)
+    return _fold(mode, fetches, scores, memory, verified if verify_fetches else None)
 
+
+def _fold(
+    mode: str, fetches: list[FetchRecord], scores: list[float],
+    store_memory: list[MemoryReport], verified: bool | None,
+) -> RunReport:
+    """The run's report: every per-request figure, summed in fetch order in
+    one pass over the records.  Stateful accounting models one empty store
+    per request: every fetch is a fallback, and the footprint after request
+    ``i`` is the running sum of fetched bytes and fetches up to it."""
+    n = len(scores)
+    costs, hits, fallbacks, entries, fetched = [0.0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    stateful = mode == "stateful"
+    for request, _, _, r, nbytes in fetches:
+        flag = "fallback" if stateful else r.flag
+        costs[request] += fetch_cost(flag, r.entries_applied, r.prefix_tokens, r.op_tokens)
+        entries[request] += r.entries_applied
+        (hits if flag == "hit" else fallbacks)[request] += 1
+        fetched[request] += nbytes
+    if stateful:
+        running = zip(accumulate(fetched), accumulate(fallbacks))
+        store_memory = [MemoryReport(mode, 0, 0, size, 0, 0, count) for size, count in running]
     return RunReport(
-        mode=mode,
-        request_costs=tuple(costs),
-        request_hits=tuple(hits),
-        request_fallbacks=tuple(fallbacks),
-        request_scores=tuple(scores),
-        request_entries=tuple(entries),
-        request_memory=tuple(memory),
-        verified=all_verified if verify_fetches else None,
+        mode, tuple(costs), tuple(hits), tuple(fallbacks), tuple(scores), tuple(entries),
+        tuple(store_memory), verified, tuple(fetches),
     )
 
 

@@ -273,7 +273,7 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
 
 
 def write_kv(path: str | Path, kv: KVTensor) -> None:
-    Path(path).write_bytes(_kv_bytes(kv))
+    _write_atomic(path, lambda fh: fh.write(_kv_bytes(kv)))
 
 
 def read_kv(path: str | Path) -> KVTensor:
@@ -281,7 +281,7 @@ def read_kv(path: str | Path) -> KVTensor:
 
 
 def write_delta(path: str | Path, delta: SparseDelta) -> None:
-    Path(path).write_bytes(_delta_bytes(delta))
+    _write_atomic(path, lambda fh: fh.write(_delta_bytes(delta)))
 
 
 def read_delta(path: str | Path) -> SparseDelta:

@@ -298,13 +298,13 @@ class ForwardCache:
     activations, alive for one step only (``train`` drops it before the next
     forward).  Of a ReLU it keeps only the output, whose ``> 0`` mask is the
     input's, so ``h2``, ``a1`` and ``a2`` stand for ``z2``, ``p1`` and ``p2``;
-    ``z1`` stays because layer 1's output is not kept."""
+    of layer 1, whose output is not kept, only the bool mask ``z1 > 0``."""
 
     params: ModelParams
     s: np.ndarray
     x0: np.ndarray
     task_rows: np.ndarray
-    z1: np.ndarray
+    z1_positive: np.ndarray
     m2: np.ndarray
     h2: np.ndarray
     edge_index: np.ndarray
@@ -357,7 +357,7 @@ def forward_loss(
         s=s,
         x0=x0,
         task_rows=task_rows,
-        z1=z1,
+        z1_positive=z1 > 0,
         m2=m2,
         h2=h2,
         edge_index=edge_index,
@@ -480,7 +480,7 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     del d_z2
     d_z1 = cache.s.T @ d_m2
     del d_m2
-    d_z1 *= cache.z1 > 0
+    d_z1 *= cache.z1_positive
     grads["gcn_w1"] = (
         cache.x0.T @ (cache.s.T @ d_z1.sum(axis=0))
         + cache.task_rows.T @ (cache.s[:, cache.task_index] @ d_z1)

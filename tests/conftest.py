@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -91,6 +92,41 @@ def control_params(control_training):
     """The control run's parameters; serving tests need non-trivial
     generated workflows."""
     return control_training.params
+
+
+@pytest.fixture
+def fail_writing(monkeypatch):
+    """``fail_writing(name)`` makes each ``errors._write_atomic`` call that
+    stages ``name`` raise ``OSError`` once half of its first write has reached
+    the staging file, and returns the list of byte counts so staged."""
+    from opflow import errors
+
+    def arm(name: str) -> list[int]:
+        staged: list[int] = []
+
+        class HalfWriter(io.BufferedWriter):
+            def write(self, data):
+                half = bytes(data)[: len(data) // 2]
+                super().write(half)
+                self.flush()
+                staged.append(len(half))
+                raise OSError("disk full")
+
+        def staging_open(file, mode="r", *args, **kwargs):
+            if Path(file).name == f".{name}.tmp":
+                return HalfWriter(io.FileIO(file, "w"))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(errors, "open", staging_open, raising=False)
+        return staged
+
+    return arm
+
+
+def assert_unreplaced(target: Path, old: bytes) -> None:
+    """``target`` still holds ``old``, and no staging file is left beside it."""
+    assert target.read_bytes() == old
+    assert not (target.parent / f".{target.name}.tmp").exists()
 
 
 def doc_json(doc: dict) -> str:

@@ -31,6 +31,8 @@ from opflow.nn import init_params, load_checkpoint, save_checkpoint
 from opflow.oracle import KVOracle, OracleConfig
 from opflow.pruning import read_trace_log, write_trace_log
 
+from conftest import assert_unreplaced
+
 
 @pytest.fixture(scope="session")
 def cli_project(tmp_path_factory):
@@ -638,6 +640,46 @@ class TestBench:
         # the command must at least accept the checkpoint and still cover
         # all modes deterministically.
         assert (trained / "bench_tradeoff.csv").is_file()
+
+
+class TestOutputsAreReplacedAtomically:
+    """A write that fails part-way leaves the file a command writes as it
+    was, and no staging file beside it."""
+
+    EARLIER = b"earlier output\n"
+
+    @staticmethod
+    def argv(name, root, out, store):
+        graph = ["--graph", str(root / "graph.json")]
+        prune = ["kv", "prune", *graph, "--store", str(store), "--traces", str(root / "traces.log")]
+        return {
+            "graph.json": ["build-graph", "--workflows", str(root / "workflows")],
+            "train_loss.csv": [
+                "train", *graph, "--workflows", str(root / "workflows"),
+                "--samples", str(root / "samples.tsv"), "--epochs", "0",
+            ],
+            "sparsity_layers.csv": ["kv", "analyze", *graph, "--pair-limit", "2"],
+            "bench_memory_sweep.csv": TestBench.ARGS,
+            "prune_report.csv": prune,
+            "prune_summary.csv": prune,
+            "footprint.csv": ["kv", "footprint", *graph, "--store", str(store)],
+        }[name] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("name", [
+        "graph.json", "train_loss.csv", "sparsity_layers.csv", "bench_memory_sweep.csv",
+        "prune_report.csv", "prune_summary.csv", "footprint.csv",
+    ])
+    def test_failed_write_leaves_the_earlier_file(self, cli_project, tmp_path, fail_writing, name):
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert TestKvStoreCommands().materialize(root, store) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_bytes(self.EARLIER)
+        staged = fail_writing(name)
+        assert main(self.argv(name, root, out, store)) == 2
+        assert staged and staged[0] > 0
+        assert_unreplaced(out / name, self.EARLIER)
 
 
 # ---------------------------------------------------------------------------

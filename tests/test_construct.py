@@ -41,6 +41,7 @@ from conftest import (
     dense_forward,
     doc_json,
     make_workflow_doc,
+    assert_unreplaced,
     mean_loss,
     traced_peak_mib,
 )
@@ -673,6 +674,17 @@ class TestPlantedCorpus:
         by_id = {s.workflow.id: s.workflow for s in corpus.samples}
         loaded = load_samples(path, by_id)
         assert loaded == list(corpus.samples)
+
+    def test_failed_save_leaves_the_earlier_sample_file(self, tmp_path, fail_writing):
+        corpus = generate_synthetic_corpus(vocab_size=10, n_tasks=25, seed=2)
+        path = tmp_path / "samples.tsv"
+        save_samples(path, corpus.samples[:5])
+        old = path.read_bytes()
+        staged = fail_writing("samples.tsv")
+        with pytest.raises(OSError, match="disk full"):
+            save_samples(path, corpus.samples)
+        assert staged and staged[0] > 0
+        assert_unreplaced(path, old)
 
     def test_sample_file_rejects_unknown_workflow(self, tmp_path):
         path = tmp_path / "samples.tsv"

@@ -15,11 +15,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from opflow import harness, kvstore
 from opflow.construct import edge_f1, generate
 from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.harness import (
     APPLY_PER_ENTRY,
+    FetchRecord,
     HIT_FIXED,
     PREFILL_PER_TOKEN,
     RunReport,
@@ -495,7 +497,13 @@ class TestRunServingSim:
         )
         reference = one_store_per_request(corpus.graph, control_params, workload, verify)
         for field in fields(RunReport):
-            assert getattr(report, field.name) == getattr(reference, field.name), field.name
+            if field.name != "fetches":
+                assert getattr(report, field.name) == getattr(reference, field.name), field.name
+        # The records keep the computing store's own flags: a pair an earlier
+        # request fetched is a hit there, and a fallback in a fresh store.
+        as_fresh = [r._replace(result=replace(r.result, flag="fallback")) for r in report.fetches]
+        assert as_fresh == list(reference.fetches)
+        assert any(r.result.flag == "hit" for r in report.fetches)
 
     def test_stateful_computes_each_pair_once(self, planted_default, control_params, monkeypatch):
         corpus = planted_default
@@ -517,6 +525,56 @@ class TestRunServingSim:
         assert len(set(fetched)) < len(fetched)  # requests share pairs
         assert len(calls) == len(set(fetched))
 
+    def test_stateful_shared_footprint_is_a_fold_over_the_records(self, planted_default, control_params):
+        # The one computing store holds each distinct (path, op) pair once:
+        # what a stateful store shared by the requests would hold.
+        corpus = planted_default
+        store = CacheStore(corpus.graph, "stateful", oracle=KVOracle(OracleConfig()))
+        workload = repeating_workload(corpus, "zipf")
+        report = run_serving_sim(corpus.graph, control_params, workload, "stateful", store=store)
+        shared = {(f.path, f.op): f.nbytes for f in report.fetches}
+        assert len(shared) < len(report.fetches)
+        fold = MemoryReport("stateful", 0, 0, sum(shared.values()), 0, 0, len(shared))
+        assert store.memory_footprint() == fold
+        assert report.memory.n_fulls == len(report.fetches)
+
+    @pytest.mark.parametrize("mode", ["stateless", "differential", "stateful"])
+    def test_head_keeps_the_records_of_its_requests_without_folding_again(
+        self, planted_default, control_params, mode, monkeypatch
+    ):
+        corpus = planted_default
+        workload = repeating_workload(corpus, "uniform")
+        report = run_serving_sim(corpus.graph, control_params, workload, mode)
+        assert [f.request for f in report.fetches] == sorted(f.request for f in report.fetches)
+        monkeypatch.setattr(harness, "_fold", None)
+        for n in range(len(workload.requests) + 1):
+            head = report.head(n)
+            assert head.fetches == tuple(f for f in report.fetches if f.request < n)
+            assert head.request_costs == report.request_costs[:n]
+            assert head.request_memory == report.request_memory[:n]
+
+    def test_records_keep_no_fetched_tensor(self, planted_default, control_params, monkeypatch):
+        # A differential hit is a fresh reconstruction; a record must not pin it.
+        corpus = planted_default
+        workload = repeating_workload(corpus, "zipf")
+        store = CacheStore(corpus.graph, "differential", oracle=KVOracle(OracleConfig()))
+        run_serving_sim(corpus.graph, control_params, workload, "differential", store=store)
+        rebuilt = []
+        real_reconstruct = kvstore.reconstruct
+
+        def tracked_reconstruct(base, delta):
+            kv = real_reconstruct(base, delta)
+            rebuilt.append(weakref.ref(kv))
+            return kv
+
+        monkeypatch.setattr(kvstore, "reconstruct", tracked_reconstruct)
+        report = run_serving_sim(corpus.graph, control_params, workload, "differential", store=store)
+        gc.collect()
+        assert rebuilt and all(ref() is None for ref in rebuilt)
+        assert [f.nbytes for f in report.fetches] == [
+            kvstore.kv_file_nbytes(store.fetch(f.path, f.op)[0]) for f in report.fetches
+        ]
+
 
 def repeating_workload(corpus, distribution):
     """Eight sampled requests, then the first four again verbatim."""
@@ -533,11 +591,11 @@ def one_store_per_request(graph, params, workload, verify):
     """What stateful serving reports when every request gets a fresh store of
     its own and the footprint is summed over those stores."""
     oracle = KVOracle(OracleConfig())
-    costs, hits, fallbacks, scores, entries, memory = [], [], [], [], [], []
+    costs, hits, fallbacks, scores, entries, memory, records = [], [], [], [], [], [], []
     total = MemoryReport("stateful", 0, 0, 0, 0, 0, 0)
     counters = [f.name for f in fields(MemoryReport) if f.name != "mode"]
     verified = True
-    for text, target in zip(workload.requests, workload.targets):
+    for i, (text, target) in enumerate(zip(workload.requests, workload.targets)):
         workflow = generate(graph, params, text)
         store = CacheStore(graph, "stateful", oracle=oracle)
         cost, n_hit, n_entries = 0.0, 0, 0
@@ -551,6 +609,7 @@ def one_store_per_request(graph, params, workload, verify):
             n_entries += result.entries_applied
             expect = oracle.stateful_segment(store.prefix_tokens(chain[:-1]), store.op_tokens(node))
             verified = verified and np.array_equal(kv.states, expect.states)
+            records.append(FetchRecord(i, chain[:-1], node, result, kvstore.kv_file_nbytes(kv)))
         m = store.memory_footprint()
         total = MemoryReport(
             "stateful", *(getattr(total, name) + getattr(m, name) for name in counters)
@@ -563,7 +622,7 @@ def one_store_per_request(graph, params, workload, verify):
         memory.append(total)
     return RunReport(
         "stateful", tuple(costs), tuple(hits), tuple(fallbacks), tuple(scores),
-        tuple(entries), tuple(memory), verified=verified if verify else None,
+        tuple(entries), tuple(memory), verified=verified if verify else None, fetches=tuple(records),
     )
 
 
@@ -628,6 +687,7 @@ class TestOnePlanPerRequest:
         )
         assert len(sorts) == len(workflows)
         assert fetches == expected_fetches
+        assert [(f.path, f.op) for f in report.fetches] == expected_fetches
         assert stats.edge_counts == expected_stats.edge_counts
         assert stats.observed_pairs == expected_stats.observed_pairs
         assert stats.total_observations == expected_stats.total_observations

@@ -37,6 +37,8 @@ from opflow.kvstore import (
 from opflow.oracle import KVOracle, KVTensor, OracleConfig, tokenize
 from opflow.pruning import PlanPolicy, TransitionStats, apply_plan, path_digest, plan_materialization
 
+from conftest import assert_unreplaced
+
 
 def small_graph():
     ops = {
@@ -438,6 +440,28 @@ class TestFileFormats:
         again = tmp_path / "seg2.delta"
         write_delta(again, back)
         assert again.read_bytes() == file.read_bytes()
+
+    def test_failed_write_kv_leaves_the_earlier_file(self, tmp_path, fail_writing):
+        file = tmp_path / "seg.kv"
+        write_kv(file, KVOracle().base_segment([7, 99], 0))
+        old = file.read_bytes()
+        staged = fail_writing("seg.kv")
+        with pytest.raises(OSError, match="disk full"):
+            write_kv(file, KVOracle().base_segment([7, 99, 2048], 5))
+        assert staged and staged[0] > 0
+        assert_unreplaced(file, old)
+
+    def test_failed_write_delta_leaves_the_earlier_file(self, tmp_path, fail_writing):
+        oracle = KVOracle()
+        rng = np.random.default_rng(23)
+        file = tmp_path / "seg.delta"
+        write_delta(file, sparsify(*random_pair(oracle, rng), 0.9))
+        old = file.read_bytes()
+        staged = fail_writing("seg.delta")
+        with pytest.raises(OSError, match="disk full"):
+            write_delta(file, sparsify(*random_pair(oracle, rng), 0.5))
+        assert staged and staged[0] > 0
+        assert_unreplaced(file, old)
 
     def test_kv_header_is_32_bytes_and_delta_36(self):
         assert KV_HEADER.size == 32

@@ -18,6 +18,8 @@ from opflow.pruning import (
     write_trace_log,
 )
 
+from conftest import assert_unreplaced
+
 
 def route_graph():
     """Entry op fanning out into two chains: E->A1->A2 and E->B1->B2."""
@@ -332,6 +334,16 @@ class TestTraceLog:
         file = tmp_path / "traces.tsv"
         write_trace_log(file, [("TASK_A", ["OP_E", "OP_A1"])])
         assert file.read_text() == "TASK_A\tOP_E,OP_A1\n"
+
+    def test_failed_write_leaves_the_earlier_log(self, tmp_path, fail_writing):
+        file = tmp_path / "traces.tsv"
+        write_trace_log(file, [("T1", ALPHA)])
+        old = file.read_bytes()
+        staged = fail_writing("traces.tsv")
+        with pytest.raises(OSError, match="disk full"):
+            write_trace_log(file, [("T1", ALPHA), ("T2", BETA)])
+        assert staged and staged[0] > 0
+        assert_unreplaced(file, old)
 
     def test_rejects_malformed_lines(self, tmp_path):
         file = tmp_path / "bad.tsv"
