@@ -265,7 +265,7 @@ def cmd_build_graph(cfg: SimpleNamespace) -> int:
     workflows = _load_workflow_dir(_require(cfg, "workflows"))
     graph = merge_workflows(workflows)
     out = _out_dir(cfg) / "graph.json"
-    _write_atomic(out, lambda fh: fh.write(serialize_graph(graph).encode("utf-8")))
+    _write_atomic({out: lambda fh: fh.write(serialize_graph(graph).encode("utf-8"))})
     merged = sum(len(sources) - 1 for sources in graph.merged_from.values())
     log.info("graph written to %s", out)
     print(f"{len(graph.node_ids)} nodes, {len(graph.edge_list)} edges, {merged} merged")
@@ -285,7 +285,7 @@ def cmd_train(cfg: SimpleNamespace) -> int:
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.params, cfg.seed)
     rows = "".join(f"{i},{loss!r}\n" for i, loss in enumerate(result.epoch_losses))
-    _write_atomic(out / "train_loss.csv", lambda fh: fh.write(("epoch,mean_loss\n" + rows).encode("utf-8")))
+    _write_atomic({out / "train_loss.csv": lambda fh: fh.write(("epoch,mean_loss\n" + rows).encode("utf-8"))})
     log.info("checkpoint and loss curve written to %s", out)
     return 0
 
@@ -319,10 +319,11 @@ def cmd_kv_analyze(cfg: SimpleNamespace) -> int:
 
 
 def _write_csvs(out: Path, texts: dict[str, str]) -> int:
-    """Write each named file into ``out`` and print its path."""
-    for name, text in texts.items():
-        _write_atomic(out / name, lambda fh: fh.write(text.encode("utf-8")))
-        print(out / name)
+    """Write the named files into ``out``, all or none, and print their paths."""
+    data = {out / name: text.encode("utf-8") for name, text in texts.items()}
+    _write_atomic({path: lambda fh, raw=raw: fh.write(raw) for path, raw in data.items()})
+    for path in data:
+        print(path)
     log.info("%s written to %s", ", ".join(texts), out)
     return 0
 
@@ -359,9 +360,11 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
     report = apply_plan(store, plan)
     save_store(store, cfg.store)
     out = _out_dir(cfg)
-    _write_atomic(out / "prune_report.csv", lambda fh: fh.write(report.to_csv().encode("utf-8")))
     counters = [f.name for f in fields(PlanReport) if f.name != "rows"]
-    _write_atomic(out / "prune_summary.csv", lambda fh: fh.write(_csv(counters, [report]).encode("utf-8")))
+    _write_atomic({
+        out / "prune_report.csv": lambda fh: fh.write(report.to_csv().encode("utf-8")),
+        out / "prune_summary.csv": lambda fh: fh.write(_csv(counters, [report]).encode("utf-8")),
+    })
     log.info("store written to %s, prune reports to %s", cfg.store, out)
     print(f"bytes_before={report.bytes_before} bytes_after={report.bytes_after} "
           f"dropped={report.dropped}")
@@ -377,7 +380,7 @@ def cmd_kv_footprint(cfg: SimpleNamespace) -> int:
         m = MemoryReport(cfg.mode, 0, 0, 0, 0, 0, 0)
     csv_text = _csv([f.name for f in fields(MemoryReport)] + ["total_bytes"], [m])
     path = _out_dir(cfg) / "footprint.csv"
-    _write_atomic(path, lambda fh: fh.write(csv_text.encode("utf-8")))
+    _write_atomic({path: lambda fh: fh.write(csv_text.encode("utf-8"))})
     log.info("footprint written to %s", path)
     sys.stdout.write(csv_text)
     return 0

@@ -589,7 +589,7 @@ def save_samples(path: str | Path, samples: Sequence[TrainSample]) -> None:
         if "\t" in sample.task_text or "\n" in sample.task_text:
             raise DataError(f"task text {sample.task_text!r} contains tab or newline")
         lines.append(f"{sample.task_text}\t{sample.workflow.id}\n")
-    _write_atomic(path, lambda fh: fh.write("".join(lines).encode("utf-8")))
+    _write_atomic({path: lambda fh: fh.write("".join(lines).encode("utf-8"))})
 
 
 def load_samples(

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, its one rule for a whole
-number given by a caller, and its one way to replace a file.
+number given by a caller, and its one way to replace files.
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 :class:`DataError` (and subclasses) exit 2, :class:`NumericError` exits 3.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 import os
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Mapping
 
 
 class OpflowError(Exception):
@@ -62,21 +62,32 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise DataError(f"{name} must be {kind}, got {value!r}")
 
 
-def _write_atomic(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
-    """Replace ``path`` with the bytes ``write(fh)`` writes, all or nothing.
+def _write_atomic(files: Mapping[str | Path, Callable[[BinaryIO], None]]) -> None:
+    """Replace each path in ``files`` with the bytes its ``write(fh)`` writes,
+    all of them or none.
 
-    They go to ``.<name>.tmp`` in the same directory, which is flushed and
-    synced, then moved over ``path`` by one ``os.replace``: a failed or
-    interrupted write leaves ``path`` as it was and removes the staging file.
+    Each file's bytes go to ``.<name>.tmp`` in its directory, which is flushed
+    and synced.  Once every file is staged, each is moved over its path by one
+    ``os.replace``, and each directory is then synced so the renames survive a
+    crash.  A write that fails or is interrupted before the first replace
+    leaves every path as it was and removes the staging files.
     """
-    path = Path(path)
-    staging = path.with_name(f".{path.name}.tmp")
+    staged = {Path(path).with_name(f".{Path(path).name}.tmp"): Path(path) for path in files}
     try:
-        with open(staging, "wb") as fh:  # truncates one left by a killed write
-            write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(staging, path)
+        for staging, write in zip(staged, files.values()):
+            with open(staging, "wb") as fh:  # truncates one left by a killed write
+                write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for staging, path in staged.items():
+            os.replace(staging, path)
     except BaseException:
-        staging.unlink(missing_ok=True)
+        for staging in staged:
+            staging.unlink(missing_ok=True)
         raise
+    for directory in dict.fromkeys(path.parent for path in staged.values()):
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)

@@ -8,13 +8,13 @@ cost plus a per-entry residual-apply cost, while a fallback pays a per-token
 fixed; what matters is that identical seeds give identical reports.
 
 A serving run records, then folds: its fetch loop only computes and keeps
-one ``FetchRecord`` per fetch, and one fold turns the records into the
-report.  Batch concurrency is modeled as simultaneous live stores for the
-memory account and sequential execution for the cost account: the fold
-accounts one empty store per stateful request (one store per run computes),
-while stateless and differential requests share one store, which is exactly
-where the differential layout's cross-request deduplication shows up in the
-sweep curves.
+the store's own ``FetchResult`` of each fetch, per request, and one fold
+turns the records into the report.  Batch concurrency is modeled as
+simultaneous live stores for the memory account and sequential execution
+for the cost account: the fold accounts one empty store per stateful
+request (one store per run computes), while stateless and differential
+requests share one store, which is exactly where the differential layout's
+cross-request deduplication shows up in the sweep curves.
 
 The batch-size sweep serves each mode once: requests run in order against
 stores that only grow, so batch size B is read off the first B per-request
@@ -23,18 +23,16 @@ records (cost, score, entries applied, footprint after) of that one run.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, groupby
-from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .construct import PlantedCorpus, _synthesize, edge_f1
 from .errors import DataError, _check_int
 from .graph import OperationGraph, Workflow, topological_order
-from .kvstore import CacheStore, FetchResult, MemoryReport, kv_file_nbytes
+from .kvstore import CacheStore, FetchResult, MemoryReport
 from .nn import ModelParams
 from .oracle import KVOracle, OracleConfig, tokenize
 from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
@@ -170,23 +168,11 @@ def _maximal_traces(chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
-class FetchRecord(NamedTuple):
-    """One fetch of a serving run: the request's index, the (path, op) pair,
-    the store's own result and the fetched tensor's file bytes (never the
-    tensor: a differential hit is a fresh reconstruction)."""
-
-    request: int
-    path: tuple[str, ...]
-    op: str
-    result: FetchResult
-    nbytes: int
-
-
 @dataclass
 class RunReport:
-    """Per-request figures of one serving run, in order, folded from its
-    ``fetches``; ``request_memory[i]`` is the footprint right after request
-    ``i`` (stateful: summed over per-request stores)."""
+    """Per-request figures of one serving run, in order, folded from the
+    store's fetch records in ``request_fetches``; ``request_memory[i]`` is the
+    footprint right after request ``i`` (stateful: summed over per-request stores)."""
 
     mode: str
     request_costs: tuple[float, ...]
@@ -196,14 +182,13 @@ class RunReport:
     request_entries: tuple[int, ...]
     request_memory: tuple[MemoryReport, ...]
     verified: bool | None = None  # None when oracle verification was off
-    fetches: tuple[FetchRecord, ...] = ()
+    request_fetches: tuple[tuple[FetchResult, ...], ...] = ()
 
     def head(self, n: int) -> RunReport:
         """What a run over only the first ``n`` requests reports (``verified``
         still covers the whole run), sliced rather than folded again."""
-        cut = bisect_left(self.fetches, n, key=attrgetter("request"))
         sliced = {f.name: getattr(self, f.name)[:n] for f in fields(self) if f.name.startswith("request_")}
-        return replace(self, fetches=self.fetches[:cut], **sliced)
+        return replace(self, **sliced)
 
     @property
     def memory(self) -> MemoryReport:
@@ -286,7 +271,7 @@ def run_serving_sim(
     elif oracle is not None and oracle is not store.oracle:
         raise DataError("the oracle passed is not the injected store's")
 
-    fetches: list[FetchRecord] = []
+    request_fetches: list[tuple[FetchResult, ...]] = []
     scores: list[float] = []
     memory: list[MemoryReport] = []
     verified = True
@@ -296,25 +281,26 @@ def run_serving_sim(
     for req_index, task_text in enumerate(workload.requests):
         wf = cached[task_text] if task_text in cached else generated[task_text]
         scores.append(edge_f1(wf.edges, workload.targets[req_index]))
+        records = []
         for node, chain in execution_chains(wf).items():
-            path = chain[:-1]
-            kv, result = store.fetch(path, node)
+            kv, result = store.fetch(chain[:-1], node)
             if result.flag == "fallback" and mode == "differential" and warm_differential:
-                store.insert_residual(path, node)
-            if verify_fetches and not store.verify_fetch(path, node, kv, result.flag):
+                store.insert_residual(result.path, node)
+            if verify_fetches and not store.verify_fetch(kv, result):
                 verified = False
-            fetches.append(FetchRecord(req_index, path, node, result, kv_file_nbytes(kv)))
+            records.append(result)
+        request_fetches.append(tuple(records))
         memory.append(store.memory_footprint())
 
     if stats is not None:
-        for _, records in groupby(fetches, key=attrgetter("request")):
-            for trace in _maximal_traces({f.op: f.path + (f.op,) for f in records}):
+        for records in request_fetches:
+            for trace in _maximal_traces({r.op: r.path + (r.op,) for r in records}):
                 stats.record(trace)
-    return _fold(mode, fetches, scores, memory, verified if verify_fetches else None)
+    return _fold(mode, request_fetches, scores, memory, verified if verify_fetches else None)
 
 
 def _fold(
-    mode: str, fetches: list[FetchRecord], scores: list[float],
+    mode: str, request_fetches: list[tuple[FetchResult, ...]], scores: list[float],
     store_memory: list[MemoryReport], verified: bool | None,
 ) -> RunReport:
     """The run's report: every per-request figure, summed in fetch order in
@@ -324,18 +310,19 @@ def _fold(
     n = len(scores)
     costs, hits, fallbacks, entries, fetched = [0.0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     stateful = mode == "stateful"
-    for request, _, _, r, nbytes in fetches:
-        flag = "fallback" if stateful else r.flag
-        costs[request] += fetch_cost(flag, r.entries_applied, r.prefix_tokens, r.op_tokens)
-        entries[request] += r.entries_applied
-        (hits if flag == "hit" else fallbacks)[request] += 1
-        fetched[request] += nbytes
+    for request, records in enumerate(request_fetches):
+        for _, _, flag, applied, n_prefix, n_op, nbytes in records:
+            flag = "fallback" if stateful else flag
+            costs[request] += fetch_cost(flag, applied, n_prefix, n_op)
+            entries[request] += applied
+            (hits if flag == "hit" else fallbacks)[request] += 1
+            fetched[request] += nbytes
     if stateful:
         running = zip(accumulate(fetched), accumulate(fallbacks))
         store_memory = [MemoryReport(mode, 0, 0, size, 0, 0, count) for size, count in running]
     return RunReport(
         mode, tuple(costs), tuple(hits), tuple(fallbacks), tuple(scores), tuple(entries),
-        tuple(store_memory), verified, tuple(fetches),
+        tuple(store_memory), verified, tuple(request_fetches),
     )
 
 

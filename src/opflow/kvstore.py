@@ -45,7 +45,7 @@ import weakref
 from dataclasses import asdict, dataclass, fields
 from math import prod
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -273,7 +273,7 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
 
 
 def write_kv(path: str | Path, kv: KVTensor) -> None:
-    _write_atomic(path, lambda fh: fh.write(_kv_bytes(kv)))
+    _write_atomic({path: lambda fh: fh.write(_kv_bytes(kv))})
 
 
 def read_kv(path: str | Path) -> KVTensor:
@@ -281,7 +281,7 @@ def read_kv(path: str | Path) -> KVTensor:
 
 
 def write_delta(path: str | Path, delta: SparseDelta) -> None:
-    _write_atomic(path, lambda fh: fh.write(_delta_bytes(delta)))
+    _write_atomic({path: lambda fh: fh.write(_delta_bytes(delta))})
 
 
 def read_delta(path: str | Path) -> SparseDelta:
@@ -293,14 +293,19 @@ def read_delta(path: str | Path) -> SparseDelta:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FetchResult:
-    """Outcome metadata for one fetch: served from store or computed."""
+class FetchResult(NamedTuple):
+    """The record of one fetch: the (path, op) pair, whether the store served
+    it ("hit") or computed it ("fallback"), the residual entries applied, the
+    prefix and op token counts, and the fetched tensor's file bytes.  It never
+    holds the tensor: a differential hit is a fresh reconstruction."""
 
+    path: PathKey
+    op: str
     flag: str  # "hit" | "fallback"
     entries_applied: int
     prefix_tokens: int
     op_tokens: int
+    nbytes: int
 
 
 @dataclass
@@ -455,31 +460,23 @@ class CacheStore:
         path = tuple(path)
         n_prefix = self.validate_path(path, op_id)
         n_op = len(self.op_tokens(op_id))
-
+        flag, entries = "hit", 0
         if self.mode == "stateless":
             kv = self.base(op_id, n_prefix)
-            return kv, FetchResult("hit", 0, n_prefix, n_op)
-
-        if self.mode == "stateful":
+        elif self.mode == "stateful":
             key = (path, op_id)
             kv = self.fulls.get(key)
-            if kv is not None:
-                return kv, FetchResult("hit", 0, n_prefix, n_op)
-            kv = self._stateful(path, op_id, n_prefix)
-            self._put("fulls", key, kv)
-            return kv, FetchResult("fallback", 0, n_prefix, n_op)
-
-        # differential
-        if not path:
+            if kv is None:
+                kv, flag = self._stateful(path, op_id, n_prefix), "fallback"
+                self._put("fulls", key, kv)
+        elif not path:  # differential: an empty prefix is served by a base
             kv = self.base(op_id, 0)
-            return kv, FetchResult("hit", 0, n_prefix, n_op)
-        delta = self.residuals.get((path, op_id))
-        if delta is not None:
-            kv = reconstruct(self.base(op_id, n_prefix), delta)
-            return kv, FetchResult("hit", delta.entries, n_prefix, n_op)
-        kv = self._stateful(path, op_id, n_prefix)
-        self._last_fallback = ((path, op_id), kv)
-        return kv, FetchResult("fallback", 0, n_prefix, n_op)
+        elif (delta := self.residuals.get((path, op_id))) is not None:
+            kv, entries = reconstruct(self.base(op_id, n_prefix), delta), delta.entries
+        else:
+            kv, flag = self._stateful(path, op_id, n_prefix), "fallback"
+            self._last_fallback = ((path, op_id), kv)
+        return kv, FetchResult(path, op_id, flag, entries, n_prefix, n_op, kv_file_nbytes(kv))
 
     def insert_residual(self, path: Iterable[str], op_id: str) -> SparseDelta:
         """Materialize the residual for a (path, op) pair (differential only).
@@ -500,13 +497,13 @@ class CacheStore:
         self._put("residuals", key, delta)
         return delta
 
-    def verify_fetch(self, path: Iterable[str], op_id: str, kv: KVTensor, flag: str) -> bool:
-        """Whether ``kv``, fetched for ``(path, op_id)`` with ``flag``, keeps
-        the mode's contract: a differential hit on a non-empty path lies within
+    def verify_fetch(self, kv: KVTensor, result: FetchResult) -> bool:
+        """Whether ``kv``, fetched as ``result`` records, keeps the mode's
+        contract: a differential hit on a non-empty path lies within
         ``sqrt(max(0, 1 - energy_target)) * ||full - base|| + 1e-6`` of the
         oracle's one-pass ``full``; any other fetch equals ``full`` (stateless:
         the base) bitwise."""
-        path = tuple(path)
+        path, op_id, flag = result.path, result.op, result.flag
         prefix = self.prefix_tokens(path)
         op_tokens = self.op_tokens(op_id)
         if self.mode == "stateless":
@@ -603,7 +600,7 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
         for entry in entries:
             fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
 
-    _write_atomic(root / STORE_FILE, write)
+    _write_atomic({root / STORE_FILE: write})
 
 
 def has_store(directory: str | Path) -> bool:

@@ -562,7 +562,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
-    _write_atomic(path, write)
+    _write_atomic({path: write})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:

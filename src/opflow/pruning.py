@@ -186,7 +186,7 @@ def write_trace_log(path: str | Path, traces: Iterable[tuple[str, Sequence[str]]
             if not op_id or "," in op_id or "\t" in op_id or "\n" in op_id:
                 raise DataError(f"op id {op_id!r} is not trace-log-safe")
         lines.append(f"{task_id}\t{','.join(ops)}\n")
-    _write_atomic(path, lambda fh: fh.write("".join(lines).encode("utf-8")))
+    _write_atomic({path: lambda fh: fh.write("".join(lines).encode("utf-8"))})
 
 
 def read_trace_log(path: str | Path) -> list[tuple[str, list[str]]]:

@@ -681,6 +681,28 @@ class TestOutputsAreReplacedAtomically:
         assert staged and staged[0] > 0
         assert_unreplaced(out / name, self.EARLIER)
 
+    @pytest.mark.parametrize("name, written", [
+        ("sparsity_layers.csv", ("sparsity_pairs.csv", "sparsity_layers.csv", "sparsity_heatmap.csv")),
+        ("prune_summary.csv", ("prune_report.csv", "prune_summary.csv")),
+    ])
+    def test_failed_write_leaves_every_file_of_the_command(
+        self, cli_project, tmp_path, fail_writing, name, written
+    ):
+        # A command's files are replaced together: failing a later one must
+        # not leave an earlier one holding the new run's bytes.
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert TestKvStoreCommands().materialize(root, store) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        for each in written:
+            (out / each).write_bytes(self.EARLIER)
+        staged = fail_writing(name)
+        assert main(self.argv(name, root, out, store)) == 2
+        assert staged and staged[0] > 0
+        for each in written:
+            assert_unreplaced(out / each, self.EARLIER)
+
 
 # ---------------------------------------------------------------------------
 # configuration precedence and exit codes

@@ -21,7 +21,6 @@ from opflow.errors import DataError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.harness import (
     APPLY_PER_ENTRY,
-    FetchRecord,
     HIT_FIXED,
     PREFILL_PER_TOKEN,
     RunReport,
@@ -497,13 +496,13 @@ class TestRunServingSim:
         )
         reference = one_store_per_request(corpus.graph, control_params, workload, verify)
         for field in fields(RunReport):
-            if field.name != "fetches":
+            if field.name != "request_fetches":
                 assert getattr(report, field.name) == getattr(reference, field.name), field.name
         # The records keep the computing store's own flags: a pair an earlier
         # request fetched is a hit there, and a fallback in a fresh store.
-        as_fresh = [r._replace(result=replace(r.result, flag="fallback")) for r in report.fetches]
-        assert as_fresh == list(reference.fetches)
-        assert any(r.result.flag == "hit" for r in report.fetches)
+        as_fresh = [tuple(r._replace(flag="fallback") for r in rs) for rs in report.request_fetches]
+        assert as_fresh == list(reference.request_fetches)
+        assert any(r.flag == "hit" for rs in report.request_fetches for r in rs)
 
     def test_stateful_computes_each_pair_once(self, planted_default, control_params, monkeypatch):
         corpus = planted_default
@@ -532,11 +531,12 @@ class TestRunServingSim:
         store = CacheStore(corpus.graph, "stateful", oracle=KVOracle(OracleConfig()))
         workload = repeating_workload(corpus, "zipf")
         report = run_serving_sim(corpus.graph, control_params, workload, "stateful", store=store)
-        shared = {(f.path, f.op): f.nbytes for f in report.fetches}
-        assert len(shared) < len(report.fetches)
+        records = [r for rs in report.request_fetches for r in rs]
+        shared = {(r.path, r.op): r.nbytes for r in records}
+        assert len(shared) < len(records)
         fold = MemoryReport("stateful", 0, 0, sum(shared.values()), 0, 0, len(shared))
         assert store.memory_footprint() == fold
-        assert report.memory.n_fulls == len(report.fetches)
+        assert report.memory.n_fulls == len(records)
 
     @pytest.mark.parametrize("mode", ["stateless", "differential", "stateful"])
     def test_head_keeps_the_records_of_its_requests_without_folding_again(
@@ -545,11 +545,11 @@ class TestRunServingSim:
         corpus = planted_default
         workload = repeating_workload(corpus, "uniform")
         report = run_serving_sim(corpus.graph, control_params, workload, mode)
-        assert [f.request for f in report.fetches] == sorted(f.request for f in report.fetches)
+        assert len(report.request_fetches) == len(workload.requests)
         monkeypatch.setattr(harness, "_fold", None)
         for n in range(len(workload.requests) + 1):
             head = report.head(n)
-            assert head.fetches == tuple(f for f in report.fetches if f.request < n)
+            assert head.request_fetches == report.request_fetches[:n]
             assert head.request_costs == report.request_costs[:n]
             assert head.request_memory == report.request_memory[:n]
 
@@ -571,8 +571,9 @@ class TestRunServingSim:
         report = run_serving_sim(corpus.graph, control_params, workload, "differential", store=store)
         gc.collect()
         assert rebuilt and all(ref() is None for ref in rebuilt)
-        assert [f.nbytes for f in report.fetches] == [
-            kvstore.kv_file_nbytes(store.fetch(f.path, f.op)[0]) for f in report.fetches
+        records = [r for rs in report.request_fetches for r in rs]
+        assert [r.nbytes for r in records] == [
+            kvstore.kv_file_nbytes(store.fetch(r.path, r.op)[0]) for r in records
         ]
 
 
@@ -595,10 +596,10 @@ def one_store_per_request(graph, params, workload, verify):
     total = MemoryReport("stateful", 0, 0, 0, 0, 0, 0)
     counters = [f.name for f in fields(MemoryReport) if f.name != "mode"]
     verified = True
-    for i, (text, target) in enumerate(zip(workload.requests, workload.targets)):
+    for text, target in zip(workload.requests, workload.targets):
         workflow = generate(graph, params, text)
         store = CacheStore(graph, "stateful", oracle=oracle)
-        cost, n_hit, n_entries = 0.0, 0, 0
+        cost, n_hit, n_entries, results = 0.0, 0, 0, []
         chains = execution_chains(workflow)
         for node, chain in chains.items():
             kv, result = store.fetch(chain[:-1], node)
@@ -609,7 +610,7 @@ def one_store_per_request(graph, params, workload, verify):
             n_entries += result.entries_applied
             expect = oracle.stateful_segment(store.prefix_tokens(chain[:-1]), store.op_tokens(node))
             verified = verified and np.array_equal(kv.states, expect.states)
-            records.append(FetchRecord(i, chain[:-1], node, result, kvstore.kv_file_nbytes(kv)))
+            results.append(result)
         m = store.memory_footprint()
         total = MemoryReport(
             "stateful", *(getattr(total, name) + getattr(m, name) for name in counters)
@@ -620,9 +621,11 @@ def one_store_per_request(graph, params, workload, verify):
         scores.append(edge_f1(workflow.edges, target))
         entries.append(n_entries)
         memory.append(total)
+        records.append(tuple(results))
     return RunReport(
         "stateful", tuple(costs), tuple(hits), tuple(fallbacks), tuple(scores),
-        tuple(entries), tuple(memory), verified=verified if verify else None, fetches=tuple(records),
+        tuple(entries), tuple(memory), verified=verified if verify else None,
+        request_fetches=tuple(records),
     )
 
 
@@ -687,7 +690,7 @@ class TestOnePlanPerRequest:
         )
         assert len(sorts) == len(workflows)
         assert fetches == expected_fetches
-        assert [(f.path, f.op) for f in report.fetches] == expected_fetches
+        assert [(r.path, r.op) for rs in report.request_fetches for r in rs] == expected_fetches
         assert stats.edge_counts == expected_stats.edge_counts
         assert stats.observed_pairs == expected_stats.observed_pairs
         assert stats.total_observations == expected_stats.total_observations

@@ -711,9 +711,9 @@ class TestVerifyFetch:
         for path, op_id in self.PAIRS * 2:  # cold, then warm
             kv, result = store.fetch(path, op_id)
             flags.add((result.flag, bool(path)))
-            assert store.verify_fetch(path, op_id, kv, result.flag)
+            assert store.verify_fetch(kv, result)
             if not (mode == "differential" and result.flag == "hit" and path):
-                assert not store.verify_fetch(path, op_id, nudged(kv), result.flag)
+                assert not store.verify_fetch(nudged(kv), result)
             if mode == "differential" and result.flag == "fallback":
                 store.insert_residual(path, op_id)
         expected = {
@@ -730,17 +730,17 @@ class TestVerifyFetch:
         store.insert_residual(path, op_id)
         kv, result = store.fetch(path, op_id)
         assert result.flag == "hit"
-        assert store.verify_fetch(path, op_id, kv, "hit")
+        assert store.verify_fetch(kv, result)
         prefix, op_tokens = store.prefix_tokens(path), store.op_tokens(op_id)
         full = store.oracle.stateful_segment(prefix, op_tokens)
         base = store.oracle.base_segment(op_tokens, len(prefix))
         bound = np.sqrt(0.05) * kvstore._distance(full, base) + 1e-6
         inside, outside = along(full, base, 0.99 * bound), along(full, base, 1.01 * bound)
         assert kvstore._distance(inside, full) < bound < kvstore._distance(outside, full)
-        assert store.verify_fetch(path, op_id, inside, "hit")
-        assert not store.verify_fetch(path, op_id, outside, "hit")
+        assert store.verify_fetch(inside, result)
+        assert not store.verify_fetch(outside, result)
         # The same tensors as fallbacks are held to bitwise equality.
-        assert not store.verify_fetch(path, op_id, inside, "fallback")
+        assert not store.verify_fetch(inside, result._replace(flag="fallback"))
 
     def test_bound_keeps_an_absolute_slack_of_1e_6(self):
         # At energy 1.0 the bound is the slack alone: a one-ulp change of a
@@ -752,10 +752,52 @@ class TestVerifyFetch:
         store.insert_residual(path, op_id)
         kv, result = store.fetch(path, op_id)
         assert result.flag == "hit" and abs(kv.states.reshape(-1)[-1]) < 8.0
-        assert store.verify_fetch(path, op_id, nudged(kv), "hit")
+        assert store.verify_fetch(nudged(kv), result)
         far = kv.states.copy()
         far.reshape(-1)[-1] += np.float32(2e-6)
-        assert not store.verify_fetch(path, op_id, KVTensor(far, kv.position_offset), "hit")
+        assert not store.verify_fetch(KVTensor(far, kv.position_offset), result)
+        # A fetch forged as a fallback is held to bitwise equality instead.
+        assert not store.verify_fetch(nudged(kv), result._replace(flag="fallback"))
+
+
+class TestFetchResult:
+    """``fetch`` returns the one record of a fetch: the pair, the flag, the
+    residual entries applied, the token counts and the fetched tensor's file
+    bytes, made of nothing but strings and Python ints."""
+
+    @staticmethod
+    def plain(value):
+        if type(value) is tuple:
+            return all(type(item) is str for item in value)
+        return type(value) in (str, int)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_hit_and_fallback_is_recorded_whole(self, mode):
+        store = CacheStore(small_graph(), mode=mode)
+        flags = set()
+        for path, op_id in TestVerifyFetch.PAIRS * 2:  # cold, then warm
+            residual = store.residuals.get((path, op_id))
+            hit = {
+                "stateless": True,
+                "stateful": (path, op_id) in store.fulls,
+                "differential": not path or residual is not None,
+            }[mode]
+            kv, result = store.fetch(list(path), op_id)
+            expected = FetchResult(
+                path, op_id, "hit" if hit else "fallback", residual.entries if residual else 0,
+                len(store.prefix_tokens(path)), len(store.op_tokens(op_id)), kv_file_nbytes(kv),
+            )
+            assert type(result) is FetchResult and result == expected
+            assert all(self.plain(value) for value in result), result
+            flags.add((result.flag, result.entries_applied > 0))
+            if mode == "differential" and result.flag == "fallback":
+                store.insert_residual(path, op_id)
+        expected_flags = {
+            "stateless": {("hit", False)},
+            "stateful": {("hit", False), ("fallback", False)},
+            "differential": {("hit", False), ("hit", True), ("fallback", False)},
+        }
+        assert flags == expected_flags[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +1032,9 @@ class TestStoreRoundTrip:
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
 
-        def fsync(fd):
-            calls.append(("fsync", os.fstat(fd).st_size))
+        def fsync(fd):  # a file by its size, its directory by its path
+            st = os.fstat(fd)
+            calls.append(("fsync", tmp_path if os.path.samestat(st, os.stat(tmp_path)) else st.st_size))
             real_fsync(fd)
 
         def replace_file(src, dst):
@@ -1002,7 +1045,7 @@ class TestStoreRoundTrip:
         monkeypatch.setattr(kvstore.os, "replace", replace_file)
         save_store(store, tmp_path)
         size = (tmp_path / "store.bin").stat().st_size
-        assert calls == [("fsync", size), ("replace", ".store.bin.tmp", "store.bin")]
+        assert calls == [("fsync", size), ("replace", ".store.bin.tmp", "store.bin"), ("fsync", tmp_path)]
 
     def test_stale_temporary_file_is_ignored_then_overwritten(self, tmp_path):
         graph, store = self.populate()

@@ -850,8 +850,9 @@ class TestCheckpoint:
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
 
-        def fsync(fd):
-            calls.append(("fsync", os.fstat(fd).st_size))
+        def fsync(fd):  # a file by its size, its directory by its path
+            st = os.fstat(fd)
+            calls.append(("fsync", tmp_path if os.path.samestat(st, os.stat(tmp_path)) else st.st_size))
             real_fsync(fd)
 
         def replace_file(src, dst):
@@ -862,7 +863,9 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "replace", replace_file)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(dim_in=3, dim_hidden=2, mlp_hidden=2), seed=0)
-        assert calls == [("fsync", path.stat().st_size), ("replace", ".model.ckpt.tmp", "model.ckpt")]
+        assert calls == [
+            ("fsync", path.stat().st_size), ("replace", ".model.ckpt.tmp", "model.ckpt"), ("fsync", tmp_path)
+        ]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
