@@ -42,7 +42,7 @@ from .construct import (
 from .errors import DataError, NumericError, _write_atomic
 from .graph import merge_workflows, parse_graph, parse_workflow, serialize_graph, serialize_workflow
 from .harness import DEFAULT_BATCH_SIZES, _csv, make_workload, sparsity_report, sweep_batch_sizes
-from .kvstore import MODES, CacheStore, MemoryReport, has_store, load_store, save_store
+from .kvstore import MODES, CacheStore, MemoryReport, _store_file, has_store, load_store, save_store
 from .nn import init_params, load_checkpoint, save_checkpoint
 from .oracle import KVOracle, OracleConfig
 from .pruning import (
@@ -358,10 +358,11 @@ def cmd_kv_prune(cfg: SimpleNamespace) -> int:
     policy = PlanPolicy(k=cfg.prune_k, budget=cfg.budget)
     plan = plan_materialization(graph, stats, policy)
     report = apply_plan(store, plan)
-    save_store(store, cfg.store)
     out = _out_dir(cfg)
     counters = [f.name for f in fields(PlanReport) if f.name != "rows"]
+    store_path, write_store = _store_file(store, cfg.store)
     _write_atomic({
+        store_path: write_store,
         out / "prune_report.csv": lambda fh: fh.write(report.to_csv().encode("utf-8")),
         out / "prune_summary.csv": lambda fh: fh.write(_csv(counters, [report]).encode("utf-8")),
     })

@@ -25,11 +25,13 @@ path at the default oracle config, neither saved nor counted in
 
 Residual coordinates index the combined space ``KVTensor.states``, of shape
 (layers, heads, tokens, 2 * head_dim): the last axis holds key dims first,
-value dims second.  A residual holds the full tensor's own float32 value at
-each kept coordinate, a replacement rather than an addend: reconstruction
-copies the base's states and puts those values at their flat indices, so it
-reproduces the full tensor bit-for-bit on every kept coordinate, and at an
-energy target of 1.0 the whole reconstruction is bitwise exact.
+value dims second.  A residual keeps each as a flat position, in the smallest
+unsigned type that addresses that space (uint16 at the default oracle config),
+and holds the full tensor's own float32 value at it, a replacement rather than
+an addend: reconstruction copies the base's states and puts those values at
+their flat indices, so it reproduces the full tensor bit-for-bit on every kept
+coordinate, and at an energy target of 1.0 the whole reconstruction is bitwise
+exact.
 
 ``save_store`` writes a store as one file, a JSON manifest followed by each
 entry encoded as a KV or delta file, and swaps it in with one ``os.replace``;
@@ -45,7 +47,7 @@ import weakref
 from dataclasses import asdict, dataclass, fields
 from math import prod
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,9 +84,11 @@ class SparseDelta:
     """Sparse difference between an in-context tensor and its base.
 
     ``dense_shape`` is the shape of ``KVTensor.states``,
-    (layers, heads, tokens, 2 * head_dim); ``index`` is (n,) int32, each kept
+    (layers, heads, tokens, 2 * head_dim); ``index`` is (n,), each kept
     coordinate's flat row-major position in that shape, strictly increasing,
-    and ``values`` (n,) float32, the full tensor's value at each.
+    of type ``np.min_scalar_type(size - 1)`` (uint16 for ops of up to 128
+    tokens at the default oracle config); ``values`` is (n,) float32, the full
+    tensor's value at each.
     """
 
     dense_shape: tuple[int, int, int, int]
@@ -101,10 +105,13 @@ class SparseDelta:
             raise DataError(f"combined shape {self.dense_shape} overflows an int32 index")
         if self.index.shape != (len(self.values),):
             raise DataError("coordinate/value count mismatch")
-        if (np.diff(self.index) <= 0).any():
+        # Compared, not differenced: np.diff wraps round on an unsigned index.
+        if (self.index[1:] <= self.index[:-1]).any():
             raise DataError("delta coordinates must be distinct and in row-major order")
+        # Bounds are checked before the narrowing cast, which would wrap them.
         if len(self.index) and (self.index[0] < 0 or self.index[-1] >= size):
             raise DataError("delta contains out-of-bounds coordinates")
+        self.index = self.index.astype(np.min_scalar_type(size - 1), copy=False)
 
     @property
     def coords(self) -> np.ndarray:
@@ -168,7 +175,7 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
         dense_shape=full.states.shape,
         position_offset=full.position_offset,
         kept_energy_fraction=kept_fraction,
-        index=kept_idx.astype(np.int32),
+        index=kept_idx,
         values=full.states.ravel()[kept_idx],
     )
 
@@ -181,8 +188,8 @@ def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
         )
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    # An intp index takes numpy's fast path; the int32 one stored is half the
-    # bytes.  Converted before the copy: converted after it, the transient
+    # numpy's fast path takes an intp index (4x the default uint16 one), so it
+    # is converted here, before the copy: converted after it, the transient
     # index left heap holes that raised a long-lived process's peak RSS.
     index = delta.index.astype(np.intp)
     states = base.states.copy()
@@ -267,7 +274,7 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
         dense_shape=shape,
         position_offset=offset,
         kept_energy_fraction=energy,
-        index=flat.astype(np.int32),
+        index=flat,
         values=np.frombuffer(raw, dtype="<f4", count=count, offset=values_at).astype(np.float32),
     )
 
@@ -573,6 +580,13 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     gives exactly this store, and a failed or interrupted save leaves the
     earlier one as it was.  Other files in the directory are left alone.
     """
+    path, write = _store_file(store, directory)
+    _write_atomic({path: write})
+
+
+def _store_file(store: CacheStore, directory: str | Path) -> tuple[Path, Callable[[BinaryIO], None]]:
+    """The path ``save_store`` writes ``store`` to, its directory made if need
+    be, and the writer of its bytes, for one ``_write_atomic`` call."""
     rows, entries, start = [], [], 0
     for table in _TABLES:
         for key, entry in sorted(getattr(store, table).items()):
@@ -600,7 +614,7 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
         for entry in entries:
             fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
 
-    _write_atomic({root / STORE_FILE: write})
+    return root / STORE_FILE, write
 
 
 def has_store(directory: str | Path) -> bool:

@@ -689,10 +689,12 @@ class TestOutputsAreReplacedAtomically:
         self, cli_project, tmp_path, fail_writing, name, written
     ):
         # A command's files are replaced together: failing a later one must
-        # not leave an earlier one holding the new run's bytes.
+        # not leave an earlier one holding the new run's bytes.  That holds
+        # for the store `kv prune` rewrites too.
         root, _ = cli_project
         store = tmp_path / "store"
         assert TestKvStoreCommands().materialize(root, store) == 0
+        saved = (store / "store.bin").read_bytes()
         out = tmp_path / "out"
         out.mkdir()
         for each in written:
@@ -702,6 +704,7 @@ class TestOutputsAreReplacedAtomically:
         assert staged and staged[0] > 0
         for each in written:
             assert_unreplaced(out / each, self.EARLIER)
+        assert_unreplaced(store / "store.bin", saved)
 
 
 # ---------------------------------------------------------------------------

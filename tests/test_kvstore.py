@@ -242,7 +242,7 @@ class TestReconstruct:
                 rec = reconstruct(base, delta)
                 got = np.concatenate([rec.keys, rec.values], axis=3)
                 assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
-                assert delta.index.dtype == np.int32
+                assert delta.index.dtype == np.min_scalar_type(prod(delta.dense_shape) - 1)
                 back = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
                 assert np.array_equal(back, delta.index)
 
@@ -502,19 +502,50 @@ class TestFileFormats:
         with pytest.raises(DataError):
             read_delta(short)
 
-    def test_delta_rejects_unordered_coordinates(self):
-        for index in ([2, 1], [1, 1]):
-            with pytest.raises(DataError, match="row-major"):
-                SparseDelta(
-                    (1, 1, 2, 2), 0, 1.0, np.array(index, dtype=np.int32),
-                    np.ones(2, dtype=np.float32),
-                )
+    # Dense shapes whose index narrows to uint8, uint16 and uint32: the last
+    # two are ops of 128 and 129 tokens at the default oracle config.
+    NARROWED = [((1, 1, 2, 2), np.uint8), ((4, 4, 128, 32), np.uint16), ((4, 4, 129, 32), np.uint32)]
 
-    @pytest.mark.parametrize("index", [[-1, 0], [2, 4]])
+    @staticmethod
+    def delta(shape, index, dtype=np.int64):
+        index = np.array(index, dtype=dtype)
+        return SparseDelta(shape, 0, 1.0, index, np.ones(len(index), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape, narrow", NARROWED)
+    def test_delta_index_takes_the_smallest_unsigned_type(self, tmp_path, shape, narrow):
+        size = prod(shape)
+        for index in ([], [0, size - 1]):
+            for dtype in (np.int64, np.int32, narrow):
+                delta = self.delta(shape, index, dtype)
+                assert delta.index.dtype == narrow
+                assert delta.index.tolist() == index
+            write_delta(tmp_path / "a.delta", delta)
+            back = read_delta(tmp_path / "a.delta")
+            assert back.index.dtype == narrow
+            assert np.array_equal(back.index, delta.index)
+
+    def test_delta_rejects_unordered_coordinates(self):
+        # Given in the narrow type too, where np.diff would wrap round.
+        for shape, narrow in self.NARROWED:
+            size = prod(shape)
+            for index in ([2, 1], [1, 1], [0, size - 1, size - 2], [size - 1, size - 1]):
+                for dtype in (np.int64, np.int32, narrow):
+                    with pytest.raises(DataError, match="row-major"):
+                        self.delta(shape, index, dtype)
+
+    # Each coordinate (k, m) is k * size + m, for the shape's size.
+    @pytest.mark.parametrize("index", [
+        [(0, -1), (0, 0)],
+        [(0, 2), (1, 0)],
+        [(0, -2), (0, -1)],
+        [(1, 0), (1, 1)],
+        [(0, 0), (1, 256), (1, 65536)],
+    ])
     def test_delta_rejects_out_of_bounds_index(self, index):
-        index = np.array(index, dtype=np.int32)
-        with pytest.raises(DataError, match="out-of-bounds"):
-            SparseDelta((1, 1, 2, 2), 0, 1.0, index, np.ones(2, dtype=np.float32))
+        # Checked before the narrowing cast, which would wrap these round.
+        for shape, _ in self.NARROWED:
+            with pytest.raises(DataError, match="out-of-bounds"):
+                self.delta(shape, [k * prod(shape) + m for k, m in index])
 
     def test_delta_rejects_shape_beyond_int32_index(self):
         empty = np.zeros(0, dtype=np.int32)
@@ -941,6 +972,20 @@ class TestStoreRoundTrip:
         a, _ = store.fetch(("OP_A",), "OP_B")
         b, _ = back.fetch(("OP_A",), "OP_B")
         assert np.array_equal(a.keys, b.keys)
+
+    def test_residuals_hold_six_bytes_per_entry_and_reload_the_same_bits(self, tmp_path):
+        # At the default oracle config: a uint16 coordinate and a float32 value.
+        graph, store = self.populate()
+        save_store(store, tmp_path)
+        back = load_store(tmp_path, graph)
+        for key, delta in store.residuals.items():
+            assert delta.entries
+            assert delta.index.dtype == np.uint16
+            assert delta.index.nbytes + delta.values.nbytes == 6 * delta.entries
+            other = back.residuals[key]
+            for got, expected in ((other.index, delta.index), (other.values, delta.values)):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_kv_payloads_are_header_then_states(self, tmp_path, mode):
