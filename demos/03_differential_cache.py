@@ -1,20 +1,19 @@
-"""Store per-operation KV state as base + sparse residual.
+"""Store per-operation KV state as base + quantized residual.
 
 An operation's attention state depends on what ran before it, so a naive
 cache must either drop the prefix's influence (stateless) or store one dense
 copy per request context (stateful).  The differential store keeps one
-context-free base per operation plus one sparse residual per (prefix,
-operation) pair: the residual keeps only the largest-magnitude entries
-covering 95% of the prefix-influence energy, and the reconstruction error is
-bounded by sqrt(1 - 0.95) of that influence.
+context-free base per operation plus one quantized residual per (prefix,
+operation) pair: the prefix's influence in b-bit codes with one scale per
+(layer, head), at the smallest width b whose reconstruction error stays
+within sqrt(1 - 0.95) of that influence.
 
-A residual stores one bit per coordinate plus a float32 value per kept
-entry.  At this target it keeps about half of the entries, so part one prints
-each residual at about half the bytes of a dense copy.  The larger win is
-structural: bases and residuals are shared across every request that walks
-the same chain, while stateful state duplicates per request.  Part two serves
-the same trace twenty times to show exactly that.
-"""
+At this target each residual takes 4 bits per coordinate plus the scales,
+so part one prints each residual at about an eighth of the bytes of a dense
+float32 copy.  The larger win is structural: bases and residuals are shared
+across every request that walks the same chain, while stateful state
+duplicates per request.  Part two serves the same trace twenty times to show
+exactly that."""
 
 import json
 
@@ -75,7 +74,7 @@ def main() -> None:
         bound = np.sqrt(1.0 - 0.95) * influence
         delta = store.residuals.get((path, op))
         kept = "base only (empty prefix -> residual is identically zero)" if not path else (
-            f"residual keeps {delta.entries}/{full.states.size} entries "
+            f"{delta.width}-bit residual changes {delta.entries}/{full.states.size} entries "
             f"in {delta.nbytes()} B (dense copy {kv_file_nbytes(full)} B)"
         )
         print(

@@ -100,7 +100,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object, str]] = {
     "seed": (_int_in(0, 2**64), 42, "global random seed"),
     "mode": (_choice(MODES), "differential", f"serving mode: {', '.join(MODES)}; kv footprint "
              "uses it only to label the all-zero row of a directory with no store"),
-    "energy_target": (float, 0.95, "residual energy kept per delta"),
+    "energy_target": (float, 0.95, "error bound: a hit lies within sqrt(1 - target) * ||full - base||"),
     "lam": (float, 0.8, "oracle memory decay"),
     "prune_k": (int, 2, "keep a pair if every edge on its path was seen k times"),
     "budget": (int, None, "max residual pairs to keep (hottest first)"),

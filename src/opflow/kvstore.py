@@ -1,14 +1,15 @@
 """Differential KV-cache store.
 
 Central idea: the in-context KV states of an operation differ from its
-standalone ("base") states by a delta that is concentrated in a few entries,
-because prefix influence decays along the segment.  Instead of storing one
-full tensor per (prefix, operation) pair, the store keeps
+standalone ("base") states by a delta that a few bits per entry describe
+well, because prefix influence decays along the segment.  Instead of storing
+one full tensor per (prefix, operation) pair, the store keeps
 
 * one **base** tensor per (operation, position offset), shared by every
   request, and
-* one **sparse residual** per (prefix path, operation) pair, holding only the
-  delta entries needed to reach an energy target.
+* one **quantized residual** per (prefix path, operation) pair: the delta in
+  b-bit codes with one scale per (layer, head), at the smallest width whose
+  hit lies within the energy target's bound.
 
 Three serving modes share one interface:
 
@@ -23,15 +24,18 @@ it costs the op's own tokens.  Carries are derived state: 2 KiB per prefix
 path at the default oracle config, neither saved nor counted in
 ``memory_footprint``.
 
-Residual coordinates index the combined space ``KVTensor.states``, of shape
-(layers, heads, tokens, 2 * head_dim): the last axis holds key dims first,
-value dims second.  A residual keeps each as a flat position, in the smallest
-unsigned type that addresses that space (uint16 at the default oracle config),
-and holds the full tensor's own float32 value at it, a replacement rather than
-an addend: reconstruction copies the base's states and puts those values at
-their flat indices, so it reproduces the full tensor bit-for-bit on every kept
-coordinate, and at an energy target of 1.0 the whole reconstruction is bitwise
-exact.
+A residual covers the combined space ``KVTensor.states``, of shape (layers,
+heads, tokens, 2 * head_dim): the last axis holds key dims first, value dims
+second.  With ``delta = full - base`` in float64, each (layer, head) has one
+float32 scale ``max |delta| / q`` (rounded up) and every coordinate a code
+``rint(delta / scale)`` in [-q, q], q = 2**(b - 1) - 1, for the smallest
+width b in 2..8 whose float32 hit ``code * scale + base`` lies within
+``sqrt(1 - energy_target) * ||delta||`` of ``full``; ``sparsify`` and
+``verify_fetch`` check that bound with the one function ``_energy_check``.
+Width 32 keeps the full tensor's float32 states, which replace the base's,
+so at an energy target of 1.0 a hit is bitwise exact.  In memory a code
+takes one byte (int8), so a hit is one conversion, one product and one sum;
+in a file it takes b bits, which ``memory_footprint`` counts.
 
 ``save_store`` writes a store as one file, a JSON manifest followed by each
 entry encoded as a KV or delta file, and swaps it in with one ``os.replace``;
@@ -44,7 +48,7 @@ import json
 import os
 import struct
 import weakref
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from math import prod
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple
@@ -58,10 +62,12 @@ from .oracle import KVOracle, KVTensor, OracleConfig, tokenize
 KV_MAGIC = b"OFKV"
 DELTA_MAGIC = b"OFDL"
 KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
-DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, energy, count
+DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, kept energy, width
 DTYPE_FLOAT32 = 1
+WIDTHS = (2, 3, 4, 5, 6, 7, 8, 32)  # residual code widths in bits, in the order sparsify tries them
+_Q = np.array([2 ** (width - 1) - 1 for width in WIDTHS[:-1]], dtype=np.float64)[:, None, None]  # codes' bounds
 STORE_MAGIC = b"OFST"
-STORE_VERSION = 3
+STORE_VERSION = 4
 STORE_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest byte length
 STORE_FILE = "store.bin"
 _REBUILD = "rebuild the store with `opflow kv materialize`"
@@ -75,67 +81,80 @@ _OP_TOKENS: weakref.WeakKeyDictionary[OperationGraph, dict] = weakref.WeakKeyDic
 
 
 # ---------------------------------------------------------------------------
-# Sparse residuals
+# Quantized residuals
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SparseDelta:
-    """Sparse difference between an in-context tensor and its base.
+class QuantizedDelta:
+    """The difference between an in-context tensor and its base, quantized.
 
-    ``dense_shape`` is the shape of ``KVTensor.states``,
-    (layers, heads, tokens, 2 * head_dim); ``index`` is (n,), each kept
-    coordinate's flat row-major position in that shape, strictly increasing,
-    of type ``np.min_scalar_type(size - 1)`` (uint16 for ops of up to 128
-    tokens at the default oracle config); ``values`` is (n,) float32, the full
-    tensor's value at each.
+    ``dense_shape`` is the shape of ``KVTensor.states``, (layers, heads,
+    tokens, 2 * head_dim).  At a coded ``width`` b in 2..8, ``scales`` holds
+    one finite, non-negative float32 per (layer, head) and ``codes`` one int8
+    per coordinate in [-q, q], q = 2**(b - 1) - 1; a hit is
+    ``codes * scale + base`` in float32.  At width 32, ``codes`` is the full
+    tensor's float32 states, which replace the base's, and the scales are
+    ones.  ``kept_energy_fraction`` is the share of ``||full - base||**2`` a
+    hit keeps; ``entries`` counts ``coords``.
     """
 
     dense_shape: tuple[int, int, int, int]
     position_offset: int
     kept_energy_fraction: float
-    index: np.ndarray
-    values: np.ndarray
+    width: int
+    scales: np.ndarray
+    codes: np.ndarray
+    entries: int = field(init=False)
 
     def __post_init__(self):
         if len(self.dense_shape) != 4 or self.dense_shape[3] % 2 != 0:
             raise DataError(f"bad combined shape {self.dense_shape}")
         size = prod(self.dense_shape)
         if size >= 2**31:
-            raise DataError(f"combined shape {self.dense_shape} overflows an int32 index")
-        if self.index.shape != (len(self.values),):
-            raise DataError("coordinate/value count mismatch")
-        # Compared, not differenced: np.diff wraps round on an unsigned index.
-        if (self.index[1:] <= self.index[:-1]).any():
-            raise DataError("delta coordinates must be distinct and in row-major order")
-        # Bounds are checked before the narrowing cast, which would wrap them.
-        if len(self.index) and (self.index[0] < 0 or self.index[-1] >= size):
-            raise DataError("delta contains out-of-bounds coordinates")
-        self.index = self.index.astype(np.min_scalar_type(size - 1), copy=False)
+            raise DataError(f"combined shape {self.dense_shape} overflows an int32 coordinate")
+        if self.width not in WIDTHS:
+            raise DataError(f"code width {self.width} is not one of {WIDTHS}")
+        coded = self.width < 32
+        if self.codes.shape != self.dense_shape or self.codes.dtype != (np.int8 if coded else np.float32):
+            raise DataError(f"delta codes must be {'int8' if coded else 'float32'} of shape {self.dense_shape}")
+        scales = self.scales
+        if scales.shape != self.dense_shape[:2] or scales.dtype != np.float32:
+            raise DataError(f"delta scales must be float32 of shape {self.dense_shape[:2]}")
+        if not (0 <= scales.min(initial=0) and scales.max(initial=0) < np.inf and (coded or (scales == 1).all())):
+            raise DataError("delta scales must be finite and non-negative (ones at width 32)")
+        q = 2 ** (self.width - 1) - 1
+        if coded and size and not (-q <= self.codes.min() and self.codes.max() <= q):
+            raise DataError(f"delta codes must lie in [-{q}, {q}] at width {self.width}")
+        self.entries = int(np.count_nonzero(self.codes)) if coded else size
+
+    def _changed(self) -> np.ndarray:
+        return self.codes != 0 if self.width < 32 else np.ones(self.dense_shape, dtype=bool)
 
     @property
     def coords(self) -> np.ndarray:
-        """(n, 4) int32 coordinates of the kept entries, in row-major order."""
-        return np.stack(np.unravel_index(self.index, self.dense_shape), axis=1).astype(np.int32)
+        """(n, 4) int32 coordinates the residual changes, in row-major order:
+        the nonzero codes, or every coordinate at width 32."""
+        return np.argwhere(self._changed()).astype(np.int32)
 
     @property
-    def entries(self) -> int:
-        return len(self.values)
+    def values(self) -> np.ndarray:
+        """(n,) float32 amount at each of ``coords``: scale * code, or at
+        width 32 the full tensor's value, which replaces the base's."""
+        return (self.codes * self.scales[..., None, None])[self._changed()]
 
     def nbytes(self) -> int:
-        """Exact serialized size: header, one bit per coordinate, the values."""
-        return DELTA_HEADER.size + (prod(self.dense_shape) + 7) // 8 + 4 * self.entries
+        """Exact serialized size: header, scales (none at width 32), then
+        ``width`` bits per coordinate."""
+        scales = 4 * self.scales.size if self.width < 32 else 0
+        return DELTA_HEADER.size + scales + (prod(self.dense_shape) * self.width + 7) // 8
 
 
-def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> SparseDelta:
-    """Keep the smallest set of largest-magnitude delta entries whose squared
-    mass reaches ``energy_target`` of the total.
-
-    Ties in magnitude are resolved in coordinate order (row-major), so the
-    result is independent of anything but the two tensors.  With
-    ``energy_target >= 1.0`` every nonzero entry is kept.  The residual lists
-    the kept coordinates in row-major order with ``full``'s value at each,
-    which replaces the base value on reconstruction.
+def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> QuantizedDelta:
+    """Quantize ``full - base`` at the smallest width whose hit keeps the
+    fetch contract (see the module docstring).  Widths 2..8 are tried in turn
+    on the float32 reconstruction a hit returns; width 32 keeps ``full``'s
+    states and always passes, so at an energy target of 1.0 a hit is exact.
     """
     if full.states.shape != base.states.shape:
         raise DataError(f"shape mismatch: full {full.states.shape} vs base {base.states.shape}")
@@ -144,57 +163,66 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Spa
     if not (0.0 < energy_target):
         raise DataError(f"energy target must be positive, got {energy_target}")
 
-    # Any non-finite input shows in the float64 difference (inf - inf is nan).
-    with np.errstate(invalid="ignore"):
-        flat = (full.states.astype(np.float64) - base.states).ravel()
-    if not np.isfinite(flat).all():
-        raise DataError("KV tensors must be finite")
-
-    magnitude = np.abs(flat)
-    ascending = np.sort(magnitude)
-    nonzero = magnitude.size - int(np.searchsorted(ascending, 0.0, side="right"))
-    kept_idx = np.zeros(0, dtype=np.intp)
-    kept_fraction = 1.0
-    if nonzero:
-        ranked = ascending[::-1]
-        cumulative = np.cumsum(ranked**2)
-        total = cumulative[-1]
-        keep = nonzero
-        if energy_target < 1.0:
-            idx = int(np.searchsorted(cumulative, energy_target * total, side="left"))
-            keep = min(idx + 1, nonzero)
-        # Every magnitude above the cut-off, then the first entries equal to
-        # it in row-major order: the top ``keep`` of a stable ranking.
-        cutoff = ranked[keep - 1]
-        kept = magnitude > cutoff
-        kept[np.flatnonzero(magnitude == cutoff)[: keep - int(np.count_nonzero(kept))]] = True
-        kept_idx = np.flatnonzero(kept)
-        kept_fraction = float(cumulative[keep - 1] / total)
-
-    return SparseDelta(
-        dense_shape=full.states.shape,
-        position_offset=full.position_offset,
-        kept_energy_fraction=kept_fraction,
-        index=kept_idx,
-        values=full.states.ravel()[kept_idx],
-    )
+    shape, offset = full.states.shape, full.position_offset
+    # A scale or hit that overflows fails the bound, leaving width 32.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full64 = full.states.astype(np.float64)
+        delta = full64 - base.states
+        peak = np.abs(delta).max(axis=(2, 3), initial=0.0)
+        # Any non-finite input shows in the float64 difference (inf - inf is nan).
+        if not np.isfinite(peak).all():
+            raise DataError("KV tensors must be finite")
+        # Every width's scales, rounded up where float32 rounded down: no code exceeds q.
+        scales = (peak / _Q).astype(np.float32)
+        scales = np.where(scales * _Q < peak, np.nextafter(scales, np.float32(np.inf)), scales)
+        divisors = np.where(scales > 0, scales, 1).astype(np.float64)[..., None, None]
+        check = _energy_check(full64, delta, energy_target)
+        for i, width in enumerate(WIDTHS[:-1]):
+            codes = np.rint(delta / divisors[i])
+            kept = check(_dequantize(codes, scales[i], base.states))
+            if kept is not None:
+                return QuantizedDelta(shape, offset, kept, width, scales[i], codes.astype(np.int8))
+    return QuantizedDelta(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
 
 
-def reconstruct(base: KVTensor, delta: SparseDelta) -> KVTensor:
-    """Write a residual's values over a base tensor.  The base is not modified."""
+def _dequantize(codes: np.ndarray, scales: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``codes * scale + base`` in float32, in one fresh array."""
+    states = codes.astype(np.float32)
+    states *= scales[..., None, None]
+    states += base
+    return states
+
+
+def _energy_check(full: np.ndarray, delta: np.ndarray, energy_target: float) -> Callable[[np.ndarray], float | None]:
+    """The differential fetch contract in float64, for ``sparsify`` and
+    ``verify_fetch``: with ``delta = full - base``, a hit's ``states`` keep
+    1 - ||states - full||**2 / ||delta||**2 of the delta's energy, or None if
+    farther than sqrt(1 - energy_target) * ||delta|| from ``full``.  Compared
+    squared with no slack, so at a target of 1.0 only ``full`` passes."""
+    total = float(np.dot(delta.ravel(), delta.ravel()))
+    bound = max(0.0, 1.0 - energy_target) * total
+
+    def kept(states: np.ndarray) -> float | None:
+        error = states.astype(np.float64).ravel()
+        error -= full.ravel()
+        err2 = float(np.dot(error, error))
+        if not err2 <= bound:  # a nan error fails too
+            return None
+        return 1.0 - err2 / total if total else 1.0
+
+    return kept
+
+
+def reconstruct(base: KVTensor, delta: QuantizedDelta) -> KVTensor:
+    """A residual's hit: ``codes * scale + base`` in float32, or at width 32
+    a copy of the stored states.  The base is not modified."""
     if base.states.shape != delta.dense_shape:
-        raise DataError(
-            f"delta shape {delta.dense_shape} does not match base {base.states.shape}"
-        )
+        raise DataError(f"delta shape {delta.dense_shape} does not match base {base.states.shape}")
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    # numpy's fast path takes an intp index (4x the default uint16 one), so it
-    # is converted here, before the copy: converted after it, the transient
-    # index left heap holes that raised a long-lived process's peak RSS.
-    index = delta.index.astype(np.intp)
-    states = base.states.copy()
-    states.reshape(-1)[index] = delta.values
-    return KVTensor(states, base.position_offset)
+    if delta.width == 32:
+        return KVTensor(delta.codes.copy(), base.position_offset)
+    return KVTensor(_dequantize(delta.codes, delta.scales, base.states), base.position_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +262,54 @@ def _kv_from_bytes(raw: bytes, where: str | Path) -> KVTensor:
     return KVTensor(states, offset)
 
 
-def _delta_bytes(delta: SparseDelta) -> bytes:
-    """Version 2: header, a row-major bitmap of the kept coordinates over
-    ``dense_shape`` (zero-padded to whole bytes), then their float32 values."""
-    header = DELTA_HEADER.pack(
-        DELTA_MAGIC,
-        2,
-        *delta.dense_shape,
-        delta.position_offset,
-        delta.kept_energy_fraction,
-        delta.entries,
-    )
-    kept = np.zeros(prod(delta.dense_shape), dtype=bool)
-    kept[delta.index] = True
-    return b"".join((header, np.packbits(kept).tobytes(), np.asarray(delta.values, dtype="<f4").tobytes()))
+def _delta_bytes(delta: QuantizedDelta) -> bytes:
+    """Version 3: header, then at a coded width the float32 scales over
+    (layers, heads) and each code's low ``width`` bits (two's complement),
+    row-major, most significant bit first, zero-padded to whole bytes; at
+    width 32 the float32 states."""
+    shape, offset, energy, width = delta.dense_shape, delta.position_offset, delta.kept_energy_fraction, delta.width
+    header = DELTA_HEADER.pack(DELTA_MAGIC, 3, *shape, offset, energy, width)
+    if width == 32:
+        return header + np.ascontiguousarray(delta.codes, dtype="<f4").tobytes()
+    # Each code's low bits move as one record: a strided uint8 copy is 10x slower.
+    bits = np.unpackbits(delta.codes.view(np.uint8).ravel()).reshape(-1, 8)[:, 8 - width :]
+    packed = np.packbits(bits.view(f"V{width}").copy().view(np.uint8))
+    return b"".join((header, delta.scales.astype("<f4").tobytes(), packed.tobytes()))
 
 
-def _delta_from_bytes(raw: bytes, where: str | Path) -> SparseDelta:
+def _delta_from_bytes(raw: bytes, where: str | Path) -> QuantizedDelta:
     if len(raw) < DELTA_HEADER.size:
         raise DataError(f"{where}: truncated delta file")
-    magic, version, *shape, offset, energy, count = DELTA_HEADER.unpack_from(raw)
+    magic, version, *shape, offset, energy, width = DELTA_HEADER.unpack_from(raw)
     if magic != DELTA_MAGIC:
         raise DataError(f"{where}: not a residual delta file")
-    if version != 2:
+    if version != 3:
         raise DataError(f"{where}: unsupported delta file version {version}; {_REBUILD}")
-    shape = tuple(shape)
-    size = prod(shape)
-    values_at = DELTA_HEADER.size + (size + 7) // 8
-    expected = values_at + 4 * count
+    if width not in WIDTHS:
+        raise DataError(f"{where}: code width {width} is not one of {WIDTHS}")
+    shape, size, coded = tuple(shape), prod(shape), width < 32
+    codes_at = DELTA_HEADER.size + 4 * shape[0] * shape[1] * coded
+    expected = codes_at + (size * width + 7) // 8
     if len(raw) != expected:
         raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
-    bits = np.unpackbits(np.frombuffer(raw[DELTA_HEADER.size : values_at], dtype=np.uint8))
-    if bits[size:].any():
-        raise DataError(f"{where}: nonzero padding bits after the coordinate bitmap")
-    flat = np.flatnonzero(bits)
-    if len(flat) != count:
-        raise DataError(f"{where}: bitmap marks {len(flat)} coordinates, header says {count}")
-    return SparseDelta(
-        dense_shape=shape,
-        position_offset=offset,
-        kept_energy_fraction=energy,
-        index=flat,
-        values=np.frombuffer(raw, dtype="<f4", count=count, offset=values_at).astype(np.float32),
-    )
+    if not coded:
+        scales, codes = np.ones(shape[:2], dtype=np.float32), np.frombuffer(raw, dtype="<f4", offset=codes_at)
+    else:
+        # Copied, so that the scales do not keep the raw bytes alive.
+        scales = np.frombuffer(raw, dtype="<f4", count=shape[0] * shape[1], offset=DELTA_HEADER.size).copy()
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=codes_at))
+        if bits[size * width :].any():
+            raise DataError(f"{where}: nonzero padding bits after the codes")
+        # Each code's bits at the top of a byte (moved as one record, as in
+        # ``_delta_bytes``), then an arithmetic shift down sign-extends them.
+        octets = np.zeros((size, 8), dtype=np.uint8)
+        octets[:, :width].view(f"V{width}")[:, 0] = bits[: size * width].view(f"V{width}")
+        codes = np.packbits(octets).view(np.int8) >> (8 - width)
+    scales, codes = scales.reshape(shape[:2]), codes.reshape(shape)
+    try:
+        return QuantizedDelta(shape, offset, energy, width, scales, codes)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def write_kv(path: str | Path, kv: KVTensor) -> None:
@@ -287,11 +320,11 @@ def read_kv(path: str | Path) -> KVTensor:
     return _kv_from_bytes(Path(path).read_bytes(), path)
 
 
-def write_delta(path: str | Path, delta: SparseDelta) -> None:
+def write_delta(path: str | Path, delta: QuantizedDelta) -> None:
     _write_atomic({path: lambda fh: fh.write(_delta_bytes(delta))})
 
 
-def read_delta(path: str | Path) -> SparseDelta:
+def read_delta(path: str | Path) -> QuantizedDelta:
     return _delta_from_bytes(Path(path).read_bytes(), path)
 
 
@@ -373,7 +406,7 @@ class CacheStore:
         self.oracle = oracle or KVOracle()
         self.energy_target = energy_target
         self.bases: dict[tuple[str, int], KVTensor] = {}
-        self.residuals: dict[tuple[PathKey, str], SparseDelta] = {}
+        self.residuals: dict[tuple[PathKey, str], QuantizedDelta] = {}
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
         self._bytes = {"bases": 0, "residuals": 0, "fulls": 0}
         self._op_tokens = _OP_TOKENS.setdefault(graph, {})
@@ -413,10 +446,10 @@ class CacheStore:
 
     # -- tensor production ----------------------------------------------------
 
-    def _put(self, table: str, key, entry: KVTensor | SparseDelta) -> None:
+    def _put(self, table: str, key, entry: KVTensor | QuantizedDelta) -> None:
         """Store an entry in ``bases``, ``residuals`` or ``fulls``, read-only,
         keeping that table's byte total."""
-        for array in (entry.index, entry.values) if isinstance(entry, SparseDelta) else (entry.states,):
+        for array in (entry.scales, entry.codes) if isinstance(entry, QuantizedDelta) else (entry.states,):
             array.setflags(write=False)
         entries = getattr(self, table)
         old = entries.get(key)
@@ -485,7 +518,7 @@ class CacheStore:
             self._last_fallback = ((path, op_id), kv)
         return kv, FetchResult(path, op_id, flag, entries, n_prefix, n_op, kv_file_nbytes(kv))
 
-    def insert_residual(self, path: Iterable[str], op_id: str) -> SparseDelta:
+    def insert_residual(self, path: Iterable[str], op_id: str) -> QuantizedDelta:
         """Materialize the residual for a (path, op) pair (differential only).
 
         Right after a fallback fetch of the same pair, the fetched in-context
@@ -507,9 +540,10 @@ class CacheStore:
     def verify_fetch(self, kv: KVTensor, result: FetchResult) -> bool:
         """Whether ``kv``, fetched as ``result`` records, keeps the mode's
         contract: a differential hit on a non-empty path lies within
-        ``sqrt(max(0, 1 - energy_target)) * ||full - base|| + 1e-6`` of the
-        oracle's one-pass ``full``; any other fetch equals ``full`` (stateless:
-        the base) bitwise."""
+        ``sqrt(max(0, 1 - energy_target)) * ||full - base||`` of the oracle's
+        one-pass ``full`` (``_energy_check``, the check ``sparsify`` chose its
+        width by); any other fetch equals ``full`` (stateless: the base)
+        bitwise."""
         path, op_id, flag = result.path, result.op, result.flag
         prefix = self.prefix_tokens(path)
         op_tokens = self.op_tokens(op_id)
@@ -518,8 +552,8 @@ class CacheStore:
         full = self.oracle.stateful_segment(prefix, op_tokens)
         if self.mode == "differential" and flag == "hit" and path:
             base = self.oracle.base_segment(op_tokens, len(prefix))
-            bound = np.sqrt(max(0.0, 1.0 - self.energy_target)) * _distance(full, base) + 1e-6
-            return _distance(kv, full) <= bound
+            delta = np.subtract(full.states, base.states, dtype=np.float64)
+            return _energy_check(full.states, delta, self.energy_target)(kv.states) is not None
         return np.array_equal(kv.states, full.states)
 
     def drop_residual(self, path: Iterable[str], op_id: str) -> bool:
@@ -544,14 +578,8 @@ class CacheStore:
         )
 
 
-def _nbytes(entry: KVTensor | SparseDelta) -> int:
-    return entry.nbytes() if isinstance(entry, SparseDelta) else kv_file_nbytes(entry)
-
-
-def _distance(a: KVTensor, b: KVTensor) -> float:
-    """Key/value Euclidean distance, summed in float64: float32 sums round
-    by more than the energy bound's 1e-6 slack once deltas are large."""
-    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
+def _nbytes(entry: KVTensor | QuantizedDelta) -> int:
+    return entry.nbytes() if isinstance(entry, QuantizedDelta) else kv_file_nbytes(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +599,7 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     per entry: its table, prefix path, op id, base offset (null outside
     ``bases``), and the byte start and size of its payload, counted from the
     manifest's end.  Payloads are KV version-2 files (bases, fulls) and delta
-    version-2 files (residuals), so the payload bytes total
+    version-3 files (residuals), so the payload bytes total
     ``memory_footprint().total_bytes``.  Payloads are encoded and written one
     at a time.
 
@@ -612,7 +640,7 @@ def _store_file(store: CacheStore, directory: str | Path) -> tuple[Path, Callabl
         fh.write(STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION, len(text)))
         fh.write(text)
         for entry in entries:
-            fh.write(_delta_bytes(entry) if isinstance(entry, SparseDelta) else _kv_bytes(entry))
+            fh.write(_delta_bytes(entry) if isinstance(entry, QuantizedDelta) else _kv_bytes(entry))
 
     return root / STORE_FILE, write
 
@@ -672,10 +700,12 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     header, manifest or payload cut short, trailing bytes, a manifest that is
     not JSON or has a malformed row, an unknown table or one the stored mode
     never uses, payload byte ranges that do not run on from the manifest's
-    end, a repeated key, and entries
-    off ``graph``'s edges, of another shape than the stored oracle config
-    gives them, or at another position offset than their key names: a base's
-    offset, or the prefix path's token count.
+    end, a repeated key, a malformed payload (for a residual: a code width
+    outside ``WIDTHS``, a negative or non-finite scale, a code outside
+    [-q, q], nonzero padding bits or a wrong length), and entries off
+    ``graph``'s edges, of another shape than the stored oracle config gives
+    them, or at another position offset than their key names: a base's
+    offset, or the prefix path's token count.  Each names its entry.
     """
     file = Path(directory) / STORE_FILE
     if not file.is_file():

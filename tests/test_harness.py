@@ -308,9 +308,9 @@ class TestRunServingSim:
             assert report.verified is True
 
     def test_differential_bound_holds_on_large_deltas(self):
-        # The last op of this chain has a delta norm near 240; summing the
-        # squared reconstruction error in float32 overshot the bound's 1e-6
-        # absolute slack by 2.6e-6 on it.
+        # The last op of this chain has a delta norm near 240; a check that
+        # summed the squared error in float32 once failed its own hit on it.
+        # Both sides of the bound are now one float64 computation.
         chain = [(0, 4), (1, 4), (2, 0), (3, 1), (4, 2), (5, 2), (6, 2), (7, 4)]
         ops = {
             f"OP_L{l:02d}_V{v}": Operation(

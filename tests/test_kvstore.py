@@ -1,4 +1,4 @@
-"""Tests for sparse residuals, cache modes, and the on-disk store layout."""
+"""Tests for quantized residuals, cache modes, and the on-disk store layout."""
 
 import json
 import os
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opflow import kvstore
-from opflow.errors import DataError
+from opflow.errors import DataError, OpflowError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import (
     DELTA_HEADER,
@@ -20,10 +20,11 @@ from opflow.kvstore import (
     STORE_HEADER,
     STORE_MAGIC,
     STORE_VERSION,
+    WIDTHS,
     CacheStore,
     FetchResult,
     MemoryReport,
-    SparseDelta,
+    QuantizedDelta,
     kv_file_nbytes,
     load_store,
     read_delta,
@@ -76,48 +77,82 @@ def true_delta(full, base):
     return fc - bc
 
 
+def distance(a, b):
+    return float(np.sqrt(np.sum((a.states.astype(np.float64) - b.states) ** 2)))
+
+
+def coded_hit(full, base, width):
+    """The hit of ``full - base`` coded at ``width``, longhand per (layer,
+    head): the float32 scale at or above max |delta| / q, codes
+    rint(delta / scale), then code * scale + base in float32."""
+    q = 2 ** (width - 1) - 1
+    delta = true_delta(full, base)
+    states = np.empty_like(base.states)
+    for l, h in np.ndindex(delta.shape[:2]):
+        peak = float(np.abs(delta[l, h]).max())
+        scale = np.float32(peak / q)
+        if float(scale) * q < peak:
+            scale = np.nextafter(scale, np.float32(np.inf))
+        codes = np.rint(delta[l, h] / scale) if scale > 0 else np.zeros_like(delta[l, h])
+        assert np.abs(codes).max() <= q
+        states[l, h] = codes.astype(np.float32) * scale + base.states[l, h]
+    return KVTensor(states, base.position_offset)
+
+
+def within_bound(kv, full, base, target):
+    """The energy bound, squared and longhand: ||kv - full||^2 <= (1 - target) ||full - base||^2."""
+    error = np.sum((kv.states.astype(np.float64) - full.states) ** 2)
+    return error <= max(0.0, 1.0 - target) * np.sum(true_delta(full, base) ** 2)
+
+
 # ---------------------------------------------------------------------------
-# sparsify: energy selection
+# sparsify: the smallest width within the bound
 # ---------------------------------------------------------------------------
 
 
 class TestSparsify:
-    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("target", [0.5, 0.8, 0.9, 0.95, 0.99])
     def test_kept_energy_reaches_target_minimally(self, target):
-        oracle = KVOracle()
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            full, base = random_pair(oracle, rng)
-            delta = sparsify(full, base, target)
-            diff = true_delta(full, base)
-            total = float(np.sum(diff**2))
-            sel = tuple(delta.coords.T.astype(np.intp))
-            kept = float(np.sum(diff[sel] ** 2))
-            assert kept >= target * total * (1 - 1e-12)
-            assert delta.kept_energy_fraction == pytest.approx(kept / total, rel=1e-9)
-            # minimality: removing the smallest kept entry drops below target
-            smallest = np.min(np.abs(diff[sel]))
-            assert kept - smallest**2 < target * total
+        # The chosen width's hit is the longhand coding's and keeps the
+        # bound; every narrower width's longhand hit breaks it.
+        for lam in (0.5, 0.8, 0.9):
+            oracle = KVOracle(OracleConfig(lam=lam))
+            rng = np.random.default_rng(int(target * 1000 + lam * 10))
+            for _ in range(6):
+                full, base = random_pair(oracle, rng)
+                delta = sparsify(full, base, target)
+                assert delta.width in WIDTHS[:-1]
+                rec = reconstruct(base, delta)
+                assert np.array_equal(rec.states.view(np.uint32), coded_hit(full, base, delta.width).states.view(np.uint32))
+                assert within_bound(rec, full, base, target)
+                kept = 1 - np.sum((rec.states.astype(np.float64) - full.states) ** 2) / np.sum(true_delta(full, base) ** 2)
+                assert delta.kept_energy_fraction == pytest.approx(kept, rel=1e-12)
+                assert delta.kept_energy_fraction >= target
+                for narrower in WIDTHS[: WIDTHS.index(delta.width)]:
+                    assert not within_bound(coded_hit(full, base, narrower), full, base, target)
 
     def test_keeps_largest_magnitudes(self):
+        # Each (layer, head)'s largest-magnitude entries take the end codes +-q.
         oracle = KVOracle()
-        rng = np.random.default_rng(3)
-        full, base = random_pair(oracle, rng)
+        full, base = random_pair(oracle, np.random.default_rng(3))
         delta = sparsify(full, base, 0.9)
-        diff = np.abs(true_delta(full, base))
-        sel = tuple(delta.coords.T.astype(np.intp))
-        kept_mask = np.zeros(diff.shape, dtype=bool)
-        kept_mask[sel] = True
-        if (~kept_mask).any() and kept_mask.any():
-            assert diff[kept_mask].min() >= diff[~kept_mask].max() - 1e-18
+        q = 2 ** (delta.width - 1) - 1
+        diff = true_delta(full, base)
+        for l, h in np.ndindex(diff.shape[:2]):
+            peak = np.abs(diff[l, h]).max()
+            at_peak = np.abs(diff[l, h]) == peak
+            assert (np.abs(delta.codes[l, h][at_peak]) == q).all()
+            assert delta.scales[l, h] >= peak / q > np.nextafter(delta.scales[l, h], np.float32(0))
 
     def test_target_one_keeps_every_nonzero_entry(self):
+        # Width 32: the full tensor's own values at every coordinate.
         oracle = KVOracle()
         rng = np.random.default_rng(8)
         full, base = random_pair(oracle, rng)
         delta = sparsify(full, base, 1.0)
-        diff = true_delta(full, base)
-        assert delta.entries == int(np.count_nonzero(diff))
+        assert delta.width == 32
+        assert delta.entries == full.states.size == len(delta.coords)
+        assert np.array_equal(delta.values.view(np.uint32), full.states.ravel().view(np.uint32))
         assert delta.kept_energy_fraction == 1.0
 
     def test_zero_difference(self):
@@ -125,26 +160,23 @@ class TestSparsify:
         rng = np.random.default_rng(2)
         full, base = random_pair(oracle, rng)
         delta = sparsify(full, base, 0.95)
+        assert delta.width == 2
         assert delta.entries == 0
+        assert not delta.scales.any() and not delta.codes.any()
         assert delta.kept_energy_fraction == 1.0
         rec = reconstruct(base, delta)
         assert np.array_equal(rec.keys, full.keys)
         assert np.array_equal(rec.values, full.values)
 
-    def test_ties_break_in_coordinate_order(self):
-        shape = (1, 1, 2, 2)
-        base = KVTensor(
-            np.concatenate([np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.float32)], axis=3),
-            position_offset=0,
-        )
-        full = KVTensor(
-            np.concatenate([np.ones(shape, dtype=np.float32), np.ones(shape, dtype=np.float32)], axis=3),
-            position_offset=0,
-        )
-        delta = sparsify(full, base, 0.5)  # 8 equal entries -> keep first 4
-        assert delta.entries == 4
-        expected = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3)]
-        assert [tuple(c) for c in delta.coords] == expected
+    def test_codes_round_half_to_even(self):
+        # Peak 3 at width 3 (q = 3) gives scale 1, so the halves are ties;
+        # width 2 keeps 0.902 of the energy, width 3 0.962.
+        base = KVTensor(np.zeros((1, 1, 1, 8), dtype=np.float32), position_offset=0)
+        diff = np.array([3, 1.5, 2.5, -0.5, -2.5, 0.5, 0, -3], dtype=np.float32)
+        delta = sparsify(KVTensor(diff.reshape(1, 1, 1, 8), position_offset=0), base, 0.95)
+        assert delta.width == 3 and delta.scales.tolist() == [[1.0]]
+        assert delta.codes.ravel().tolist() == [3, 2, 2, 0, -2, 0, 0, -3]
+        assert delta.kept_energy_fraction == 1 - 1.25 / 33.25
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("which", ["full", "base", "both"])
@@ -192,15 +224,20 @@ class TestReconstruct:
             assert rec.position_offset == full.position_offset
 
     def test_kept_coordinates_are_exact_at_any_target(self):
+        # A hit is the base with each of ``coords`` set to base + value in
+        # float32 (width 32: to the value), bit for bit.
         oracle = KVOracle()
-        rng = np.random.default_rng(6)
-        full, base = random_pair(oracle, rng)
-        delta = sparsify(full, base, 0.9)
-        rec = reconstruct(base, delta)
-        rec_c = np.concatenate([rec.keys, rec.values], axis=3)
-        full_c = np.concatenate([full.keys, full.values], axis=3)
-        sel = tuple(delta.coords.T.astype(np.intp))
-        assert np.array_equal(rec_c[sel], full_c[sel])
+        rng = np.random.default_rng(23)
+        for target in (0.5, 0.95, 1.0):
+            for _ in range(10):
+                full, base = random_pair(oracle, rng)
+                delta = sparsify(full, base, target)
+                expected = base.states.copy()
+                at = tuple(delta.coords.T)
+                expected[at] = delta.values if delta.width == 32 else expected[at] + delta.values
+                rec = reconstruct(base, delta)
+                assert np.array_equal(rec.states.view(np.uint32), expected.view(np.uint32))
+                assert delta.coords.dtype == np.int32 and delta.values.dtype == np.float32
 
     def test_error_bounded_by_dropped_energy(self):
         oracle = KVOracle()
@@ -226,32 +263,19 @@ class TestReconstruct:
         rng = np.random.default_rng(13)
         full, base = random_pair(oracle, rng)
         keys_before = base.keys.copy()
-        delta = sparsify(full, base, 1.0)
-        reconstruct(base, delta)
-        assert np.array_equal(base.keys, keys_before)
-
-    def test_flat_index_put_matches_coordinate_assignment(self):
-        oracle = KVOracle()
-        rng = np.random.default_rng(23)
-        for target in (0.5, 0.95, 1.0):
-            for _ in range(10):
-                full, base = random_pair(oracle, rng)
-                delta = sparsify(full, base, target)
-                expected = np.concatenate([base.keys, base.values], axis=3)
-                expected[tuple(delta.coords.T)] = delta.values
-                rec = reconstruct(base, delta)
-                got = np.concatenate([rec.keys, rec.values], axis=3)
-                assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
-                assert delta.index.dtype == np.min_scalar_type(prod(delta.dense_shape) - 1)
-                back = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
-                assert np.array_equal(back, delta.index)
+        for target in (0.95, 1.0):
+            reconstruct(base, sparsify(full, base, target))
+            assert np.array_equal(base.keys, keys_before)
 
     def test_result_is_one_contiguous_array_apart_from_the_base(self):
         oracle = KVOracle()
         full, base = random_pair(oracle, np.random.default_rng(29))
-        rec = reconstruct(base, sparsify(full, base, 0.95))
-        assert rec.states.flags.c_contiguous
-        assert not np.shares_memory(rec.states, base.states)
+        for target in (0.95, 1.0):
+            delta = sparsify(full, base, target)
+            rec = reconstruct(base, delta)
+            assert rec.states.flags.c_contiguous and rec.states.dtype == np.float32
+            assert not np.shares_memory(rec.states, base.states)
+            assert not np.shares_memory(rec.states, delta.codes)
 
     def test_rejects_mismatched_delta(self):
         oracle = KVOracle()
@@ -260,123 +284,6 @@ class TestReconstruct:
         other = oracle.base_segment([5, 6, 7], 2)
         with pytest.raises(DataError):
             reconstruct(other, delta)
-
-
-class TestMatchesFloat64AddendReference:
-    """The version-1 encoding kept as the reference: coordinates in magnitude
-    order with float64 addends, walked an ulp at a time until
-    float32(base + addend) equals the full tensor, then added onto the base."""
-
-    @staticmethod
-    def v1_reconstruct(full, base, energy_target):
-        full_c = np.concatenate([full.keys, full.values], axis=3)
-        base_c = np.concatenate([base.keys, base.values], axis=3)
-        base64 = base_c.astype(np.float64)
-        flat = (full_c.astype(np.float64) - base64).ravel()
-        nonzero = int(np.count_nonzero(flat))
-        if nonzero == 0:
-            return base_c, np.zeros(0, dtype=np.intp), 1.0
-        order = np.argsort(-np.abs(flat), kind="stable")
-        cumulative = np.cumsum(flat[order] ** 2)
-        keep = nonzero
-        if energy_target < 1.0:
-            idx = int(np.searchsorted(cumulative, energy_target * cumulative[-1], side="left"))
-            keep = min(idx + 1, nonzero)
-        sel = np.unravel_index(order[:keep], base_c.shape)
-        target = full_c[sel]
-        addends = target.astype(np.float64) - base64[sel]
-        for _ in range(8):
-            rec = (base64[sel] + addends).astype(np.float32)
-            bad = rec != target
-            if not bad.any():
-                break
-            toward = np.where(rec[bad] < target[bad], np.inf, -np.inf)
-            addends[bad] = np.nextafter(addends[bad], toward)
-        else:
-            raise AssertionError("no exact float64 addend")
-        out = base_c.copy()
-        out[sel] = (out[sel].astype(np.float64) + addends).astype(np.float32)
-        return out, order[:keep], float(cumulative[keep - 1] / cumulative[-1])
-
-    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95, 1.0])
-    def test_bitwise_equal_to_v1(self, target, tmp_path):
-        oracle = KVOracle()
-        rng = np.random.default_rng(int(target * 1000))
-        file = tmp_path / "pair.delta"
-        for _ in range(25):
-            full, base = random_pair(oracle, rng)
-            expected, kept, fraction = self.v1_reconstruct(full, base, target)
-            delta = sparsify(full, base, target)
-            assert delta.entries == len(kept)
-            assert delta.kept_energy_fraction == fraction
-            flat = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
-            assert np.array_equal(flat, np.sort(kept))
-            write_delta(file, delta)
-            for applied in (delta, read_delta(file)):
-                rec = reconstruct(base, applied)
-                got = np.concatenate([rec.keys, rec.values], axis=3)
-                assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
-
-
-class TestMatchesArgsortSelection:
-    """``sparsify`` against the selection it replaced: a stable argsort of
-    descending magnitudes, cut where the cumulative energy reaches the target."""
-
-    @staticmethod
-    def argsort_selection(full, base, energy_target):
-        full_c = np.concatenate([full.keys, full.values], axis=3)
-        base_c = np.concatenate([base.keys, base.values], axis=3)
-        flat = (full_c.astype(np.float64) - base_c).ravel()
-        nonzero = int(np.count_nonzero(flat))
-        if nonzero == 0:
-            return np.zeros(0, dtype=np.intp), 1.0
-        order = np.argsort(-np.abs(flat), kind="stable")
-        cumulative = np.cumsum(flat[order] ** 2)
-        keep = nonzero
-        if energy_target < 1.0:
-            idx = int(np.searchsorted(cumulative, energy_target * cumulative[-1], side="left"))
-            keep = min(idx + 1, nonzero)
-        return np.sort(order[:keep]), float(cumulative[keep - 1] / cumulative[-1])
-
-    def check(self, full, base, target):
-        index, fraction = self.argsort_selection(full, base, target)
-        delta = sparsify(full, base, target)
-        assert np.array_equal(delta.index, index)
-        full_c = np.concatenate([full.keys, full.values], axis=3).ravel()
-        assert np.array_equal(delta.values.view(np.uint32), full_c[index].view(np.uint32))
-        assert delta.kept_energy_fraction == fraction
-
-    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95, 0.99, 1.0])
-    def test_random_pairs(self, target):
-        oracle = KVOracle()
-        rng = np.random.default_rng(int(target * 100) + 5)
-        for _ in range(20):
-            self.check(*random_pair(oracle, rng), target)
-
-    @pytest.mark.parametrize("target", [0.3, 0.5, 0.7, 0.9, 0.95])
-    def test_exact_tie_magnitudes(self, target):
-        # Quarter-step bases plus deltas of a few magnitudes of both signs,
-        # all exact in float32, so the cut-off falls inside a run of equal
-        # magnitudes scattered over the tensor.
-        rng = np.random.default_rng(int(target * 100))
-        shape = (2, 2, 5, 4)
-        steps = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
-
-        def pair_of(base):
-            return base, (base + rng.choice(steps, size=shape)).astype(np.float32)
-
-        split_ties = 0
-        for _ in range(20):
-            base_k, full_k = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
-            base_v, full_v = pair_of((rng.integers(-8, 9, size=shape) / 4).astype(np.float32))
-            base = KVTensor(np.concatenate([base_k, base_v], axis=3), position_offset=3)
-            full = KVTensor(np.concatenate([full_k, full_v], axis=3), position_offset=3)
-            self.check(full, base, target)
-            delta = sparsify(full, base, target)
-            magnitude = np.abs(true_delta(full, base)).ravel()
-            cutoff = np.sort(magnitude)[::-1][delta.entries - 1]
-            split_ties += np.count_nonzero(magnitude[delta.index] == cutoff) < np.count_nonzero(magnitude == cutoff)
-        assert split_ties > 10  # the cut-off mostly keeps some of a tie, not all
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +329,25 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="read-only"):
             back.states[0, 0, 0, 0] = 1.0
 
-    def test_delta_round_trip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("target", [0.5, 0.9, 1.0])
+    def test_delta_round_trip_bitwise(self, tmp_path, target):
         oracle = KVOracle()
         full, base = random_pair(oracle, np.random.default_rng(23))
-        delta = sparsify(full, base, 0.9)
+        delta = sparsify(full, base, target)
         file = tmp_path / "seg.delta"
         write_delta(file, delta)
         assert file.stat().st_size == delta.nbytes()
-        bitmap = -(-prod(delta.dense_shape) // 8)
-        assert delta.nbytes() == DELTA_HEADER.size + bitmap + 4 * delta.entries
+        layers, heads = delta.dense_shape[:2]
+        scales = 4 * layers * heads if delta.width < 32 else 0
+        assert delta.nbytes() == DELTA_HEADER.size + scales + -(-prod(delta.dense_shape) * delta.width // 8)
         back = read_delta(file)
         assert back.dense_shape == delta.dense_shape
         assert back.position_offset == delta.position_offset
         assert back.kept_energy_fraction == np.float32(delta.kept_energy_fraction)
-        assert np.array_equal(back.coords, delta.coords)
-        assert np.array_equal(back.values, delta.values)
+        assert back.width == delta.width and back.entries == delta.entries
+        for name in ("scales", "codes", "coords", "values"):
+            got, expected = getattr(back, name), getattr(delta, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         again = tmp_path / "seg2.delta"
         write_delta(again, back)
         assert again.read_bytes() == file.read_bytes()
@@ -502,55 +413,50 @@ class TestFileFormats:
         with pytest.raises(DataError):
             read_delta(short)
 
-    # Dense shapes whose index narrows to uint8, uint16 and uint32: the last
-    # two are ops of 128 and 129 tokens at the default oracle config.
-    NARROWED = [((1, 1, 2, 2), np.uint8), ((4, 4, 128, 32), np.uint16), ((4, 4, 129, 32), np.uint32)]
-
     @staticmethod
-    def delta(shape, index, dtype=np.int64):
-        index = np.array(index, dtype=dtype)
-        return SparseDelta(shape, 0, 1.0, index, np.ones(len(index), dtype=np.float32))
+    def delta(width=4, codes=None, scales=None, shape=(2, 1, 3, 2)):
+        if codes is None:  # every code of the width, or float32 states at width 32
+            q = 2 ** (width - 1) - 1 if width < 32 else 0
+            codes = np.resize(np.arange(-q, q + 1), shape) if q else np.linspace(-1, 1, prod(shape)).reshape(shape)
+        if scales is None:
+            scales = np.ones(shape[:2])
+        dtype = np.int8 if width < 32 else np.float32
+        return QuantizedDelta(shape, 0, 1.0, width, np.asarray(scales, np.float32), np.asarray(codes, dtype))
 
-    @pytest.mark.parametrize("shape, narrow", NARROWED)
-    def test_delta_index_takes_the_smallest_unsigned_type(self, tmp_path, shape, narrow):
-        size = prod(shape)
-        for index in ([], [0, size - 1]):
-            for dtype in (np.int64, np.int32, narrow):
-                delta = self.delta(shape, index, dtype)
-                assert delta.index.dtype == narrow
-                assert delta.index.tolist() == index
-            write_delta(tmp_path / "a.delta", delta)
-            back = read_delta(tmp_path / "a.delta")
-            assert back.index.dtype == narrow
-            assert np.array_equal(back.index, delta.index)
+    def test_delta_takes_each_width_and_its_full_code_range(self):
+        for width in WIDTHS:
+            delta = self.delta(width)
+            assert delta.entries == (np.count_nonzero(delta.codes) if width < 32 else delta.codes.size)
 
-    def test_delta_rejects_unordered_coordinates(self):
-        # Given in the narrow type too, where np.diff would wrap round.
-        for shape, narrow in self.NARROWED:
-            size = prod(shape)
-            for index in ([2, 1], [1, 1], [0, size - 1, size - 2], [size - 1, size - 1]):
-                for dtype in (np.int64, np.int32, narrow):
-                    with pytest.raises(DataError, match="row-major"):
-                        self.delta(shape, index, dtype)
+    @pytest.mark.parametrize("width", [0, 1, 9, 16, 31, 33])
+    def test_delta_rejects_a_width_outside_the_set(self, width):
+        with pytest.raises(DataError, match=f"code width {width} is not one of"):
+            QuantizedDelta((1, 1, 1, 2), 0, 1.0, width, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
 
-    # Each coordinate (k, m) is k * size + m, for the shape's size.
-    @pytest.mark.parametrize("index", [
-        [(0, -1), (0, 0)],
-        [(0, 2), (1, 0)],
-        [(0, -2), (0, -1)],
-        [(1, 0), (1, 1)],
-        [(0, 0), (1, 256), (1, 65536)],
+    def test_delta_rejects_codes_outside_its_width(self):
+        for width in WIDTHS[:-1]:
+            q = 2 ** (width - 1) - 1
+            for bad in (q + 1, -q - 1) if q < 127 else (-q - 1,):
+                with pytest.raises(DataError, match=rf"\[-{q}, {q}\] at width {width}"):
+                    self.delta(width, codes=np.full((2, 1, 3, 2), bad))
+        with pytest.raises(DataError, match="int8"):
+            QuantizedDelta((1, 1, 1, 2), 0, 1.0, 4, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int16))
+        with pytest.raises(DataError, match="float32"):
+            QuantizedDelta((1, 1, 1, 2), 0, 1.0, 32, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
+        with pytest.raises(DataError, match="shape"):
+            self.delta(4, codes=np.zeros((2, 1, 2, 2)))
+
+    @pytest.mark.parametrize("scales, width", [
+        ([[-1.0], [1.0]], 4), ([[np.nan], [1.0]], 4), ([[np.inf], [1.0]], 4), ([[1.0, 1.0]], 4), ([[2.0], [1.0]], 32),
     ])
-    def test_delta_rejects_out_of_bounds_index(self, index):
-        # Checked before the narrowing cast, which would wrap these round.
-        for shape, _ in self.NARROWED:
-            with pytest.raises(DataError, match="out-of-bounds"):
-                self.delta(shape, [k * prod(shape) + m for k, m in index])
+    def test_delta_rejects_bad_scales(self, scales, width):
+        with pytest.raises(DataError, match="scales must be"):
+            self.delta(width, scales=scales)
 
     def test_delta_rejects_shape_beyond_int32_index(self):
-        empty = np.zeros(0, dtype=np.int32)
+        empty = np.zeros(0, dtype=np.int8)
         with pytest.raises(DataError, match="int32"):
-            SparseDelta((1 << 10, 1 << 10, 1 << 10, 2), 0, 1.0, empty, empty.astype(np.float32))
+            QuantizedDelta((1 << 10, 1 << 10, 1 << 10, 2), 0, 1.0, 4, empty.astype(np.float32), empty)
 
     def test_path_digest_stable_and_distinct(self):
         a = path_digest(("OP_A", "OP_B"))
@@ -561,7 +467,7 @@ class TestFileFormats:
 
 
 class TestDeltaFileRejections:
-    """Each malformed version-2 file is refused with a DataError naming it."""
+    """Each malformed version-3 file is refused with a DataError naming it."""
 
     def written(self, tmp_path, delta):
         file = tmp_path / "pair.delta"
@@ -578,33 +484,59 @@ class TestDeltaFileRejections:
         header = DELTA_HEADER.pack(DELTA_MAGIC, 1, 1, 1, 2, 2, 0, 1.0, 1)
         self.rejects(file, header + bytes(24), "version 1.*kv materialize")
 
-    def test_bitmap_popcount_differs_from_count(self, tmp_path):
-        full, base = random_pair(KVOracle(), np.random.default_rng(5))
-        delta = sparsify(full, base, 0.5)
+    def test_version_two_file(self, tmp_path):
+        # A bitmap of the kept coordinates, then their float32 values.
+        file = tmp_path / "old.delta"
+        header = DELTA_HEADER.pack(DELTA_MAGIC, 2, 1, 1, 2, 2, 0, 1.0, 1)
+        self.rejects(file, header + bytes([0b1000_0000]) + bytes(4), "version 2.*kv materialize")
+
+    def test_codes_are_packed_most_significant_bit_first(self, tmp_path):
+        # Six 3-bit codes take 18 bits, so the last byte has 6 padding bits.
+        codes = np.array([1, -1, 0, 3, -3, 2], dtype=np.int8).reshape(1, 1, 3, 2)
+        delta = QuantizedDelta((1, 1, 3, 2), 5, 0.75, 3, np.array([[0.5]], np.float32), codes)
         file, raw = self.written(tmp_path, delta)
-        partial = next(
-            i for i in range(DELTA_HEADER.size, len(raw) - 4 * delta.entries) if raw[i] != 0xFF
-        )
-        raw[partial] = 0xFF
-        self.rejects(file, raw, "bitmap marks")
+        header = DELTA_HEADER.pack(DELTA_MAGIC, 3, 1, 1, 3, 2, 5, 0.75, 3)
+        assert raw == header + np.float32(0.5).tobytes() + bytes([0b001_111_00, 0b0_011_101_0, 0b10_000000])
+        assert np.array_equal(read_delta(file).codes, codes)
+
+    def test_width_outside_the_set(self, tmp_path):
+        full, base = random_pair(KVOracle(), np.random.default_rng(5))
+        file, raw = self.written(tmp_path, sparsify(full, base, 0.9))
+        for width in (0, 1, 9, 31):
+            raw[DELTA_HEADER.size - 4 : DELTA_HEADER.size] = width.to_bytes(4, "little")
+            self.rejects(file, raw, f"code width {width} is not one of")
+
+    @pytest.mark.parametrize("scale", [-1.0, -0.0 - 1e-30, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_scale(self, tmp_path, scale):
+        full, base = random_pair(KVOracle(), np.random.default_rng(5))
+        file, raw = self.written(tmp_path, sparsify(full, base, 0.9))
+        raw[DELTA_HEADER.size + 8 : DELTA_HEADER.size + 12] = np.float32(scale).tobytes()
+        self.rejects(file, raw, "scales must be finite and non-negative")
+
+    def test_code_outside_its_range(self, tmp_path):
+        # At width 4 the pattern 1000 is -8, one below -q = -7.
+        full, base = random_pair(KVOracle(), np.random.default_rng(5))
+        delta = sparsify(full, base, 0.95)
+        assert delta.width == 4
+        file, raw = self.written(tmp_path, delta)
+        codes_at = DELTA_HEADER.size + 4 * delta.scales.size
+        raw[codes_at + 3] = 0x80
+        self.rejects(file, raw, r"codes must lie in \[-7, 7\] at width 4")
 
     def test_nonzero_padding_bits(self, tmp_path):
-        # 6 coordinates: one bitmap byte whose last two bits are padding
-        index = np.array([1, 4], dtype=np.int32)
-        delta = SparseDelta((1, 1, 3, 2), 0, 1.0, index, np.ones(2, dtype=np.float32))
+        codes = np.array([1, -1, 0, 3, -3, 2], dtype=np.int8).reshape(1, 1, 3, 2)
+        delta = QuantizedDelta((1, 1, 3, 2), 0, 1.0, 3, np.ones((1, 1), np.float32), codes)
         file, raw = self.written(tmp_path, delta)
-        assert len(raw) == DELTA_HEADER.size + 1 + 4 * 2
-        assert raw[DELTA_HEADER.size] == 0b01001000
-        assert np.array_equal(read_delta(file).index, index)
-        assert read_delta(file).coords.tolist() == [[0, 0, 0, 1], [0, 0, 2, 0]]
-        raw[DELTA_HEADER.size] |= 0x01
+        assert read_delta(file).coords.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 2, 0], [0, 0, 2, 1]]
+        raw[-1] |= 0x01
         self.rejects(file, raw, "padding")
 
     def test_wrong_length(self, tmp_path):
         full, base = random_pair(KVOracle(), np.random.default_rng(9))
-        file, raw = self.written(tmp_path, sparsify(full, base, 0.9))
-        self.rejects(file, raw + b"\x00" * 4, "expected")
-        self.rejects(file, raw[:-1], "expected")
+        for target in (0.9, 1.0):
+            file, raw = self.written(tmp_path, sparsify(full, base, target))
+            self.rejects(file, raw + b"\x00" * 4, "expected")
+            self.rejects(file, raw[:-1], "expected")
 
 
 # ---------------------------------------------------------------------------
@@ -765,30 +697,61 @@ class TestVerifyFetch:
         prefix, op_tokens = store.prefix_tokens(path), store.op_tokens(op_id)
         full = store.oracle.stateful_segment(prefix, op_tokens)
         base = store.oracle.base_segment(op_tokens, len(prefix))
-        bound = np.sqrt(0.05) * kvstore._distance(full, base) + 1e-6
+        bound = np.sqrt(0.05) * distance(full, base)
         inside, outside = along(full, base, 0.99 * bound), along(full, base, 1.01 * bound)
-        assert kvstore._distance(inside, full) < bound < kvstore._distance(outside, full)
+        assert distance(inside, full) < bound < distance(outside, full)
         assert store.verify_fetch(inside, result)
         assert not store.verify_fetch(outside, result)
         # The same tensors as fallbacks are held to bitwise equality.
         assert not store.verify_fetch(inside, result._replace(flag="fallback"))
 
-    def test_bound_keeps_an_absolute_slack_of_1e_6(self):
-        # At energy 1.0 the bound is the slack alone: a one-ulp change of a
-        # coordinate under 8 in magnitude (at most 4.8e-7) is within it, a
-        # 2e-6 change is not.
+    def test_bound_keeps_no_slack(self):
+        # At energy 1.0 the bound is 0: the exact hit passes and a one-ulp
+        # change of one coordinate does not, as a hit or as a fallback.
         store = CacheStore(small_graph(), mode="differential", energy_target=1.0)
         path, op_id = ("OP_A",), "OP_B"
         store.fetch(path, op_id)
-        store.insert_residual(path, op_id)
+        assert store.insert_residual(path, op_id).width == 32
         kv, result = store.fetch(path, op_id)
-        assert result.flag == "hit" and abs(kv.states.reshape(-1)[-1]) < 8.0
-        assert store.verify_fetch(nudged(kv), result)
-        far = kv.states.copy()
-        far.reshape(-1)[-1] += np.float32(2e-6)
-        assert not store.verify_fetch(KVTensor(far, kv.position_offset), result)
-        # A fetch forged as a fallback is held to bitwise equality instead.
+        assert result.flag == "hit" and store.verify_fetch(kv, result)
+        assert not store.verify_fetch(nudged(kv), result)
         assert not store.verify_fetch(nudged(kv), result._replace(flag="fallback"))
+        # Below 1.0 nothing is added to sqrt(1 - target) * ||delta|| either:
+        # a hit at exactly that distance passes, the next float32 out fails.
+        full = np.zeros((1, 1, 1, 2), dtype=np.float32)
+        check = kvstore._energy_check(full, np.array([0.125, 0.0]).reshape(full.shape), 0.75)
+        edge = np.array([0.0625, 0.0], dtype=np.float32).reshape(full.shape)
+        assert check(edge) == 0.75 and check(full) == 1.0
+        edge[..., 0] = np.nextafter(np.float32(0.0625), np.float32(1))
+        assert check(edge) is None
+
+
+    @pytest.mark.parametrize("target", [0.5, 0.8, 0.9, 0.95, 0.99, 1.0])
+    def test_chosen_width_passes_and_one_narrower_fails(self, target):
+        # Each residual's hit passes verify_fetch; the same pair coded one
+        # width narrower (longhand) fails it.  At 1.0 every width is 32 and
+        # every hit bitwise.
+        forced = 0
+        for lam in (0.5, 0.8, 0.9):
+            store = CacheStore(layered_graph(levels=4), "differential", KVOracle(OracleConfig(lam=lam)), target)
+            rng = np.random.default_rng(int(target * 100 + lam * 10))
+            for _ in range(3):
+                chain = random_chain(rng, levels=4)
+                for depth in range(1, len(chain)):
+                    path, op_id = tuple(chain[:depth]), chain[depth]
+                    delta = store.insert_residual(path, op_id)
+                    kv, result = store.fetch(path, op_id)
+                    assert result.flag == "hit" and store.verify_fetch(kv, result)
+                    full = one_pass(store, path, op_id)
+                    if target == 1.0:
+                        assert delta.width == 32
+                        assert_bitwise(kv, full)
+                    elif delta.width > 2:
+                        narrower = WIDTHS[WIDTHS.index(delta.width) - 1]
+                        base = store.base(op_id, result.prefix_tokens)
+                        assert not store.verify_fetch(coded_hit(full, base, narrower), result)
+                        forced += 1
+        assert forced or target == 1.0
 
 
 class TestFetchResult:
@@ -844,7 +807,7 @@ class TestStoredEntriesAreReadOnly:
         store = CacheStore(graph, mode="differential")
         base, _ = store.fetch((), "OP_A")
         delta = store.insert_residual(("OP_A",), "OP_B")
-        for array in (full.states, base.states, delta.index, delta.values):
+        for array in (full.states, base.states, delta.scales, delta.codes):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array.reshape(-1)[0] = 0
@@ -973,17 +936,20 @@ class TestStoreRoundTrip:
         b, _ = back.fetch(("OP_A",), "OP_B")
         assert np.array_equal(a.keys, b.keys)
 
-    def test_residuals_hold_six_bytes_per_entry_and_reload_the_same_bits(self, tmp_path):
-        # At the default oracle config: a uint16 coordinate and a float32 value.
+    def test_residuals_hold_one_byte_per_code_and_reload_the_same_bits(self, tmp_path):
+        # In memory an int8 per coordinate and a float32 per (layer, head);
+        # in the file ``width`` bits per coordinate.
         graph, store = self.populate()
         save_store(store, tmp_path)
         back = load_store(tmp_path, graph)
         for key, delta in store.residuals.items():
-            assert delta.entries
-            assert delta.index.dtype == np.uint16
-            assert delta.index.nbytes + delta.values.nbytes == 6 * delta.entries
+            layers, heads = delta.dense_shape[:2]
+            assert delta.width < 8 and delta.entries
+            assert delta.codes.nbytes == prod(delta.dense_shape) and delta.scales.nbytes == 4 * layers * heads
+            assert delta.nbytes() < delta.codes.nbytes
             other = back.residuals[key]
-            for got, expected in ((other.index, delta.index), (other.values, delta.values)):
+            assert other.width == delta.width
+            for got, expected in ((other.scales, delta.scales), (other.codes, delta.codes)):
                 assert got.dtype == expected.dtype
                 assert got.tobytes() == expected.tobytes()
 
@@ -1010,7 +976,7 @@ class TestStoreRoundTrip:
         save_store(store, tmp_path)
         back = load_store(tmp_path, graph)
         arrays = [kv.states for kv in (*back.bases.values(), *back.fulls.values())]
-        arrays += [a for delta in back.residuals.values() for a in (delta.index, delta.values)]
+        arrays += [a for delta in back.residuals.values() for a in (delta.scales, delta.codes)]
         assert arrays
         for array in arrays:
             assert not array.flags.writeable
@@ -1171,9 +1137,10 @@ class TestStoreRoundTrip:
         delta = store.residuals[key]
         layers, heads, tokens, width = delta.dense_shape
         wider = (layers, heads, tokens, width + 2)
-        store.residuals[key] = SparseDelta(
-            wider, delta.position_offset, delta.kept_energy_fraction,
-            np.ravel_multi_index(tuple(delta.coords.T), wider).astype(np.int32), delta.values,
+        codes = np.zeros(wider, dtype=np.int8)
+        codes[..., :width] = delta.codes
+        store.residuals[key] = QuantizedDelta(
+            wider, delta.position_offset, delta.kept_energy_fraction, delta.width, delta.scales, codes
         )
         self.rejects_after_save(tmp_path, graph, store, "shape")
 
@@ -1332,6 +1299,29 @@ class TestStoreFileRejections:
         first, second = manifest["entries"][:2]
         second.update(op=first["op"], offset=first["offset"])
         self.rejects(saved, self.framed(manifest, saved[3]), "row 1 repeats bases entry")
+
+
+    def test_truncations_and_overwrites_raise_only_opflow_errors(self, saved):
+        # A bounded, seeded corruption sweep over one small differential
+        # store: cuts at every 97th offset, and 300 overwrites of 1-3 bytes.
+        graph, where = saved[:2]
+        raw = (where / "store.bin").read_bytes()
+        rng = np.random.default_rng(2024)
+        cases = [raw[:cut] for cut in range(0, len(raw), 97)]
+        for _ in range(300):
+            mutated = bytearray(raw)
+            at = int(rng.integers(len(raw)))
+            size = int(rng.integers(1, 4))
+            mutated[at : at + size] = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+            cases.append(bytes(mutated))
+        rejected = 0
+        for case in cases:
+            (where / "store.bin").write_bytes(case)
+            try:
+                load_store(where, graph)
+            except OpflowError:
+                rejected += 1
+        assert len(raw) // 97 < rejected < len(cases)
 
 
 # ---------------------------------------------------------------------------
