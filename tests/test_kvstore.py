@@ -239,6 +239,23 @@ class TestReconstruct:
                 assert np.array_equal(rec.states.view(np.uint32), expected.view(np.uint32))
                 assert delta.coords.dtype == np.int32 and delta.values.dtype == np.float32
 
+    def test_flat_index_put_matches_coordinate_assignment(self):
+        # ``coords`` are distinct and row-major, so their flat indices rise
+        # strictly, and putting base + value (width 32: the value) at those
+        # indices of the flattened base gives the hit bit for bit.
+        oracle = KVOracle()
+        rng = np.random.default_rng(37)
+        for target in (0.5, 0.95, 1.0):
+            for _ in range(10):
+                full, base = random_pair(oracle, rng)
+                delta = sparsify(full, base, target)
+                index = np.ravel_multi_index(tuple(delta.coords.T), delta.dense_shape)
+                assert len(index) == delta.entries and (np.diff(index) > 0).all()
+                flat = base.states.ravel().copy()
+                np.put(flat, index, delta.values if delta.width == 32 else flat[index] + delta.values)
+                rec = reconstruct(base, delta)
+                assert np.array_equal(rec.states.ravel().view(np.uint32), flat.view(np.uint32))
+
     def test_error_bounded_by_dropped_energy(self):
         oracle = KVOracle()
         rng = np.random.default_rng(11)
@@ -329,28 +346,28 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="read-only"):
             back.states[0, 0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("target", [0.5, 0.9, 1.0])
-    def test_delta_round_trip_bitwise(self, tmp_path, target):
+    def test_delta_round_trip_bitwise(self, tmp_path):
         oracle = KVOracle()
         full, base = random_pair(oracle, np.random.default_rng(23))
-        delta = sparsify(full, base, target)
-        file = tmp_path / "seg.delta"
-        write_delta(file, delta)
-        assert file.stat().st_size == delta.nbytes()
-        layers, heads = delta.dense_shape[:2]
-        scales = 4 * layers * heads if delta.width < 32 else 0
-        assert delta.nbytes() == DELTA_HEADER.size + scales + -(-prod(delta.dense_shape) * delta.width // 8)
-        back = read_delta(file)
-        assert back.dense_shape == delta.dense_shape
-        assert back.position_offset == delta.position_offset
-        assert back.kept_energy_fraction == np.float32(delta.kept_energy_fraction)
-        assert back.width == delta.width and back.entries == delta.entries
-        for name in ("scales", "codes", "coords", "values"):
-            got, expected = getattr(back, name), getattr(delta, name)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        again = tmp_path / "seg2.delta"
-        write_delta(again, back)
-        assert again.read_bytes() == file.read_bytes()
+        for target in (0.5, 0.9, 1.0):  # coded widths and width 32
+            delta = sparsify(full, base, target)
+            file = tmp_path / "seg.delta"
+            write_delta(file, delta)
+            assert file.stat().st_size == delta.nbytes()
+            layers, heads = delta.dense_shape[:2]
+            scales = 4 * layers * heads if delta.width < 32 else 0
+            assert delta.nbytes() == DELTA_HEADER.size + scales + -(-prod(delta.dense_shape) * delta.width // 8)
+            back = read_delta(file)
+            assert back.dense_shape == delta.dense_shape
+            assert back.position_offset == delta.position_offset
+            assert back.kept_energy_fraction == np.float32(delta.kept_energy_fraction)
+            assert back.width == delta.width and back.entries == delta.entries
+            for name in ("scales", "codes", "coords", "values"):
+                got, expected = getattr(back, name), getattr(delta, name)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+            again = tmp_path / "seg2.delta"
+            write_delta(again, back)
+            assert again.read_bytes() == file.read_bytes()
 
     def test_failed_write_kv_leaves_the_earlier_file(self, tmp_path, fail_writing):
         file = tmp_path / "seg.kv"
@@ -936,7 +953,7 @@ class TestStoreRoundTrip:
         b, _ = back.fetch(("OP_A",), "OP_B")
         assert np.array_equal(a.keys, b.keys)
 
-    def test_residuals_hold_one_byte_per_code_and_reload_the_same_bits(self, tmp_path):
+    def test_residuals_hold_a_byte_per_code_and_reload_the_same_bits(self, tmp_path):
         # In memory an int8 per coordinate and a float32 per (layer, head);
         # in the file ``width`` bits per coordinate.
         graph, store = self.populate()
