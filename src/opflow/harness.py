@@ -7,14 +7,14 @@ cost plus a per-entry residual-apply cost, while a fallback pays a per-token
 (``PREFILL_PER_TOKEN``, ``APPLY_PER_ENTRY``, ``HIT_FIXED``) are arbitrary but
 fixed; what matters is that identical seeds give identical reports.
 
-A serving run records, then folds: its fetch loop only computes and keeps
-the store's own ``FetchResult`` of each fetch, per request, and one fold
-turns the records into the report.  Batch concurrency is modeled as
-simultaneous live stores for the memory account and sequential execution
-for the cost account: the fold accounts one empty store per stateful
-request (one store per run computes), while stateless and differential
-requests share one store, which is exactly where the differential layout's
-cross-request deduplication shows up in the sweep curves.
+A serving run records, then folds: per request, its fetch loop (one plan per
+workflow shape) only computes and keeps the store's ``FetchResult`` of each
+fetch, and one fold turns the records into the report.  Batch concurrency is
+modeled as simultaneous live stores for the memory account and sequential
+execution for the cost account: the fold accounts one empty store per
+stateful request (one store per run computes), while stateless and
+differential requests share one store, which is where the differential
+layout's cross-request deduplication shows up in the sweep curves.
 
 The batch-size sweep serves each mode once: requests run in order against
 stores that only grow, so batch size B is read off the first B per-request
@@ -24,6 +24,7 @@ records (cost, score, entries applied, footprint after) of that one run.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -39,6 +40,7 @@ from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_p
 
 DEFAULT_BATCH_SIZES = (10, 20, 30, 40, 50)
 SWEEP_MODES = ("stateless", "differential", "stateful")
+_PLAN_CACHE_SIZE = 256  # workflow shapes whose execution plan is kept
 
 # Simulated cost units (arbitrary but fixed; see module docstring).
 PREFILL_PER_TOKEN = 1.0
@@ -137,17 +139,7 @@ def execution_chains(workflow: Workflow) -> dict[str, tuple[str, ...]]:
     other chain extends is a maximal executed trace.  The dict is in
     topological order, the order ``run_serving_sim`` fetches the nodes in.
     """
-    parents: dict[str, list[str]] = {node: [] for node in workflow.nodes}
-    for src, dst in workflow.edges:
-        parents[dst].append(src)
-    chains: dict[str, tuple[str, ...]] = {}
-    for node in topological_order(workflow.nodes, workflow.edges):
-        pred = sorted(parents[node])
-        if pred:
-            chains[node] = chains[pred[0]] + (node,)
-        else:
-            chains[node] = (node,)
-    return chains
+    return dict(_plan(tuple(workflow.nodes), tuple(workflow.edges))[0])
 
 
 def maximal_traces(workflow: Workflow) -> list[list[str]]:
@@ -155,12 +147,21 @@ def maximal_traces(workflow: Workflow) -> list[list[str]]:
     node: every fetched (path, op) pair is a prefix of one.  On a tree these
     are the leaves' chains; on a DAG, a node that is no child's smallest
     parent ends one too."""
-    return _maximal_traces(execution_chains(workflow))
+    return [list(trace) for trace in _plan(tuple(workflow.nodes), tuple(workflow.edges))[1]]
 
 
-def _maximal_traces(chains: Mapping[str, tuple[str, ...]]) -> list[list[str]]:
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(nodes: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> tuple[tuple, tuple]:
+    """A workflow shape's ``(node, chain)`` pairs in fetch order and maximal
+    traces, as tuples, keyed by value since a ``Workflow`` is mutable."""
+    parents: dict[str, list[str]] = {node: [] for node in nodes}
+    for src, dst in edges:
+        parents[dst].append(src)
+    chains: dict[str, tuple[str, ...]] = {}
+    for node in topological_order(nodes, edges):
+        chains[node] = chains[min(parents[node])] + (node,) if parents[node] else (node,)
     extended = {chain[-2] for chain in chains.values() if len(chain) > 1}
-    return [list(chains[node]) for node in sorted(chains) if node not in extended]
+    return tuple(chains.items()), tuple(chains[node] for node in sorted(chains) if node not in extended)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +254,12 @@ def run_serving_sim(
     every other distinct text is synthesized once, before serving, in
     fixed-size blocks of task rows (a lone text takes ``generate``'s path).
     Each operation fetches its KV segment under the chain prefix given by
-    ``execution_chains``; fallbacks in differential mode materialize the
-    missing residual (unless ``warm_differential`` is off, as when measuring
-    a pruned store).  ``stats`` collects the executed maximal traces for
-    materialization planning.  The store is ``store``, or a fresh one built
-    with ``oracle``; an ``oracle`` passed with a store must be the store's.
+    ``execution_chains``, in a plan derived once per workflow shape; fallbacks
+    in differential mode materialize the missing residual (unless
+    ``warm_differential`` is off, as when measuring a pruned store).  ``stats``
+    records the plan's maximal traces for materialization planning.  The
+    store is ``store``, or a fresh one built with ``oracle``; an ``oracle``
+    passed with a store must be the store's.
     ``verify_fetches`` checks each fetch with ``CacheStore.verify_fetch``.
 
     Stateful mode accounts for one empty store per request but computes in
@@ -278,11 +280,14 @@ def run_serving_sim(
     cached = workflow_cache or {}
     generated = _synthesize(graph, params, (t for t in workload.requests if t not in cached))
 
+    traces: list[tuple[str, ...]] = []
     for req_index, task_text in enumerate(workload.requests):
         wf = cached[task_text] if task_text in cached else generated[task_text]
         scores.append(edge_f1(wf.edges, workload.targets[req_index]))
+        order, wf_traces = _plan(tuple(wf.nodes), tuple(wf.edges))
+        traces += wf_traces
         records = []
-        for node, chain in execution_chains(wf).items():
+        for node, chain in order:
             kv, result = store.fetch(chain[:-1], node)
             if result.flag == "fallback" and mode == "differential" and warm_differential:
                 store.insert_residual(result.path, node)
@@ -293,9 +298,8 @@ def run_serving_sim(
         memory.append(store.memory_footprint())
 
     if stats is not None:
-        for records in request_fetches:
-            for trace in _maximal_traces({r.op: r.path + (r.op,) for r in records}):
-                stats.record(trace)
+        for trace in traces:
+            stats.record(trace)
     return _fold(mode, request_fetches, scores, memory, verified if verify_fetches else None)
 
 

@@ -436,9 +436,11 @@ class CacheStore:
         """Path ops must chain along graph edges and end on an edge into op.
 
         Returns the path's token count.  A path is walked once; later calls
-        with it check only ``op_id`` and the edge into it.
+        with it check only ``op_id`` and the edge into it (one set lookup).
         """
         n_prefix = self._prefix_len.get(path)
+        if n_prefix is not None and path and (path[-1], op_id) in self.graph._edge_set:
+            return n_prefix
         self.graph.check_chain((path if n_prefix is None else path[-1:]) + (op_id,), "prefix path")
         if n_prefix is None:
             n_prefix = self._prefix_len[path] = len(self.prefix_tokens(path))

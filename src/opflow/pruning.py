@@ -15,7 +15,8 @@ import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, _check_int, _write_atomic
 from .graph import OperationGraph
@@ -34,30 +35,42 @@ class TransitionStats:
     """Edge-traversal counts harvested from executed workflow traces.
 
     A trace is an op-id sequence whose consecutive pairs must be operation
-    graph edges.  Recording is order-independent: any permutation of the same
-    trace multiset produces identical stats.
+    graph edges.  One count is kept per distinct trace, checked when first
+    recorded; ``edge_counts`` and ``observed_pairs`` are read-only derived views.
     """
 
     def __init__(self, graph: OperationGraph):
         self.graph = graph
-        self.edge_counts: dict[tuple[str, str], int] = {}
-        self.observed_pairs: set[tuple[PathKey, str]] = set()
+        self._trace_counts: dict[PathKey, int] = {}
         self.total_observations: int = 0
 
     def record(self, trace: Sequence[str]) -> None:
         trace = tuple(trace)
         if not trace:
             return
-        self.graph.check_chain(trace, "trace")
-        for step in zip(trace, trace[1:]):
-            self.edge_counts[step] = self.edge_counts.get(step, 0) + 1
-        for i in range(1, len(trace)):
-            self.observed_pairs.add((trace[:i], trace[i]))
+        if trace not in self._trace_counts:
+            self.graph.check_chain(trace, "trace")
+        self._trace_counts[trace] = self._trace_counts.get(trace, 0) + 1
         self.total_observations += 1
 
+    @property
+    def edge_counts(self) -> Mapping[tuple[str, str], int]:
+        counts: dict[tuple[str, str], int] = {}
+        for trace, n in self._trace_counts.items():
+            for step in zip(trace, trace[1:]):
+                counts[step] = counts.get(step, 0) + n
+        return MappingProxyType(counts)
+
+    @property
+    def observed_pairs(self) -> frozenset[tuple[PathKey, str]]:
+        return frozenset((trace[:i], trace[i]) for trace in self._trace_counts for i in range(1, len(trace)))
+
     def min_edge_count(self, path: PathKey, op_id: str) -> int:
-        chain = list(path) + [op_id]
-        return min(self.edge_counts.get((a, b), 0) for a, b in zip(chain, chain[1:]))
+        return _min_edge_count(self.edge_counts, tuple(path) + (op_id,))
+
+
+def _min_edge_count(edge_counts: Mapping[tuple[str, str], int], chain: PathKey) -> int:
+    return min(edge_counts.get(step, 0) for step in zip(chain, chain[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +110,10 @@ def plan_materialization(
     """
     policy = policy or PlanPolicy()
     candidates = []
+    edge_counts = stats.edge_counts
     for path, op_id in stats.observed_pairs:
         graph.check_chain(path + (op_id,), "observed pair")
-        count = stats.min_edge_count(path, op_id)
+        count = _min_edge_count(edge_counts, path + (op_id,))
         if count >= policy.k:
             candidates.append(PlanEntry(path=path, op_id=op_id, min_edge_count=count))
     candidates.sort(key=lambda e: (-e.min_edge_count, e.path, e.op_id))

@@ -646,9 +646,9 @@ def diamond_graph():
 
 
 class TestOnePlanPerRequest:
-    """``run_serving_sim`` sorts each workflow once: it fetches in the order
-    of the dict ``execution_chains`` returns and records the leaf traces of
-    those same chains."""
+    """``run_serving_sim`` sorts each workflow shape once: it fetches in the
+    order of the dict ``execution_chains`` returns and records the leaf
+    traces of those same chains, from one cached plan per shape."""
 
     def test_fetches_in_topological_order_with_one_sort_per_request(self, monkeypatch):
         from opflow import harness
@@ -676,6 +676,7 @@ class TestOnePlanPerRequest:
                 expected_stats.record(trace)
         reference = run_serving_sim(graph, object(), workload, "differential", workflow_cache=cache)
 
+        harness._plan.cache_clear()
         sorts, fetches = [], []
         monkeypatch.setattr(
             harness, "topological_order", lambda nodes, edges: sorts.append(1) or topological_order(nodes, edges)
@@ -688,7 +689,8 @@ class TestOnePlanPerRequest:
         report = run_serving_sim(
             graph, object(), workload, "differential", workflow_cache=cache, stats=stats, verify_fetches=True
         )
-        assert len(sorts) == len(workflows)
+        # One sort per distinct workflow, not per request: ``full`` repeats.
+        assert len(sorts) == len({(w.nodes, w.edges) for w in workflows}) == 3
         assert fetches == expected_fetches
         assert [(r.path, r.op) for rs in report.request_fetches for r in rs] == expected_fetches
         assert stats.edge_counts == expected_stats.edge_counts
@@ -696,6 +698,76 @@ class TestOnePlanPerRequest:
         assert stats.total_observations == expected_stats.total_observations
         assert report.verified
         assert replace(report, verified=None) == reference
+
+    def test_stats_check_each_distinct_trace_once(self, monkeypatch):
+        from opflow.graph import OperationGraph
+        from opflow.pruning import TransitionStats
+
+        graph, full = diamond_graph()
+        chain = wf(["OP_B", "OP_Z"], [("OP_Z", "OP_B")], wf_id="WF_2")
+        workflows = [full, chain, full, full, chain]
+        texts = [f"request {i}" for i in range(len(workflows))]
+        workload = Workload(requests=tuple(texts), targets=tuple(w.edges for w in workflows), batch_sizes=(5,))
+        cache = dict(zip(texts, workflows))
+        distinct = {tuple(t) for w in workflows for t in maximal_traces(w)}
+
+        checked = []
+        real_check = OperationGraph.check_chain
+        monkeypatch.setattr(
+            OperationGraph, "check_chain",
+            lambda self, ops, what: (what == "trace" and checked.append(tuple(ops))) or real_check(self, ops, what),
+        )
+        stats = TransitionStats(graph)
+        for _ in range(2):
+            run_serving_sim(graph, object(), workload, "differential", workflow_cache=cache, stats=stats)
+        assert sorted(checked) == sorted(distinct)
+        assert stats.total_observations == 2 * sum(len(maximal_traces(w)) for w in workflows)
+
+
+class TestPlanCache:
+    """The harness derives a workflow's plan once per shape, keyed by the
+    value of its nodes and edges, and hands callers fresh objects."""
+
+    def test_mutated_edges_change_the_fetch_order(self):
+        graph, full = diamond_graph()
+        workflow = replace(full, edges=(("OP_Z", "OP_B"), ("OP_Z", "OP_M"), ("OP_B", "OP_A")))
+        workload = Workload(requests=("one request",), targets=((),), batch_sizes=(1,))
+        cache = {"one request": workflow}
+
+        def fetched():
+            report = run_serving_sim(graph, object(), workload, "differential", workflow_cache=cache)
+            return [(r.path, r.op) for r in report.request_fetches[0]]
+
+        assert fetched() == [((), "OP_Z"), (("OP_Z",), "OP_B"), (("OP_Z", "OP_B"), "OP_A"), (("OP_Z",), "OP_M")]
+        # Same object, new edges: OP_A now follows OP_M, so OP_M moves first.
+        workflow.edges = (("OP_Z", "OP_B"), ("OP_Z", "OP_M"), ("OP_M", "OP_A"))
+        assert fetched() == [((), "OP_Z"), (("OP_Z",), "OP_B"), (("OP_Z",), "OP_M"), (("OP_Z", "OP_M"), "OP_A")]
+        assert execution_chains(workflow)["OP_A"] == ("OP_Z", "OP_M", "OP_A")
+
+    def test_cache_stays_at_its_bound(self):
+        harness._plan.cache_clear()
+        bound = harness._PLAN_CACHE_SIZE
+        for i in range(bound + 20):
+            execution_chains(wf([f"N{i}", "R"], [("R", f"N{i}")]))
+        info = harness._plan.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
+        assert info.misses == bound + 20
+
+    def test_returned_objects_are_fresh(self):
+        w = wf(["A", "B", "C", "D"], [("A", "B"), ("A", "C"), ("B", "D")])
+        chains, traces = execution_chains(w), maximal_traces(w)
+        expected_chains = {"A": ("A",), "B": ("A", "B"), "C": ("A", "C"), "D": ("A", "B", "D")}
+        assert chains == expected_chains
+        assert traces == [["A", "C"], ["A", "B", "D"]]
+        chains["A"] = ("X",)
+        del chains["D"]
+        traces[0].append("Z")
+        traces.pop()
+        assert execution_chains(w) == expected_chains
+        assert maximal_traces(w) == [["A", "C"], ["A", "B", "D"]]
+        assert execution_chains(w) is not execution_chains(w)
+        assert maximal_traces(w)[0] is not maximal_traces(w)[0]
 
 
 class TestSynthesisOncePerText:

@@ -132,6 +132,142 @@ class TestTransitionStats:
         assert stats.min_edge_count(("OP_E",), "OP_B1") == 0
 
 
+def lattice_graph():
+    """A DAG whose walks share prefixes and edges: E->{A1,B1}, A1->{A2,B2},
+    B1->B2, {A2,B2}->C."""
+    ops = {
+        "OP_E": "read the request and choose a processing track",
+        "OP_A1": "collect the ledger rows for the alpha track",
+        "OP_A2": "total the alpha ledger rows into a balance",
+        "OP_B1": "gather the survey forms for the beta track",
+        "OP_B2": "summarize the beta survey forms",
+        "OP_C": "write the closing report for the request",
+    }
+    edges = (
+        ("OP_E", "OP_A1"), ("OP_E", "OP_B1"), ("OP_A1", "OP_A2"), ("OP_A1", "OP_B2"),
+        ("OP_B1", "OP_B2"), ("OP_A2", "OP_C"), ("OP_B2", "OP_C"),
+    )
+    wf = Workflow(
+        id="WF_LATTICE", name="lattice", description="", patterns_must=(), patterns_should=(),
+        nodes=tuple(ops), edges=edges,
+        operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+    )
+    return merge_workflows([wf])
+
+
+class IncrementalStats:
+    """Reference tally: each record checks its whole trace against the graph,
+    then adds one to each of its edges and adds each of its prefix pairs."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.edge_counts = {}
+        self.observed_pairs = set()
+        self.total_observations = 0
+
+    def record(self, trace):
+        trace = tuple(trace)
+        if not trace:
+            return
+        self.graph.check_chain(trace, "trace")
+        for step in zip(trace, trace[1:]):
+            self.edge_counts[step] = self.edge_counts.get(step, 0) + 1
+        for i in range(1, len(trace)):
+            self.observed_pairs.add((trace[:i], trace[i]))
+        self.total_observations += 1
+
+    def min_edge_count(self, path, op_id):
+        chain = list(path) + [op_id]
+        return min(self.edge_counts.get((a, b), 0) for a, b in zip(chain, chain[1:]))
+
+
+LATTICE_TRACES = [
+    ["OP_E"],
+    ["OP_E", "OP_A1"],
+    ["OP_E", "OP_A1", "OP_A2", "OP_C"],
+    ["OP_E", "OP_A1", "OP_B2", "OP_C"],
+    ["OP_E", "OP_B1", "OP_B2"],
+    ["OP_E", "OP_B1", "OP_B2", "OP_C"],
+    ["OP_A1", "OP_B2"],
+    ["OP_B2", "OP_C"],
+]
+BAD_TRACES = [
+    (["OP_E", "OP_A2"], "trace step 'OP_E' -> 'OP_A2' is not a graph edge"),
+    (["OP_E", "OP_A1", "OP_A2", "OP_B2"], "trace step 'OP_A2' -> 'OP_B2' is not a graph edge"),
+    (["OP_X"], "unknown operation 'OP_X' in trace"),
+    (["OP_E", "OP_B1", "OP_X"], "unknown operation 'OP_X' in trace"),
+]
+
+
+def views(stats):
+    return dict(stats.edge_counts), set(stats.observed_pairs), stats.total_observations
+
+
+class TestTransitionStatsMatchesIncrementalTally:
+    """One count per distinct trace gives what a per-record tally gives."""
+
+    @staticmethod
+    def seeded_traces(seed):
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(0, len(LATTICE_TRACES), size=60)
+        return [list(LATTICE_TRACES[i]) for i in picks] + [[]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_views_and_plans_equal_the_reference_in_two_orders(self, seed):
+        graph = lattice_graph()
+        traces = self.seeded_traces(seed)
+        assert len({tuple(t) for t in traces}) < len(traces) - 1  # repeats
+        reference = IncrementalStats(graph)
+        for trace in traces:
+            reference.record(trace)
+        for order in (traces, traces[::-1]):
+            stats = TransitionStats(graph)
+            for trace in order:
+                stats.record(trace)
+            assert stats.edge_counts == reference.edge_counts
+            assert stats.observed_pairs == reference.observed_pairs
+            assert stats.total_observations == reference.total_observations == len(traces) - 1
+            for k in (1, 2, 5, 20):
+                for budget in (None, 3):
+                    plan = plan_materialization(graph, stats, PlanPolicy(k=k, budget=budget))
+                    assert [(e.path, e.op_id, e.min_edge_count) for e in plan] == brute_force_plan(reference, k, budget)
+            for path, op in reference.observed_pairs:
+                assert stats.min_edge_count(path, op) == reference.min_edge_count(path, op)
+
+    def test_views_are_read_only_copies(self):
+        stats = TransitionStats(lattice_graph())
+        stats.record(LATTICE_TRACES[2])
+        counts, pairs = stats.edge_counts, stats.observed_pairs
+        with pytest.raises(TypeError):
+            counts[("OP_E", "OP_A1")] = 7
+        with pytest.raises(AttributeError):
+            pairs.add((("OP_E",), "OP_B1"))
+        stats.record(LATTICE_TRACES[2])
+        assert counts[("OP_E", "OP_A1")] == 1
+        assert stats.edge_counts[("OP_E", "OP_A1")] == 2
+
+    @pytest.mark.parametrize("bad, message", BAD_TRACES)
+    def test_invalid_trace_raises_the_same_error_and_changes_nothing(self, bad, message):
+        graph = lattice_graph()
+        reference = IncrementalStats(graph)
+        with pytest.raises(DataError) as expected:
+            reference.record(bad)
+        assert str(expected.value) == message
+        for before in ([], self.seeded_traces(3)):
+            stats = TransitionStats(graph)
+            for trace in before:
+                stats.record(trace)
+            snapshot = views(stats)
+            with pytest.raises(DataError) as raised:
+                stats.record(bad)
+            assert str(raised.value) == message
+            assert views(stats) == snapshot
+            # Still rejected the second time: a failed trace is not remembered.
+            with pytest.raises(DataError):
+                stats.record(bad)
+            assert views(stats) == snapshot
+
+
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
