@@ -32,6 +32,9 @@ float32 scale ``max |delta| / q`` (rounded up) and every coordinate a code
 width b in 2..8 whose float32 hit ``code * scale + base`` lies within
 ``sqrt(1 - energy_target) * ||delta||`` of ``full``; ``sparsify`` and
 ``verify_fetch`` check that bound with the one function ``_energy_check``.
+``sparsify`` tries width 3, then 2 and 4..8, and skips the float32 hits of
+widths 3 and 2 where a float64 error ``||code * scale - delta||`` proves
+they fail; width 3's proves width 2's too, as width 2's grid lies in 3's.
 Width 32 keeps the full tensor's float32 states, which replace the base's,
 so at an energy target of 1.0 a hit is bitwise exact.  In memory a code
 takes one byte (int8), so a hit is one conversion, one product and one sum;
@@ -64,7 +67,7 @@ DELTA_MAGIC = b"OFDL"
 KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
 DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, kept energy, width
 DTYPE_FLOAT32 = 1
-WIDTHS = (2, 3, 4, 5, 6, 7, 8, 32)  # residual code widths in bits, in the order sparsify tries them
+WIDTHS = (2, 3, 4, 5, 6, 7, 8, 32)  # residual code widths in bits; sparsify takes the smallest that passes
 _Q = np.array([2 ** (width - 1) - 1 for width in WIDTHS[:-1]], dtype=np.float64)[:, None, None]  # codes' bounds
 STORE_MAGIC = b"OFST"
 STORE_VERSION = 4
@@ -152,9 +155,21 @@ class QuantizedDelta:
 
 def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> QuantizedDelta:
     """Quantize ``full - base`` at the smallest width whose hit keeps the
-    fetch contract (see the module docstring).  Widths 2..8 are tried in turn
-    on the float32 reconstruction a hit returns; width 32 keeps ``full``'s
+    fetch contract (see the module docstring); width 32 keeps ``full``'s
     states and always passes, so at an energy target of 1.0 a hit is exact.
+
+    Widths 2 and 3 fail on most pairs, so their float32 hits are skipped
+    where a float64 error proves they fail; a wider width goes straight to
+    its hit, and ``_energy_check`` confirms the accepted one.  For n
+    coordinates, ``||hit - full||`` falls short of ``e = ||codes * scale -
+    delta||`` by at most a quarter of ``slack = 2**-20 * (||full|| +
+    sqrt(n) * (3 * max |delta| + 2**-140))`` (the hit's float32 roundings
+    and, for width 2, the grid gap below), and the float64 sums err by less
+    than a factor ``1 + 2**-20``; so ``e > reach = (sqrt(bound) + slack) *
+    (1 + 2**-18)`` proves a width fails.  Width 3 is tried first: width 2's
+    grid {-s2, 0, s2} lies in width 3's {k * s3} but for ``|s2 - 3 * s3| <=
+    2**-22 * max |delta|``, so width 3's ``e`` above ``reach`` proves width 2
+    fails too.  A NaN ``e`` proves nothing.
     """
     if full.states.shape != base.states.shape:
         raise DataError(f"shape mismatch: full {full.states.shape} vs base {base.states.shape}")
@@ -166,8 +181,7 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Qua
     shape, offset = full.states.shape, full.position_offset
     # A scale or hit that overflows fails the bound, leaving width 32.
     with np.errstate(over="ignore", invalid="ignore"):
-        full64 = full.states.astype(np.float64)
-        delta = full64 - base.states
+        full64, delta = _delta64(full.states, base.states)
         peak = np.abs(delta).max(axis=(2, 3), initial=0.0)
         # Any non-finite input shows in the float64 difference (inf - inf is nan).
         if not np.isfinite(peak).all():
@@ -175,14 +189,39 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Qua
         # Every width's scales, rounded up where float32 rounded down: no code exceeds q.
         scales = (peak / _Q).astype(np.float32)
         scales = np.where(scales * _Q < peak, np.nextafter(scales, np.float32(np.inf)), scales)
-        divisors = np.where(scales > 0, scales, 1).astype(np.float64)[..., None, None]
-        check = _energy_check(full64, delta, energy_target)
-        for i, width in enumerate(WIDTHS[:-1]):
-            codes = np.rint(delta / divisors[i])
+        scales64 = scales.astype(np.float64)
+        divisors = np.where(scales64 > 0, scales64, 1)[..., None, None]
+        check, bound = _energy_check(full64, delta, energy_target)
+        norm_full = np.sqrt(np.dot(full64.ravel(), full64.ravel()))
+        slack = 2.0**-20 * (norm_full + np.sqrt(delta.size) * (3 * peak.max(initial=0.0) + 2.0**-140))
+        reach = (np.sqrt(bound) + slack) * (1 + 2.0**-18)
+
+        def trial(i: int) -> tuple[np.ndarray, float]:  # codes and e of width WIDTHS[i]
+            x = delta / divisors[i]
+            codes, error = np.rint(x), 0.0
+            if i < 2:  # wider widths pass on most pairs, so they go straight to the hit
+                x -= codes
+                rows = np.einsum("lhtd,lhtd->lh", x, x)
+                error = np.sqrt(np.dot(rows.ravel(), scales64[i].ravel() ** 2))
+            return codes.astype(np.int8), error
+
+        first = trial(1)
+        for i in range(1 if first[1] > reach else 0, len(WIDTHS) - 1):
+            codes, error = first if i == 1 else trial(i)
+            if error > reach:  # proven to fail
+                continue
             kept = check(_dequantize(codes, scales[i], base.states))
             if kept is not None:
-                return QuantizedDelta(shape, offset, kept, width, scales[i], codes.astype(np.int8))
+                return QuantizedDelta(shape, offset, kept, WIDTHS[i], scales[i], codes)
     return QuantizedDelta(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+
+
+def _delta64(full: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``full`` and ``full - base`` in float64: the one delta both sides of
+    the fetch bound, ``sparsify`` and ``verify_fetch``, read."""
+    full64, delta = full.astype(np.float64), base.astype(np.float64)
+    np.subtract(full64, delta, out=delta)
+    return full64, delta
 
 
 def _dequantize(codes: np.ndarray, scales: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -193,12 +232,15 @@ def _dequantize(codes: np.ndarray, scales: np.ndarray, base: np.ndarray) -> np.n
     return states
 
 
-def _energy_check(full: np.ndarray, delta: np.ndarray, energy_target: float) -> Callable[[np.ndarray], float | None]:
+def _energy_check(
+    full: np.ndarray, delta: np.ndarray, energy_target: float
+) -> tuple[Callable[[np.ndarray], float | None], float]:
     """The differential fetch contract in float64, for ``sparsify`` and
-    ``verify_fetch``: with ``delta = full - base``, a hit's ``states`` keep
-    1 - ||states - full||**2 / ||delta||**2 of the delta's energy, or None if
-    farther than sqrt(1 - energy_target) * ||delta|| from ``full``.  Compared
-    squared with no slack, so at a target of 1.0 only ``full`` passes."""
+    ``verify_fetch``, and its bound ``(1 - energy_target) * ||delta||**2``
+    (0 from a target of 1.0): with ``delta = full - base``, the check gives
+    the share 1 - ||states - full||**2 / ||delta||**2 of the delta's energy a
+    hit's ``states`` keep, or None if that squared error exceeds the bound.
+    Compared squared with no slack, so at a target of 1.0 only ``full`` passes."""
     total = float(np.dot(delta.ravel(), delta.ravel()))
     bound = max(0.0, 1.0 - energy_target) * total
 
@@ -210,7 +252,7 @@ def _energy_check(full: np.ndarray, delta: np.ndarray, energy_target: float) -> 
             return None
         return 1.0 - err2 / total if total else 1.0
 
-    return kept
+    return kept, bound
 
 
 def reconstruct(base: KVTensor, delta: QuantizedDelta) -> KVTensor:
@@ -554,8 +596,7 @@ class CacheStore:
         full = self.oracle.stateful_segment(prefix, op_tokens)
         if self.mode == "differential" and flag == "hit" and path:
             base = self.oracle.base_segment(op_tokens, len(prefix))
-            delta = np.subtract(full.states, base.states, dtype=np.float64)
-            return _energy_check(full.states, delta, self.energy_target)(kv.states) is not None
+            return _energy_check(*_delta64(full.states, base.states), self.energy_target)[0](kv.states) is not None
         return np.array_equal(kv.states, full.states)
 
     def drop_residual(self, path: Iterable[str], op_id: str) -> bool:

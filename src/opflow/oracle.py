@@ -185,7 +185,8 @@ class KVOracle:
         t = len(tokens)
         x = self._embeddings[token_arr] + self._position_rows(position_offset, t)
 
-        lam = cfg.lam
+        # A 0-d array and positional ``out``: numpy converts neither per row.
+        lam = np.array(cfg.lam)
         n_kv = 2 * cfg.d_model
         states = np.empty((cfg.layers, cfg.heads, t, 2 * cfg.head_dim), dtype=np.float32)
         carry_out = np.empty((cfg.layers, cfg.d_model), dtype=np.float64)
@@ -193,16 +194,17 @@ class KVOracle:
         for layer in range(cfg.layers):
             # x is fresh in every layer, so its rows are mixed in place:
             # row += lam * prev, through one buffer for the product.
-            if lam != 0.0:
+            if cfg.lam != 0.0:
                 prev = carry[layer]
                 for row in x:
-                    np.multiply(prev, lam, out=step)
-                    np.add(row, step, out=row)
+                    np.multiply(prev, lam, step)
+                    np.add(row, step, row)
                     prev = row
             carry_out[layer] = x[-1]
             prod = x @ self._w[layer]
             states[layer] = prod[:, :n_kv].reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)
-            x = np.tanh(prod[:, n_kv:])
+            if layer + 1 < cfg.layers:  # the last layer's hidden output is never read
+                x = np.tanh(prod[:, n_kv:])
         return KVTensor(states, position_offset), carry_out
 
     # -- segment views ------------------------------------------------------

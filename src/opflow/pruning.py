@@ -106,13 +106,15 @@ def plan_materialization(
 
     Entries are ordered hottest-first (descending min edge count, then path
     and op id), and truncated to the policy budget after ordering, so a tight
-    budget keeps the most frequently exercised pairs.
+    budget keeps the most frequently exercised pairs.  Each pair is checked
+    against ``graph`` unless it is ``stats.graph``, which checked every trace.
     """
     policy = policy or PlanPolicy()
     candidates = []
     edge_counts = stats.edge_counts
     for path, op_id in stats.observed_pairs:
-        graph.check_chain(path + (op_id,), "observed pair")
+        if graph is not stats.graph:
+            graph.check_chain(path + (op_id,), "observed pair")
         count = _min_edge_count(edge_counts, path + (op_id,))
         if count >= policy.k:
             candidates.append(PlanEntry(path=path, op_id=op_id, min_edge_count=count))

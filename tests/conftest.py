@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,11 @@ import numpy as np
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# pytest imports this checkout's src through pyproject's `pythonpath`; the
+# processes the tests start (`python -m opflow.cli`, the demos) need it too.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # The fold, the split and batching change the summation order, so the model's
 # outputs match the dense code, and batched scores the one-text scores, to

@@ -1,6 +1,5 @@
 """Smoke test: the standalone demos run to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["01_build_graph.py", "03_differential_cache.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,

@@ -206,6 +206,162 @@ class TestSparsify:
             sparsify(full, small)
 
 
+def reference_sparsify(full, base, energy_target):
+    """The width loop ``sparsify`` replaced: the float32 hit of every width
+    2..8 in turn, checked by ``_energy_check``; width 32 if none passes."""
+    shape, offset = full.states.shape, full.position_offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        full64 = full.states.astype(np.float64)
+        delta = full64 - base.states
+        peak = np.abs(delta).max(axis=(2, 3), initial=0.0)
+        if not np.isfinite(peak).all():
+            raise DataError("KV tensors must be finite")
+        scales = (peak / kvstore._Q).astype(np.float32)
+        scales = np.where(scales * kvstore._Q < peak, np.nextafter(scales, np.float32(np.inf)), scales)
+        divisors = np.where(scales > 0, scales, 1).astype(np.float64)[..., None, None]
+        check = kvstore._energy_check(full64, delta, energy_target)[0]
+        for i, width in enumerate(WIDTHS[:-1]):
+            codes = np.rint(delta / divisors[i])
+            kept = check(kvstore._dequantize(codes, scales[i], base.states))
+            if kept is not None:
+                return QuantizedDelta(shape, offset, kept, width, scales[i], codes.astype(np.int8))
+    return QuantizedDelta(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+
+
+def assert_same_delta(got, expected):
+    assert (got.dense_shape, got.position_offset, got.width) == (expected.dense_shape, expected.position_offset, expected.width)
+    assert got.scales.tobytes() == expected.scales.tobytes()
+    assert got.codes.dtype == expected.codes.dtype and got.codes.tobytes() == expected.codes.tobytes()
+    assert got.kept_energy_fraction == expected.kept_energy_fraction
+
+
+def replay_shaped_pairs(lam, levels=12, width=3, chains=8, seed=5):
+    """The (full, base) pair of every (path, op) one cold pass over seeded
+    chains sparsifies: deep chains of 19- to 21-token ops, so an op sits
+    under many prefixes, as in a replay pass."""
+    ops = {
+        f"OP_{level}_{w}": " ".join(f"r{level}x{w}x{k}" for k in range(19 + w))
+        for level in range(levels)
+        for w in range(width)
+    }
+    edges = tuple(
+        (f"OP_{level}_{a}", f"OP_{level + 1}_{b}") for level in range(levels - 1) for a in range(width) for b in range(width)
+    )
+    wf = Workflow(
+        id="WF_REPLAY_SHAPED", name="replay shaped", description="", patterns_must=(), patterns_should=(),
+        nodes=tuple(ops), edges=edges, operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+    )
+    store = CacheStore(merge_workflows([wf]), "differential", KVOracle(OracleConfig(lam=lam)))
+    rng = np.random.default_rng(seed)
+    pairs, seen = [], set()
+    for _ in range(chains):
+        chain = random_chain(rng, levels, width)
+        for depth in range(1, levels):
+            path, op_id = tuple(chain[:depth]), chain[depth]
+            if (path, op_id) not in seen:
+                seen.add((path, op_id))
+                full, result = store.fetch(path, op_id)
+                pairs.append((full, store.base(op_id, result.prefix_tokens)))
+    return pairs
+
+
+class TestSparsifyMatchesWidthLoop:
+    """``sparsify`` skips a width only where it is proven to fail, so its
+    residual is the width loop's, bit for bit, with one float32 hit where the
+    proofs hold."""
+
+    TARGETS = (0.5, 0.8, 0.95, 0.99, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.8, 0.9])
+    def test_every_pair_of_a_cold_replay_shaped_pass(self, lam):
+        widths = set()
+        for full, base in replay_shaped_pairs(lam):
+            for target in self.TARGETS:
+                delta = sparsify(full, base, target)
+                assert_same_delta(delta, reference_sparsify(full, base, target))
+                widths.add(delta.width)
+        assert len(widths) >= 3
+
+    def test_one_float32_hit_wherever_width_4_wins(self, monkeypatch):
+        calls = []
+        real = kvstore._dequantize
+        monkeypatch.setattr(kvstore, "_dequantize", lambda *args: calls.append(1) or real(*args))
+        wins = 0
+        for lam in (0.5, 0.8, 0.9):
+            for full, base in replay_shaped_pairs(lam):
+                for target in self.TARGETS:
+                    calls.clear()
+                    if sparsify(full, base, target).width == 4:
+                        assert len(calls) == 1
+                        wins += 1
+        assert wins
+
+    @staticmethod
+    def grid_pair(rng, noise):
+        """A pair whose delta is +-s or 0 per (layer, head), exactly in
+        float32, plus ``noise``: width 2 codes it exactly when noise is 0."""
+        base = rng.integers(-64, 64, size=(2, 3, 5, 8)).astype(np.float32) / 8
+        steps = np.float32(2.0) ** rng.integers(-3, 3, size=(2, 3, 1, 1)).astype(np.float32)
+        codes = rng.integers(-1, 2, size=base.shape).astype(np.float32)
+        full = base + codes * steps + noise * rng.standard_normal(base.shape).astype(np.float32)
+        return KVTensor(full.astype(np.float32), 3), KVTensor(base, 3)
+
+    def test_deltas_on_the_width_2_grid(self):
+        rng = np.random.default_rng(61)
+        won = 0
+        for noise in (0.0, 1e-3, 1e-2, 0.1):
+            for _ in range(10):
+                full, base = self.grid_pair(rng, noise)
+                for target in self.TARGETS:
+                    delta = sparsify(full, base, target)
+                    assert_same_delta(delta, reference_sparsify(full, base, target))
+                    won += delta.width == 2
+        assert won
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_targets_within_ulps_of_a_widths_error(self, width):
+        # The bound sits within a few ulps of the width's own float32 error,
+        # on both sides: the skips must leave the exact check to decide.
+        rng = np.random.default_rng(67 + width)
+        decided = set()
+        for _ in range(6):
+            full, base = random_pair(KVOracle(), rng)
+            hit = coded_hit(full, base, width).states.astype(np.float64)
+            delta = full.states.astype(np.float64) - base.states
+            target = 1 - float(np.sum((hit - full.states) ** 2)) / float(np.sum(delta**2))
+            for step in range(-4, 5):
+                nudged_target = target
+                for _ in range(abs(step)):
+                    nudged_target = np.nextafter(nudged_target, 2.0 if step > 0 else 0.0)
+                expected = reference_sparsify(full, base, nudged_target)
+                assert_same_delta(sparsify(full, base, nudged_target), expected)
+                decided.add(expected.width == width)
+        assert decided == {True, False}
+
+    def test_zero_delta(self):
+        full, _ = random_pair(KVOracle(), np.random.default_rng(71))
+        for target in self.TARGETS:
+            delta = sparsify(full, full, target)
+            assert_same_delta(delta, reference_sparsify(full, full, target))
+            assert delta.width == 2 and delta.kept_energy_fraction == 1.0
+
+    def test_magnitudes_near_float32_overflow(self):
+        # Hits, and width 2's scales, can overflow float32: such a width
+        # fails through a NaN or infinite error, and width 32 wins where
+        # every coded width does.
+        rng = np.random.default_rng(73)
+        big = np.finfo(np.float32).max
+        won = 0
+        for _ in range(6):
+            base = (big * rng.uniform(-1, 1, size=(2, 2, 4, 8))).astype(np.float32)
+            full = (big * rng.uniform(-1, 1, size=base.shape)).astype(np.float32)
+            for target in self.TARGETS:
+                delta = sparsify(KVTensor(full, 0), KVTensor(base, 0), target)
+                assert_same_delta(delta, reference_sparsify(KVTensor(full, 0), KVTensor(base, 0), target))
+                won += delta.width == 32
+        assert won
+
+
 # ---------------------------------------------------------------------------
 # reconstruct: exactness guarantees
 # ---------------------------------------------------------------------------
@@ -736,7 +892,8 @@ class TestVerifyFetch:
         # Below 1.0 nothing is added to sqrt(1 - target) * ||delta|| either:
         # a hit at exactly that distance passes, the next float32 out fails.
         full = np.zeros((1, 1, 1, 2), dtype=np.float32)
-        check = kvstore._energy_check(full, np.array([0.125, 0.0]).reshape(full.shape), 0.75)
+        check, bound = kvstore._energy_check(full, np.array([0.125, 0.0]).reshape(full.shape), 0.75)
+        assert bound == 0.25 * 0.125**2
         edge = np.array([0.0625, 0.0], dtype=np.float32).reshape(full.shape)
         assert check(edge) == 0.75 and check(full) == 1.0
         edge[..., 0] = np.nextafter(np.float32(0.0625), np.float32(1))

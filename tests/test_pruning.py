@@ -354,13 +354,32 @@ class TestPlanMaterialization:
         graph = route_graph()
         stats = TransitionStats(graph)
         stats.record(["OP_E", "OP_A1"])
-        plan_materialization(graph, stats)
+        plan_materialization(route_graph(), stats)  # an equal graph, not stats' own
         CacheStore(graph).fetch(("OP_E",), "OP_A1")
         assert checked == [
             (("OP_E", "OP_A1"), "trace"),
             (("OP_E", "OP_A1"), "observed pair"),
             (("OP_E", "OP_A1"), "prefix path"),
         ]
+
+    def test_pairs_are_rechecked_only_against_another_graph(self, monkeypatch):
+        # stats.record checked each trace against stats.graph, and every
+        # observed pair is a prefix of one, so planning against that graph
+        # checks nothing again; any other graph checks each pair once.
+        from opflow.graph import OperationGraph
+
+        graph, stats = seeded_stats(n_alpha=3, n_beta=2)
+        checked = []
+        real = OperationGraph.check_chain
+        monkeypatch.setattr(
+            OperationGraph, "check_chain", lambda g, ops, what: checked.append((g, tuple(ops))) or real(g, ops, what)
+        )
+        own = plan_materialization(graph, stats, PlanPolicy(k=1))
+        assert checked == []
+        other = route_graph()
+        assert plan_materialization(other, stats, PlanPolicy(k=1)) == own
+        assert all(g is other for g, _ in checked)
+        assert sorted(ops for _, ops in checked) == sorted(path + (op,) for path, op in stats.observed_pairs)
 
     def test_policy_validation(self):
         with pytest.raises(DataError):
