@@ -16,9 +16,10 @@ stateful request (one store per run computes), while stateless and
 differential requests share one store, which is where the differential
 layout's cross-request deduplication shows up in the sweep curves.
 
-The batch-size sweep serves each mode once: requests run in order against
-stores that only grow, so batch size B is read off the first B per-request
-records (cost, score, entries applied, footprint after) of that one run.
+The batch-size sweep serves once, in differential mode, against a store
+that only grows, and folds every mode's report off that run's records (a
+stateless store holds exactly the warm differential store's bases); batch
+size B is read off the first B per-request figures of each report.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .oracle import KVOracle, OracleConfig, tokenize
 from .pruning import PlanEntry, PlanPolicy, PlanReport, TransitionStats, apply_plan, plan_materialization
 
 DEFAULT_BATCH_SIZES = (10, 20, 30, 40, 50)
-SWEEP_MODES = ("stateless", "differential", "stateful")
 _PLAN_CACHE_SIZE = 256  # workflow shapes whose execution plan is kept
 
 # Simulated cost units (arbitrary but fixed; see module docstring).
@@ -304,19 +304,22 @@ def run_serving_sim(
 
 
 def _fold(
-    mode: str, request_fetches: list[tuple[FetchResult, ...]], scores: list[float],
-    store_memory: list[MemoryReport], verified: bool | None,
+    mode: str, request_fetches: Sequence[tuple[FetchResult, ...]], scores: Sequence[float],
+    store_memory: Sequence[MemoryReport], verified: bool | None,
 ) -> RunReport:
     """The run's report: every per-request figure, summed in fetch order in
-    one pass over the records.  Stateful accounting models one empty store
-    per request: every fetch is a fallback, and the footprint after request
-    ``i`` is the running sum of fetched bytes and fetches up to it."""
+    one pass over the records, which may be another mode's run of the same
+    requests.  A stateless fetch is a hit with no entries applied.  Stateful
+    accounting models one empty store per request: every fetch is a fallback,
+    and the footprint after request ``i`` is the running sum of fetched bytes
+    and fetches up to it."""
     n = len(scores)
     costs, hits, fallbacks, entries, fetched = [0.0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     stateful = mode == "stateful"
     for request, records in enumerate(request_fetches):
         for _, _, flag, applied, n_prefix, n_op, nbytes in records:
-            flag = "fallback" if stateful else flag
+            if mode != "differential":
+                flag, applied = "fallback" if stateful else "hit", 0
             costs[request] += fetch_cost(flag, applied, n_prefix, n_op)
             entries[request] += applied
             (hits if flag == "hit" else fallbacks)[request] += 1
@@ -411,11 +414,11 @@ def sweep_batch_sizes(
     once: their stores exist simultaneously (stateful accounting models one
     per request, the other modes share one) and the recorded figure is total
     store bytes.
-    Each mode is served once over the first ``max(batch_sizes)`` requests,
-    against a fresh store built with ``oracle`` and ``energy_target``, and
-    batch size B reads the first B requests of that run.  Their distinct
-    texts are synthesized once, in fixed-size blocks, for all three modes,
-    and the stores share one table of oracle results (``CacheStore``).
+    The first ``max(batch_sizes)`` requests are served once, in differential
+    mode, against a fresh store built with ``oracle`` and ``energy_target``;
+    each mode's report is folded off that run (module docstring), and batch
+    size B reads its first B requests.  A fetched tensor is never read, so
+    no mode needs a store of its own.
     """
     largest = max(workload.batch_sizes)
     if largest > len(workload.requests):
@@ -423,24 +426,22 @@ def sweep_batch_sizes(
             f"workload has {len(workload.requests)} requests but the sweep "
             f"needs {largest}"
         )
-    oracle = oracle or KVOracle(OracleConfig())
     served = replace(
         workload, requests=workload.requests[:largest], targets=workload.targets[:largest]
     )
-    cache = _synthesize(graph, params, served.requests)
-    table: dict = {}
+    store = CacheStore(graph, "differential", oracle=oracle, energy_target=energy_target)
+    run = run_serving_sim(graph, params, served, "differential", store=store)
+    fetches, scores = run.request_fetches, run.request_scores
+    bases = [MemoryReport("stateless", m.bases_bytes, 0, 0, m.n_bases, 0, 0) for m in run.request_memory]
     runs = {
-        mode: run_serving_sim(
-            graph, params, served, mode,
-            store=CacheStore(graph, mode, oracle=oracle, energy_target=energy_target, _table=table),
-            workflow_cache=cache,
-        )
-        for mode in SWEEP_MODES
+        "stateless": _fold("stateless", fetches, scores, bases, None),
+        "differential": run,
+        "stateful": _fold("stateful", fetches, scores, [], None),
     }
     rows: list[SweepRow] = []
     for batch in workload.batch_sizes:
-        for mode in SWEEP_MODES:
-            r = runs[mode].head(batch)
+        for mode, report in runs.items():
+            r = report.head(batch)
             m = r.memory
             rows.append(SweepRow(
                 batch, mode, m.bases_bytes, m.residuals_bytes, m.fulls_bytes, m.total_bytes,
@@ -479,13 +480,13 @@ def ablate_pruning(
     The first pass warms every residual the workload touches and records the
     executed traces; the materialization plan then keeps only pairs whose
     path edges were each seen at least ``k`` times, so the second pass serves
-    hot paths from residuals and recomputes cold ones.  Both passes serve the
-    workflows of one synthesis of the distinct texts, in fixed-size blocks,
-    and the pruned pass reads the first's oracle results (``CacheStore``).
+    hot paths from residuals and recomputes cold ones, each from the carry
+    the store kept after its prefix.  Both passes serve the workflows of one
+    synthesis of the distinct texts, in fixed-size blocks.
     """
     policy = policy or PlanPolicy()
     stats = TransitionStats(graph)
-    store = CacheStore(graph, "differential", oracle=oracle, _table={})
+    store = CacheStore(graph, "differential", oracle=oracle)
     cache = _synthesize(graph, params, workload.requests)
 
     unpruned = run_serving_sim(

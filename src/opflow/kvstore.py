@@ -423,12 +423,11 @@ class CacheStore:
     token count, and the oracle carry after each prefix path it has computed
     in context (a (layers, d_model) float64 array, 2 KiB per path at the
     default config), so an in-context computation costs only the op's own
-    tokens.  A carry that is missing, as on a store ``load_store`` returned,
-    is rebuilt from the longest prefix of the path that has one.  Op tokens
-    are kept per graph, in ``_OP_TOKENS``.  The stores of one
-    ``sweep_batch_sizes`` or ``ablate_pruning`` call share its ``_table`` of
-    read-only ``resume`` results and carries, keyed ``(op, offset)`` for a
-    base or ``(path, op)`` in context; a plain store keeps no in-context KV.
+    tokens; a base at offset 0 keeps its carry too, the one-op path's.  A
+    carry that is missing, as on a store ``load_store`` returned, is rebuilt
+    from the longest prefix of the path that has one.  Op tokens are kept
+    per graph, in ``_OP_TOKENS``.  No in-context KV is kept beyond the stored
+    tensors and the last fallback's.
     """
 
     def __init__(
@@ -437,7 +436,6 @@ class CacheStore:
         mode: str = "differential",
         oracle: KVOracle | None = None,
         energy_target: float = 0.95,
-        *, _table: dict | None = None,
     ):
         if mode not in MODES:
             raise DataError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -455,7 +453,6 @@ class CacheStore:
         self._prefix_len: dict[PathKey, int] = {}
         self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
         self._last_fallback: tuple[tuple[PathKey, str], KVTensor] | None = None
-        self._table = _table
 
     # -- token plumbing ------------------------------------------------------
 
@@ -506,19 +503,19 @@ class CacheStore:
         key = (op_id, position_offset)
         kv = self.bases.get(key)
         if kv is None:
-            kv = self._resume(key, self._carries[()], op_id, position_offset)[0]
+            kv, carry = self._resume(self._carries[()], op_id, position_offset)
+            if not position_offset:  # the carry after the one-op path, bit for bit
+                self._carries[(op_id,)] = carry
             self._put("bases", key, kv)
         return kv
 
-    def _resume(self, key, carry: np.ndarray, op_id: str, offset: int) -> tuple[KVTensor, np.ndarray]:
+    def _resume(self, carry: np.ndarray, op_id: str, offset: int) -> tuple[KVTensor, np.ndarray]:
         """``oracle.resume`` of the op's tokens from ``carry`` at ``offset``,
-        read from or recorded in the call's table when the store has one."""
-        table = {} if self._table is None else self._table
-        if key not in table:
-            table[key] = self.oracle.resume(carry, self.op_tokens(op_id), offset)
-            for array in (table[key][0].states, table[key][1]):
-                array.setflags(write=False)
-        return table[key]
+        its tensor and carry read-only."""
+        kv, carry = self.oracle.resume(carry, self.op_tokens(op_id), offset)
+        kv.states.setflags(write=False)
+        carry.setflags(write=False)
+        return kv, carry
 
     def _carry(self, path: PathKey, n_prefix: int) -> np.ndarray:
         """The oracle carry after ``path`` (``n_prefix`` tokens), computing
@@ -534,10 +531,8 @@ class CacheStore:
         return self._carries[path]
 
     def _stateful(self, path: PathKey, op_id: str, n_prefix: int) -> KVTensor:
-        """The op's in-context KV, resumed from the carry after ``path``; with
-        no prefix that is the base ``(op, 0)``, so the two share a table key."""
-        key = (path, op_id) if path else (op_id, 0)
-        kv, self._carries[path + (op_id,)] = self._resume(key, self._carry(path, n_prefix), op_id, n_prefix)
+        """The op's in-context KV, resumed from the carry after ``path``."""
+        kv, self._carries[path + (op_id,)] = self._resume(self._carry(path, n_prefix), op_id, n_prefix)
         return kv
 
     def fetch(self, path: Iterable[str], op_id: str) -> tuple[KVTensor, FetchResult]:

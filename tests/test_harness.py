@@ -645,6 +645,44 @@ def diamond_graph():
     return merge_workflows([full]), full
 
 
+def shared_bases_dag(monkeypatch):
+    """A graph and workload in which OP_A is fetched under several prefixes,
+    two of them, (OP_Z, OP_B) and (OP_Z, OP_M), of equal token count, so that
+    their bases share one (op, offset) key; each request text names its
+    workflow, served in place of synthesis."""
+    from opflow import harness
+
+    ops = {
+        "OP_Z": "open the ticket and read the request",
+        "OP_B": "look up the billing record",
+        "OP_M": "check the earlier message history",
+        "OP_A": "answer the customer with the findings",
+    }
+    assert len(tokenize(ops["OP_B"])) == len(tokenize(ops["OP_M"]))
+    shapes = {
+        "via_b": (("OP_Z", "OP_B"), ("OP_B", "OP_A")),
+        "via_m": (("OP_Z", "OP_M"), ("OP_M", "OP_A")),
+        "direct": (("OP_Z", "OP_A"),),
+        "diamond": (("OP_Z", "OP_B"), ("OP_Z", "OP_M"), ("OP_B", "OP_A"), ("OP_M", "OP_A")),
+    }
+    workflows = {
+        text: Workflow(
+            id=f"WF_{text.upper()}", name=text, description="", patterns_must=(), patterns_should=(),
+            nodes=tuple(sorted({node for edge in edges for node in edge})), edges=edges,
+            operations={k: Operation(id=k, instruction=v) for k, v in ops.items()},
+        )
+        for text, edges in shapes.items()
+    }
+    monkeypatch.setattr(
+        harness, "_synthesize", lambda graph, params, texts: {t: workflows[t] for t in texts}
+    )
+    requests = ("via_b", "diamond", "via_m", "direct", "via_m", "diamond")
+    workload = Workload(
+        requests=requests, targets=tuple(workflows[t].edges for t in requests), batch_sizes=(1, 3, 6)
+    )
+    return merge_workflows(list(workflows.values())), workload
+
+
 class TestOnePlanPerRequest:
     """``run_serving_sim`` sorts each workflow shape once: it fetches in the
     order of the dict ``execution_chains`` returns and records the leaf
@@ -838,12 +876,17 @@ class TestSweep:
             for m in ("stateless", "differential", "stateful")
         ]
 
-    def test_rows_match_individual_runs(self, planted_default, control_params):
-        # The reference is one fresh run per (batch, mode) cell over the
-        # first B requests; the sweep reads every cell off one run per mode.
-        corpus = planted_default
-        workload = small_workload(corpus)
-        sweep = sweep_batch_sizes(corpus.graph, control_params, workload)
+    @pytest.mark.parametrize("case", ["planted", "shared_bases_dag", "energy_0.5_lambda_0.9"])
+    def test_rows_match_individual_runs(self, planted_default, control_params, monkeypatch, case):
+        # The reference is one fresh store per (batch, mode) cell over the
+        # first B requests; the sweep folds every cell off one differential run.
+        graph, params, workload = planted_default.graph, control_params, small_workload(planted_default)
+        oracle, energy = KVOracle(), 0.95
+        if case == "shared_bases_dag":
+            graph, workload = shared_bases_dag(monkeypatch)
+        elif case == "energy_0.5_lambda_0.9":
+            oracle, energy = KVOracle(OracleConfig(lam=0.9)), 0.5
+        sweep = sweep_batch_sizes(graph, params, workload, oracle=oracle, energy_target=energy)
         expected = []
         for batch in workload.batch_sizes:
             sub = Workload(
@@ -852,7 +895,8 @@ class TestSweep:
                 batch_sizes=(batch,),
             )
             for mode in ("stateless", "differential", "stateful"):
-                report = run_serving_sim(corpus.graph, control_params, sub, mode)
+                store = CacheStore(graph, mode, oracle=oracle, energy_target=energy)
+                report = run_serving_sim(graph, params, sub, mode, store=store)
                 m = report.memory
                 expected.append(
                     SweepRow(
@@ -864,7 +908,7 @@ class TestSweep:
         assert sweep.rows == expected
         assert any(r.residuals_bytes and r.fallbacks for r in sweep.rows)
 
-    def test_serves_each_mode_once(self, planted_default, monkeypatch):
+    def test_serves_once(self, planted_default, monkeypatch):
         from opflow import harness
 
         calls = []
@@ -876,15 +920,17 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_serving_sim", counting)
         workload = small_workload(planted_default, n=14)
         sweep_batch_sizes(planted_default.graph, init_params(seed=0), workload)
-        assert calls == [12, 12, 12]
+        assert calls == [12]
 
     @pytest.mark.parametrize("call", ["sweep", "ablation"])
     def test_one_oracle_computation_per_distinct_input_per_call(
         self, planted_default, control_params, monkeypatch, call
     ):
         # Every base (op, offset) and non-empty in-context (path, op) is
-        # computed once per call; a second call computes them all again, and
-        # nothing the call built outlives it, so no memo spans calls.
+        # computed once per call, and the ablation's pruned pass recomputes
+        # each fallback once from the carry its store kept; a second call
+        # computes them all again, and nothing the call built outlives it,
+        # so no memo spans calls.
         corpus = planted_default
         if call == "sweep":
             workload = small_workload(corpus)
@@ -922,6 +968,7 @@ class TestSweep:
         oracle = KVOracle(OracleConfig())
         for _ in range(2):
             calls.clear()
+            recomputed = 0
             if call == "sweep":
                 sweep_batch_sizes(corpus.graph, control_params, workload, oracle=oracle)
             else:
@@ -929,8 +976,9 @@ class TestSweep:
                     corpus.graph, control_params, workload, PlanPolicy(k=2),
                     oracle=oracle, verify_fetches=False,
                 )
-                assert report.pruned.fallbacks > 0  # the pruned pass recomputes pairs
-            assert len(calls) == len(bases) + len(segments)
+                recomputed = report.pruned.fallbacks
+                assert recomputed > 0  # the pruned pass recomputes pairs
+            assert len(calls) == len(bases) + len(segments) + recomputed
         gc.collect()
         assert alive and all(ref() is None for ref in alive)
 

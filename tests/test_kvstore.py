@@ -1645,7 +1645,7 @@ class TestCarriedState:
         assert_bitwise(kv, expected)
 
     @pytest.mark.parametrize("mode", ["stateful", "differential"])
-    def test_stores_without_a_table_share_no_results(self, monkeypatch, mode):
+    def test_stores_on_one_oracle_share_no_results(self, monkeypatch, mode):
         # A plain store keeps no in-context tensors, so two on one oracle
         # each compute a pair they share: long-lived stores stay bounded.
         graph, oracle = layered_graph(), KVOracle()
@@ -1658,6 +1658,20 @@ class TestCarriedState:
             counts.append(resumed[before:])
         expected = [len(tokenize(graph.operations[op].instruction)) for op in path + (op_id,)]
         assert counts[0] == counts[1] == expected
+
+    def test_a_root_base_keeps_its_carry(self, monkeypatch):
+        # The base at offset 0 is resumed from the zero carry, so its carry is
+        # the one-op path's: the in-context fetch under that path resumes
+        # only its own op.
+        graph = layered_graph()
+        store = CacheStore(graph, mode="differential")
+        resumed, _ = spy_oracle(monkeypatch, store.oracle)
+        store.fetch((), "OP_0_1")
+        store.fetch(("OP_0_1",), "OP_1_2")
+        assert resumed == [len(store.op_tokens("OP_0_1")), len(store.op_tokens("OP_1_2"))]
+        oracle = KVOracle()
+        expected = oracle.resume(oracle.empty_carry(), store.op_tokens("OP_0_1"), 0)[1]
+        assert np.array_equal(store._carries[("OP_0_1",)].view(np.uint64), expected.view(np.uint64))
 
     def test_stateful_fetch_feeds_the_oracle_only_the_op(self, monkeypatch):
         store = CacheStore(layered_graph(levels=8), mode="stateful")
