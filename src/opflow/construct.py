@@ -38,6 +38,7 @@ from .graph import (
 )
 from .nn import (
     ModelParams,
+    _empty,
     adamw_init,
     adamw_step,
     backward,
@@ -204,7 +205,9 @@ def train(
     n = len(samples)
     n_edges = len(graph.edge_list)
     epoch_losses: list[float] = []
-    grads: dict[str, np.ndarray] = {}
+    # A step's large arrays are views of this workspace (``nn._empty``); made
+    # afresh, they went back to the system and were faulted in again each step.
+    ws: dict[str, np.ndarray] = {}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         running = 0.0
@@ -217,30 +220,25 @@ def train(
                 inputs.adjacency,
                 inputs.edge_index,
                 inputs.task_index,
-                labels[batch],
-                task_rows=task_rows[batch],
+                labels.take(batch, 0, _empty(ws, "labels", (len(batch), n_edges)), "clip"),
+                task_rows=task_rows.take(batch, 0, _empty(ws, "rows", (len(batch), task_rows.shape[1])), "clip"),
                 tau=config.tau,
                 noise=noise,
+                workspace=ws,
             )
             if not np.isfinite(loss):
                 raise NumericError(f"training loss became non-finite ({loss})")
-            # One step's activations are live at a time: the cache goes as
-            # soon as backward has read it, and the last step's gradients just
-            # before backward.  Those stay through the forward, whose peak is
-            # below backward's, because a heap that empties at each step's end
-            # is handed back to the system and faulted in again.
-            grads.clear()
-            grads = backward(cache)
-            del cache
             params, state = adamw_step(
                 params,
-                grads,
+                backward(cache),
                 state,
                 lr=config.learning_rate,
                 weight_decay=config.weight_decay,
+                workspace=ws,
             )
             running += float(loss) * len(batch)
         epoch_losses.append(running / n)
+    ws = cache = None  # the workspace goes before ``read_only`` copies the params
     return TrainResult(params=params.read_only(), epoch_losses=epoch_losses)
 
 

@@ -19,15 +19,16 @@ layer-1 units are zero for every served text.  So a weight product
 by the matching weight rows, and a weight gradient ``x.T @ dy`` (``_outer``)
 is computed only on the block where both columns are nonzero and is exactly
 0 elsewhere, as the dense product is there.  There is no threshold: the
-products where this measured slower (the edge MLP's ``[Wa | Wb]`` and task
-block, and its one-column output) are written as plain products at their
-call sites.  The skipped terms are exact zeros when the weights are finite,
-which ``load_checkpoint`` checks, so a result differs from the dense product
-only by the summation order BLAS picks for the smaller shape.  As measured
-against dense products: with the control checkpoint, served scores of
-16-text blocks are bitwise equal and a lone text's (whose task row takes
-BLAS's vector path) within 1.3e-14 relative; two epochs of the control
-training run end with weights within 2e-16 relative.
+products where this measured slower (the edge MLP's ``[Wa | Wb]`` over a
+block of texts, its task block and its one-column output) are written as
+plain products at their call sites.  The skipped terms are exact zeros when
+the weights are finite, which ``load_checkpoint`` checks, so a result differs
+from the dense product only by the summation order BLAS picks for the
+smaller shape.  As measured against dense products: with the control
+checkpoint, served scores of 16-text blocks are bitwise equal and a lone
+text's (whose task row takes BLAS's vector path) within 1.3e-14 relative;
+two epochs of the control training run end with weights within 2e-16
+relative.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def gcn_forward(
         s, _, shared = _shared_layer1(params, x, a, task_index)
         if memo is not None and not (x.flags.writeable or a.flags.writeable):
             memo.inputs, memo.s, memo.shared = (x, a, task_index), s, shared
-    return _layer2(params, s, _layer1(params, s, shared, task_index, task_rows))[2]
+    return _layer2(params, s, _layer1(params, s, shared, task_index, task_rows))[1]
 
 
 def score_edges(
@@ -183,7 +184,7 @@ def score_edges(
     """
     memo = _memo(params)
     pair = _pair_weights(params) if memo is None else memo.pair
-    return _mlp_tail(params, _edge_layer1(params, h, pair, edge_index, task_index))[3]
+    return _mlp_tail(params, _edge_layer1(params, h, pair, edge_index, task_index))[2]
 
 
 class _Memo:
@@ -258,7 +259,42 @@ def _live(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rows.any(axis=0))
 
 
-def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+# Every array of 64 KiB or more that a training step makes comes from ``_empty``.
+# ``train``'s workspace keeps a byte buffer per key for the call; these keys are
+# shared by arrays whose lives in a step do not overlap, and the rest hold one:
+#   "z1": z1, u, the a2 and a1 masks, d_pair, d_m2, gcn_w1's task-row term
+#   "m2": m2, gcn_w1's grad;  "h2": z2/h2, d_z2, d_z1;  "c": c, d_c;  "r1": (B, H)
+#   "a1": p1/a1, d_p1, mlp_w1's grad;  "wcols": weight rows (``_take``), products
+#   "a2": p1's destination rows, p2/a2, d_p2, [Wa | Wb]'s grad, the h2 mask,
+#         gcn_w2's grad;  "cols", "cols2": column copies, then AdamW's scratch
+
+
+def _empty(ws: dict | None, key: str | None, shape: tuple, dtype=np.float64, reserve: tuple = ()) -> np.ndarray:
+    """``np.empty(shape, dtype)``, or with a workspace ``ws`` a view of its buffer
+    ``key``, made at least ``reserve``'s size and remade only by the first step."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = ws.get(key)
+    if buf is None or len(buf) < size:
+        buf = ws[key] = np.empty(max(size, math.prod(reserve) * np.dtype(dtype).itemsize), np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
+
+
+def _take(a: np.ndarray, live: np.ndarray, axis: int, ws: dict | None, key: str) -> np.ndarray:
+    """``a.take(live, axis)`` of the 2-D ``a`` into ``_empty(ws, key)``: mode "clip"
+    changes no in-range index, and unlike "raise" writes ``out`` in place.  np.take
+    copies a source that is not C-contiguous, so a transposed weight's rows are
+    taken as its base's columns, via ``_outer``'s "cols2"."""
+    shape = (len(live), a.shape[1]) if axis == 0 else (len(a), len(live))
+    out = _empty(ws, key, shape, reserve=a.shape)
+    if a.flags.c_contiguous:
+        return a.take(live, axis, out, "clip")
+    np.copyto(out, a.T.take(live, 1 - axis, _empty(ws, "cols2", shape[::-1], reserve=a.shape[::-1]), "clip").T)
+    return out
+
+
+def _times(a: np.ndarray, w: np.ndarray, ws: dict | None = None, key: str | None = None) -> np.ndarray:
     """``a @ w`` for an (..., K) stack and a (K, M) weight, via ``_rows``,
     multiplying only the columns of ``a`` that are nonzero in some row (NaN
     counts as nonzero) by the matching rows of ``w``.  With no zero column
@@ -267,17 +303,20 @@ def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     rows = _rows(a)
     live = _live(rows)
     if len(live) < rows.shape[1]:
-        rows, w = rows.take(live, axis=1), w.take(live, axis=0)
-    return (rows @ w).reshape(a.shape[:-1] + (w.shape[1],))
+        rows, w = _take(rows, live, 1, ws, "cols"), _take(w, live, 0, ws, "wcols")
+    return np.matmul(rows, w, out=_empty(ws, key, (len(rows), w.shape[1]))).reshape(a.shape[:-1] + (w.shape[1],))
 
 
-def _outer(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def _outer(x: np.ndarray, dy: np.ndarray, ws: dict | None = None, key: str | None = None) -> np.ndarray:
     """The weight gradient ``x.T @ dy`` of two 2-D row blocks, computed only
     on the block of the columns of ``x`` and of ``dy`` that are nonzero in
     some row; every other entry is a sum of zero products, left exactly 0."""
     li, lj = _live(x), _live(dy)
-    out = np.zeros((x.shape[1], dy.shape[1]))
-    out[np.ix_(li, lj)] = x.take(li, axis=1).T @ dy.take(lj, axis=1)
+    prod = _empty(ws, "wcols", (len(li), len(lj)), reserve=(x.shape[1], dy.shape[1]))
+    np.matmul(_take(x, li, 1, ws, "cols").T, _take(dy, lj, 1, ws, "cols2"), out=prod)
+    out = _empty(ws, key, (x.shape[1], dy.shape[1]))
+    out.fill(0.0)
+    out[np.ix_(li, lj)] = prod
     return out
 
 
@@ -295,10 +334,12 @@ def _incidence(nodes: np.ndarray, n_nodes: int) -> np.ndarray:
 @dataclass
 class ForwardCache:
     """What ``backward`` reads of one step's forward pass: one set of
-    activations, alive for one step only (``train`` drops it before the next
-    forward).  Of a ReLU it keeps only the output, whose ``> 0`` mask is the
-    input's, so ``h2``, ``a1`` and ``a2`` stand for ``z2``, ``p1`` and ``p2``;
-    of layer 1, whose output is not kept, only the bool mask ``z1 > 0``."""
+    activations, alive for one step only.  With a ``workspace`` they are
+    views of its buffers, which ``backward`` then reuses for its gradients
+    and the next step overwrites.  Of a ReLU it keeps only the output, whose
+    ``> 0`` mask is the input's, so ``h2``, ``a1`` and ``a2`` stand for
+    ``z2``, ``p1`` and ``p2``; of layer 1, whose output is not kept, only the
+    bool mask ``z1 > 0``."""
 
     params: ModelParams
     s: np.ndarray
@@ -315,6 +356,7 @@ class ForwardCache:
     scores: np.ndarray
     labels: np.ndarray
     tau: float
+    workspace: dict | None
 
 
 def forward_loss(
@@ -328,6 +370,7 @@ def forward_loss(
     task_rows: np.ndarray,
     tau: float = 1.0,
     noise: np.ndarray | None = None,
+    workspace: dict | None = None,
 ) -> tuple[float, ForwardCache]:
     """Full training loss with everything the backward pass needs.
 
@@ -342,13 +385,14 @@ def forward_loss(
     (``_edge_layer1``).
     """
     labels = np.asarray(labels, dtype=np.float64)
-
-    s, x0, shared = _shared_layer1(params, x, a, task_index)  # once per step
-    z1 = _layer1(params, s, shared, task_index, task_rows)
-    # The cache keeps ReLU outputs only, so z2, p1 and p2 die with this call.
-    m2, _, h2 = _layer2(params, s, z1)
-    p1 = _edge_layer1(params, h2, _pair_weights(params), edge_index, task_index)
-    a1, _, a2, omega = _mlp_tail(params, p1)
+    ws = workspace
+    s, x0, shared = _shared_layer1(params, x, a, task_index, ws)  # once per step
+    z1 = _layer1(params, s, shared, task_index, task_rows, ws)
+    # ReLUs run in place and the cache keeps their outputs only.
+    m2, h2 = _layer2(params, s, z1, ws)
+    z1_positive = np.greater(z1, 0.0, out=_empty(ws, "mask1", z1.shape, bool))
+    p1 = _edge_layer1(params, h2, _pair_weights(params, ws), edge_index, task_index, ws)
+    a1, a2, omega = _mlp_tail(params, p1, ws)
 
     scores = gumbel_sigmoid(omega, tau, noise)
     loss = bce_loss(scores, labels)
@@ -357,7 +401,7 @@ def forward_loss(
         s=s,
         x0=x0,
         task_rows=task_rows,
-        z1_positive=z1 > 0,
+        z1_positive=z1_positive,
         m2=m2,
         h2=h2,
         edge_index=edge_index,
@@ -368,58 +412,70 @@ def forward_loss(
         scores=scores,
         labels=labels,
         tau=tau,
+        workspace=ws,
     )
 
 
-def _shared_layer1(params: ModelParams, x: np.ndarray, a: np.ndarray, task_index: int) -> tuple:
+def _shared_layer1(params: ModelParams, x: np.ndarray, a: np.ndarray, task_index: int, ws=None) -> tuple:
     """``S``, ``X0`` (``x`` with a zero task row) and GCN layer 1's shared
     product ``S (X0 W1)``."""
     x0 = x.copy()
     x0[task_index] = 0.0
     s = normalized_adjacency(a)
-    return s, x0, s @ _times(x0, params.gcn_w1)
+    return s, x0, s @ _times(x0, params.gcn_w1, ws, "r1")
 
 
-def _layer1(params: ModelParams, s: np.ndarray, shared: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
+def _layer1(params: ModelParams, s: np.ndarray, shared: np.ndarray, t: int, rows: np.ndarray, ws=None) -> np.ndarray:
     """GCN layer 1 before its ReLU, (B, V, H): the shared product plus the
     rank-1 task term ``S[:, t] (r_b W1)``."""
-    return shared + s[:, t, None] * _times(rows, params.gcn_w1)[:, None]
+    z1 = _empty(ws, "z1", (len(rows),) + shared.shape)
+    np.multiply(s[:, t, None], _times(rows, params.gcn_w1, ws, "r1")[:, None], out=z1)
+    z1 += shared
+    return z1
 
 
-def _layer2(params: ModelParams, s: np.ndarray, z1: np.ndarray) -> tuple:
-    """Layer 1's ReLU, then GCN layer 2: returns ``(m2, z2, h2)``."""
-    m2 = s @ np.maximum(z1, 0.0)
-    z2 = _times(m2, params.gcn_w2)
-    return m2, z2, np.maximum(z2, 0.0)
+def _layer2(params: ModelParams, s: np.ndarray, z1: np.ndarray, ws=None) -> tuple:
+    """Layer 1's ReLU, in place on ``z1``, then GCN layer 2: ``(m2, h2)``."""
+    m2 = np.matmul(s, np.maximum(z1, 0.0, out=z1), out=_empty(ws, "m2", z1.shape))
+    h2 = _times(m2, params.gcn_w2, ws, "h2")
+    return m2, np.maximum(h2, 0.0, out=h2)
 
 
-def _pair_weights(params: ModelParams) -> np.ndarray:
+def _pair_weights(params: ModelParams, ws=None) -> np.ndarray:
     """(H, 2M) ``[Wa | Wb]``: the source and destination row blocks of
     ``mlp_w1`` side by side."""
-    h = params.dim_hidden
-    return np.hstack([params.mlp_w1[:h], params.mlp_w1[h : 2 * h]])
+    h, w = params.dim_hidden, params.mlp_w1
+    return np.concatenate([w[:h], w[h : 2 * h]], axis=1, out=_empty(ws, "pair", (h, 2 * params.mlp_hidden)))
 
 
-def _edge_layer1(params: ModelParams, h: np.ndarray, pair: np.ndarray, edges, t: int) -> np.ndarray:
+def _edge_layer1(params: ModelParams, h: np.ndarray, pair: np.ndarray, edges, t: int, ws=None) -> np.ndarray:
     """Edge MLP layer 1 before its ReLU, (..., E, M): each node times
     ``[Wa | Wb]`` once and the task node times the task block once, summed
     per edge, so no (E, 3H) concatenation is built."""
     m = params.mlp_hidden
-    # Both products stay plain, which measured faster on served inputs: two
-    # thirds of the columns of ``h`` are live, and the task block is one row
-    # per sample.
-    u = (_rows(h) @ pair).reshape(h.shape[:-1] + (2 * m,))
-    c = h[..., t, :] @ params.mlp_w1[2 * params.dim_hidden :] + params.mlp_b1
-    return u[..., edges[:, 0], :m] + u[..., edges[:, 1], m:] + c[..., None, :]
+    # Both products stay plain.  For ``[Wa | Wb]`` batched synthesis (sweep,
+    # ``mean_edge_f1``) decides: on a 16-text block 224 of 256 columns of
+    # ``h`` are live and the live-column product took 1,024-1,061 us against
+    # 681-690 us (on one text, 178 live, 54 us against 63-65 us).
+    # u's rows 2v and 2v + 1 are node v's source and destination terms, so
+    # the gathers read a contiguous array, which np.take does not copy.
+    rows = _rows(h)
+    u = np.matmul(rows, pair, out=_empty(ws, "z1", (len(rows), 2 * m))).reshape(h.shape[:-2] + (-1, m))
+    c = np.matmul(h[..., t, :], params.mlp_w1[2 * params.dim_hidden :], out=_empty(ws, "c", h.shape[:-2] + (m,)))
+    c += params.mlp_b1
+    p1 = u.take(2 * edges[:, 0], -2, _empty(ws, "a1", h.shape[:-2] + (len(edges), m)), "clip")  # see _take
+    p1 += u.take(2 * edges[:, 1] + 1, -2, _empty(ws, "a2", p1.shape), "clip")
+    p1 += c[..., None, :]
+    return p1
 
 
-def _mlp_tail(params: ModelParams, p1: np.ndarray) -> tuple:
-    """The edge MLP after layer 1's pre-activation: ``(a1, p2, a2, omega)``."""
-    a1 = np.maximum(p1, 0.0)
-    p2 = _times(a1, params.mlp_w2) + params.mlp_b2
-    a2 = np.maximum(p2, 0.0)
+def _mlp_tail(params: ModelParams, p1: np.ndarray, ws=None) -> tuple:
+    """The edge MLP after layer 1's pre-activation, ReLUs in place: ``(a1, a2, omega)``."""
+    a1 = np.maximum(p1, 0.0, out=p1)
+    a2 = _times(a1, params.mlp_w2, ws, "a2")
+    np.maximum(np.add(a2, params.mlp_b2, out=a2), 0.0, out=a2)
     # One output column: the plain product costs less than finding live columns.
-    return a1, p2, a2, (_rows(a2) @ params.mlp_w3 + params.mlp_b3).reshape(a2.shape[:-1])
+    return a1, a2, (_rows(a2) @ params.mlp_w3 + params.mlp_b3).reshape(a2.shape[:-1])
 
 
 def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
@@ -432,9 +488,11 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     cached post-ReLU array (``a > 0`` is ``pre > 0`` for ``a = max(pre, 0)``,
     NaN and signed zeros included) and multiplied into its gradient in place,
     and each (B, E, M) and (B, V, .) gradient is dropped after its last
-    reader.  ``cache`` itself is left unchanged.
+    reader.  With no workspace ``cache`` is left unchanged; with one, each
+    gradient, returned ones included, takes the buffer of an array read for
+    the last time, cached activations too (see ``_empty``).
     """
-    p = cache.params
+    p, ws = cache.params, cache.workspace
     b, n_edges = cache.omega.shape
     h, m = p.dim_hidden, p.mlp_hidden
     sc = np.clip(cache.scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
@@ -445,46 +503,44 @@ def backward(cache: ForwardCache) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     grads["mlp_w3"] = _rows(cache.a2).T @ d_omega.reshape(-1, 1)
     grads["mlp_b3"] = np.array([d_omega.sum()])
-    d_p2 = d_omega[..., None] * p.mlp_w3[:, 0]
-    d_p2 *= cache.a2 > 0
-    grads["mlp_w2"] = _outer(_rows(cache.a1), _rows(d_p2))
+    mask = np.greater(cache.a2, 0.0, out=_empty(ws, "z1", cache.a2.shape, bool))
+    d_p2 = np.multiply(d_omega[..., None], p.mlp_w3[:, 0], out=_empty(ws, "a2", cache.a2.shape))
+    d_p2 *= mask
+    grads["mlp_w2"] = _outer(_rows(cache.a1), _rows(d_p2), ws, "g_mlp_w2")
     grads["mlp_b2"] = d_p2.sum(axis=(0, 1))
-    d_p1 = _times(d_p2, p.mlp_w2.T)  # (B, E, M)
+    mask = np.greater(cache.a1, 0.0, out=_empty(ws, "z1", cache.a1.shape, bool))
+    d_p1 = _times(d_p2, p.mlp_w2.T, ws, "a1")  # (B, E, M)
     del d_p2
-    d_p1 *= cache.a1 > 0
+    d_p1 *= mask
 
     # Each edge's d_p1 row, added onto its source (first M columns) and its
     # destination (last M): the gradient of the per-node product U.
     n_nodes = cache.h2.shape[1]
-    d_pair = np.concatenate(  # (B, V, 2M)
-        [
-            _incidence(cache.edge_index[:, 0], n_nodes) @ d_p1,
-            _incidence(cache.edge_index[:, 1], n_nodes) @ d_p1,
-        ],
-        axis=-1,
-    )
-    d_c = d_p1.sum(axis=1)  # (B, M)
+    d_pair = _empty(ws, "z1", (b, n_nodes, 2 * m))
+    np.matmul(_incidence(cache.edge_index[:, 0], n_nodes), d_p1, out=d_pair[..., :m])
+    np.matmul(_incidence(cache.edge_index[:, 1], n_nodes), d_p1, out=d_pair[..., m:])
+    d_c = d_p1.sum(axis=1, out=_empty(ws, "c", (b, m)))  # (B, M)
     del d_p1
-    g_pair = _outer(_rows(cache.h2), _rows(d_pair))  # (H, 2M)
-    grads["mlp_w1"] = np.vstack(
-        [g_pair[:, :m], g_pair[:, m:], cache.h2[:, cache.task_index].T @ d_c]
-    )
+    g_pair = _outer(_rows(cache.h2), _rows(d_pair), ws, "a2")  # (H, 2M)
+    g = grads["mlp_w1"] = _empty(ws, "a1", p.mlp_w1.shape)
+    g[:h], g[h : 2 * h] = g_pair[:, :m], g_pair[:, m:]
+    np.matmul(cache.h2[:, cache.task_index].T, d_c, out=g[2 * h :])
     grads["mlp_b1"] = d_c.sum(axis=0)
 
-    d_z2 = _times(d_pair, _pair_weights(p).T)  # (B, V, H)
-    del d_pair
-    d_z2[:, cache.task_index] += d_c @ p.mlp_w1[2 * h :].T
-    d_z2 *= cache.h2 > 0
-    grads["gcn_w2"] = _outer(_rows(cache.m2), _rows(d_z2))
-    d_m2 = _times(d_z2, p.gcn_w2.T)
+    mask = np.greater(cache.h2, 0.0, out=_empty(ws, "a2", cache.h2.shape, bool))
+    d_z2 = _times(d_pair, _pair_weights(p, ws).T, ws, "h2")  # (B, V, H)
+    d_z2[:, cache.task_index] += np.matmul(d_c, p.mlp_w1[2 * h :].T, out=_empty(ws, "r1", (b, h)))
+    d_z2 *= mask
+    del d_pair, mask
+    grads["gcn_w2"] = _outer(_rows(cache.m2), _rows(d_z2), ws, "a2")
+    d_m2 = _times(d_z2, p.gcn_w2.T, ws, "z1")
     del d_z2
-    d_z1 = cache.s.T @ d_m2
+    d_z1 = np.matmul(cache.s.T, d_m2, out=_empty(ws, "h2", d_m2.shape))
     del d_m2
     d_z1 *= cache.z1_positive
-    grads["gcn_w1"] = (
-        cache.x0.T @ (cache.s.T @ d_z1.sum(axis=0))
-        + cache.task_rows.T @ (cache.s[:, cache.task_index] @ d_z1)
-    )
+    g = grads["gcn_w1"] = np.matmul(cache.x0.T, cache.s.T @ d_z1.sum(axis=0), out=_empty(ws, "m2", p.gcn_w1.shape))
+    task_term = np.matmul(cache.s[:, cache.task_index], d_z1, out=_empty(ws, "r1", (b, h)))
+    g += np.matmul(cache.task_rows.T, task_term, out=_empty(ws, "z1", p.gcn_w1.shape))
     return grads
 
 
@@ -520,11 +576,13 @@ def adamw_step(
     *,
     lr: float = 1e-4,
     weight_decay: float = 1e-2,
+    workspace: dict | None = None,
 ) -> tuple[ModelParams, AdamWState]:
     """One decoupled-weight-decay Adam update (in place).
 
     theta <- theta - lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * theta )
-    with bias corrections after incrementing the step counter.
+    with bias corrections after incrementing the step counter, through two
+    scratch arrays per parameter, in the formula's order and so to its bits.
     """
     state.t += 1
     bc1 = 1.0 - ADAMW_BETA1**state.t
@@ -533,13 +591,15 @@ def adamw_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a, b = _empty(workspace, "cols", theta.shape), _empty(workspace, "cols2", theta.shape)
         m *= ADAMW_BETA1
-        m += (1.0 - ADAMW_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAMW_BETA1, out=a)
         v *= ADAMW_BETA2
-        v += (1.0 - ADAMW_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + ADAMW_EPS) + weight_decay * theta)
+        v += np.multiply(np.multiply(g, 1.0 - ADAMW_BETA2, out=a), g, out=a)
+        m_hat, v_hat = np.divide(m, bc1, out=a), np.divide(v, bc2, out=b)
+        step = np.divide(m_hat, np.add(np.sqrt(v_hat, out=b), ADAMW_EPS, out=b), out=a)
+        step += np.multiply(theta, weight_decay, out=b)
+        theta -= np.multiply(step, lr, out=a)
     return params, state
 
 

@@ -201,9 +201,11 @@ class KVOracle:
                     np.add(row, step, row)
                     prev = row
             carry_out[layer] = x[-1]
-            prod = x @ self._w[layer]
+            # The last layer's hidden output is never read, so it multiplies the
+            # KV columns only: bitwise the full product's (tests/test_oracle.py).
+            prod = x @ self._w[layer][:, : n_kv if layer + 1 == cfg.layers else None]
             states[layer] = prod[:, :n_kv].reshape(t, cfg.heads, 2 * cfg.head_dim).transpose(1, 0, 2)
-            if layer + 1 < cfg.layers:  # the last layer's hidden output is never read
+            if layer + 1 < cfg.layers:
                 x = np.tanh(prod[:, n_kv:])
         return KVTensor(states, position_offset), carry_out
 

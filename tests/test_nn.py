@@ -445,10 +445,9 @@ class TestOneSetOfActivations:
 
     def test_one_step_holds_one_set_of_activations(self, planted_default):
         # One forward_loss plus backward at B = 64 on the planted corpus, with
-        # the default widths (H 256, M 128): measured 20.1 MiB, of which the
-        # cache is 10.3.  The bound leaves 14% on top.  Keeping backward's
-        # ten gradients bound to the end, as a plain write-up does, reads
-        # 34.4 MiB.
+        # the default widths (H 256, M 128) and no workspace: measured 17.8
+        # MiB, and the bound leaves 29% on top.  Keeping backward's ten
+        # gradients bound to the end, as a plain write-up does, read 34.4 MiB.
         from opflow import construct
 
         graph, samples = planted_default.graph, planted_default.samples[:64]

@@ -499,3 +499,30 @@ class TestSegmentsMatchParentArithmetic:
             got = oracle.base_segment(tokens, offset)
             assert got.position_offset == offset
             assert np.array_equal(bits(got.states), bits(expected)), offset
+
+
+class TestLastLayerProduct:
+    """``resume``'s last layer multiplies by the KV columns of its weight
+    only; its states equal the full-width product's first columns bitwise."""
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 19, 40, 65, 200])
+    def test_states_equal_the_full_width_product_bitwise(self, t):
+        oracle = KVOracle()
+        cfg = oracle.config
+        n_kv = 2 * cfg.d_model
+        rng = np.random.default_rng(t)
+        for _ in range(20):
+            carry = rng.standard_normal((cfg.layers, cfg.d_model))
+            tokens = list(rng.integers(0, TOKEN_SPACE, size=t))
+            offset = int(rng.integers(0, 300))
+            got, _ = oracle.resume(carry, tokens, offset)
+            x = oracle._embeddings[np.asarray(tokens)] + _positional_encoding(offset + np.arange(t), cfg.d_model)
+            for layer in range(cfg.layers):
+                prev = carry[layer]
+                for row in x:
+                    row += cfg.lam * prev
+                    prev = row
+                prod = x @ oracle._w[layer]
+                x = np.tanh(prod[:, n_kv:])
+            want = prod[:, :n_kv].reshape(t, cfg.heads, -1).transpose(1, 0, 2).astype(np.float32)
+            assert np.array_equal(bits(got.states[-1]), bits(want))
