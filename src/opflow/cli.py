@@ -43,7 +43,7 @@ from .errors import DataError, NumericError, _write_atomic
 from .graph import merge_workflows, parse_graph, parse_workflow, serialize_graph, serialize_workflow
 from .harness import DEFAULT_BATCH_SIZES, _csv, make_workload, sparsity_report, sweep_batch_sizes
 from .kvstore import MODES, CacheStore, MemoryReport, _store_file, has_store, load_store, save_store
-from .nn import init_params, load_checkpoint, save_checkpoint
+from .nn import _write_checkpoint, init_params, load_checkpoint
 from .oracle import KVOracle, OracleConfig
 from .pruning import (
     PlanPolicy,
@@ -283,9 +283,11 @@ def cmd_train(cfg: SimpleNamespace) -> int:
     )
     result = train(graph, samples, config)
     out = _out_dir(cfg)
-    save_checkpoint(out / "checkpoint.bin", result.params, cfg.seed)
     rows = "".join(f"{i},{loss!r}\n" for i, loss in enumerate(result.epoch_losses))
-    _write_atomic({out / "train_loss.csv": lambda fh: fh.write(("epoch,mean_loss\n" + rows).encode("utf-8"))})
+    _write_atomic({
+        out / "checkpoint.bin": lambda fh: _write_checkpoint(fh, result.params, cfg.seed),
+        out / "train_loss.csv": lambda fh: fh.write(("epoch,mean_loss\n" + rows).encode("utf-8")),
+    })
     log.info("checkpoint and loss curve written to %s", out)
     return 0
 

@@ -157,6 +157,7 @@ class _ModelInputs:
 
 
 # Keyed by graph identity; an entry lives as long as its (immutable) graph.
+# It is not a property of the graph because ``graph`` imports no model code.
 _INPUTS: weakref.WeakKeyDictionary[OperationGraph, _ModelInputs] = weakref.WeakKeyDictionary()
 
 

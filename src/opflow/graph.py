@@ -67,9 +67,9 @@ class OperationGraph:
 
     A graph is immutable once built and hashes by identity, because what is
     derived from it is cached per graph object: its model inputs
-    (``construct``), op tokens (``kvstore``), edge set, and its canonical
-    orders ``node_ids``, ``edge_list`` and ``entry_ops``, each computed on
-    first use and held as a tuple so that no caller can reorder it.
+    (``construct``), edge set, and its canonical orders ``node_ids``,
+    ``edge_list`` and ``entry_ops``, each computed on first use and held as a
+    tuple so that no caller can reorder it.
     """
 
     operations: dict[str, Operation]

@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import weakref
 from dataclasses import asdict, dataclass, field, fields
 from math import prod
 from pathlib import Path
@@ -78,9 +77,6 @@ _REBUILD = "rebuild the store with `opflow kv materialize`"
 MODES = ("stateful", "differential", "stateless")
 
 PathKey = tuple[str, ...]
-
-# Op tokens per (immutable) graph, as tuples, shared by every store on it.
-_OP_TOKENS: weakref.WeakKeyDictionary[OperationGraph, dict] = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +415,15 @@ class CacheStore:
     oracle and energy target, and the fetch contract ``verify_fetch`` checks.
 
     Besides the stored tensors the store keeps derived state that is neither
-    saved nor counted in ``memory_footprint``: each validated prefix path's
-    token count, and the oracle carry after each prefix path it has computed
-    in context (a (layers, d_model) float64 array, 2 KiB per path at the
-    default config), so an in-context computation costs only the op's own
-    tokens; a base at offset 0 keeps its carry too, the one-op path's.  A
-    carry that is missing, as on a store ``load_store`` returned, is rebuilt
-    from the longest prefix of the path that has one.  Op tokens are kept
-    per graph, in ``_OP_TOKENS``.  No in-context KV is kept beyond the stored
-    tensors and the last fallback's.
+    saved nor counted in ``memory_footprint``: each op's tokens, each
+    validated prefix path's token count, and the oracle carry after each
+    prefix path it has computed in context (a (layers, d_model) float64
+    array, 2 KiB per path at the default config), so an in-context
+    computation costs only the op's own tokens; a base at offset 0 keeps its
+    carry too, the one-op path's.  A carry that is missing, as on a store
+    ``load_store`` returned, is rebuilt from the longest prefix of the path
+    that has one.  No in-context KV is kept beyond the stored tensors and the
+    last fallback's.
     """
 
     def __init__(
@@ -449,7 +445,7 @@ class CacheStore:
         self.residuals: dict[tuple[PathKey, str], QuantizedDelta] = {}
         self.fulls: dict[tuple[PathKey, str], KVTensor] = {}
         self._bytes = {"bases": 0, "residuals": 0, "fulls": 0}
-        self._op_tokens = _OP_TOKENS.setdefault(graph, {})
+        self._op_tokens: dict[str, tuple[int, ...]] = {}
         self._prefix_len: dict[PathKey, int] = {}
         self._carries: dict[PathKey, np.ndarray] = {(): self.oracle.empty_carry()}
         self._last_fallback: tuple[tuple[PathKey, str], KVTensor] | None = None

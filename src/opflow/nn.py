@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import math
 import struct
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _shapes(d: int, h: int, m: int) -> dict[str, tuple[int, ...]]:
 _ARRAY_ORDER = tuple(_shapes(0, 0, 0))
 
 
-@dataclass(eq=False)  # hashed by identity: the key of the serving memo
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     dim_in: int
     dim_hidden: int
@@ -85,18 +86,26 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Writable copies of every array, e.g. to fine-tune read-only params."""
-        return ModelParams(
-            self.dim_in,
-            self.dim_hidden,
-            self.mlp_hidden,
-            **{name: arr.copy() for name, arr in self.arrays().items()},
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.arrays().items()})
 
     def read_only(self) -> "ModelParams":
         """The same values as views of one ``bytes`` object, which nothing can
         write: in-place updates and ``setflags(write=True)`` raise."""
         payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in self.arrays().values())
         return _params_from_bytes(self.dim_in, self.dim_hidden, self.mlp_hidden, payload)
+
+    @cached_property
+    def _memo(self) -> _Memo | None:
+        """The serving memo, or None when the arrays could change: only views
+        of ``bytes`` (as ``train`` and ``load_checkpoint`` return), which
+        nothing can write, are memoized."""
+        if isinstance(self.gcn_w1.base, bytes) and isinstance(self.mlp_w1.base, bytes):
+            return _Memo(self)
+        return None
+
+    def __getstate__(self) -> dict:
+        """Pickle and ``copy.deepcopy`` leave out the memo: a copy's arrays are writable."""
+        return {name: value for name, value in vars(self).items() if name != "_memo"}
 
 
 def _params_from_bytes(d: int, h: int, m: int, payload: bytes) -> ModelParams:
@@ -159,7 +168,7 @@ def gcn_forward(
     ``forward_loss``, and ``S`` and ``S (X0 W1)`` come from the memo when it
     holds them.
     """
-    memo = _memo(params)
+    memo = params._memo
     seen = (None, None, None) if memo is None else memo.inputs
     if seen[0] is x and seen[1] is a and seen[2] == task_index:
         s, shared = memo.s, memo.shared
@@ -182,40 +191,20 @@ def score_edges(
     array of node indices; returns (..., E).  The first layer runs per node
     as in ``forward_loss``, with ``[Wa | Wb]`` memoized for read-only params.
     """
-    memo = _memo(params)
+    memo = params._memo
     pair = _pair_weights(params) if memo is None else memo.pair
     return _mlp_tail(params, _edge_layer1(params, h, pair, edge_index, task_index))[2]
 
 
 class _Memo:
-    """Request-invariant terms of one read-only ``ModelParams``: ``pair`` is
-    ``[Wa | Wb]``, and ``s``/``shared`` are ``S`` and ``S (X0 W1)`` of the
-    graph inputs ``(x, a, task_index)`` served last, kept only when ``x`` and
-    ``a`` are read-only and found again by their identity."""
+    """Request-invariant terms of one read-only ``ModelParams``, held as its
+    ``_memo``: ``pair`` is ``[Wa | Wb]``, and ``s``/``shared`` are ``S`` and
+    ``S (X0 W1)`` of the graph inputs ``(x, a, task_index)`` served last, kept
+    only when ``x`` and ``a`` are read-only and found again by their identity."""
 
     def __init__(self, params: ModelParams):
-        self.gcn_w1, self.mlp_w1 = params.gcn_w1, params.mlp_w1
         self.pair = _pair_weights(params)
         self.inputs, self.s, self.shared = (None, None, None), None, None
-
-
-# One memo per live read-only params object (``ModelParams`` hashes by identity).
-_MEMOS: weakref.WeakKeyDictionary[ModelParams, _Memo] = weakref.WeakKeyDictionary()
-
-
-def _memo(params: ModelParams) -> _Memo | None:
-    """The memo of ``params``, or None when its arrays could change: only
-    views of ``bytes`` (as ``train`` and ``load_checkpoint`` return), which
-    nothing can write, are memoized.  A memo holds for the very ``gcn_w1``
-    and ``mlp_w1`` it was built from; rebinding either one rebuilds it."""
-    w1, mw1 = params.gcn_w1, params.mlp_w1
-    if not (isinstance(w1.base, bytes) and isinstance(mw1.base, bytes)):
-        _MEMOS.pop(params, None)
-        return None
-    memo = _MEMOS.get(params)
-    if memo is None or memo.gcn_w1 is not w1 or memo.mlp_w1 is not mw1:
-        memo = _MEMOS[params] = _Memo(params)
-    return memo
 
 
 def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
@@ -611,18 +600,19 @@ def adamw_step(
 def save_checkpoint(path: str | Path, params: ModelParams, seed: int) -> None:
     """Versioned flat binary: header (dims, shapes, seed) then float64 LE
     arrays, written atomically: a failed write leaves an earlier file whole."""
+    _write_atomic({path: lambda fh: _write_checkpoint(fh, params, seed)})
+
+
+def _write_checkpoint(fh: BinaryIO, params: ModelParams, seed: int) -> None:
+    """Write ``save_checkpoint``'s bytes to ``fh``, as one ``_write_atomic`` writer."""
     arrays = params.arrays()
-
-    def write(fh) -> None:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIIQ I", 1, params.dim_in, params.dim_hidden, params.mlp_hidden, seed, len(arrays)))
-        for arr in arrays.values():
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    _write_atomic({path: write})
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<IIIIQ I", 1, params.dim_in, params.dim_hidden, params.mlp_hidden, seed, len(arrays)))
+    for arr in arrays.values():
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+    for arr in arrays.values():
+        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, int]:

@@ -684,6 +684,7 @@ class TestOutputsAreReplacedAtomically:
     @pytest.mark.parametrize("name, written", [
         ("sparsity_layers.csv", ("sparsity_pairs.csv", "sparsity_layers.csv", "sparsity_heatmap.csv")),
         ("prune_summary.csv", ("prune_report.csv", "prune_summary.csv")),
+        ("train_loss.csv", ("checkpoint.bin", "train_loss.csv")),
     ])
     def test_failed_write_leaves_every_file_of_the_command(
         self, cli_project, tmp_path, fail_writing, name, written

@@ -1769,20 +1769,18 @@ class TestPathValidationOnce:
 
 
 class TestOpTokensPerGraph:
-    def test_second_store_on_the_graph_tokenizes_nothing(self, monkeypatch):
+    def test_one_store_tokenizes_each_op_once(self, monkeypatch):
         graph = small_graph()
         texts = []
         monkeypatch.setattr(kvstore, "tokenize", lambda text: texts.append(text) or tokenize(text))
-        CacheStore(graph, mode="stateful").fetch(("OP_A", "OP_B"), "OP_C")
-        assert sorted(texts) == sorted(graph.operations[op].instruction for op in ("OP_A", "OP_B", "OP_C"))
-        texts.clear()
-        second = CacheStore(graph, mode="stateful")
-        _, info = second.fetch(("OP_A", "OP_B"), "OP_C")
-        assert texts == []
-        assert second.op_tokens("OP_C") == tuple(tokenize(graph.operations["OP_C"].instruction))
-        assert info.op_tokens == len(second.op_tokens("OP_C"))
-        CacheStore(small_graph()).op_tokens("OP_C")  # an equal graph is another graph
-        assert len(texts) == 1
+        store = CacheStore(graph, mode="stateful")
+        for path, op_id in ((("OP_A", "OP_B"), "OP_C"), (("OP_A", "OP_B"), "OP_D"), (("OP_A",), "OP_B"), ((), "OP_A")):
+            _, info = store.fetch(path, op_id)
+            assert info.op_tokens == len(store.op_tokens(op_id))
+        assert sorted(texts) == sorted(op.instruction for op in graph.operations.values())
+        for op_id, op in graph.operations.items():
+            assert store.op_tokens(op_id) == tuple(tokenize(op.instruction))
+        assert len(texts) == len(graph.operations)
 
     def test_tokens_cannot_be_changed(self):
         graph = small_graph()
@@ -1792,18 +1790,3 @@ class TestOpTokensPerGraph:
         with pytest.raises(AttributeError):
             tokens.append(0)
         assert CacheStore(graph).op_tokens("OP_A") == tuple(tokenize(graph.operations["OP_A"].instruction))
-
-    def test_entry_goes_with_the_graph(self):
-        import gc
-        import weakref
-
-        graph = small_graph()
-        CacheStore(graph).op_tokens("OP_A")
-        assert graph in kvstore._OP_TOKENS
-        gc.collect()  # graphs earlier tests left in reference cycles
-        entries = len(kvstore._OP_TOKENS)
-        graph_ref = weakref.ref(graph)
-        del graph
-        gc.collect()
-        assert graph_ref() is None
-        assert len(kvstore._OP_TOKENS) == entries - 1

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -52,10 +54,7 @@ def tiny_params(d=2, h=2, m=3, seed=0) -> ModelParams:
 
 
 def identity_gcn_params(d: int) -> ModelParams:
-    p = tiny_params(d=d, h=d)
-    p.gcn_w1 = np.eye(d)
-    p.gcn_w2 = np.eye(d)
-    return p
+    return dataclasses.replace(tiny_params(d=d, h=d), gcn_w1=np.eye(d), gcn_w2=np.eye(d))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +160,15 @@ class TestGCNForward:
 class TestScoreEdges:
     def test_hand_computed_scalar_chain(self):
         # dim_hidden 1, mlp_hidden 1: omega = w3*relu(w2*relu(z.w1 + b1) + b2) + b3
-        p = tiny_params(d=1, h=1, m=1)
-        p.mlp_w1 = np.array([[0.5], [-1.0], [2.0]])
-        p.mlp_b1 = np.array([0.1])
-        p.mlp_w2 = np.array([[3.0]])
-        p.mlp_b2 = np.array([-0.2])
-        p.mlp_w3 = np.array([[-2.0]])
-        p.mlp_b3 = np.array([0.25])
+        p = dataclasses.replace(
+            tiny_params(d=1, h=1, m=1),
+            mlp_w1=np.array([[0.5], [-1.0], [2.0]]),
+            mlp_b1=np.array([0.1]),
+            mlp_w2=np.array([[3.0]]),
+            mlp_b2=np.array([-0.2]),
+            mlp_w3=np.array([[-2.0]]),
+            mlp_b3=np.array([0.25]),
+        )
         h = np.array([[1.0], [2.0], [0.5]])  # nodes 0, 1; task = 2
         edge_index = np.array([[0, 1]])
         inner = max(1.0 * 0.5 + 2.0 * -1.0 + 0.5 * 2.0 + 0.1, 0.0)  # 0.0 after relu? -0.4 -> 0
@@ -409,7 +410,7 @@ class TestBackward:
         # Drive omega hugely positive on a label-1 edge: the clamp leaves only
         # a ~1e-7-scale residual gradient signal.
         p, x, a, edges, task, labels, _, rows = random_instance(31)
-        p.mlp_b3 = np.array([60.0])
+        p = dataclasses.replace(p, mlp_b3=np.array([60.0]))
         labels = np.ones_like(labels)
         _, cache = forward_loss(p, x, a, edges, task, labels, task_rows=rows)
         grads = backward(cache)
@@ -593,7 +594,7 @@ class TestServingFold:
         for _ in range(2):  # with read-only params the second call is a memo hit
             scores = gumbel_sigmoid(served_logits(p, x, a, edges, task, rows))
             np.testing.assert_allclose(scores, dense.scores, rtol=FOLD_RTOL, atol=0)
-        assert (p in nn._MEMOS) == read_only
+        assert (p._memo is not None) == read_only
 
     @pytest.mark.parametrize("read_only", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])  # one task row takes BLAS's vector path
@@ -619,29 +620,59 @@ class TestServingFold:
         assert np.array_equal(served_logits(frozen, x2, a2, edges2, task2, rows2), other)
         assert np.array_equal(served_logits(frozen, x, a, edges, task, rows), want)
 
-    @pytest.mark.parametrize("name", ["gcn_w1", "mlp_w1"])
-    @pytest.mark.parametrize("writable", [False, True])
-    def test_rebinding_a_memoized_weight_is_seen(self, name, writable):
-        p, x, a, edges, task, rows = serving_instance(6)
-        p = p.read_only()
-        before = served_logits(p, x, a, edges, task, rows)
-        replacement = init_params(dim_in=5, dim_hidden=8, mlp_hidden=8, seed=60)
-        if not writable:
-            replacement = replacement.read_only()
-        setattr(p, name, getattr(replacement, name))
-        after = served_logits(p, x, a, edges, task, rows)
-        assert not np.array_equal(after, before)
-        fresh = dataclasses.replace(p)  # the same arrays under a params never served
-        assert np.array_equal(after, served_logits(fresh, x, a, edges, task, rows))
-        assert (p in nn._MEMOS) != writable
-
     def test_writable_params_leave_no_memo_entry(self):
         p, x, a, edges, task, rows = serving_instance(7)
         served_logits(p, x, a, edges, task, rows)
-        assert p not in nn._MEMOS
+        assert p._memo is None
         p.gcn_w1.setflags(write=False)  # read-only, yet it could be made writable again
+        p = dataclasses.replace(p)
         served_logits(p, x, a, edges, task, rows)
-        assert p not in nn._MEMOS
+        assert p._memo is None
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_fields_cannot_be_rebound(self, read_only):
+        p = serving_instance(6)[0]
+        if read_only:
+            p = p.read_only()
+        for field in dataclasses.fields(ModelParams):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field.name, getattr(p, field.name))
+
+    def test_pair_weights_are_built_once_per_params(self, monkeypatch):
+        p, x, a, edges, task, rows = serving_instance(8)
+        p = p.read_only()
+        calls = []
+        real = nn._pair_weights
+        monkeypatch.setattr(nn, "_pair_weights", lambda *args: calls.append(args) or real(*args))
+        want = served_logits(p, x, a, edges, task, rows)
+        for _ in range(3):
+            assert np.array_equal(served_logits(p, x, a, edges, task, rows), want)
+        assert len(calls) == 1
+
+    def test_replaced_params_get_a_memo_of_their_own(self):
+        p, x, a, edges, task, rows = serving_instance(9)
+        p = p.read_only()
+        want = served_logits(p, x, a, edges, task, rows)
+        fresh = dataclasses.replace(p)
+        assert "_memo" not in vars(fresh)
+        assert np.array_equal(served_logits(fresh, x, a, edges, task, rows), want)
+        assert fresh._memo is not None and fresh._memo is not p._memo
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_leaves_the_memo_behind(self, how):
+        p, x, a, edges, task, rows = serving_instance(10)
+        p = p.read_only()
+        served_logits(p, x, a, edges, task, rows)
+        assert p._memo is not None
+        clone = copy.deepcopy(p) if how == "deepcopy" else pickle.loads(pickle.dumps(p))
+        assert "_memo" not in vars(clone)
+        assert np.array_equal(served_logits(clone, x, a, edges, task, rows), served_logits(p, x, a, edges, task, rows))
+        for name in ("gcn_w1", "mlp_w1"):
+            getattr(clone, name)[...] *= -0.5  # the copy's arrays are writable
+        changed = served_logits(clone, x, a, edges, task, rows)
+        assert not np.array_equal(changed, served_logits(p, x, a, edges, task, rows))
+        assert np.array_equal(changed, served_logits(clone.copy(), x, a, edges, task, rows))
+        assert clone._memo is None
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +869,7 @@ class TestCheckpoint:
             def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
-        p = init_params(dim_in=12, dim_hidden=7, mlp_hidden=5, seed=2)
-        p.mlp_b3 = FailingArray()
+        p = dataclasses.replace(init_params(dim_in=12, dim_hidden=7, mlp_hidden=5, seed=2), mlp_b3=FailingArray())
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, p, seed=2)
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]

@@ -48,9 +48,14 @@ _NUMPY_WRITES = {"save", "savez", "savez_compressed", "savetxt"}
 _MODULE_WRITES = {"np": _NUMPY_WRITES, "numpy": _NUMPY_WRITES, "os": {"replace", "rename", "open"}}
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _writes(call: ast.Call) -> bool:
     func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _callee(call)
     owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
     if owner in _MODULE_WRITES:
         return name in _MODULE_WRITES[owner]
@@ -110,3 +115,16 @@ def test_the_writer_syncs_each_directory_after_its_replace(tmp_path, monkeypatch
     assert all(stat.S_ISDIR(st.st_mode) for st in synced)
     assert [os.path.samestat(st, os.stat(d)) for st, d in zip(synced, (tmp_path, tmp_path / "sub"))] == [True, True]
     assert [target.read_bytes() for target in targets] == [b"new\n"] * 3
+
+
+def test_each_command_replaces_its_files_in_one_call():
+    # A command's files are replaced all or none only when one atomic write
+    # stages every one of them.
+    writers = {"_write_atomic", "_write_csvs", "save_store", "save_checkpoint"}
+    tree = ast.parse(Path(opflow.__file__).with_name("cli.py").read_text())
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(handlers) >= 8
+    calls = {
+        f.name: sum(isinstance(node, ast.Call) and _callee(node) in writers for node in ast.walk(f)) for f in handlers
+    }
+    assert {name: n for name, n in calls.items() if n > 1} == {}
