@@ -16,8 +16,9 @@ Conventions, uniform across subcommands:
   progress lines too with ``-v``;
 * a command takes only the flags its handler reads: ``--seed`` belongs to
   the commands that draw random numbers, ``--out`` to those that write files;
-* every command is deterministic for fixed seed and inputs, and no command
-  mutates its inputs — all writes land in the ``--out`` or ``--store``
+* every command's output bytes are reproducible for fixed seed, inputs and
+  BLAS thread count (``train``'s checkpoint bytes change with the thread
+  count), and no command mutates its inputs — all writes land in the ``--out`` or ``--store``
   directories.
 """
 

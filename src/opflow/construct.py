@@ -180,8 +180,12 @@ def train(
 ) -> TrainResult:
     """Fit the edge scorer on (task, target workflow) pairs.
 
-    Fully deterministic for a given seed: initialization, epoch shuffles and
-    the per-batch relaxation noise all draw from one seeded generator.  The
+    The result's bytes are reproducible for a given seed and BLAS thread
+    count: initialization, epoch shuffles and the per-batch relaxation noise
+    all draw from one seeded generator, but the BLAS sums in another order
+    at another thread count (at the control configuration, checkpoints
+    written at 1 and 2 OpenBLAS threads differ in their bytes and score the
+    same held-out F1).  The
     recorded per-epoch loss is the mean *relaxed* (noise-injected) BCE over
     the epoch's samples.  The returned params are read-only; call ``.copy()``
     to fine-tune them.

@@ -47,6 +47,7 @@ entry encoded as a KV or delta file, and swaps it in with one ``os.replace``;
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -69,7 +70,7 @@ DTYPE_FLOAT32 = 1
 WIDTHS = (2, 3, 4, 5, 6, 7, 8, 32)  # residual code widths in bits; sparsify takes the smallest that passes
 _Q = np.array([2 ** (width - 1) - 1 for width in WIDTHS[:-1]], dtype=np.float64)[:, None, None]  # codes' bounds
 STORE_MAGIC = b"OFST"
-STORE_VERSION = 4
+STORE_VERSION = 5
 STORE_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest byte length
 STORE_FILE = "store.bin"
 _REBUILD = "rebuild the store with `opflow kv materialize`"
@@ -208,8 +209,18 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Qua
                 continue
             kept = check(_dequantize(codes, scales[i], base.states))
             if kept is not None:
-                return QuantizedDelta(shape, offset, kept, WIDTHS[i], scales[i], codes)
-    return QuantizedDelta(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+                return _sparsified(shape, offset, kept, WIDTHS[i], scales[i], codes)
+    return _sparsified(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+
+
+def _sparsified(shape, offset: int, kept: float, width: int, scales: np.ndarray, codes: np.ndarray) -> QuantizedDelta:
+    """``sparsify``'s result without ``QuantizedDelta``'s checks, which its arithmetic
+    keeps: rounded-up scales hold every code in [-q, q], and an accepted width's are finite."""
+    delta = object.__new__(QuantizedDelta)  # fields set in declaration order, so the instance shares its keys
+    delta.dense_shape, delta.position_offset, delta.kept_energy_fraction = shape, offset, kept
+    delta.width, delta.scales, delta.codes = width, scales, codes
+    delta.entries = int(np.count_nonzero(codes)) if width < 32 else codes.size
+    return delta
 
 
 def _delta64(full: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +269,13 @@ def reconstruct(base: KVTensor, delta: QuantizedDelta) -> KVTensor:
         raise DataError(f"delta shape {delta.dense_shape} does not match base {base.states.shape}")
     if base.position_offset != delta.position_offset:
         raise DataError("base and delta disagree on position offset")
-    if delta.width == 32:
-        return KVTensor(delta.codes.copy(), base.position_offset)
-    return KVTensor(_dequantize(delta.codes, delta.scales, base.states), base.position_offset)
+    return _hit(base.states, delta)
+
+
+def _hit(base: np.ndarray, delta: QuantizedDelta) -> KVTensor:
+    """``reconstruct``'s kernel, unchecked: a store's residual hit runs it."""
+    states = delta.codes.copy() if delta.width == 32 else _dequantize(delta.codes, delta.scales, base)
+    return KVTensor(states, delta.position_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +429,13 @@ class CacheStore:
     fallback always has a prefix: an empty one is served by a base), the
     oracle and energy target, and the fetch contract ``verify_fetch`` checks.
 
+    A stored entry is checked once, when it enters the store (its path,
+    shape and offset; for a loaded one, its ops' texts too), so a hit on a
+    stored key (a residual, a stateful full, or a differential base at
+    offset 0) is one lookup, one kernel and one record.  A fetch that
+    computes checks its path, as does any stateless one: a base key (op,
+    offset) does not name the path.
+
     Besides the stored tensors the store keeps derived state that is neither
     saved nor counted in ``memory_footprint``: each op's tokens, each
     validated prefix path's token count, and the oracle carry after each
@@ -532,26 +554,26 @@ class CacheStore:
         return kv
 
     def fetch(self, path: Iterable[str], op_id: str) -> tuple[KVTensor, FetchResult]:
+        """The op's KV after ``path`` and the fetch's record; a hit reads only its stored entry."""
         path = tuple(path)
-        n_prefix = self.validate_path(path, op_id)
-        n_op = len(self.op_tokens(op_id))
-        flag, entries = "hit", 0
-        if self.mode == "stateless":
-            kv = self.base(op_id, n_prefix)
-        elif self.mode == "stateful":
-            key = (path, op_id)
+        key, flag, entries = (path, op_id), "hit", 0
+        if self.mode == "stateful":
             kv = self.fulls.get(key)
-            if kv is None:
-                kv, flag = self._stateful(path, op_id, n_prefix), "fallback"
-                self._put("fulls", key, kv)
+        elif self.mode == "stateless":
+            kv = self.base(op_id, self.validate_path(path, op_id))
         elif not path:  # differential: an empty prefix is served by a base
-            kv = self.base(op_id, 0)
-        elif (delta := self.residuals.get((path, op_id))) is not None:
-            kv, entries = reconstruct(self.base(op_id, n_prefix), delta), delta.entries
+            kv = self.bases.get((op_id, 0)) or self.base(op_id, self.validate_path(path, op_id))
+        elif (delta := self.residuals.get(key)) is not None:
+            kv, entries = _hit(self.base(op_id, delta.position_offset).states, delta), delta.entries
         else:
-            kv, flag = self._stateful(path, op_id, n_prefix), "fallback"
-            self._last_fallback = ((path, op_id), kv)
-        return kv, FetchResult(path, op_id, flag, entries, n_prefix, n_op, kv_file_nbytes(kv))
+            kv = None
+        if kv is None:
+            kv, flag = self._stateful(path, op_id, self.validate_path(path, op_id)), "fallback"
+            if self.mode == "stateful":
+                self._put("fulls", key, kv)
+            else:
+                self._last_fallback = (key, kv)
+        return kv, FetchResult(path, op_id, flag, entries, kv.position_offset, kv.states.shape[2], kv_file_nbytes(kv))
 
     def insert_residual(self, path: Iterable[str], op_id: str) -> QuantizedDelta:
         """Materialize the residual for a (path, op) pair (differential only).
@@ -629,13 +651,14 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
     """Persist a store as ``<directory>/store.bin``: a header (magic, version,
     manifest length), a JSON manifest, then every entry's payload.
 
-    The manifest holds the mode, energy target and oracle config, and one row
+    The manifest holds the mode, energy target and oracle config, one row
     per entry: its table, prefix path, op id, base offset (null outside
     ``bases``), and the byte start and size of its payload, counted from the
-    manifest's end.  Payloads are KV version-2 files (bases, fulls) and delta
-    version-3 files (residuals), so the payload bytes total
-    ``memory_footprint().total_bytes``.  Payloads are encoded and written one
-    at a time.
+    manifest's end; and a digest of the token ids of each op the rows name,
+    which binds the store to those ops' texts.  Payloads are KV version-2
+    files (bases, fulls) and delta version-3 files (residuals), so the
+    payload bytes total ``memory_footprint().total_bytes``.  Payloads are
+    encoded and written one at a time.
 
     The file is written, flushed and synced as ``.store.bin.tmp`` in the same
     directory, then moved over ``store.bin`` by one ``os.replace``: a reload
@@ -664,6 +687,7 @@ def _store_file(store: CacheStore, directory: str | Path) -> tuple[Path, Callabl
         "mode": store.mode,
         "oracle": asdict(store.oracle.config),
         "entries": rows,
+        "op_digests": {op_id: _token_digest(store.op_tokens(op_id)) for op_id in _row_ops(rows)},
     }
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -683,6 +707,16 @@ def has_store(directory: str | Path) -> bool:
     """Whether ``directory`` holds a saved store, of this version or an
     earlier one (which ``load_store`` rejects)."""
     return any((Path(directory) / name).is_file() for name in (STORE_FILE, "meta.json"))
+
+
+def _token_digest(tokens: tuple[int, ...]) -> str:
+    """The digest that binds a saved store to an op's token ids."""
+    return hashlib.blake2b(struct.pack(f"<{len(tokens)}Q", *tokens), digest_size=16).hexdigest()
+
+
+def _row_ops(rows: list[dict]) -> list[str]:
+    """Every op the manifest rows name, on a prefix path or as the entry's op, sorted."""
+    return sorted({op_id for row in rows for op_id in (*row["path"], row["op"])})
 
 
 def _is_count(value) -> bool:
@@ -739,7 +773,10 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     [-q, q], nonzero padding bits or a wrong length), and entries off
     ``graph``'s edges, of another shape than the stored oracle config gives
     them, or at another position offset than their key names: a base's
-    offset, or the prefix path's token count.  Each names its entry.
+    offset, or the prefix path's token count.  Each names its entry.  It
+    also rejects op digests that are not one per op the rows name, and, by
+    name, an op whose tokens in ``graph`` are not those the store was built
+    from (its text changed).
     """
     file = Path(directory) / STORE_FILE
     if not file.is_file():
@@ -776,6 +813,12 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
             raise DataError(f"{file}: malformed store metadata ({exc})") from exc
 
         rows = _manifest_rows(manifest, store.mode, file)
+        digests, ops = manifest.get("op_digests"), _row_ops(manifest["entries"])
+        if not isinstance(digests, dict) or sorted(digests) != ops:
+            raise DataError(f"{file}: manifest op digests do not name the ops of its entries")
+        for op_id in ops:  # an op off the graph is named by its entry's check below
+            if op_id in graph.operations and _token_digest(store.op_tokens(op_id)) != digests[op_id]:
+                raise DataError(f"{file}: operation {op_id!r} has other text than the store was built from; {_REBUILD}")
         end = payloads_at + sum(row[-1] for row in rows)
         if end > file_size:
             raise DataError(f"{file}: truncated payloads ({file_size} of {end} bytes)")

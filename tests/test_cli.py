@@ -25,7 +25,7 @@ from opflow import kvstore
 from opflow.cli import main
 from opflow.construct import TrainConfig, generate_synthetic_corpus, save_samples
 from opflow.errors import DataError, NumericError
-from opflow.graph import parse_graph, parse_workflow, serialize_workflow
+from opflow.graph import parse_graph, parse_workflow, serialize_graph, serialize_workflow
 from opflow.kvstore import MODES, CacheStore, save_store
 from opflow.nn import init_params, load_checkpoint, save_checkpoint
 from opflow.oracle import KVOracle, OracleConfig
@@ -518,6 +518,33 @@ class TestKvStoreCommands:
         total = int(capsys.readouterr().out.splitlines()[1].split(",")[-1])
         assert total == after
 
+    def test_prune_and_footprint_reject_a_store_whose_op_text_changed(self, cli_project, tmp_path, capsys):
+        # The edited op keeps its token count, so only the op-text binding
+        # tells the store is stale.
+        root, _ = cli_project
+        store = tmp_path / "store"
+        assert self.materialize(root, store) == 0
+        saved = (store / "store.bin").read_bytes()
+        graph = parse_graph((root / "graph.json").read_text())
+        op_id = read_trace_log(root / "traces.log")[0][1][-1]
+        op = graph.operations[op_id]
+        edited = dataclasses.replace(op, instruction=" ".join(["Publish", *op.instruction.split()[1:]]))
+        edited_graph = tmp_path / "edited.json"
+        edited_graph.write_text(
+            serialize_graph(dataclasses.replace(graph, operations={**graph.operations, op_id: edited}))
+        )
+        capsys.readouterr()
+        prune = [
+            "kv", "prune", "--graph", str(edited_graph), "--store", str(store),
+            "--traces", str(root / "traces.log"), "--out", str(tmp_path / "reports"),
+        ]
+        footprint = ["kv", "footprint", "--graph", str(edited_graph), "--store", str(store), "--out", str(tmp_path)]
+        for command in (prune, footprint):
+            assert main(command) == 2
+            assert f"operation '{op_id}' has other text" in capsys.readouterr().err
+        assert (store / "store.bin").read_bytes() == saved
+        assert not (tmp_path / "reports").exists() and not (tmp_path / "footprint.csv").exists()
+
     def test_prune_budget_counts_pairs(self, cli_project, tmp_path, capsys):
         # --budget caps the number of residual pairs, not bytes: a budget of
         # 1 keeps exactly one residual, whatever its size.
@@ -572,11 +599,11 @@ class TestKvStoreCommands:
         # fetch a stored tensor, and in differential mode rebuild it for nothing.
         root, _ = cli_project
         fetched, rebuilt = [], []
-        fetch, reconstruct = CacheStore.fetch, kvstore.reconstruct
+        fetch, hit = CacheStore.fetch, kvstore._hit
         monkeypatch.setattr(
             CacheStore, "fetch", lambda store, path, op_id: fetched.append((path, op_id)) or fetch(store, path, op_id)
         )
-        monkeypatch.setattr(kvstore, "reconstruct", lambda base, delta: rebuilt.append(delta) or reconstruct(base, delta))
+        monkeypatch.setattr(kvstore, "_hit", lambda base, delta: rebuilt.append(delta) or hit(base, delta))
         assert self.materialize(root, tmp_path / "store", mode) == 0
         traces = read_trace_log(root / "traces.log")
         pairs = [(tuple(trace[:i]), op_id) for _, trace in traces for i, op_id in enumerate(trace)]

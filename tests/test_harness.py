@@ -560,14 +560,14 @@ class TestRunServingSim:
         store = CacheStore(corpus.graph, "differential", oracle=KVOracle(OracleConfig()))
         run_serving_sim(corpus.graph, control_params, workload, "differential", store=store)
         rebuilt = []
-        real_reconstruct = kvstore.reconstruct
+        real_hit = kvstore._hit
 
-        def tracked_reconstruct(base, delta):
-            kv = real_reconstruct(base, delta)
+        def tracked_hit(base, delta):
+            kv = real_hit(base, delta)
             rebuilt.append(weakref.ref(kv))
             return kv
 
-        monkeypatch.setattr(kvstore, "reconstruct", tracked_reconstruct)
+        monkeypatch.setattr(kvstore, "_hit", tracked_hit)
         report = run_serving_sim(corpus.graph, control_params, workload, "differential", store=store)
         gc.collect()
         assert rebuilt and all(ref() is None for ref in rebuilt)

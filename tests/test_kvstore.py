@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from opflow import kvstore
+from opflow.construct import generate_synthetic_corpus
 from opflow.errors import DataError, OpflowError
 from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import (
@@ -130,6 +131,20 @@ class TestSparsify:
                 assert delta.kept_energy_fraction >= target
                 for narrower in WIDTHS[: WIDTHS.index(delta.width)]:
                     assert not within_bound(coded_hit(full, base, narrower), full, base, target)
+
+    @pytest.mark.parametrize("target", [0.5, 0.95, 0.99, 0.999999, 1.0])
+    def test_result_passes_the_checked_constructor(self, target):
+        # sparsify skips QuantizedDelta's checks; its arithmetic must keep
+        # them, so the public constructor accepts the same fields and
+        # counts the same entries, and the instance holds just those fields.
+        oracle = KVOracle(OracleConfig())
+        rng = np.random.default_rng(int(target * 1e6))
+        for _ in range(8):
+            delta = sparsify(*random_pair(oracle, rng), target)
+            fields = {k: getattr(delta, k) for k in ("dense_shape", "position_offset", "kept_energy_fraction", "width")}
+            checked = QuantizedDelta(**fields, scales=delta.scales, codes=delta.codes)
+            assert checked.entries == delta.entries and type(delta.entries) is int
+            assert list(vars(delta)) == list(vars(checked))
 
     def test_keeps_largest_magnitudes(self):
         # Each (layer, head)'s largest-magnitude entries take the end codes +-q.
@@ -1396,7 +1411,7 @@ class TestStoreFileRejections:
         self.rejects(saved, self.framed(saved[2], saved[3], magic=b"OFKV"), "not a cache store file")
 
     def test_unsupported_version(self, saved):
-        for version in (1, 2):
+        for version in (1, 2, 4):
             self.rejects(saved, self.framed(saved[2], saved[3], version=version), f"version {version}.*kv materialize")
 
     def test_negative_oracle_seed(self, saved):
@@ -1467,6 +1482,15 @@ class TestStoreFileRejections:
         manifest = saved[2]
         manifest["entries"][0]["start"] = 4
         self.rejects(saved, self.framed(manifest, saved[3]), "row 0 starts at byte 4, expected 0")
+
+    @pytest.mark.parametrize("malform", [
+        lambda digests: digests.pop("OP_A"),
+        lambda digests: digests.update(OP_X="00"),
+    ], ids=["missing", "extra"])
+    def test_op_digests_other_than_the_rows_ops(self, saved, malform):
+        manifest = saved[2]
+        malform(manifest["op_digests"])
+        self.rejects(saved, self.framed(manifest, saved[3]), "op digests do not name the ops of its entries")
 
     def test_duplicate_key(self, saved):
         manifest = saved[2]
@@ -1790,3 +1814,107 @@ class TestOpTokensPerGraph:
         with pytest.raises(AttributeError):
             tokens.append(0)
         assert CacheStore(graph).op_tokens("OP_A") == tuple(tokenize(graph.operations["OP_A"].instruction))
+
+
+# ---------------------------------------------------------------------------
+# A saved store is bound to its ops' texts
+# ---------------------------------------------------------------------------
+
+
+def with_instruction(graph, op_id, text):
+    op = graph.operations[op_id]
+    return replace(graph, operations={**graph.operations, op_id: replace(op, instruction=text)})
+
+
+class TestStoreBindsOpTexts:
+    PAIR = (("OP_000", "OP_001"), "OP_002")
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        graph = generate_synthetic_corpus(vocab_size=8, n_tasks=1, seed=0).graph
+        store = CacheStore(graph, "differential")
+        store.insert_residual(*self.PAIR)
+        save_store(store, tmp_path)
+        return graph, tmp_path
+
+    @pytest.mark.parametrize("op_id, old, new", [
+        ("OP_002", "Normalize the ledger figures", "Publish the ledger figures"),
+        ("OP_001", "Collect the ledger records", "Publish the ledger records"),
+    ], ids=["fetched op", "prefix op"])
+    def test_load_rejects_an_op_whose_text_changed(self, saved, op_id, old, new):
+        graph, where = saved
+        text = graph.operations[op_id].instruction
+        edited = with_instruction(graph, op_id, text.replace(old, new))
+        assert len(tokenize(edited.operations[op_id].instruction)) == len(tokenize(text))
+        with pytest.raises(DataError, match=f"store.bin: operation '{op_id}' has other text.*kv materialize"):
+            load_store(where, edited)
+
+    def test_text_with_the_same_tokens_loads_and_serves_a_sound_hit(self, saved):
+        graph, where = saved
+        text = graph.operations["OP_002"].instruction
+        store = load_store(where, with_instruction(graph, "OP_002", "  " + text.replace(" ", "\t") + "\n"))
+        kv, result = store.fetch(*self.PAIR)
+        assert result.flag == "hit" and store.verify_fetch(kv, result)
+
+
+# ---------------------------------------------------------------------------
+# A hit is served from its stored key
+# ---------------------------------------------------------------------------
+
+
+class TestHitFromStoredKey:
+    """A residual hit, a stateful full hit and a differential empty-prefix
+    base hit are built from the entry alone, with the tensor bits and record
+    a checked fetch gives; a stateless fetch still checks its path."""
+
+    @staticmethod
+    def warm(mode):
+        store = CacheStore(small_graph(), mode)
+        for path, op_id in TestVerifyFetch.PAIRS:
+            store.fetch(path, op_id)
+            if mode == "differential" and path:
+                store.insert_residual(path, op_id)
+        return store
+
+    @staticmethod
+    def spy_checks(monkeypatch):
+        calls = []
+        for owner, name in ((CacheStore, "validate_path"), (kvstore.OperationGraph, "check_chain")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(kvstore, "tokenize", lambda text: calls.append("tokenize") or tokenize(text))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["differential", "stateful"])
+    @pytest.mark.parametrize("reload", [False, True], ids=["warm", "loaded"])
+    def test_hits_make_no_path_or_token_checks(self, tmp_path, monkeypatch, mode, reload):
+        store = self.warm(mode)
+        if reload:
+            save_store(store, tmp_path)
+            store = load_store(tmp_path, store.graph)
+        expected = {}
+        for path, op_id in TestVerifyFetch.PAIRS:
+            if mode == "differential" and path:
+                delta = store.residuals[(path, op_id)]
+                kv = reconstruct(store.bases[(op_id, delta.position_offset)], delta)
+                entries = delta.entries
+            else:
+                kv, entries = store.fulls[(path, op_id)] if mode == "stateful" else store.bases[(op_id, 0)], 0
+            record = FetchResult(
+                path, op_id, "hit", entries, len(store.prefix_tokens(path)), len(store.op_tokens(op_id)),
+                kv_file_nbytes(kv),
+            )
+            expected[(path, op_id)] = (kv, record)
+        calls = self.spy_checks(monkeypatch)
+        for (path, op_id), (want, record) in expected.items():
+            kv, result = store.fetch(path, op_id)
+            assert result == record
+            assert_bitwise(kv, want)
+        assert calls == []
+
+    def test_stateless_fetch_off_the_edges_raises_where_a_base_exists(self):
+        store = CacheStore(small_graph(), "stateless")
+        _, result = store.fetch(("OP_A",), "OP_B")
+        store.base("OP_C", result.prefix_tokens)  # OP_A -> OP_C is not an edge
+        with pytest.raises(DataError, match="'OP_A' -> 'OP_C' is not a graph edge"):
+            store.fetch(("OP_A",), "OP_C")
