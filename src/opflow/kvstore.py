@@ -42,7 +42,8 @@ in a file it takes b bits, which ``memory_footprint`` counts.
 
 ``save_store`` writes a store as one file, a JSON manifest followed by each
 entry encoded as a KV or delta file, and swaps it in with one ``os.replace``;
-``load_store`` reads it back one entry at a time.
+``load_store`` reads it back one entry at a time.  Each fact is stored once,
+and loaders reject non-finite states and earlier versions by name.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ from .oracle import KVOracle, KVTensor, OracleConfig, tokenize
 
 KV_MAGIC = b"OFKV"
 DELTA_MAGIC = b"OFDL"
-KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
-DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, kept energy, width
-DTYPE_FLOAT32 = 1
+KV_VERSION = 3
+KV_HEADER = struct.Struct("<4sIIIIII")  # magic, version, L, H, T, d, offset
+DELTA_VERSION = 4
+DELTA_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, shape*4, offset, width
 WIDTHS = (2, 3, 4, 5, 6, 7, 8, 32)  # residual code widths in bits; sparsify takes the smallest that passes
 _Q = np.array([2 ** (width - 1) - 1 for width in WIDTHS[:-1]], dtype=np.float64)[:, None, None]  # codes' bounds
 STORE_MAGIC = b"OFST"
-STORE_VERSION = 5
+STORE_VERSION = 6
 STORE_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest byte length
 STORE_FILE = "store.bin"
 _REBUILD = "rebuild the store with `opflow kv materialize`"
@@ -89,35 +91,32 @@ PathKey = tuple[str, ...]
 class QuantizedDelta:
     """The difference between an in-context tensor and its base, quantized.
 
-    ``dense_shape`` is the shape of ``KVTensor.states``, (layers, heads,
-    tokens, 2 * head_dim).  At a coded ``width`` b in 2..8, ``scales`` holds
-    one finite, non-negative float32 per (layer, head) and ``codes`` one int8
-    per coordinate in [-q, q], q = 2**(b - 1) - 1; a hit is
-    ``codes * scale + base`` in float32.  At width 32, ``codes`` is the full
-    tensor's float32 states, which replace the base's, and the scales are
-    ones.  ``kept_energy_fraction`` is the share of ``||full - base||**2`` a
-    hit keeps; ``entries`` counts ``coords``.
+    ``codes`` has the shape of ``KVTensor.states``, (layers, heads, tokens,
+    2 * head_dim), which ``dense_shape`` reads.  At a coded ``width`` b in
+    2..8, ``scales`` holds one finite, non-negative float32 per (layer, head)
+    and ``codes`` one int8 per coordinate in [-q, q], q = 2**(b - 1) - 1; a
+    hit is ``codes * scale + base`` in float32.  At width 32, ``codes`` is
+    the full tensor's float32 states, which replace the base's, and the
+    scales are ones.  ``entries`` counts ``coords``.
     """
 
-    dense_shape: tuple[int, int, int, int]
     position_offset: int
-    kept_energy_fraction: float
     width: int
     scales: np.ndarray
     codes: np.ndarray
     entries: int = field(init=False)
 
     def __post_init__(self):
+        if self.width not in WIDTHS:
+            raise DataError(f"code width {self.width} is not one of {WIDTHS}")
+        coded = self.width < 32
+        if self.codes.dtype != (np.int8 if coded else np.float32):
+            raise DataError(f"delta codes must be {'int8' if coded else 'float32'}")
         if len(self.dense_shape) != 4 or self.dense_shape[3] % 2 != 0:
             raise DataError(f"bad combined shape {self.dense_shape}")
         size = prod(self.dense_shape)
         if size >= 2**31:
             raise DataError(f"combined shape {self.dense_shape} overflows an int32 coordinate")
-        if self.width not in WIDTHS:
-            raise DataError(f"code width {self.width} is not one of {WIDTHS}")
-        coded = self.width < 32
-        if self.codes.shape != self.dense_shape or self.codes.dtype != (np.int8 if coded else np.float32):
-            raise DataError(f"delta codes must be {'int8' if coded else 'float32'} of shape {self.dense_shape}")
         scales = self.scales
         if scales.shape != self.dense_shape[:2] or scales.dtype != np.float32:
             raise DataError(f"delta scales must be float32 of shape {self.dense_shape[:2]}")
@@ -127,6 +126,10 @@ class QuantizedDelta:
         if coded and size and not (-q <= self.codes.min() and self.codes.max() <= q):
             raise DataError(f"delta codes must lie in [-{q}, {q}] at width {self.width}")
         self.entries = int(np.count_nonzero(self.codes)) if coded else size
+
+    @property
+    def dense_shape(self) -> tuple[int, int, int, int]:
+        return self.codes.shape
 
     def _changed(self) -> np.ndarray:
         return self.codes != 0 if self.width < 32 else np.ones(self.dense_shape, dtype=bool)
@@ -175,7 +178,6 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Qua
     if not (0.0 < energy_target):
         raise DataError(f"energy target must be positive, got {energy_target}")
 
-    shape, offset = full.states.shape, full.position_offset
     # A scale or hit that overflows fails the bound, leaving width 32.
     with np.errstate(over="ignore", invalid="ignore"):
         full64, delta = _delta64(full.states, base.states)
@@ -207,18 +209,16 @@ def sparsify(full: KVTensor, base: KVTensor, energy_target: float = 0.95) -> Qua
             codes, error = first if i == 1 else trial(i)
             if error > reach:  # proven to fail
                 continue
-            kept = check(_dequantize(codes, scales[i], base.states))
-            if kept is not None:
-                return _sparsified(shape, offset, kept, WIDTHS[i], scales[i], codes)
-    return _sparsified(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+            if check(_dequantize(codes, scales[i], base.states)):
+                return _sparsified(full.position_offset, WIDTHS[i], scales[i], codes)
+    return _sparsified(full.position_offset, 32, np.ones(full.states.shape[:2], dtype=np.float32), full.states)
 
 
-def _sparsified(shape, offset: int, kept: float, width: int, scales: np.ndarray, codes: np.ndarray) -> QuantizedDelta:
+def _sparsified(offset: int, width: int, scales: np.ndarray, codes: np.ndarray) -> QuantizedDelta:
     """``sparsify``'s result without ``QuantizedDelta``'s checks, which its arithmetic
     keeps: rounded-up scales hold every code in [-q, q], and an accepted width's are finite."""
     delta = object.__new__(QuantizedDelta)  # fields set in declaration order, so the instance shares its keys
-    delta.dense_shape, delta.position_offset, delta.kept_energy_fraction = shape, offset, kept
-    delta.width, delta.scales, delta.codes = width, scales, codes
+    delta.position_offset, delta.width, delta.scales, delta.codes = offset, width, scales, codes
     delta.entries = int(np.count_nonzero(codes)) if width < 32 else codes.size
     return delta
 
@@ -241,25 +241,21 @@ def _dequantize(codes: np.ndarray, scales: np.ndarray, base: np.ndarray) -> np.n
 
 def _energy_check(
     full: np.ndarray, delta: np.ndarray, energy_target: float
-) -> tuple[Callable[[np.ndarray], float | None], float]:
+) -> tuple[Callable[[np.ndarray], bool], float]:
     """The differential fetch contract in float64, for ``sparsify`` and
     ``verify_fetch``, and its bound ``(1 - energy_target) * ||delta||**2``
-    (0 from a target of 1.0): with ``delta = full - base``, the check gives
-    the share 1 - ||states - full||**2 / ||delta||**2 of the delta's energy a
-    hit's ``states`` keep, or None if that squared error exceeds the bound.
-    Compared squared with no slack, so at a target of 1.0 only ``full`` passes."""
-    total = float(np.dot(delta.ravel(), delta.ravel()))
-    bound = max(0.0, 1.0 - energy_target) * total
+    (0 from a target of 1.0): with ``delta = full - base``, the check is
+    whether a hit's ``states`` lie within it, ``||states - full||**2 <=
+    bound``.  Compared squared with no slack, so at a target of 1.0 only
+    ``full`` passes; a NaN error fails."""
+    bound = max(0.0, 1.0 - energy_target) * float(np.dot(delta.ravel(), delta.ravel()))
 
-    def kept(states: np.ndarray) -> float | None:
+    def within(states: np.ndarray) -> bool:
         error = states.astype(np.float64).ravel()
         error -= full.ravel()
-        err2 = float(np.dot(error, error))
-        if not err2 <= bound:  # a nan error fails too
-            return None
-        return 1.0 - err2 / total if total else 1.0
+        return bool(np.dot(error, error) <= bound)
 
-    return kept, bound
+    return within, bound
 
 
 def reconstruct(base: KVTensor, delta: QuantizedDelta) -> KVTensor:
@@ -289,39 +285,37 @@ def kv_file_nbytes(kv: KVTensor) -> int:
 
 
 def _kv_bytes(kv: KVTensor) -> bytes:
-    """Version 2: header (``d`` is head_dim), then ``states`` row-major over
+    """Header (``d`` is head_dim), then float32 ``states`` row-major over
     (layers, heads, tokens, 2 * head_dim)."""
     layers, heads, t, width = kv.states.shape
-    header = KV_HEADER.pack(
-        KV_MAGIC, 2, layers, heads, t, width // 2, kv.position_offset, DTYPE_FLOAT32
-    )
+    header = KV_HEADER.pack(KV_MAGIC, KV_VERSION, layers, heads, t, width // 2, kv.position_offset)
     return b"".join((header, np.ascontiguousarray(kv.states, dtype="<f4")))
 
 
 def _kv_from_bytes(raw: bytes, where: str | Path) -> KVTensor:
     if len(raw) < KV_HEADER.size:
         raise DataError(f"{where}: truncated KV file")
-    magic, version, layers, heads, t, d, offset, dtype = KV_HEADER.unpack_from(raw)
+    magic, version, layers, heads, t, d, offset = KV_HEADER.unpack_from(raw)
     if magic != KV_MAGIC:
         raise DataError(f"{where}: not a KV tensor file")
-    if version != 2:
+    if version != KV_VERSION:
         raise DataError(f"{where}: unsupported KV file version {version}; {_REBUILD}")
-    if dtype != DTYPE_FLOAT32:
-        raise DataError(f"{where}: unsupported dtype tag {dtype}")
     expected = KV_HEADER.size + layers * heads * t * 2 * d * 4
     if len(raw) != expected:
         raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
     states = np.frombuffer(raw, dtype="<f4", offset=KV_HEADER.size).reshape(layers, heads, t, 2 * d)
+    if not np.isfinite(states).all():
+        raise DataError(f"{where}: non-finite KV states")
     return KVTensor(states, offset)
 
 
 def _delta_bytes(delta: QuantizedDelta) -> bytes:
-    """Version 3: header, then at a coded width the float32 scales over
-    (layers, heads) and each code's low ``width`` bits (two's complement),
-    row-major, most significant bit first, zero-padded to whole bytes; at
-    width 32 the float32 states."""
-    shape, offset, energy, width = delta.dense_shape, delta.position_offset, delta.kept_energy_fraction, delta.width
-    header = DELTA_HEADER.pack(DELTA_MAGIC, 3, *shape, offset, energy, width)
+    """Header, then at a coded width the float32 scales over (layers, heads)
+    and each code's low ``width`` bits (two's complement), row-major, most
+    significant bit first, zero-padded to whole bytes; at width 32 the
+    float32 states."""
+    width = delta.width
+    header = DELTA_HEADER.pack(DELTA_MAGIC, DELTA_VERSION, *delta.codes.shape, delta.position_offset, width)
     if width == 32:
         return header + np.ascontiguousarray(delta.codes, dtype="<f4").tobytes()
     # Each code's low bits move as one record: a strided uint8 copy is 10x slower.
@@ -333,10 +327,10 @@ def _delta_bytes(delta: QuantizedDelta) -> bytes:
 def _delta_from_bytes(raw: bytes, where: str | Path) -> QuantizedDelta:
     if len(raw) < DELTA_HEADER.size:
         raise DataError(f"{where}: truncated delta file")
-    magic, version, *shape, offset, energy, width = DELTA_HEADER.unpack_from(raw)
+    magic, version, *shape, offset, width = DELTA_HEADER.unpack_from(raw)
     if magic != DELTA_MAGIC:
         raise DataError(f"{where}: not a residual delta file")
-    if version != 3:
+    if version != DELTA_VERSION:
         raise DataError(f"{where}: unsupported delta file version {version}; {_REBUILD}")
     if width not in WIDTHS:
         raise DataError(f"{where}: code width {width} is not one of {WIDTHS}")
@@ -347,6 +341,8 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> QuantizedDelta:
         raise DataError(f"{where}: expected {expected} bytes, found {len(raw)}")
     if not coded:
         scales, codes = np.ones(shape[:2], dtype=np.float32), np.frombuffer(raw, dtype="<f4", offset=codes_at)
+        if not np.isfinite(codes).all():
+            raise DataError(f"{where}: non-finite KV states")
     else:
         # Copied, so that the scales do not keep the raw bytes alive.
         scales = np.frombuffer(raw, dtype="<f4", count=shape[0] * shape[1], offset=DELTA_HEADER.size).copy()
@@ -360,7 +356,7 @@ def _delta_from_bytes(raw: bytes, where: str | Path) -> QuantizedDelta:
         codes = np.packbits(octets).view(np.int8) >> (8 - width)
     scales, codes = scales.reshape(shape[:2]), codes.reshape(shape)
     try:
-        return QuantizedDelta(shape, offset, energy, width, scales, codes)
+        return QuantizedDelta(offset, width, scales, codes)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
@@ -609,7 +605,7 @@ class CacheStore:
         full = self.oracle.stateful_segment(prefix, op_tokens)
         if self.mode == "differential" and flag == "hit" and path:
             base = self.oracle.base_segment(op_tokens, len(prefix))
-            return _energy_check(*_delta64(full.states, base.states), self.energy_target)[0](kv.states) is not None
+            return _energy_check(*_delta64(full.states, base.states), self.energy_target)[0](kv.states)
         return np.array_equal(kv.states, full.states)
 
     def drop_residual(self, path: Iterable[str], op_id: str) -> bool:
@@ -644,7 +640,7 @@ def _nbytes(entry: KVTensor | QuantizedDelta) -> int:
 
 _TABLES = ("bases", "residuals", "fulls")
 _MODE_TABLES = {"differential": ("bases", "residuals"), "stateless": ("bases",), "stateful": ("fulls",)}
-_ROW_FIELDS = {"table", "path", "op", "offset", "start", "size"}
+_ROW_FIELDS = {"table", "path", "op", "offset", "size"}
 
 
 def save_store(store: CacheStore, directory: str | Path) -> None:
@@ -653,12 +649,12 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
 
     The manifest holds the mode, energy target and oracle config, one row
     per entry: its table, prefix path, op id, base offset (null outside
-    ``bases``), and the byte start and size of its payload, counted from the
-    manifest's end; and a digest of the token ids of each op the rows name,
-    which binds the store to those ops' texts.  Payloads are KV version-2
-    files (bases, fulls) and delta version-3 files (residuals), so the
-    payload bytes total ``memory_footprint().total_bytes``.  Payloads are
-    encoded and written one at a time.
+    ``bases``) and payload size, each payload following the one before it
+    from the manifest's end; and a digest of the token ids of each op the
+    rows name, which binds the store to those ops' texts.  Payloads are KV
+    files (bases, fulls) and delta files (residuals), so the payload bytes
+    total ``memory_footprint().total_bytes``.  Payloads are encoded and
+    written one at a time.
 
     The file is written, flushed and synced as ``.store.bin.tmp`` in the same
     directory, then moved over ``store.bin`` by one ``os.replace``: a reload
@@ -672,16 +668,12 @@ def save_store(store: CacheStore, directory: str | Path) -> None:
 def _store_file(store: CacheStore, directory: str | Path) -> tuple[Path, Callable[[BinaryIO], None]]:
     """The path ``save_store`` writes ``store`` to, its directory made if need
     be, and the writer of its bytes, for one ``_write_atomic`` call."""
-    rows, entries, start = [], [], 0
+    rows, entries = [], []
     for table in _TABLES:
         for key, entry in sorted(getattr(store, table).items()):
             path, op_id, offset = ((), *key) if table == "bases" else (*key, None)
-            size = _nbytes(entry)
-            rows.append(
-                {"table": table, "path": list(path), "op": op_id, "offset": offset, "start": start, "size": size}
-            )
+            rows.append({"table": table, "path": list(path), "op": op_id, "offset": offset, "size": _nbytes(entry)})
             entries.append(entry)
-            start += size
     manifest = {
         "energy_target": store.energy_target,
         "mode": store.mode,
@@ -728,7 +720,7 @@ def _manifest_rows(manifest, mode: str, file: Path) -> list[tuple[str, tuple, Pa
     rows = manifest.get("entries")
     if not isinstance(rows, list):
         raise DataError(f"{file}: manifest has no entry list")
-    out, seen, start = [], set(), 0
+    out, seen = [], set()
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or set(row) != _ROW_FIELDS:
             raise DataError(f"{file}: malformed manifest row {i}")
@@ -742,14 +734,10 @@ def _manifest_rows(manifest, mode: str, file: Path) -> list[tuple[str, tuple, Pa
             isinstance(path, list)
             and all(isinstance(node, str) for node in path)
             and isinstance(op_id, str)
-            and _is_count(row["start"])
             and _is_count(row["size"])
             and (_is_count(offset) and not path if is_base else offset is None)
         ):
             raise DataError(f"{file}: malformed manifest row {i}")
-        if row["start"] != start:
-            raise DataError(f"{file}: manifest row {i} starts at byte {row['start']}, expected {start}")
-        start += row["size"]
         path = tuple(path)
         key = (op_id, offset) if is_base else (path, op_id)
         if (table, key) in seen:
@@ -767,16 +755,15 @@ def load_store(directory: str | Path, graph: OperationGraph) -> CacheStore:
     directory of an earlier version as such), a wrong magic or version, a
     header, manifest or payload cut short, trailing bytes, a manifest that is
     not JSON or has a malformed row, an unknown table or one the stored mode
-    never uses, payload byte ranges that do not run on from the manifest's
-    end, a repeated key, a malformed payload (for a residual: a code width
-    outside ``WIDTHS``, a negative or non-finite scale, a code outside
-    [-q, q], nonzero padding bits or a wrong length), and entries off
-    ``graph``'s edges, of another shape than the stored oracle config gives
-    them, or at another position offset than their key names: a base's
-    offset, or the prefix path's token count.  Each names its entry.  It
-    also rejects op digests that are not one per op the rows name, and, by
-    name, an op whose tokens in ``graph`` are not those the store was built
-    from (its text changed).
+    never uses, a repeated key, a malformed payload (a wrong length or a
+    non-finite float32 state; for a residual also a code width outside
+    ``WIDTHS``, a negative or non-finite scale, a code outside [-q, q] or
+    nonzero padding bits), and entries off ``graph``'s edges, of another
+    shape than the stored oracle config gives them, or at another position
+    offset than their key names: a base's offset, or the prefix path's token
+    count.  Each names its entry.  It also rejects op digests that are not
+    one per op the rows name, and, by name, an op whose tokens in ``graph``
+    are not those the store was built from (its text changed).
     """
     file = Path(directory) / STORE_FILE
     if not file.is_file():

@@ -36,13 +36,12 @@ class TransitionStats:
 
     A trace is an op-id sequence whose consecutive pairs must be operation
     graph edges.  One count is kept per distinct trace, checked when first
-    recorded; ``edge_counts`` and ``observed_pairs`` are read-only derived views.
+    recorded; the properties are read-only views derived from those counts.
     """
 
     def __init__(self, graph: OperationGraph):
         self.graph = graph
         self._trace_counts: dict[PathKey, int] = {}
-        self.total_observations: int = 0
 
     def record(self, trace: Sequence[str]) -> None:
         trace = tuple(trace)
@@ -51,7 +50,10 @@ class TransitionStats:
         if trace not in self._trace_counts:
             self.graph.check_chain(trace, "trace")
         self._trace_counts[trace] = self._trace_counts.get(trace, 0) + 1
-        self.total_observations += 1
+
+    @property
+    def total_observations(self) -> int:
+        return sum(self._trace_counts.values())
 
     @property
     def edge_counts(self) -> Mapping[tuple[str, str], int]:

@@ -2,7 +2,10 @@
 
 import json
 import os
-from dataclasses import replace
+import re
+import struct
+from dataclasses import fields, replace
+from itertools import accumulate
 from math import prod
 from pathlib import Path
 
@@ -16,7 +19,9 @@ from opflow.graph import Operation, Workflow, merge_workflows
 from opflow.kvstore import (
     DELTA_HEADER,
     DELTA_MAGIC,
+    DELTA_VERSION,
     KV_HEADER,
+    KV_VERSION,
     MODES,
     STORE_HEADER,
     STORE_MAGIC,
@@ -40,6 +45,10 @@ from opflow.oracle import KVOracle, KVTensor, OracleConfig, tokenize
 from opflow.pruning import PlanPolicy, TransitionStats, apply_plan, path_digest, plan_materialization
 
 from conftest import assert_unreplaced
+
+# The headers of earlier versions, which the loaders reject by version.
+OLD_KV_HEADER = struct.Struct("<4sIIIIIII")  # magic, version, L, H, T, d, offset, dtype
+OLD_DELTA_HEADER = struct.Struct("<4sIIIIIIfI")  # magic, version, shape*4, offset, kept energy, width
 
 
 def small_graph():
@@ -100,6 +109,11 @@ def coded_hit(full, base, width):
     return KVTensor(states, base.position_offset)
 
 
+def keeps_bound(kv, full, base, target):
+    """``_energy_check``'s verdict on ``kv``: the bound ``sparsify`` and ``verify_fetch`` apply."""
+    return kvstore._energy_check(*kvstore._delta64(full.states, base.states), target)[0](kv.states)
+
+
 def within_bound(kv, full, base, target):
     """The energy bound, squared and longhand: ||kv - full||^2 <= (1 - target) ||full - base||^2."""
     error = np.sum((kv.states.astype(np.float64) - full.states) ** 2)
@@ -126,9 +140,7 @@ class TestSparsify:
                 rec = reconstruct(base, delta)
                 assert np.array_equal(rec.states.view(np.uint32), coded_hit(full, base, delta.width).states.view(np.uint32))
                 assert within_bound(rec, full, base, target)
-                kept = 1 - np.sum((rec.states.astype(np.float64) - full.states) ** 2) / np.sum(true_delta(full, base) ** 2)
-                assert delta.kept_energy_fraction == pytest.approx(kept, rel=1e-12)
-                assert delta.kept_energy_fraction >= target
+                assert keeps_bound(rec, full, base, target)
                 for narrower in WIDTHS[: WIDTHS.index(delta.width)]:
                     assert not within_bound(coded_hit(full, base, narrower), full, base, target)
 
@@ -141,8 +153,7 @@ class TestSparsify:
         rng = np.random.default_rng(int(target * 1e6))
         for _ in range(8):
             delta = sparsify(*random_pair(oracle, rng), target)
-            fields = {k: getattr(delta, k) for k in ("dense_shape", "position_offset", "kept_energy_fraction", "width")}
-            checked = QuantizedDelta(**fields, scales=delta.scales, codes=delta.codes)
+            checked = QuantizedDelta(delta.position_offset, delta.width, delta.scales, delta.codes)
             assert checked.entries == delta.entries and type(delta.entries) is int
             assert list(vars(delta)) == list(vars(checked))
 
@@ -168,7 +179,7 @@ class TestSparsify:
         assert delta.width == 32
         assert delta.entries == full.states.size == len(delta.coords)
         assert np.array_equal(delta.values.view(np.uint32), full.states.ravel().view(np.uint32))
-        assert delta.kept_energy_fraction == 1.0
+        assert keeps_bound(reconstruct(base, delta), full, base, 1.0)
 
     def test_zero_difference(self):
         oracle = KVOracle(OracleConfig(lam=0.0))
@@ -178,8 +189,8 @@ class TestSparsify:
         assert delta.width == 2
         assert delta.entries == 0
         assert not delta.scales.any() and not delta.codes.any()
-        assert delta.kept_energy_fraction == 1.0
         rec = reconstruct(base, delta)
+        assert keeps_bound(rec, full, base, 1.0)
         assert np.array_equal(rec.keys, full.keys)
         assert np.array_equal(rec.values, full.values)
 
@@ -188,10 +199,14 @@ class TestSparsify:
         # width 2 keeps 0.902 of the energy, width 3 0.962.
         base = KVTensor(np.zeros((1, 1, 1, 8), dtype=np.float32), position_offset=0)
         diff = np.array([3, 1.5, 2.5, -0.5, -2.5, 0.5, 0, -3], dtype=np.float32)
-        delta = sparsify(KVTensor(diff.reshape(1, 1, 1, 8), position_offset=0), base, 0.95)
+        full = KVTensor(diff.reshape(1, 1, 1, 8), position_offset=0)
+        delta = sparsify(full, base, 0.95)
         assert delta.width == 3 and delta.scales.tolist() == [[1.0]]
         assert delta.codes.ravel().tolist() == [3, 2, 2, 0, -2, 0, 0, -3]
-        assert delta.kept_energy_fraction == 1 - 1.25 / 33.25
+        # The hit's squared error is 1.25 of the delta's 33.25: it keeps the
+        # bound at exactly that share and breaks it one ulp above.
+        rec, kept = reconstruct(base, delta), 1 - 1.25 / 33.25
+        assert keeps_bound(rec, full, base, kept) and not keeps_bound(rec, full, base, np.nextafter(kept, 1.0))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("which", ["full", "base", "both"])
@@ -237,17 +252,15 @@ def reference_sparsify(full, base, energy_target):
         check = kvstore._energy_check(full64, delta, energy_target)[0]
         for i, width in enumerate(WIDTHS[:-1]):
             codes = np.rint(delta / divisors[i])
-            kept = check(kvstore._dequantize(codes, scales[i], base.states))
-            if kept is not None:
-                return QuantizedDelta(shape, offset, kept, width, scales[i], codes.astype(np.int8))
-    return QuantizedDelta(shape, offset, 1.0, 32, np.ones(shape[:2], dtype=np.float32), full.states)
+            if check(kvstore._dequantize(codes, scales[i], base.states)):
+                return QuantizedDelta(offset, width, scales[i], codes.astype(np.int8))
+    return QuantizedDelta(offset, 32, np.ones(shape[:2], dtype=np.float32), full.states)
 
 
 def assert_same_delta(got, expected):
     assert (got.dense_shape, got.position_offset, got.width) == (expected.dense_shape, expected.position_offset, expected.width)
     assert got.scales.tobytes() == expected.scales.tobytes()
     assert got.codes.dtype == expected.codes.dtype and got.codes.tobytes() == expected.codes.tobytes()
-    assert got.kept_energy_fraction == expected.kept_energy_fraction
 
 
 def replay_shaped_pairs(lam, levels=12, width=3, chains=8, seed=5):
@@ -358,7 +371,7 @@ class TestSparsifyMatchesWidthLoop:
         for target in self.TARGETS:
             delta = sparsify(full, full, target)
             assert_same_delta(delta, reference_sparsify(full, full, target))
-            assert delta.width == 2 and delta.kept_energy_fraction == 1.0
+            assert delta.width == 2 and keeps_bound(reconstruct(full, delta), full, full, 1.0)
 
     def test_magnitudes_near_float32_overflow(self):
         # Hits, and width 2's scales, can overflow float32: such a width
@@ -499,14 +512,25 @@ class TestFileFormats:
         states = np.random.default_rng(37).normal(size=(2, 3, 5, 8)).astype(np.float32)
         file = tmp_path / "seg.kv"
         write_kv(file, KVTensor(states, 11))
-        header = KV_HEADER.pack(kvstore.KV_MAGIC, 2, 2, 3, 5, 4, 11, kvstore.DTYPE_FLOAT32)
+        header = KV_HEADER.pack(kvstore.KV_MAGIC, KV_VERSION, 2, 3, 5, 4, 11)
         assert file.read_bytes() == header + states.tobytes()
 
-    def test_version_one_kv_file_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_kv_file_versions_are_rejected(self, tmp_path, version):
+        # Versions 1 and 2 had a 32-byte header ending in a dtype tag.
         file = tmp_path / "old.kv"
-        header = KV_HEADER.pack(kvstore.KV_MAGIC, 1, 1, 1, 2, 2, 0, kvstore.DTYPE_FLOAT32)
+        header = OLD_KV_HEADER.pack(kvstore.KV_MAGIC, version, 1, 1, 2, 2, 0, 1)
         file.write_bytes(header + bytes(4 * 8))
-        with pytest.raises(DataError, match="old.kv.*version 1.*kv materialize"):
+        with pytest.raises(DataError, match=f"old.kv.*version {version}.*kv materialize"):
+            read_kv(file)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kv_file_is_rejected(self, tmp_path, bad):
+        states = np.random.default_rng(37).normal(size=(2, 3, 5, 8)).astype(np.float32)
+        states[1, 2, 4, 7] = bad
+        file = tmp_path / "seg.kv"
+        write_kv(file, KVTensor(states, 0))
+        with pytest.raises(DataError, match="seg.kv: non-finite KV states"):
             read_kv(file)
 
     def test_read_kv_is_a_read_only_view(self, tmp_path):
@@ -531,7 +555,6 @@ class TestFileFormats:
             back = read_delta(file)
             assert back.dense_shape == delta.dense_shape
             assert back.position_offset == delta.position_offset
-            assert back.kept_energy_fraction == np.float32(delta.kept_energy_fraction)
             assert back.width == delta.width and back.entries == delta.entries
             for name in ("scales", "codes", "coords", "values"):
                 got, expected = getattr(back, name), getattr(delta, name)
@@ -562,9 +585,9 @@ class TestFileFormats:
         assert staged and staged[0] > 0
         assert_unreplaced(file, old)
 
-    def test_kv_header_is_32_bytes_and_delta_36(self):
-        assert KV_HEADER.size == 32
-        assert DELTA_HEADER.size == 36
+    def test_kv_header_is_28_bytes_and_delta_32(self):
+        assert KV_HEADER.size == 28
+        assert DELTA_HEADER.size == 32
 
     def test_rejects_corrupt_files(self, tmp_path):
         oracle = KVOracle()
@@ -609,7 +632,7 @@ class TestFileFormats:
         if scales is None:
             scales = np.ones(shape[:2])
         dtype = np.int8 if width < 32 else np.float32
-        return QuantizedDelta(shape, 0, 1.0, width, np.asarray(scales, np.float32), np.asarray(codes, dtype))
+        return QuantizedDelta(0, width, np.asarray(scales, np.float32), np.asarray(codes, dtype))
 
     def test_delta_takes_each_width_and_its_full_code_range(self):
         for width in WIDTHS:
@@ -619,7 +642,7 @@ class TestFileFormats:
     @pytest.mark.parametrize("width", [0, 1, 9, 16, 31, 33])
     def test_delta_rejects_a_width_outside_the_set(self, width):
         with pytest.raises(DataError, match=f"code width {width} is not one of"):
-            QuantizedDelta((1, 1, 1, 2), 0, 1.0, width, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
+            QuantizedDelta(0, width, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
 
     def test_delta_rejects_codes_outside_its_width(self):
         for width in WIDTHS[:-1]:
@@ -628,11 +651,13 @@ class TestFileFormats:
                 with pytest.raises(DataError, match=rf"\[-{q}, {q}\] at width {width}"):
                     self.delta(width, codes=np.full((2, 1, 3, 2), bad))
         with pytest.raises(DataError, match="int8"):
-            QuantizedDelta((1, 1, 1, 2), 0, 1.0, 4, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int16))
+            QuantizedDelta(0, 4, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int16))
         with pytest.raises(DataError, match="float32"):
-            QuantizedDelta((1, 1, 1, 2), 0, 1.0, 32, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
-        with pytest.raises(DataError, match="shape"):
-            self.delta(4, codes=np.zeros((2, 1, 2, 2)))
+            QuantizedDelta(0, 32, np.ones((1, 1), np.float32), np.zeros((1, 1, 1, 2), np.int8))
+        with pytest.raises(DataError, match="scales must be float32 of shape"):
+            self.delta(4, codes=np.zeros((2, 2, 3, 2)))
+        with pytest.raises(DataError, match="bad combined shape"):
+            self.delta(4, codes=np.zeros((2, 1, 3, 3)), shape=(2, 1, 3, 3))
 
     @pytest.mark.parametrize("scales, width", [
         ([[-1.0], [1.0]], 4), ([[np.nan], [1.0]], 4), ([[np.inf], [1.0]], 4), ([[1.0, 1.0]], 4), ([[2.0], [1.0]], 32),
@@ -642,9 +667,10 @@ class TestFileFormats:
             self.delta(width, scales=scales)
 
     def test_delta_rejects_shape_beyond_int32_index(self):
-        empty = np.zeros(0, dtype=np.int8)
+        # Zero-stride views: no memory behind the 2**31 codes.
+        codes = np.broadcast_to(np.int8(0), (1 << 10, 1 << 10, 1 << 10, 2))
         with pytest.raises(DataError, match="int32"):
-            QuantizedDelta((1 << 10, 1 << 10, 1 << 10, 2), 0, 1.0, 4, empty.astype(np.float32), empty)
+            QuantizedDelta(0, 4, np.broadcast_to(np.float32(1), codes.shape[:2]), codes)
 
     def test_path_digest_stable_and_distinct(self):
         a = path_digest(("OP_A", "OP_B"))
@@ -655,7 +681,7 @@ class TestFileFormats:
 
 
 class TestDeltaFileRejections:
-    """Each malformed version-3 file is refused with a DataError naming it."""
+    """Each malformed delta file is refused with a DataError naming it."""
 
     def written(self, tmp_path, delta):
         file = tmp_path / "pair.delta"
@@ -667,23 +693,37 @@ class TestDeltaFileRejections:
         with pytest.raises(DataError, match=f"{file.name}.*{match}"):
             read_delta(file)
 
+    # Versions 1 to 3 had a 36-byte header with the kept energy as float32.
     def test_version_one_file(self, tmp_path):
         file = tmp_path / "old.delta"
-        header = DELTA_HEADER.pack(DELTA_MAGIC, 1, 1, 1, 2, 2, 0, 1.0, 1)
+        header = OLD_DELTA_HEADER.pack(DELTA_MAGIC, 1, 1, 1, 2, 2, 0, 1.0, 1)
         self.rejects(file, header + bytes(24), "version 1.*kv materialize")
 
     def test_version_two_file(self, tmp_path):
         # A bitmap of the kept coordinates, then their float32 values.
         file = tmp_path / "old.delta"
-        header = DELTA_HEADER.pack(DELTA_MAGIC, 2, 1, 1, 2, 2, 0, 1.0, 1)
+        header = OLD_DELTA_HEADER.pack(DELTA_MAGIC, 2, 1, 1, 2, 2, 0, 1.0, 1)
         self.rejects(file, header + bytes([0b1000_0000]) + bytes(4), "version 2.*kv materialize")
+
+    def test_version_three_file(self, tmp_path):
+        # One float32 scale, then six 3-bit codes in three bytes.
+        file = tmp_path / "old.delta"
+        header = OLD_DELTA_HEADER.pack(DELTA_MAGIC, 3, 1, 1, 3, 2, 0, 0.75, 3)
+        self.rejects(file, header + np.float32(0.5).tobytes() + bytes(3), "version 3.*kv materialize")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_states_at_width_32(self, tmp_path, bad):
+        full, base = random_pair(KVOracle(), np.random.default_rng(5))
+        file, raw = self.written(tmp_path, sparsify(full, base, 1.0))
+        raw[DELTA_HEADER.size + 4 : DELTA_HEADER.size + 8] = np.float32(bad).tobytes()
+        self.rejects(file, raw, "non-finite KV states")
 
     def test_codes_are_packed_most_significant_bit_first(self, tmp_path):
         # Six 3-bit codes take 18 bits, so the last byte has 6 padding bits.
         codes = np.array([1, -1, 0, 3, -3, 2], dtype=np.int8).reshape(1, 1, 3, 2)
-        delta = QuantizedDelta((1, 1, 3, 2), 5, 0.75, 3, np.array([[0.5]], np.float32), codes)
+        delta = QuantizedDelta(5, 3, np.array([[0.5]], np.float32), codes)
         file, raw = self.written(tmp_path, delta)
-        header = DELTA_HEADER.pack(DELTA_MAGIC, 3, 1, 1, 3, 2, 5, 0.75, 3)
+        header = DELTA_HEADER.pack(DELTA_MAGIC, DELTA_VERSION, 1, 1, 3, 2, 5, 3)
         assert raw == header + np.float32(0.5).tobytes() + bytes([0b001_111_00, 0b0_011_101_0, 0b10_000000])
         assert np.array_equal(read_delta(file).codes, codes)
 
@@ -713,7 +753,7 @@ class TestDeltaFileRejections:
 
     def test_nonzero_padding_bits(self, tmp_path):
         codes = np.array([1, -1, 0, 3, -3, 2], dtype=np.int8).reshape(1, 1, 3, 2)
-        delta = QuantizedDelta((1, 1, 3, 2), 0, 1.0, 3, np.ones((1, 1), np.float32), codes)
+        delta = QuantizedDelta(0, 3, np.ones((1, 1), np.float32), codes)
         file, raw = self.written(tmp_path, delta)
         assert read_delta(file).coords.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 2, 0], [0, 0, 2, 1]]
         raw[-1] |= 0x01
@@ -725,6 +765,31 @@ class TestDeltaFileRejections:
             file, raw = self.written(tmp_path, sparsify(full, base, target))
             self.rejects(file, raw + b"\x00" * 4, "expected")
             self.rejects(file, raw[:-1], "expected")
+
+
+class TestReadmeFormatSection:
+    """README's format bullets name the header sizes and versions the code writes."""
+
+    @staticmethod
+    def bullet(title):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.split(r"\n- \*\*|\n\n", readme.split(f"\n- **{title}**", 1)[1], maxsplit=1)[0]
+        return " ".join(text.split())
+
+    def test_kv_files(self):
+        assert f"a {KV_HEADER.size}-byte header (version {KV_VERSION}:" in self.bullet("KV files")
+
+    def test_delta_files(self):
+        text = self.bullet("Delta files")
+        assert f"(version {DELTA_VERSION}): a {DELTA_HEADER.size}-byte header" in text
+        assert f"`{DELTA_HEADER.size} + 4·L·H + ceil(L·H·T·2d · b / 8)`" in text
+        assert f"`{DELTA_HEADER.size} + 4·L·H·T·2d` at width 32" in text
+
+    def test_stores(self):
+        text = self.bullet("Stores")
+        assert f"(version {STORE_VERSION}): one file" in text and f"A {STORE_HEADER.size}-byte header" in text
+        assert all(f"`{name}`" in text for name in kvstore._ROW_FIELDS)
+        assert f"rejects a version-{STORE_VERSION - 1} `store.bin`" in text
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +975,9 @@ class TestVerifyFetch:
         check, bound = kvstore._energy_check(full, np.array([0.125, 0.0]).reshape(full.shape), 0.75)
         assert bound == 0.25 * 0.125**2
         edge = np.array([0.0625, 0.0], dtype=np.float32).reshape(full.shape)
-        assert check(edge) == 0.75 and check(full) == 1.0
+        assert check(edge) is True and check(full) is True
         edge[..., 0] = np.nextafter(np.float32(0.0625), np.float32(1))
-        assert check(edge) is None
+        assert check(edge) is False
 
 
     @pytest.mark.parametrize("target", [0.5, 0.8, 0.9, 0.95, 0.99, 1.0])
@@ -1142,20 +1207,40 @@ class TestStoreRoundTrip:
                 assert got.dtype == expected.dtype
                 assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("mode", [*MODES, "energy 0.97"])
+    def test_every_field_of_every_entry_survives(self, tmp_path, mode):
+        # Every dataclass field of every entry, arrays bit for bit: a file
+        # holds no rounded copy of a stored fact.
+        graph, store = self.populate() if mode == "energy 0.97" else (small_graph(), filled_store(small_graph(), mode))
+        save_store(store, tmp_path)
+        back = load_store(tmp_path, graph)
+        for table in ("bases", "residuals", "fulls"):
+            entries, loaded = getattr(store, table), getattr(back, table)
+            assert list(loaded) == sorted(entries)
+            for key, entry in entries.items():
+                assert type(loaded[key]) is type(entry)
+                for f in fields(entry):
+                    got, expected = getattr(loaded[key], f.name), getattr(entry, f.name)
+                    if isinstance(expected, np.ndarray):
+                        got, expected = ((a.dtype, a.shape, a.tobytes()) for a in (got, expected))
+                    assert type(got) is type(expected) and got == expected, (table, key, f.name)
+        assert back.memory_footprint() == store.memory_footprint()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_kv_payloads_are_header_then_states(self, tmp_path, mode):
         store = filled_store(small_graph(), mode)
         save_store(store, tmp_path)
         text, payloads = split_store_file(tmp_path)
-        rows = [row for row in json.loads(text)["entries"] if row["table"] != "residuals"]
+        rows = json.loads(text)["entries"]
+        for row, start in zip(rows, accumulate((row["size"] for row in rows), initial=0)):
+            row["start"] = start  # each payload starts where the one before it ends
+        rows = [row for row in rows if row["table"] != "residuals"]
         assert rows
         for row in rows:
             key = (row["op"], row["offset"]) if row["table"] == "bases" else (tuple(row["path"]), row["op"])
             kv = getattr(store, row["table"])[key]
             layers, heads, tokens, width = kv.states.shape
-            header = KV_HEADER.pack(
-                kvstore.KV_MAGIC, 2, layers, heads, tokens, width // 2, kv.position_offset, kvstore.DTYPE_FLOAT32
-            )
+            header = KV_HEADER.pack(kvstore.KV_MAGIC, KV_VERSION, layers, heads, tokens, width // 2, kv.position_offset)
             assert payloads[row["start"] : row["start"] + row["size"]] == header + kv.states.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
@@ -1328,9 +1413,7 @@ class TestStoreRoundTrip:
         wider = (layers, heads, tokens, width + 2)
         codes = np.zeros(wider, dtype=np.int8)
         codes[..., :width] = delta.codes
-        store.residuals[key] = QuantizedDelta(
-            wider, delta.position_offset, delta.kept_energy_fraction, delta.width, delta.scales, codes
-        )
+        store.residuals[key] = QuantizedDelta(delta.position_offset, delta.width, delta.scales, codes)
         self.rejects_after_save(tmp_path, graph, store, "shape")
 
     @staticmethod
@@ -1411,7 +1494,7 @@ class TestStoreFileRejections:
         self.rejects(saved, self.framed(saved[2], saved[3], magic=b"OFKV"), "not a cache store file")
 
     def test_unsupported_version(self, saved):
-        for version in (1, 2, 4):
+        for version in (1, 2, 4, 5):
             self.rejects(saved, self.framed(saved[2], saved[3], version=version), f"version {version}.*kv materialize")
 
     def test_negative_oracle_seed(self, saved):
@@ -1472,16 +1555,16 @@ class TestStoreFileRejections:
         row = next(i for i, r in enumerate(manifest["entries"]) if r["table"] == table)
         self.rejects(saved, self.framed(manifest, saved[3]), f"row {row} is a {table} entry, which a {mode} store")
 
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_byte_ranges_not_contiguous(self, saved, shift):
+    @pytest.mark.parametrize("row", [0, 3, 4], ids=["bases", "base then residual", "residuals"])
+    @pytest.mark.parametrize("k", [-4, -1, 1, 4])
+    def test_size_moved_between_rows(self, saved, row, k):
+        # The sizes still total the payloads, but the entry at ``row`` no
+        # longer spans its own bytes.
         manifest = saved[2]
-        manifest["entries"][1]["start"] += shift
-        self.rejects(saved, self.framed(manifest, saved[3]), "row 1 starts at byte")
-
-    def test_first_range_not_at_manifest_end(self, saved):
-        manifest = saved[2]
-        manifest["entries"][0]["start"] = 4
-        self.rejects(saved, self.framed(manifest, saved[3]), "row 0 starts at byte 4, expected 0")
+        first, second = manifest["entries"][row : row + 2]
+        first["size"] -= k
+        second["size"] += k
+        self.rejects(saved, self.framed(manifest, saved[3]), rf"{first['table']} entry .*: expected \d+ bytes")
 
     @pytest.mark.parametrize("malform", [
         lambda digests: digests.pop("OP_A"),
@@ -1848,6 +1931,21 @@ class TestStoreBindsOpTexts:
         assert len(tokenize(edited.operations[op_id].instruction)) == len(tokenize(text))
         with pytest.raises(DataError, match=f"store.bin: operation '{op_id}' has other text.*kv materialize"):
             load_store(where, edited)
+
+    def test_load_rejects_a_non_finite_base(self, saved):
+        # One base and one residual; the base's first state is made NaN.
+        graph, where = saved
+        file = where / "store.bin"
+        raw = bytearray(file.read_bytes())
+        text, _ = split_store_file(where)
+        first = json.loads(text)["entries"][0]
+        assert first["table"] == "bases"
+        at = STORE_HEADER.size + len(text) + KV_HEADER.size
+        raw[at : at + 4] = np.float32(np.nan).tobytes()
+        file.write_bytes(bytes(raw))
+        key = re.escape(str((first["op"], first["offset"])))
+        with pytest.raises(DataError, match=f"store.bin: bases entry {key}: non-finite KV states"):
+            load_store(where, graph)
 
     def test_text_with_the_same_tokens_loads_and_serves_a_sound_hit(self, saved):
         graph, where = saved
